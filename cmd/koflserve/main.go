@@ -93,8 +93,8 @@ func flags() (*flag.FlagSet, *options) {
 	fs.StringVar(&o.metrics, "metrics", "", "HTTP /metrics listen address (empty = disabled)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "HTTP debug-surface listen address: unified /metrics, /healthz, /readyz, /debug/events, /debug/pprof/* (empty = disabled)")
 	fs.DurationVar(&o.timeout, "timeout", serve.DefaultTimeout, "root retransmission timeout (tightening below a few ms causes retransmission storms)")
-	fs.DurationVar(&o.pace, "pace", serve.DefaultPace, "protocol delivery pace while acquires wait (negative = full speed)")
-	fs.DurationVar(&o.idlePace, "idle-pace", serve.DefaultIdlePace, "protocol delivery pace while no acquire waits (negative = full speed)")
+	fs.DurationVar(&o.pace, "pace", serve.DefaultPace, "average protocol delivery delay per frame while acquires wait, slept off in 1ms rests (negative = full speed)")
+	fs.DurationVar(&o.idlePace, "idle-pace", serve.DefaultIdlePace, "beat a frame is held for while no acquire waits; a request cuts it short (negative = full speed)")
 	fs.IntVar(&o.maxBatch, "max-batch", 0, "max acquires per protocol cycle (0 = unlimited within Σunits ≤ k; 1 = unbatched)")
 	fs.IntVar(&o.queue, "queue", serve.DefaultQueueDepth, "per-process acquire queue depth (full queue rejects with overload)")
 	fs.DurationVar(&o.leaseTTL, "lease-ttl", serve.DefaultLeaseTTL, "maximum (and default) lease duration")

@@ -1,10 +1,10 @@
 // Live: the protocol under real concurrency.
 //
-// One goroutine per process, one buffered Go channel per directed tree edge,
-// frames wire-encoded, and the root's retransmission timeout on the wall
-// clock. Before start, every link is polluted with garbage frames — the
-// protocol bootstraps anyway, and concurrent clients on every process lease
-// and return units through the blocking-style API.
+// One goroutine per process, one buffered inbox per process that its
+// neighbours write into, frames wire-encoded, and the root's retransmission
+// timeout on the wall clock. Before start, every link is polluted with
+// garbage frames — the protocol bootstraps anyway, and concurrent clients on
+// every process lease and return units through the blocking-style API.
 //
 // Run: go run ./examples/live
 package main

@@ -66,8 +66,13 @@ func TestRuntimeObservability(t *testing.T) {
 	if n.Timeouts() == 0 {
 		t.Error("Timeouts() = 0 after a garbage-start bootstrap")
 	}
-	if n.FramesPaced() == 0 {
-		t.Error("FramesPaced() = 0 with IdlePace set")
+	// Holds start with quiescence, i.e. at the first frame a process
+	// receives after the legitimate census.
+	for n.FramesPaced() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("FramesPaced() = 0 on a stabilized idle network with IdlePace set")
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	reg := obs.NewRegistry()
@@ -80,6 +85,7 @@ func TestRuntimeObservability(t *testing.T) {
 	for _, want := range []string{
 		"kofl_runtime_frames_delivered_total",
 		"kofl_runtime_frames_paced_total",
+		"kofl_runtime_demand_wakes_total",
 		"kofl_runtime_timeout_retransmissions_total",
 		"kofl_runtime_stabilized 1",
 	} {

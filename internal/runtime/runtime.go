@@ -1,6 +1,6 @@
 // Package runtime executes the protocol under true asynchrony: one goroutine
-// per process, one buffered Go channel per directed tree edge, messages
-// wire-encoded into frames, and a wall-clock retransmission timer at the
+// per process, one buffered inbox per process that its neighbours write
+// wire-encoded frames into, and a wall-clock retransmission timer at the
 // root. It demonstrates that the core state machine — developed against the
 // deterministic simulator — runs unchanged on a real concurrent substrate
 // (the repo's race-enabled integration tests drive it).
@@ -20,12 +20,13 @@ import (
 	"kofl/internal/tree"
 )
 
-// DefaultLinkBuffer is the per-link frame buffer. The stabilized token
-// population is ℓ+3 plus bounded controller duplicates, so this never fills
-// in practice; if it does fill, Send drops the frame and counts it — message
-// loss is inside the protocol's fault model (a wrong census makes the
-// controller flush and recreate the token population), so a saturated
-// network degrades into extra stabilization work instead of crashing.
+// DefaultLinkBuffer is the per-link share of a process's inbox (capacity
+// degree × LinkBuffer). The stabilized token population is ℓ+3 plus bounded
+// controller duplicates, so an inbox never fills in practice; if it does
+// fill, Send drops the frame and counts it — message loss is inside the
+// protocol's fault model (a wrong census makes the controller flush and
+// recreate the token population), so a saturated network degrades into extra
+// stabilization work instead of crashing.
 const DefaultLinkBuffer = 256
 
 // Options configures a live network.
@@ -37,12 +38,25 @@ type Options struct {
 	// Pace and IdlePace throttle message delivery (0 = full speed). The
 	// protocol's tokens circulate forever even with zero demand, which
 	// costs a core's worth of message handling on an otherwise idle
-	// network and starves co-located application goroutines of CPU. Each
-	// pump holds a frame for Pace while application requests are
-	// outstanding and for IdlePace while none are, so circulation trickles
-	// instead of spinning. Arbitrary message delay is inside the
-	// asynchronous model, so stabilization is unaffected, and pacing never
-	// drops frames — they wait in their link buffers.
+	// network and starves co-located application goroutines of CPU.
+	//
+	// While the network is quiescent — no application request outstanding
+	// and (with the controller on) the last census legitimate — a process
+	// holds an arriving frame for one IdlePace beat, then delivers it and
+	// everything that queued behind it, so a convoy of tokens advances one
+	// hop per beat. A Request cuts every such hold short, and Stop does not
+	// wait it out.
+	//
+	// Otherwise (demand, bootstrap, repair) a process delivers at once and
+	// owes Pace per frame: at most 1/Pace frames per second per process on
+	// average. The debt is slept off in chunks of restQuantum, the shortest
+	// sleep the Go runtime honours here. The rest is a real park, not a
+	// yield: with a goroutine always runnable a single P never reaches the
+	// netpoller, and co-located network goroutines starve.
+	//
+	// Arbitrary message delay is inside the asynchronous model, so
+	// stabilization is unaffected, and pacing never drops frames — they wait
+	// in the inbox.
 	Pace     time.Duration
 	IdlePace time.Duration
 	// Observer receives protocol events; it is called from process
@@ -61,10 +75,22 @@ type Options struct {
 	Journal *obs.Journal
 }
 
-// delivery is one decoded frame arriving on a labeled channel.
+// restQuantum is the shortest rest a busy process takes. A shorter timer
+// costs either ~14µs or, when the process is otherwise idle, epoll's 1ms
+// timeout granularity, so Pace debt is slept off in chunks of at least this.
+const restQuantum = time.Millisecond
+
+// delivery is one wire-encoded frame arriving on a labeled channel.
 type delivery struct {
-	ch int
-	m  message.Message
+	ch    int
+	frame [message.FrameSize]byte
+}
+
+// port is the far end of one outgoing edge: the peer's inbox and the label
+// the peer knows this edge by.
+type port struct {
+	inbox chan<- delivery
+	ch    int
 }
 
 // appCmd drives the application interface of a process from outside.
@@ -80,7 +106,6 @@ type Net struct {
 	cfg  core.Config
 	opts Options
 
-	links   [][]chan []byte // links[p][ch]: frames INTO p on its channel ch
 	procs   []*proc
 	started atomic.Bool
 
@@ -92,7 +117,8 @@ type Net struct {
 	framesDelivered atomic.Int64
 	framesRejected  atomic.Int64 // checksum/decoding failures (injected noise)
 	framesDropped   atomic.Int64 // full-link drops (backpressure signal)
-	framesPaced     atomic.Int64 // deliveries that slept a pacing beat
+	framesPaced     atomic.Int64 // holds taken (idle beats and busy rests)
+	demandWakes     atomic.Int64 // idle holds cut short by a request
 	timeouts        atomic.Int64 // root retransmission timeout firings
 	grants          atomic.Int64
 
@@ -101,9 +127,13 @@ type Net struct {
 	// of the serve layer's /readyz.
 	stabilized atomic.Bool
 
-	// demand counts application requests issued but not yet granted; the
-	// pumps deliver at full speed whenever it is non-zero (IdlePace).
+	// demand counts application requests issued but not yet granted; while
+	// it is non-zero the network is not quiescent and processes deliver at
+	// the busy cadence (Pace) instead of holding frames for IdlePace.
 	demand atomic.Int64
+	// wake is closed and replaced on every 0→1 edge of demand, releasing
+	// the processes parked in an idle hold.
+	wake atomic.Pointer[chan struct{}]
 }
 
 // proc is the per-process goroutine state.
@@ -111,9 +141,9 @@ type proc struct {
 	id    int
 	net   *Net
 	node  *core.Node
-	inbox chan delivery
+	inbox chan delivery // written by the neighbours, one goroutine per edge: FIFO per channel
 	cmds  chan appCmd
-	out   []chan []byte // out[ch]: peer's inbox link
+	out   []port // out[ch]: the neighbour on channel ch
 
 	inCS      atomic.Bool
 	releaseRq atomic.Bool
@@ -134,27 +164,24 @@ func New(t *tree.Tree, cfg core.Config, opts Options) (*Net, error) {
 	if opts.LinkBuffer <= 0 {
 		opts.LinkBuffer = DefaultLinkBuffer
 	}
-	n := &Net{tr: t, cfg: cfg, opts: opts,
-		links: make([][]chan []byte, t.N()),
-		procs: make([]*proc, t.N()),
-	}
-	for p := 0; p < t.N(); p++ {
-		n.links[p] = make([]chan []byte, t.Degree(p))
-		for ch := range n.links[p] {
-			n.links[p][ch] = make(chan []byte, opts.LinkBuffer)
-		}
-	}
-	for p := 0; p < t.N(); p++ {
-		pr := &proc{
-			id:    p,
-			net:   n,
-			inbox: make(chan delivery, opts.LinkBuffer),
+	n := &Net{tr: t, cfg: cfg, opts: opts, procs: make([]*proc, t.N())}
+	wake := make(chan struct{})
+	n.wake.Store(&wake)
+	for p := range n.procs {
+		n.procs[p] = &proc{
+			id:  p,
+			net: n,
+			// One LinkBuffer per incoming edge, pooled: a full inbox is the
+			// full link of the drop-on-full contract.
+			inbox: make(chan delivery, t.Degree(p)*opts.LinkBuffer),
 			cmds:  make(chan appCmd, 8),
-			out:   make([]chan []byte, t.Degree(p)),
+			out:   make([]port, t.Degree(p)),
 		}
-		for ch := 0; ch < t.Degree(p); ch++ {
+	}
+	for p, pr := range n.procs {
+		for ch := range pr.out {
 			q := t.Neighbor(p, ch)
-			pr.out[ch] = n.links[q][t.ChannelTo(q, p)]
+			pr.out[ch] = port{n.procs[q].inbox, t.ChannelTo(q, p)}
 		}
 		node, err := core.NewNode(cfg, p, t.Degree(p), t.IsRoot(p), liveApp{pr})
 		if err != nil {
@@ -162,7 +189,6 @@ func New(t *tree.Tree, cfg core.Config, opts Options) (*Net, error) {
 		}
 		node.SetObserver(n.observe)
 		pr.node = node
-		n.procs[p] = pr
 	}
 	return n, nil
 }
@@ -220,8 +246,16 @@ func (n *Net) demandDone() {
 }
 
 // Demand returns the number of application requests issued and not yet
-// granted — the signal that disables idle pacing.
+// granted — the signal that ends quiescence.
 func (n *Net) Demand() int64 { return n.demand.Load() }
+
+// quiescent reports whether nobody is waiting on the protocol: no request
+// outstanding and, when there is a controller to say so, a legitimate token
+// population. Bootstrap and post-fault repair are not quiescent, so they run
+// at the busy cadence.
+func (n *Net) quiescent() bool {
+	return n.demand.Load() == 0 && (n.stabilized.Load() || !n.cfg.Features.Controller)
+}
 
 // liveApp adapts a proc to core.App.
 type liveApp struct{ pr *proc }
@@ -241,7 +275,8 @@ func (a liveApp) ReleaseCS() bool {
 // liveEnv implements core.Env inside a proc goroutine.
 type liveEnv struct {
 	pr    *proc
-	timer *time.Timer
+	timer *time.Timer // the root's retransmission timer (nil elsewhere)
+	beat  *time.Timer // times the process's pacing rests
 }
 
 // Send frames m onto the outgoing link. A full link drops the frame instead
@@ -251,9 +286,11 @@ type liveEnv struct {
 // observable contract under saturation is a counted drop plus extra
 // stabilization work, never a crash.
 func (e *liveEnv) Send(ch int, m message.Message) {
-	frame := message.Encode(nil, m)
+	out := e.pr.out[ch]
+	d := delivery{ch: out.ch}
+	message.Encode(d.frame[:0], m)
 	select {
-	case e.pr.out[ch] <- frame:
+	case out.inbox <- d:
 	default:
 		e.pr.net.drop(e.pr.id, ch)
 	}
@@ -282,90 +319,109 @@ func (n *Net) Start(ctx context.Context) {
 	ctx, n.cancel = context.WithCancel(ctx)
 	n.ctx = ctx
 	for _, pr := range n.procs {
-		// One pump per incoming link preserves per-channel FIFO while
-		// merging the process's channels into a single inbox.
-		for ch, link := range n.links[pr.id] {
-			n.wg.Add(1)
-			go pr.pump(ctx, ch, link, &n.wg)
-		}
 		n.wg.Add(1)
 		go pr.run(ctx, &n.wg)
-	}
-}
-
-// pump decodes frames from one link into the process inbox.
-func (pr *proc) pump(ctx context.Context, ch int, link chan []byte, wg *sync.WaitGroup) {
-	defer wg.Done()
-	busy, idle := pr.net.opts.Pace, pr.net.opts.IdlePace
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case frame := <-link:
-			// Hold the frame for a beat before delivering: IdlePace with no
-			// request outstanding, Pace otherwise. An arriving request sees
-			// at most one leftover idle-length sleep per hop before delivery
-			// drops to the busy cadence. A plain Sleep (not a timer select)
-			// keeps the pump allocation-free; the longest pace is ~1ms, so
-			// shutdown waits that much at worst.
-			pace := busy
-			if pr.net.demand.Load() == 0 {
-				pace = idle
-			}
-			if pace > 0 {
-				pr.net.framesPaced.Add(1)
-				time.Sleep(pace)
-			}
-			m, _, err := message.Decode(frame)
-			if err != nil {
-				pr.net.framesRejected.Add(1)
-				continue
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case pr.inbox <- delivery{ch: ch, m: m}:
-			}
-		}
 	}
 }
 
 // run is the process main loop: the paper's "repeat forever".
 func (pr *proc) run(ctx context.Context, wg *sync.WaitGroup) {
 	defer wg.Done()
-	env := &liveEnv{pr: pr}
-	if pr.node.IsRoot() && pr.net.cfg.Features.Controller {
-		env.timer = time.NewTimer(pr.net.opts.Timeout)
+	n := pr.net
+	env := &liveEnv{pr: pr, beat: time.NewTimer(time.Hour)}
+	env.beat.Stop() // rest arms it
+	if pr.node.IsRoot() && n.cfg.Features.Controller {
+		env.timer = time.NewTimer(n.opts.Timeout)
 		defer env.timer.Stop()
 	}
 	var timerC <-chan time.Time
 	if env.timer != nil {
 		timerC = env.timer.C
 	}
+	var debt time.Duration // Pace owed for frames delivered since the last rest
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case d := <-pr.inbox:
-			pr.net.framesDelivered.Add(1)
-			pr.node.HandleMessage(d.ch, d.m, env)
+			// Load the wake channel before reading demand: a request that
+			// raises demand after the read closes this very channel.
+			wake := *n.wake.Load()
+			quiet := n.quiescent()
+			if quiet && n.opts.IdlePace > 0 {
+				if !env.rest(ctx, n.opts.IdlePace, wake) {
+					return
+				}
+				debt = 0
+			}
+			env.deliver(d)
+			if quiet {
+				// Whatever queued behind d during the beat moves with it, so
+				// the controller's lap stays at one beat per hop, under Timeout.
+				for i := len(pr.inbox); i > 0; i-- {
+					env.deliver(<-pr.inbox)
+				}
+			} else if debt += n.opts.Pace; debt >= restQuantum {
+				if !env.rest(ctx, debt, nil) {
+					return
+				}
+				debt = 0
+			}
 		case <-timerC:
-			pr.net.timeouts.Add(1)
-			if j := pr.net.opts.Journal; j != nil {
+			n.timeouts.Add(1)
+			if j := n.opts.Journal; j != nil {
 				j.Record(obs.KindTimeout, int32(pr.id), 0, 0)
 			}
 			pr.node.HandleTimeout(env)
 		case cmd := <-pr.cmds:
-			var err error
-			if cmd.request >= 0 {
-				err = pr.node.Request(env, cmd.request)
-			}
-			if cmd.poll {
-				pr.node.Poll(env)
-			}
-			if cmd.reply != nil {
-				cmd.reply <- err
-			}
+			env.command(cmd)
+		}
+	}
+}
+
+// deliver verifies and decodes one frame and hands it to the state machine.
+func (e *liveEnv) deliver(d delivery) {
+	m, _, err := message.Decode(d.frame[:])
+	if err != nil {
+		e.pr.net.framesRejected.Add(1)
+		return
+	}
+	e.pr.net.framesDelivered.Add(1)
+	e.pr.node.HandleMessage(d.ch, m, e)
+}
+
+// command runs one application command against the state machine.
+func (e *liveEnv) command(cmd appCmd) {
+	var err error
+	if cmd.request >= 0 {
+		err = e.pr.node.Request(e, cmd.request)
+	}
+	if cmd.poll {
+		e.pr.node.Poll(e)
+	}
+	if cmd.reply != nil {
+		cmd.reply <- err
+	}
+}
+
+// rest parks the process for d, still answering application commands. wake
+// (nil for a busy rest) cuts the hold short. It returns false when the
+// network stopped.
+func (e *liveEnv) rest(ctx context.Context, d time.Duration, wake <-chan struct{}) bool {
+	e.pr.net.framesPaced.Add(1)
+	e.beat.Reset(d)
+	for {
+		select {
+		case <-ctx.Done():
+			return false
+		case <-e.beat.C:
+			return true
+		case <-wake:
+			e.beat.Stop()
+			e.pr.net.demandWakes.Add(1)
+			return true
+		case cmd := <-e.pr.cmds:
+			e.command(cmd)
 		}
 	}
 }
@@ -396,9 +452,13 @@ func (n *Net) stopped() <-chan struct{} {
 // (an error unless the process was in state Out), or ErrStopped if the
 // network shut down before the process could answer.
 func (n *Net) Request(p, need int) error {
-	// Raise demand before the command is visible to the process loop so a
-	// paced pump never sleeps through the request it should be serving.
-	n.demand.Add(1)
+	// Raise demand before the command is visible to the process loop, and
+	// on the 0→1 edge release every process parked in an idle hold, so no
+	// hop sleeps through the request it should be serving.
+	if n.demand.Add(1) == 1 {
+		wake := make(chan struct{})
+		close(*n.wake.Swap(&wake))
+	}
 	reply := make(chan error, 1)
 	select {
 	case n.procs[p].cmds <- appCmd{request: need, reply: reply}:
@@ -447,10 +507,13 @@ func (n *Net) FramesRejected() int64 { return n.framesRejected.Load() }
 // pre-Start injection overflow drops, both count).
 func (n *Net) FramesDropped() int64 { return n.framesDropped.Load() }
 
-// FramesPaced returns the number of deliveries that slept a pacing beat
-// (Pace/IdlePace) before delivering — the signal that pacing, not protocol
-// work, dominates idle-network CPU shape.
+// FramesPaced returns the number of pacing holds taken: idle beats
+// (IdlePace, each covering every frame queued behind the held one) and busy
+// rests (accrued Pace debt).
 func (n *Net) FramesPaced() int64 { return n.framesPaced.Load() }
+
+// DemandWakes returns the number of idle holds a Request cut short.
+func (n *Net) DemandWakes() int64 { return n.demandWakes.Load() }
 
 // Timeouts returns the number of root retransmission-timeout firings. In
 // steady state this stays flat; a climbing rate means the timeout is too
@@ -469,7 +532,9 @@ func (n *Net) Register(reg *obs.Registry, prefix string) {
 	reg.CounterFunc(prefix+"frames_dropped_total",
 		"frames dropped by full links (backpressure)", n.FramesDropped)
 	reg.CounterFunc(prefix+"frames_paced_total",
-		"deliveries that slept a pacing beat before delivering", n.FramesPaced)
+		"holds taken (idle beats and busy rests)", n.FramesPaced)
+	reg.CounterFunc(prefix+"demand_wakes_total",
+		"idle holds cut short by a request", n.DemandWakes)
 	reg.CounterFunc(prefix+"timeout_retransmissions_total",
 		"root retransmission timeout firings", n.Timeouts)
 	reg.CounterFunc(prefix+"grants_total",
@@ -489,9 +554,9 @@ func (n *Net) Register(reg *obs.Registry, prefix string) {
 // inject places one raw frame on the link into p on channel ch, dropping
 // (and counting) it if the link is full — injection must never block or
 // crash the network it is attacking.
-func (n *Net) inject(p, ch int, frame []byte) {
+func (n *Net) inject(p, ch int, frame [message.FrameSize]byte) {
 	select {
-	case n.links[p][ch] <- frame:
+	case n.procs[p].inbox <- delivery{ch, frame}:
 	default:
 		n.drop(p, ch)
 	}
@@ -507,10 +572,12 @@ func (n *Net) InjectGarbage(seed int64) {
 		n.opts.Journal.Record(obs.KindFaultInjected, -1, seed, 0)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	for p := range n.links {
-		for ch := range n.links[p] {
+	for p, pr := range n.procs {
+		for ch := range pr.out {
 			for i := rng.Intn(n.cfg.CMAX + 1); i > 0; i-- {
-				n.inject(p, ch, message.Encode(nil, message.Random(rng, n.cfg.CounterMod(), n.cfg.L)))
+				var frame [message.FrameSize]byte
+				message.Encode(frame[:0], message.Random(rng, n.cfg.CounterMod(), n.cfg.L))
+				n.inject(p, ch, frame)
 			}
 		}
 	}
@@ -526,10 +593,10 @@ func (n *Net) InjectNoise(seed int64, frames int) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < frames; i++ {
-		p := rng.Intn(len(n.links))
-		ch := rng.Intn(len(n.links[p]))
-		frame := make([]byte, message.FrameSize)
-		rng.Read(frame)
+		p := rng.Intn(len(n.procs))
+		ch := rng.Intn(len(n.procs[p].out))
+		var frame [message.FrameSize]byte
+		rng.Read(frame[:])
 		n.inject(p, ch, frame)
 	}
 }

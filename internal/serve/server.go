@@ -39,11 +39,14 @@ type Options struct {
 	// counterproductive: retransmission storms churn the tree and grant
 	// latency rises.
 	Timeout time.Duration
-	// Pace throttles protocol message delivery while acquires are waiting
-	// on the protocol, IdlePace while none are (defaults 10µs and 1ms;
-	// negative disables). Without pacing the token circulation spins a
-	// full core even when every client is idle or holding, starving the
-	// serving goroutines of CPU — the dominant cost of the serve path.
+	// IdlePace is the beat each process holds protocol frames for while no
+	// acquire is waiting on the protocol and the tree is stabilized; an
+	// arriving acquire cuts every hold short. Pace is the average delay per
+	// frame and process otherwise, delivered at once and slept off in 1ms
+	// rests (defaults 10µs and 1ms; negative disables). Without pacing the
+	// token circulation spins a full core even when every client is idle
+	// or holding, starving the serving goroutines of CPU — the dominant
+	// cost of the serve path. See runtime.Options.
 	Pace     time.Duration
 	IdlePace time.Duration
 	// MaxBatch caps how many queued acquires one protocol cycle may carry

@@ -100,6 +100,13 @@ grep -q 'func newBatch(' internal/serve/batch.go || err "serve batch type gone b
 grep -q 'func newLoadIndex(' internal/serve/route.go || err "serve load index gone but documented"
 grep -q 'MaxBatch' internal/serve/server.go || err "serve Options.MaxBatch gone but documented"
 grep -q 'IdlePace' internal/runtime/runtime.go || err "runtime delivery pacing gone but documented"
+# Demand-driven delivery: the doc names the wake counter, the 1ms rest and
+# the one-P guard; each must still exist where the doc says.
+grep -q 'demand_wakes_total' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the demand-wake description"
+grep -q 'demand_wakes_total' internal/runtime/runtime.go || err "runtime demand-wake counter gone but documented"
+grep -q 'restQuantum = time.Millisecond' internal/runtime/runtime.go || err "runtime 1ms rest quantum gone but documented"
+grep -q 'func TestOnePStarvationGuard' internal/serve/onep_test.go || err "one-P starvation guard gone but documented"
+grep -q 'GOMAXPROCS=1 ./koflserve' .github/workflows/ci.yml || err "CI lost the one-P load smoke ARCHITECTURE.md cites"
 grep -q '"max-batch"' cmd/koflserve/main.go || err "koflserve -max-batch gone but documented"
 grep -q '"idle-pace"' cmd/koflserve/main.go || err "koflserve -idle-pace gone but documented"
 grep -q '\-timeout' README.md || err "README.md no longer documents koflserve -timeout"
