@@ -1,5 +1,5 @@
 // Command koflbench regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §3 and EXPERIMENTS.md): the figure
+// evaluation (internal/experiments has one driver per id): the figure
 // reproductions F1-F4, the theorem experiments T1-T2, the liveness check
 // L14, the errata ablations A1-A2, the variant ladder A3 and the
 // performance sweeps P1-P2.

@@ -14,15 +14,13 @@
 //
 // The merged report is byte-identical to the unsharded run of the same
 // spec, for any shard count (and `merge -escalate` reproduces the full
-// escalated output of an unsharded `run`). Legacy flag-style invocation
-// (koflcampaign -spec sweep.json) still works and means `run`.
+// escalated output of an unsharded `run`).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -68,8 +66,8 @@ type usageError string
 func (e usageError) Error() string { return string(e) }
 
 func run(args []string) error {
-	sub := "run"
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+	var sub string
+	if len(args) > 0 {
 		sub, args = args[0], args[1:]
 	}
 	var err error
@@ -231,13 +229,8 @@ func cmdRun(args []string) error {
 	traceDir := fs.String("trace-dir", "", "directory for captured outlier traces (enables the spec's trace predicate)")
 	progress := fs.Bool("progress", false, "print a periodic per-worker progress line to stderr (slot rate and per-worker completions; 1s cadence)")
 	quiet := fs.Bool("quiet", false, "suppress the progress line and summary table")
-	example := fs.Bool("example", false, "print an example spec and exit (legacy)")
 	if err := fs.Parse(args); err != nil {
 		return usageError(err.Error())
-	}
-	if *example {
-		fmt.Print(exampleSpec)
-		return nil
 	}
 	if (*specPath == "") == (*planPath == "") {
 		return usageError("run: exactly one of -spec or -plan is required")

@@ -66,7 +66,6 @@ type options struct {
 	timeout       time.Duration
 	pace          time.Duration
 	idlePace      time.Duration
-	maxBatch      int
 	queue         int
 	leaseTTL      time.Duration
 	dedupeTTL     time.Duration
@@ -95,7 +94,6 @@ func flags() (*flag.FlagSet, *options) {
 	fs.DurationVar(&o.timeout, "timeout", serve.DefaultTimeout, "root retransmission timeout (tightening below a few ms causes retransmission storms)")
 	fs.DurationVar(&o.pace, "pace", serve.DefaultPace, "average protocol delivery delay per frame while acquires wait, slept off in 1ms rests (negative = full speed)")
 	fs.DurationVar(&o.idlePace, "idle-pace", serve.DefaultIdlePace, "beat a frame is held for while no acquire waits; a request cuts it short (negative = full speed)")
-	fs.IntVar(&o.maxBatch, "max-batch", 0, "max acquires per protocol cycle (0 = unlimited within Σunits ≤ k; 1 = unbatched)")
 	fs.IntVar(&o.queue, "queue", serve.DefaultQueueDepth, "per-process acquire queue depth (full queue rejects with overload)")
 	fs.DurationVar(&o.leaseTTL, "lease-ttl", serve.DefaultLeaseTTL, "maximum (and default) lease duration")
 	fs.DurationVar(&o.dedupeTTL, "dedupe-ttl", serve.DefaultDedupeTTL, "how long acquire responses replay to request-id retries")
@@ -152,11 +150,8 @@ func run(args []string, out, errOut io.Writer) error {
 	if o.queue < 1 {
 		return usageError(fmt.Sprintf("-queue %d: must be ≥ 1", o.queue))
 	}
-	if o.maxBatch < 0 {
-		return usageError(fmt.Sprintf("-max-batch %d: must be ≥ 0", o.maxBatch))
-	}
-	if o.load < 0 {
-		return usageError(fmt.Sprintf("-load %v: must be ≥ 0", o.load))
+	if o.load < 0 || o.load > loadgen.MaxRate {
+		return usageError(fmt.Sprintf("-load %v: must be in [0, %g]", o.load, loadgen.MaxRate))
 	}
 	if o.loadUnits < 0 || o.loadUnits > o.k {
 		return usageError(fmt.Sprintf("-load-units %d: must be in [0, k=%d]", o.loadUnits, o.k))
@@ -170,8 +165,7 @@ func run(args []string, out, errOut io.Writer) error {
 		K: o.k, L: o.l, CMAX: o.cmax,
 		Addr: o.addr, MetricsAddr: o.metrics, DebugAddr: o.debugAddr,
 		Timeout: o.timeout, Pace: o.pace, IdlePace: o.idlePace,
-		MaxBatch: o.maxBatch, QueueDepth: o.queue,
-		LeaseTTL: o.leaseTTL, DedupeTTL: o.dedupeTTL, DrainTimeout: o.drain,
+		QueueDepth: o.queue, LeaseTTL: o.leaseTTL, DedupeTTL: o.dedupeTTL, DrainTimeout: o.drain,
 	})
 	if err != nil {
 		return err

@@ -24,6 +24,7 @@ func TestUsageErrors(t *testing.T) {
 		{"negative cmax", []string{"-cmax", "-1"}},
 		{"zero queue", []string{"-queue", "0"}},
 		{"negative load", []string{"-load", "-5"}},
+		{"load over the arrival clock", []string{"-load", "2e9"}},
 		{"load units over k", []string{"-k", "2", "-l", "3", "-load-units", "3"}},
 		{"unknown topo", []string{"-topo", "mesh"}},
 		{"tiny n", []string{"-topo", "chain", "-n", "1"}},

@@ -39,9 +39,6 @@
 // state delta into the census). No primitive needs a ResyncActions call.
 // The package-level differential tests prove this per fault kind, per
 // scheduler, against the FullRescan/ScanCensus oracles.
-//
-// internal/faults keeps its historical injector API as thin wrappers over
-// this package's primitives.
 package adversary
 
 import "fmt"

@@ -13,9 +13,10 @@ import (
 // process selection (nil = the whole system, in the kernel's canonical
 // enumeration order) and mutates the simulation only through the tracked
 // surfaces of the fault-injection resync rule: the channel API and
-// sim.Sim.RestoreNode. internal/faults wraps these with its historical
-// whole-system signatures; the bodies moved here verbatim so legacy callers
-// consume the RNG in exactly the same order as before the migration.
+// sim.Sim.RestoreNode. Every primitive is a deterministic function of the
+// supplied RNG, and a nil selection draws from it in the same order on every
+// run: seeded whole-system fault schedules (the golden traces, the campaign
+// storm columns) replay byte-identically.
 
 // allChannels enumerates every directed channel in canonical order (sender
 // ascending, then the sender's channel labels).
@@ -220,4 +221,13 @@ func ReorderChannels(s *sim.Sim, rng *rand.Rand, count int, chans []*channel.Cha
 		c.Replace(msgs)
 	}
 	return done
+}
+
+// ArbitraryConfiguration places the system in a fully arbitrary
+// configuration: every process state random, every channel holding up to
+// CMAX random messages. This is the universal quantifier of the convergence
+// property.
+func ArbitraryConfiguration(s *sim.Sim, rng *rand.Rand) {
+	CorruptStates(s, rng, nil)
+	GarbageChannels(s, rng, s.Cfg.CMAX, nil)
 }

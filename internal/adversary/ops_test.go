@@ -1,12 +1,12 @@
-package faults_test
+package adversary_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"kofl/internal/adversary"
 	"kofl/internal/channel"
 	"kofl/internal/core"
-	"kofl/internal/faults"
 	"kofl/internal/message"
 	"kofl/internal/sim"
 	"kofl/internal/tree"
@@ -21,7 +21,7 @@ func newSim(t *testing.T, cmax int) *sim.Sim {
 func TestGarbageChannelsRespectsCMAX(t *testing.T) {
 	const cmax = 3
 	s := newSim(t, cmax)
-	faults.GarbageChannels(s, rand.New(rand.NewSource(2)), 100) // asks for more than CMAX
+	adversary.GarbageChannels(s, rand.New(rand.NewSource(2)), 100, nil) // asks for more than CMAX
 	total := 0
 	s.Channels(func(c *channel.Channel) {
 		if c.Len() > cmax {
@@ -36,7 +36,7 @@ func TestGarbageChannelsRespectsCMAX(t *testing.T) {
 
 func TestGarbageChannelsZeroAndNegative(t *testing.T) {
 	s := newSim(t, 4)
-	faults.GarbageChannels(s, rand.New(rand.NewSource(3)), -5)
+	adversary.GarbageChannels(s, rand.New(rand.NewSource(3)), -5, nil)
 	s.Channels(func(c *channel.Channel) {
 		if c.Len() != 0 {
 			t.Errorf("negative budget injected garbage: %v", c)
@@ -46,7 +46,7 @@ func TestGarbageChannelsZeroAndNegative(t *testing.T) {
 
 func TestGarbageCtrlFlagsStayInDomain(t *testing.T) {
 	s := newSim(t, 6)
-	faults.GarbageChannels(s, rand.New(rand.NewSource(4)), 6)
+	adversary.GarbageChannels(s, rand.New(rand.NewSource(4)), 6, nil)
 	mod := s.Cfg.CounterMod()
 	s.Channels(func(c *channel.Channel) {
 		for _, m := range c.Snapshot() {
@@ -62,7 +62,7 @@ func TestRandomSnapshotDomains(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 2000; i++ {
 		deg := 1 + rng.Intn(5)
-		s := faults.RandomSnapshot(cfg, deg, rng)
+		s := adversary.RandomSnapshot(cfg, deg, rng)
 		if s.Need < 0 || s.Need > cfg.K {
 			t.Fatalf("Need %d", s.Need)
 		}
@@ -90,7 +90,7 @@ func TestCorruptStatesTargeted(t *testing.T) {
 	for p := range s.Nodes {
 		before[p] = s.Nodes[p].Snapshot()
 	}
-	faults.CorruptStates(s, rand.New(rand.NewSource(6)), []int{2, 3})
+	adversary.CorruptStates(s, rand.New(rand.NewSource(6)), []int{2, 3})
 	// Only processes 2 and 3 may differ.
 	for p := range s.Nodes {
 		after := s.Nodes[p].Snapshot()
@@ -107,17 +107,17 @@ func TestDropTokensCounts(t *testing.T) {
 	s.Seed(0, 0, message.NewRes(), message.NewRes(), message.NewPush())
 	s.Seed(0, 1, message.NewRes())
 	rng := rand.New(rand.NewSource(7))
-	if got := faults.DropTokens(s, rng, message.Res, 2); got != 2 {
+	if got := adversary.DropTokens(s, rng, message.Res, 2, nil); got != 2 {
 		t.Fatalf("dropped %d, want 2", got)
 	}
 	if c := s.Census(); c.FreeRes != 1 || c.FreePush != 1 {
 		t.Errorf("census after drop = %v", c)
 	}
 	// Dropping more than exist removes what's there.
-	if got := faults.DropTokens(s, rng, message.Res, 10); got != 1 {
+	if got := adversary.DropTokens(s, rng, message.Res, 10, nil); got != 1 {
 		t.Errorf("dropped %d, want the remaining 1", got)
 	}
-	if got := faults.DropTokens(s, rng, message.Res, 5); got != 0 {
+	if got := adversary.DropTokens(s, rng, message.Res, 5, nil); got != 0 {
 		t.Errorf("dropped %d from empty, want 0", got)
 	}
 }
@@ -125,7 +125,7 @@ func TestDropTokensCounts(t *testing.T) {
 func TestDropPreservesOtherMessages(t *testing.T) {
 	s := newSim(t, 4)
 	s.Seed(0, 0, message.NewPush(), message.NewRes(), message.NewPrio())
-	faults.DropTokens(s, rand.New(rand.NewSource(8)), message.Res, 1)
+	adversary.DropTokens(s, rand.New(rand.NewSource(8)), message.Res, 1, nil)
 	snap := s.Out(0, 0).Snapshot()
 	if len(snap) != 2 || snap[0].Kind != message.Push || snap[1].Kind != message.Prio {
 		t.Errorf("surviving messages = %v, want Push then Prio in order", snap)
@@ -136,7 +136,7 @@ func TestDuplicateTokens(t *testing.T) {
 	s := newSim(t, 4)
 	s.Seed(0, 0, message.NewRes(), message.NewPush())
 	rng := rand.New(rand.NewSource(9))
-	if got := faults.DuplicateTokens(s, rng, message.Res, 2); got != 1 {
+	if got := adversary.DuplicateTokens(s, rng, message.Res, 2, nil); got != 1 {
 		t.Fatalf("duplicated %d, want 1 (only one Res exists)", got)
 	}
 	if c := s.Census(); c.FreeRes != 2 {
@@ -151,7 +151,7 @@ func TestDuplicateTokens(t *testing.T) {
 
 func TestInjectTokens(t *testing.T) {
 	s := newSim(t, 4)
-	faults.InjectTokens(s, rand.New(rand.NewSource(10)), message.Push, 5)
+	adversary.InjectTokens(s, rand.New(rand.NewSource(10)), message.Push, 5, nil)
 	if c := s.Census(); c.FreePush != 5 {
 		t.Errorf("census = %v, want 5 pushers", c)
 	}
@@ -160,7 +160,7 @@ func TestInjectTokens(t *testing.T) {
 func TestArbitraryConfigurationTouchesEverything(t *testing.T) {
 	s := newSim(t, 4)
 	rng := rand.New(rand.NewSource(11))
-	faults.ArbitraryConfiguration(s, rng)
+	adversary.ArbitraryConfiguration(s, rng)
 	// At least one process should be off the zero state and at least one
 	// channel non-empty (overwhelmingly likely under this seed).
 	stateTouched := false
@@ -180,7 +180,7 @@ func TestArbitraryConfigurationTouchesEverything(t *testing.T) {
 func TestFaultsAreDeterministic(t *testing.T) {
 	census := func() sim.Census {
 		s := newSim(t, 4)
-		faults.ArbitraryConfiguration(s, rand.New(rand.NewSource(12)))
+		adversary.ArbitraryConfiguration(s, rand.New(rand.NewSource(12)))
 		return s.Census()
 	}
 	if census() != census() {
@@ -200,16 +200,16 @@ func TestCensusMaintainedUnderEveryFaultKind(t *testing.T) {
 		name   string
 		inject func(s *sim.Sim, rng *rand.Rand)
 	}{
-		{"garbage", func(s *sim.Sim, rng *rand.Rand) { faults.GarbageChannels(s, rng, 3) }},
-		{"force-garbage", func(s *sim.Sim, rng *rand.Rand) { faults.ForceGarbageChannels(s, rng, 6) }},
-		{"corrupt-states", func(s *sim.Sim, rng *rand.Rand) { faults.CorruptStates(s, rng, nil) }},
-		{"arbitrary", func(s *sim.Sim, rng *rand.Rand) { faults.ArbitraryConfiguration(s, rng) }},
-		{"drop-res", func(s *sim.Sim, rng *rand.Rand) { faults.DropTokens(s, rng, message.Res, 2) }},
-		{"drop-ctrl", func(s *sim.Sim, rng *rand.Rand) { faults.DropTokens(s, rng, message.Ctrl, 1) }},
-		{"dup-res", func(s *sim.Sim, rng *rand.Rand) { faults.DuplicateTokens(s, rng, message.Res, 2) }},
-		{"dup-prio", func(s *sim.Sim, rng *rand.Rand) { faults.DuplicateTokens(s, rng, message.Prio, 1) }},
-		{"inject-push", func(s *sim.Sim, rng *rand.Rand) { faults.InjectTokens(s, rng, message.Push, 2) }},
-		{"inject-prio", func(s *sim.Sim, rng *rand.Rand) { faults.InjectTokens(s, rng, message.Prio, 1) }},
+		{"garbage", func(s *sim.Sim, rng *rand.Rand) { adversary.GarbageChannels(s, rng, 3, nil) }},
+		{"force-garbage", func(s *sim.Sim, rng *rand.Rand) { adversary.ForceGarbageChannels(s, rng, 6, nil) }},
+		{"corrupt-states", func(s *sim.Sim, rng *rand.Rand) { adversary.CorruptStates(s, rng, nil) }},
+		{"arbitrary", func(s *sim.Sim, rng *rand.Rand) { adversary.ArbitraryConfiguration(s, rng) }},
+		{"drop-res", func(s *sim.Sim, rng *rand.Rand) { adversary.DropTokens(s, rng, message.Res, 2, nil) }},
+		{"drop-ctrl", func(s *sim.Sim, rng *rand.Rand) { adversary.DropTokens(s, rng, message.Ctrl, 1, nil) }},
+		{"dup-res", func(s *sim.Sim, rng *rand.Rand) { adversary.DuplicateTokens(s, rng, message.Res, 2, nil) }},
+		{"dup-prio", func(s *sim.Sim, rng *rand.Rand) { adversary.DuplicateTokens(s, rng, message.Prio, 1, nil) }},
+		{"inject-push", func(s *sim.Sim, rng *rand.Rand) { adversary.InjectTokens(s, rng, message.Push, 2, nil) }},
+		{"inject-prio", func(s *sim.Sim, rng *rand.Rand) { adversary.InjectTokens(s, rng, message.Prio, 1, nil) }},
 	}
 	for _, k := range kinds {
 		t.Run(k.name, func(t *testing.T) {

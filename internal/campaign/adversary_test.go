@@ -10,17 +10,16 @@ import (
 	"kofl/internal/adversary"
 	"kofl/internal/checker"
 	"kofl/internal/core"
-	"kofl/internal/faults"
 	"kofl/internal/message"
 	"kofl/internal/sim"
 	"kofl/internal/stats"
 	"kofl/internal/workload"
 )
 
-// legacyStormRun is a verbatim copy of the pre-adversary runOne storm path
-// (the hand-rolled rotating-storm loop), kept as the reference the engine
-// migration is differentially tested against: every legacy FaultSpec storm
-// must replay byte-identically through adversary.LegacyStorm.
+// legacyStormRun is the pre-adversary runOne storm path (the hand-rolled
+// rotating-storm loop, calling the primitives with nil selections), kept as
+// the reference the engine is differentially tested against: every FaultSpec
+// storm must replay byte-identically through adversary.LegacyStorm.
 func legacyStormRun(spec Spec, c Cell, seed int64) RunResult {
 	tr, err := c.Topology.Build()
 	if err != nil {
@@ -36,7 +35,7 @@ func legacyStormRun(spec Spec, c Cell, seed int64) RunResult {
 		s.SeedLegitimate()
 	}
 	if spec.Faults.ArbitraryStart {
-		faults.ArbitraryConfiguration(s, rand.New(rand.NewSource(seed+1000)))
+		adversary.ArbitraryConfiguration(s, rand.New(rand.NewSource(seed+1000)))
 	}
 	mon := checker.NewCensusMonitor(s)
 	wait := checker.NewWaiting(s)
@@ -59,13 +58,13 @@ func legacyStormRun(spec Spec, c Cell, seed int64) RunResult {
 			next += c.StormPeriod
 			switch storms % 4 {
 			case 0:
-				faults.DropTokens(s, rng, message.Res, 1+rng.Intn(3))
+				adversary.DropTokens(s, rng, message.Res, 1+rng.Intn(3), nil)
 			case 1:
-				faults.DuplicateTokens(s, rng, message.Res, 1+rng.Intn(3))
+				adversary.DuplicateTokens(s, rng, message.Res, 1+rng.Intn(3), nil)
 			case 2:
-				faults.CorruptStates(s, rng, []int{rng.Intn(tr.N()), rng.Intn(tr.N())})
+				adversary.CorruptStates(s, rng, []int{rng.Intn(tr.N()), rng.Intn(tr.N())})
 			case 3:
-				faults.GarbageChannels(s, rng, 3)
+				adversary.GarbageChannels(s, rng, 3, nil)
 			}
 		}
 		if !s.Step() {

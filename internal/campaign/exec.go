@@ -12,7 +12,6 @@ import (
 	"kofl/internal/adversary"
 	"kofl/internal/checker"
 	"kofl/internal/core"
-	"kofl/internal/faults"
 	"kofl/internal/message"
 	"kofl/internal/obs"
 	"kofl/internal/sim"
@@ -397,7 +396,7 @@ func runOne(spec Spec, c Cell, rt *cellRuntime, seed int64, ws *workerState, att
 		// Re-seeding the worker's RNG yields the exact draw sequence of the
 		// historical per-slot rand.New(rand.NewSource(seed+1000)).
 		ws.faultSrc.Seed(seed + 1000)
-		faults.ArbitraryConfiguration(s, ws.faultRng)
+		adversary.ArbitraryConfiguration(s, ws.faultRng)
 	}
 	if attach != nil {
 		attach(s)

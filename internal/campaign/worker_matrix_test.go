@@ -128,3 +128,42 @@ func TestRunSlotPanicAnnotation(t *testing.T) {
 	slot := Slot{Index: 42, Cell: 0, Seed: 7}
 	runSlot(spec, cell, rt, slot, newWorkerState(), func(s *sim.Sim) { panic("boom") })
 }
+
+// TestSlotAllocCeiling bounds what one slot may allocate. Steady-state slot
+// execution reuses pooled worker state, so a slot costs its simulator's
+// construction — ≈ 210 allocations on this 64-cell grid (chain/star ×
+// n ∈ {8,12,16,24} × four (k,ℓ) pairs × storm periods {0, 4000}, 10k steps
+// per run). A per-step allocation regression multiplies by those 10k steps,
+// so a ceiling generous enough never to flake still catches it at once. One
+// worker, so the Mallocs delta is the slots' own.
+func TestSlotAllocCeiling(t *testing.T) {
+	var topos []TopologySpec
+	for _, n := range []int{8, 12, 16, 24} {
+		topos = append(topos, TopologySpec{Kind: "chain", N: n}, TopologySpec{Kind: "star", N: n})
+	}
+	spec := Spec{
+		Name:       "alloc-ceiling",
+		Topologies: topos,
+		KL:         []KL{{K: 1, L: 1}, {K: 2, L: 3}, {K: 3, L: 5}, {K: 2, L: 8}},
+		Seeds:      SeedRange{First: 1, Count: 1},
+		Steps:      10_000,
+		Workload:   WorkloadSpec{Need: 0, Hold: 2, Think: 4},
+		Faults:     FaultSpec{StormPeriods: []int64{0, 4_000}},
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := Run(spec, Options{Workers: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slots, ceiling = 64, 4000
+	if rep.TotalRuns != slots {
+		t.Fatalf("grid has %d slots, want %d", rep.TotalRuns, slots)
+	}
+	perSlot := float64(after.Mallocs-before.Mallocs) / slots
+	t.Logf("%.0f allocs/slot", perSlot)
+	if perSlot > ceiling {
+		t.Errorf("allocs/slot exceeds the ceiling of %d (per-step allocation regression?)", ceiling)
+	}
+}

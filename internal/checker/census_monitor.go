@@ -16,8 +16,8 @@ import (
 // census's maintained OverK violation counter and only falls back to a node
 // scan in the rare steps where a violation actually exists. Under
 // sim.Options.ScanCensus the same monitor transparently runs against the
-// snapshot oracle — which is what the census differential tests and
-// BenchmarkCensusThroughput compare against.
+// snapshot oracle — which is what the census differential tests compare
+// against.
 type CensusMonitor struct {
 	s   *sim.Sim
 	cfg core.Config

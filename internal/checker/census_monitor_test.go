@@ -4,9 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"kofl/internal/adversary"
 	"kofl/internal/checker"
 	"kofl/internal/core"
-	"kofl/internal/faults"
 	"kofl/internal/sim"
 	"kofl/internal/tree"
 	"kofl/internal/workload"
@@ -34,7 +34,7 @@ func TestCensusMonitorMatchesSeparateMonitors(t *testing.T) {
 	}
 	// Corrupt mid-run so the safety and re-convergence paths both fire.
 	s.Run(30_000)
-	faults.ArbitraryConfiguration(s, rand.New(rand.NewSource(99)))
+	adversary.ArbitraryConfiguration(s, rand.New(rand.NewSource(99)))
 	s.Run(60_000)
 
 	fa, fok := fused.ConvergedAt()
@@ -80,7 +80,7 @@ func TestCensusMonitorOracleEquivalence(t *testing.T) {
 			workload.Attach(s, p, workload.Fixed(1+p%3, 2, 4, 0))
 		}
 		s.Run(20_000)
-		faults.ArbitraryConfiguration(s, rand.New(rand.NewSource(5)))
+		adversary.ArbitraryConfiguration(s, rand.New(rand.NewSource(5)))
 		s.Run(40_000)
 		return mon, s
 	}

@@ -25,6 +25,7 @@ func (stuckApp) EnterCS()           {}
 func (stuckApp) ReleaseCS() bool    { return false }
 func (stuckApp) Enabled(int64) bool { return false }
 func (stuckApp) Act(sim.Handle)     {}
+func (stuckApp) WakeAt(int64) int64 { return sim.NoWake }
 
 func TestLegitimacyTracksViolations(t *testing.T) {
 	tr := tree.Chain(4)

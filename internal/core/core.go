@@ -74,8 +74,8 @@ func NonStabilizing() Features { return Features{Pusher: true, Priority: true} }
 func Full() Features { return Features{Pusher: true, Priority: true, Controller: true} }
 
 // Errata selects between the paper's literal pseudocode and the corrected
-// semantics its prose and proofs describe. See DESIGN.md §4. Both flags
-// default to false, i.e. to the corrected behavior.
+// semantics its prose and proofs describe. Both flags default to false,
+// i.e. to the corrected behavior.
 type Errata struct {
 	// LiteralPusherGuard applies Algorithm 1 line 21 / Algorithm 2 line 17
 	// as printed: a process releases its reservations on a pusher only if it

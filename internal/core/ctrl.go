@@ -28,8 +28,8 @@ func (n *Node) rootCtrl(env Env, q int, m message.Message) {
 	}
 	pt, ppr := int(m.PT), int(m.PPr)
 	if !v.cfg.Errata.PaperCountOrder {
-		// Corrected order (DESIGN.md erratum E2): tokens parked at the root
-		// are accounted to the traversal that is about to complete, so each
+		// Corrected order (erratum E2): tokens parked at the root are
+		// accounted to the traversal that is about to complete, so each
 		// token is counted exactly once per circulation.
 		pt, ppr = n.accumulate(pt, ppr, q)
 	}

@@ -54,8 +54,8 @@ func (n *Node) receiveRes(env Env, q int) {
 // The release guard follows the paper's prose: a process NOT holding the
 // priority token, not in its critical section and not enabled to enter it
 // must drop its reservations. Errata.LiteralPusherGuard switches to the
-// pseudocode as printed (Prio ≠ ⊥), which inverts the priority shield; see
-// DESIGN.md erratum E1.
+// pseudocode as printed (Prio ≠ ⊥), which inverts the priority shield
+// (erratum E1).
 func (n *Node) receivePush(env Env, q int) {
 	v, i := n.vars, n.idx
 	if n.isRoot && v.reset {

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 
+	"kofl/internal/adversary"
 	"kofl/internal/checker"
 	"kofl/internal/core"
-	"kofl/internal/faults"
 	"kofl/internal/message"
 	"kofl/internal/sim"
 	"kofl/internal/stats"
@@ -153,8 +153,8 @@ func AblationCMAX(seed int64, quick bool) *Table {
 				cfg.UnboundedCounters = unbounded
 				s := sim.MustNew(tr, cfg, sim.Options{Seed: seed + int64(trial)})
 				rng := rand.New(rand.NewSource(seed + 100 + int64(trial)))
-				faults.CorruptStates(s, rng, nil)
-				faults.ForceGarbageChannels(s, rng, garbage)
+				adversary.CorruptStates(s, rng, nil)
+				adversary.ForceGarbageChannels(s, rng, garbage, nil)
 				leg := checker.NewLegitimacy(s)
 				circ := checker.NewCirculations(s)
 				for p := 0; p < tr.N(); p++ {

@@ -1,8 +1,7 @@
 // Package experiments contains one driver per paper artifact (figures 1-4,
 // theorems 1-2, the liveness lemma, the errata ablations and the
-// performance sweeps). DESIGN.md §3 maps each experiment id to its driver;
-// cmd/koflbench prints the resulting tables and the root bench_test.go wraps
-// the same drivers as benchmarks. EXPERIMENTS.md records paper-vs-measured.
+// performance sweeps). All lists them in id order; cmd/koflbench prints the
+// resulting tables.
 package experiments
 
 import (
@@ -113,7 +112,7 @@ func SweepTopologies(ns []int) []Topology {
 }
 
 // All runs every experiment with default parameters and returns the tables
-// in DESIGN.md order. quick trims the sweeps for fast regeneration.
+// in id order. quick trims the sweeps for fast regeneration.
 func All(seed int64, quick bool) []*Table {
 	var tables []*Table
 	tables = append(tables, Fig1(seed, quick))

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 
+	"kofl/internal/adversary"
 	"kofl/internal/checker"
 	"kofl/internal/core"
-	"kofl/internal/faults"
 	"kofl/internal/sim"
 	"kofl/internal/stats"
 	"kofl/internal/tree"
@@ -45,7 +45,7 @@ func Convergence(seed int64, quick bool) *Table {
 			for trial := 0; trial < trials; trial++ {
 				s := newSim(tr, 2, 3, cmax, core.Full(), seed+int64(trial), nil)
 				timeout = s.TimeoutTicks()
-				faults.ArbitraryConfiguration(s, rng)
+				adversary.ArbitraryConfiguration(s, rng)
 				leg := checker.NewLegitimacy(s)
 				circ := checker.NewCirculations(s)
 				for p := 0; p < tr.N(); p++ {

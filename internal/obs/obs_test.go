@@ -57,6 +57,30 @@ func TestHistogramQuantileMatchesStatsConvention(t *testing.T) {
 	if got := h.Quantile(1.0); got != 64*250-1 {
 		t.Fatalf("p100 = %d, want %d", got, 64*250-1)
 	}
+
+	// At width 1 every bucket holds one integer value, so Quantile must be
+	// the nearest-rank quantile exactly; q outside [0, 1] clamps.
+	exact := r.Histogram("exact", "t", 1, 128)
+	if got := exact.Quantile(0.5); got != 0 {
+		t.Fatalf("empty Quantile(0.5) = %d, want 0", got)
+	}
+	for v := int64(1); v <= 100; v++ {
+		exact.Observe(v)
+	}
+	for _, c := range []struct {
+		q    float64
+		want int64
+	}{
+		{0, 1}, {0.01, 1}, {0.5, 50}, {0.505, 51}, {0.95, 95}, {0.99, 99}, {1, 100}, {1.5, 100}, {-1, 1},
+	} {
+		if got := exact.Quantile(c.q); got != c.want {
+			t.Errorf("Quantile(%v) = %d, want %d", c.q, got, c.want)
+		}
+	}
+	exact.Observe(-7) // negative samples clamp into bucket 0
+	if got := exact.Quantile(0); got != 0 {
+		t.Errorf("Quantile(0) after a negative sample = %d, want 0", got)
+	}
 }
 
 func TestZeroAllocPrimitives(t *testing.T) {

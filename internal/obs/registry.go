@@ -102,9 +102,9 @@ func (g *Gauge) SetMax(v int64) {
 
 // Histogram is a lock-free fixed-bucket histogram: bucket k counts samples
 // in [k*Width, (k+1)*Width); the last bucket additionally absorbs overflow.
-// Quantile follows stats.Histogram's convention — the inclusive upper bound
-// of the bucket holding the nearest-rank sample — so quantiles read from it
-// agree with the legacy map-based histogram to one bucket width.
+// Quantile is the inclusive upper bound of the bucket holding the
+// nearest-rank sample: it never underestimates, and its error is at most one
+// bucket width.
 type Histogram struct {
 	width   int64
 	buckets []atomic.Int64

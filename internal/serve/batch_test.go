@@ -45,9 +45,9 @@ func TestBatchAccounting(t *testing.T) {
 
 // unstartedServer builds a Server without Start: no goroutines run, so the
 // admission internals (collect, reject, loadIndex) can be driven directly.
-func unstartedServer(t *testing.T, k, l int, maxBatch int) *Server {
+func unstartedServer(t *testing.T, k, l int) *Server {
 	t.Helper()
-	s, err := New(tree.Chain(2), Options{K: k, L: l, MaxBatch: maxBatch})
+	s, err := New(tree.Chain(2), Options{K: k, L: l})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -75,7 +75,7 @@ func queuedAcquire(ss *session, id string, units int) *pendingAcquire {
 // order while Σunits stays ≤ k; the first acquire that does not fit is
 // carried (not skipped over) into the next cycle; collection never blocks.
 func TestCollectGreedyFIFO(t *testing.T) {
-	s := unstartedServer(t, 3, 3, 0)
+	s := unstartedServer(t, 3, 3)
 	ss := pipeSession(t, s)
 	ps := s.procs[0]
 
@@ -116,30 +116,11 @@ func TestCollectGreedyFIFO(t *testing.T) {
 	}
 }
 
-// TestCollectMaxBatch: MaxBatch caps members per cycle regardless of fit,
-// and MaxBatch=1 restores one-lease-per-cycle admission.
-func TestCollectMaxBatch(t *testing.T) {
-	s := unstartedServer(t, 3, 3, 1)
-	ss := pipeSession(t, s)
-	ps := s.procs[0]
-
-	first := queuedAcquire(ss, "a", 1)
-	ps.queue <- queuedAcquire(ss, "b", 1)
-
-	members, sum := ps.collect(first)
-	if len(members) != 1 || sum != 1 {
-		t.Fatalf("MaxBatch=1 collected %d members Σ%d, want 1 member Σ1", len(members), sum)
-	}
-	if ps.carry == nil || ps.carry.req.ID != "b" {
-		t.Fatalf("carry = %+v, want acquire b", ps.carry)
-	}
-}
-
 // TestCollectRejectsExpired: a queued acquire whose deadline passed is
 // rejected during collection (counted, unloaded, dedupe-released) instead of
 // wasting batch capacity.
 func TestCollectRejectsExpired(t *testing.T) {
-	s := unstartedServer(t, 3, 3, 0)
+	s := unstartedServer(t, 3, 3)
 	ss := pipeSession(t, s)
 	ps := s.procs[0]
 
@@ -176,7 +157,7 @@ func TestRejectCountsEveryCode(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.code, func(t *testing.T) {
-			s := unstartedServer(t, 3, 3, 0)
+			s := unstartedServer(t, 3, 3)
 			ss := pipeSession(t, s)
 			ps := s.procs[0]
 

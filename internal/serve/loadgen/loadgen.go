@@ -15,8 +15,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"kofl/internal/obs"
 	"kofl/internal/serve"
-	"kofl/internal/stats"
 )
 
 // Config parameterizes one load run.
@@ -26,7 +26,8 @@ type Config struct {
 	// Clients is the number of connections the offered load is spread over
 	// (default 4).
 	Clients int
-	// Rate is the offered load in acquires per second (required, > 0).
+	// Rate is the offered load in acquires per second (required, in
+	// (0, MaxRate]).
 	Rate float64
 	// Duration bounds the arrival schedule (required, > 0); Run returns
 	// after every scheduled arrival has completed or failed.
@@ -69,11 +70,20 @@ type Result struct {
 	LatencyCount int64 `json:"latency_count"`
 }
 
+// MaxRate is the highest offered rate Run accepts: one arrival per
+// microsecond. Beyond it the inter-arrival gap rounds towards 0 ns, which
+// first sizes the schedule at Duration/gap entries and then divides by zero.
+const MaxRate = 1e6
+
 // Run drives one open-loop load run and blocks until every scheduled
 // arrival has resolved.
 func Run(cfg Config) (Result, error) {
 	if cfg.Rate <= 0 || cfg.Duration <= 0 {
 		return Result{}, fmt.Errorf("loadgen: Rate and Duration are required")
+	}
+	if cfg.Rate > MaxRate {
+		return Result{}, fmt.Errorf("loadgen: Rate %g/s is above the %g/s the arrival clock resolves",
+			cfg.Rate, MaxRate)
 	}
 	if cfg.Clients <= 0 {
 		cfg.Clients = 4
@@ -104,16 +114,18 @@ func Run(cfg Config) (Result, error) {
 	}()
 
 	var (
-		res     Result
-		wg      sync.WaitGroup
-		histMu  sync.Mutex
-		hist    = stats.NewHistogram(serve.LatencyBucketUS)
+		res Result
+		wg  sync.WaitGroup
+		// Same resolution and span as the server's own latency series, so
+		// client and server quantiles are comparable bucket for bucket.
+		hist = obs.NewRegistry().Histogram("loadgen_acquire_latency_us",
+			"acquire latency, scheduled arrival to grant",
+			serve.LatencyBucketUS, serve.LatencyBuckets)
 		grants  atomic.Int64
 		overs   atomic.Int64
 		deads   atomic.Int64
 		errs    atomic.Int64
 		viols   atomic.Int64
-		latSum  atomic.Int64
 		arrival = time.Duration(float64(time.Second) / cfg.Rate)
 	)
 
@@ -161,10 +173,7 @@ func Run(cfg Config) (Result, error) {
 				viols.Add(1)
 			}
 			grants.Add(1)
-			latSum.Add(lat)
-			histMu.Lock()
-			hist.Add(lat)
-			histMu.Unlock()
+			hist.Observe(lat)
 			if cfg.Hold > 0 {
 				time.Sleep(cfg.Hold)
 			}
@@ -189,7 +198,7 @@ func Run(cfg Config) (Result, error) {
 		LatencyP50us:     hist.Quantile(0.50),
 		LatencyP95us:     hist.Quantile(0.95),
 		LatencyP99us:     hist.Quantile(0.99),
-		LatencyCount:     hist.Total(),
+		LatencyCount:     hist.Count(),
 	}
 	return res, nil
 }

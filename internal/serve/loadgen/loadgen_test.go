@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -50,15 +51,28 @@ func TestLoadgenSmoke(t *testing.T) {
 	}
 }
 
-// TestLoadgenConfigValidation pins the required-field errors.
+// TestLoadgenConfigValidation pins what Run rejects. Every case points at
+// a closed port, so a config error that names its field was raised before
+// dialing; the rates above MaxRate used to panic (2e9 rounds the arrival gap
+// to 0 ns: integer divide by zero) or size the schedule at Duration/gap.
 func TestLoadgenConfigValidation(t *testing.T) {
-	if _, err := Run(Config{Rate: 0, Duration: time.Second}); err == nil {
-		t.Fatal("zero rate accepted")
-	}
-	if _, err := Run(Config{Rate: 100}); err == nil {
-		t.Fatal("zero duration accepted")
-	}
-	if _, err := Run(Config{Rate: 100, Duration: time.Second, Addr: "127.0.0.1:1"}); err == nil {
-		t.Fatal("dial to a closed port succeeded")
+	const closed = "127.0.0.1:1"
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want string // substring of the error
+	}{
+		{"zero rate", Config{Rate: 0, Duration: time.Second}, "Rate and Duration"},
+		{"negative rate", Config{Rate: -1, Duration: time.Second}, "Rate and Duration"},
+		{"zero duration", Config{Rate: 100}, "Rate and Duration"},
+		{"rate rounds the gap to zero", Config{Rate: 2e9, Duration: time.Second}, "Rate 2e+09/s"},
+		{"rate just above the cap", Config{Rate: MaxRate + 1, Duration: time.Second}, "Rate 1.000001e+06/s"},
+		{"closed port", Config{Rate: MaxRate, Duration: time.Second}, "connect"},
+	} {
+		c.cfg.Addr = closed
+		_, err := Run(c.cfg)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }

@@ -10,10 +10,10 @@ import (
 // protocol's token-circulation timescale.
 const LatencyBucketUS = 250
 
-// latencyBuckets spans the histogram to ~4s of queue wait before the
+// LatencyBuckets spans the histogram to ~4s of queue wait before the
 // overflow bucket absorbs the tail — comfortably past any deadline a client
 // would set, and past the pre-overhaul pathological p50 of ~2.2s.
-const latencyBuckets = 16384
+const LatencyBuckets = 16384
 
 // metrics is the server's counter set, registered on the server's unified
 // obs.Registry under the historical kofl_serve_* series names (every
@@ -73,7 +73,7 @@ func newMetrics(reg *obs.Registry, net *runtime.Net) *metrics {
 	reg.CounterFunc("kofl_serve_frames_dropped_total",
 		"protocol frames dropped by full links (backpressure)", net.FramesDropped)
 	m.latency = reg.Histogram("kofl_serve_acquire_latency_us",
-		"acquire latency, enqueue to grant", LatencyBucketUS, latencyBuckets)
+		"acquire latency, enqueue to grant", LatencyBucketUS, LatencyBuckets)
 	reg.SummaryFunc("kofl_serve_acquire_latency_summary_us",
 		"acquire latency p50/p95/p99, enqueue to grant",
 		[]float64{0.5, 0.95, 0.99}, m.latency.Quantile, m.latency.Sum, m.latency.Count)

@@ -49,10 +49,6 @@ type Options struct {
 	// cost of the serve path. See runtime.Options.
 	Pace     time.Duration
 	IdlePace time.Duration
-	// MaxBatch caps how many queued acquires one protocol cycle may carry
-	// (0 = unlimited; Σunits ≤ k bounds the batch regardless). 1 restores
-	// the one-lease-per-cycle admission of the original server.
-	MaxBatch int
 	// LinkBuffer overrides the runtime's per-link frame buffer.
 	LinkBuffer int
 	// QueueDepth bounds each process's pending-acquire queue (default 64);
@@ -600,7 +596,7 @@ func (ps *procServer) run() {
 }
 
 // collect greedily drains the queue into one batch: members join while
-// Σunits stays ≤ k and the member count within MaxBatch; draining/expired
+// Σunits stays ≤ k (so a batch has at most k members); draining/expired
 // acquires are rejected on the spot; the first acquire that does not fit is
 // carried into the next cycle. Collection never blocks — a lone acquire is
 // served as a batch of one rather than waiting for company.
@@ -614,8 +610,7 @@ func (ps *procServer) collect(first *pendingAcquire) (members []*pendingAcquire,
 			ps.reject(pa, CodeDraining, "server shutting down")
 		case !pa.deadline.IsZero() && time.Now().After(pa.deadline):
 			ps.reject(pa, CodeDeadline, "deadline passed while queued")
-		case sum+pa.req.Units > s.opts.K,
-			s.opts.MaxBatch > 0 && len(members) >= s.opts.MaxBatch:
+		case sum+pa.req.Units > s.opts.K:
 			ps.carry = pa
 			return members, sum
 		default:

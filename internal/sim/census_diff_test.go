@@ -5,8 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"kofl/internal/adversary"
 	"kofl/internal/core"
-	"kofl/internal/faults"
 	"kofl/internal/message"
 	"kofl/internal/sim"
 	"kofl/internal/tree"
@@ -58,17 +58,17 @@ func TestCensusDifferential(t *testing.T) {
 								next += storm
 								switch (s.Steps / storm) % 6 {
 								case 0:
-									faults.DropTokens(s, rng, message.Res, 1+rng.Intn(2))
+									adversary.DropTokens(s, rng, message.Res, 1+rng.Intn(2), nil)
 								case 1:
-									faults.DuplicateTokens(s, rng, message.Res, 1+rng.Intn(2))
+									adversary.DuplicateTokens(s, rng, message.Res, 1+rng.Intn(2), nil)
 								case 2:
-									faults.CorruptStates(s, rng, []int{rng.Intn(tr.N())})
+									adversary.CorruptStates(s, rng, []int{rng.Intn(tr.N())})
 								case 3:
-									faults.GarbageChannels(s, rng, 2)
+									adversary.GarbageChannels(s, rng, 2, nil)
 								case 4:
-									faults.InjectTokens(s, rng, message.Push, 1)
+									adversary.InjectTokens(s, rng, message.Push, 1, nil)
 								case 5:
-									faults.ArbitraryConfiguration(s, rng)
+									adversary.ArbitraryConfiguration(s, rng)
 								}
 								if got, want := s.Census(), s.CensusScan(); got != want {
 									t.Fatalf("after storm at step %d: maintained %+v, scan %+v", s.Steps, got, want)
@@ -210,7 +210,7 @@ func FuzzCensusDelta(f *testing.F) {
 				}
 				s.In(p, ch).Replace(msgs)
 			case 3: // corrupt one process state through the tracked surface
-				s.RestoreNode(p, faults.RandomSnapshot(cfg, tr.Degree(p), rng))
+				s.RestoreNode(p, adversary.RandomSnapshot(cfg, tr.Degree(p), rng))
 			case 4: // full resync must be idempotent on a synced census
 				s.ResyncActions()
 			case 5: // drive a request if the interface allows one

@@ -5,8 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"kofl/internal/adversary"
 	"kofl/internal/core"
-	"kofl/internal/faults"
 	"kofl/internal/message"
 	"kofl/internal/sim"
 	"kofl/internal/tree"
@@ -44,15 +44,15 @@ func diffRun(t *testing.T, tr *tree.Tree, cfg core.Config, seed int64,
 				next += stormPeriod
 				switch (s.Steps / stormPeriod) % 5 {
 				case 0:
-					faults.DropTokens(s, rng, message.Res, 1+rng.Intn(2))
+					adversary.DropTokens(s, rng, message.Res, 1+rng.Intn(2), nil)
 				case 1:
-					faults.DuplicateTokens(s, rng, message.Res, 1+rng.Intn(2))
+					adversary.DuplicateTokens(s, rng, message.Res, 1+rng.Intn(2), nil)
 				case 2:
-					faults.CorruptStates(s, rng, []int{rng.Intn(tr.N())})
+					adversary.CorruptStates(s, rng, []int{rng.Intn(tr.N())})
 				case 3:
-					faults.GarbageChannels(s, rng, 2)
+					adversary.GarbageChannels(s, rng, 2, nil)
 				case 4:
-					faults.InjectTokens(s, rng, message.Push, 1)
+					adversary.InjectTokens(s, rng, message.Push, 1, nil)
 				}
 			}
 		}
@@ -209,34 +209,5 @@ func TestDifferentialTimeoutFastForward(t *testing.T) {
 	}
 	if inc, scan := run(false), run(true); inc != scan {
 		t.Errorf("fast-forward paths diverged:\nincremental: %.300s\nrescan:      %.300s", inc, scan)
-	}
-}
-
-// blinkerApp is a legacy (non-Waker) application whose enablement flips in
-// BOTH directions on pure clock advance: enabled during the first half of
-// every 10-step window. The kernel cannot predict it and must fall back to
-// per-step polling — including re-polling apps that were ENABLED at their
-// last event, the regression behind this test.
-type blinkerApp struct{ core.NopApp }
-
-func (blinkerApp) Enabled(now int64) bool { return (now/5)%2 == 0 }
-func (blinkerApp) Act(h sim.Handle)       { h.Poll() }
-
-// TestDifferentialNonWakerApp proves the per-step polling fallback matches
-// the rescan oracle for apps whose enablement decays spontaneously.
-func TestDifferentialNonWakerApp(t *testing.T) {
-	run := func(rescan bool) string {
-		tr := tree.Chain(3)
-		s := sim.MustNew(tr, fullCfg(1, 2), sim.Options{Seed: 9, TimeoutTicks: 40, FullRescan: rescan})
-		s.AttachApp(2, blinkerApp{})
-		var lines []string
-		s.AddStepHook(func(s *sim.Sim) {
-			lines = append(lines, fmt.Sprintf("%d@%d %s", s.Steps, s.Now(), s.LastAction))
-		})
-		s.Run(800)
-		return fmt.Sprint(lines, s.AppActions, s.Timeouts)
-	}
-	if inc, scan := run(false), run(true); inc != scan {
-		t.Errorf("non-Waker app diverged between kernels:\nincremental: %.400s\nrescan:      %.400s", inc, scan)
 	}
 }

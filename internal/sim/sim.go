@@ -14,7 +14,7 @@
 // The kernel does NOT rescan channels and applications every step. It keeps
 // a persistent ActionSet maintained incrementally: channels report emptiness
 // transitions through an OnEmptiness hook, the root-timeout bit is synced
-// from the clock in O(1), and applications register wake times (see Waker)
+// from the clock in O(1), and applications register wake times (App.WakeAt)
 // instead of being polled — so a step costs O(changes), amortized O(1) for
 // the protocol's bounded token population, instead of O(E+n).
 //
@@ -68,7 +68,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 
 	"kofl/internal/channel"
@@ -137,28 +136,24 @@ type Handle interface {
 // the application wants to act, and Act performs the action when the
 // scheduler grants it a step. Enabled must be side-effect free: the kernel
 // polls it at times of its choosing.
+//
+// WakeAt is what lets the kernel not poll every step. When the application
+// is disabled, WakeAt(now) returns the earliest clock value at which Enabled
+// may become true without any further protocol or application event at the
+// process — or NoWake if only events can enable it. It is a contract:
+// between an event at the process and the returned wake time, Enabled must
+// not change; and once enabled, the application must stay enabled until its
+// next event (Act, EnterCS, or a Handle call).
 type App interface {
 	core.App
 	Enabled(now int64) bool
 	Act(h Handle)
-}
-
-// NoWake is the Waker return value for "enablement is purely event-driven":
-// no clock advance alone can enable this application.
-const NoWake int64 = math.MaxInt64
-
-// Waker is an optional App extension that lets the kernel skip per-step
-// polling. When the application is disabled, WakeAt(now) returns the
-// earliest clock value at which Enabled may become true without any further
-// protocol or application event at the process — or NoWake if only events
-// can enable it. Implementing Waker is a contract: between an event at the
-// process and the returned wake time, Enabled must not change; and once
-// enabled, the application must stay enabled until its next event (Act,
-// EnterCS, or a Handle call). Applications that do not implement Waker are
-// polled every step, which is always correct but costs O(1) per step each.
-type Waker interface {
 	WakeAt(now int64) int64
 }
+
+// NoWake is the WakeAt return value for "enablement is purely event-driven":
+// no clock advance alone can enable this application.
+const NoWake int64 = math.MaxInt64
 
 // Options configures a simulation.
 type Options struct {
@@ -241,13 +236,10 @@ type Sim struct {
 	observers []core.Observer
 
 	// The incremental scheduling kernel.
-	actions     *ActionSet
-	wakes       []wake   // min-heap on at; stale entries skipped via wakeAt
-	wakeAt      []int64  // wakeAt[p]: registered wake time (NoWake = none)
-	wakers      []Waker  // cached Waker view of Apps[p] (nil: poll per step)
-	polledWords []uint64 // bitmap of legacy (non-Waker) apps polled per step
-	nPolled     int
-	rescan      bool // Options.FullRescan
+	actions *ActionSet
+	wakes   []wake  // min-heap on at; stale entries skipped via wakeAt
+	wakeAt  []int64 // wakeAt[p]: registered wake time (NoWake = none)
+	rescan  bool    // Options.FullRescan
 
 	// The incremental census kernel (see census.go). The channel-side
 	// populations live in counts (maintained inline by every channel); the
@@ -298,8 +290,6 @@ func New(t *tree.Tree, cfg core.Config, opts Options) (*Sim, error) {
 		actions:      newActionSet(t),
 		wakeAt:       make([]int64, n),
 		wakes:        make([]wake, 0, n),
-		wakers:       make([]Waker, n),
-		polledWords:  make([]uint64, (n+63)/64),
 		rescan:       opts.FullRescan,
 		scanCensus:   opts.ScanCensus,
 		tracked:      make([]bool, n),
@@ -347,7 +337,6 @@ func New(t *tree.Tree, cfg core.Config, opts Options) (*Sim, error) {
 	s.handles = make([]handle, n)
 	for p := 0; p < n; p++ {
 		s.Apps[p] = nopApp{}
-		s.wakers[p] = nopApp{}
 		s.envs[p] = env{s: s, p: p, ob: s.actions.base[p]}
 		s.handles[p] = handle{s, p}
 		node, err := vars.Bind(p, p, t.Degree(p), t.IsRoot(p), nopApp{})
@@ -396,8 +385,6 @@ func (nopApp) WakeAt(int64) int64 { return NoWake }
 func (s *Sim) AttachApp(p int, app App) {
 	s.Apps[p] = app
 	s.nodeBuf[p].SetApp(app)
-	s.wakers[p], _ = app.(Waker)
-	s.unmarkPolled(p)
 	s.wakeAt[p] = NoWake
 	s.pollApp(p)
 }
@@ -523,31 +510,20 @@ func (s *Sim) timerExpired() bool {
 // pollApp re-evaluates process p's application enablement and updates the
 // ActionSet: the dirty-flag path, called after every event that can change
 // enablement (the app acted, its node handled a message or timeout, a Handle
-// call, attachment) and at registered wake times. Disabled Waker apps
-// register their next wake; disabled non-Waker apps fall back to per-step
-// polling.
+// call, attachment) and at registered wake times. A disabled app registers
+// its next wake.
 func (s *Sim) pollApp(p int) {
 	if s.rescan {
 		return
 	}
 	app := s.Apps[p]
 	ord := s.actions.ordApp(p)
-	w := s.wakers[p]
-	if w == nil {
-		// Non-Waker enablement may flip in EITHER direction on a pure clock
-		// advance, so the app is re-polled every step from now on — whether
-		// it is currently enabled or not.
-		s.markPolled(p)
-	}
 	if app.Enabled(s.clock) {
 		s.actions.add(ord)
 		return
 	}
 	s.actions.remove(ord)
-	if w == nil {
-		return
-	}
-	t := w.WakeAt(s.clock)
+	t := app.WakeAt(s.clock)
 	if t == NoWake {
 		s.wakeAt[p] = NoWake // stale heap entries are skipped on pop
 		return
@@ -563,23 +539,9 @@ func (s *Sim) pollApp(p int) {
 	}
 }
 
-func (s *Sim) markPolled(p int) {
-	if s.polledWords[p>>6]&(1<<(uint(p)&63)) == 0 {
-		s.polledWords[p>>6] |= 1 << (uint(p) & 63)
-		s.nPolled++
-	}
-}
-
-func (s *Sim) unmarkPolled(p int) {
-	if s.polledWords[p>>6]&(1<<(uint(p)&63)) != 0 {
-		s.polledWords[p>>6] &^= 1 << (uint(p) & 63)
-		s.nPolled--
-	}
-}
-
 // syncActions brings the ActionSet up to date with the clock: the timeout
-// bit, applications whose wake time arrived, and legacy polled apps. In
-// FullRescan mode it instead rebuilds the whole set from a scan.
+// bit and the applications whose wake time arrived. In FullRescan mode it
+// instead rebuilds the whole set from a scan.
 func (s *Sim) syncActions() {
 	if s.rescan {
 		s.rebuildFromScan()
@@ -592,13 +554,6 @@ func (s *Sim) syncActions() {
 		if s.wakeAt[p] == w.at {
 			s.wakeAt[p] = NoWake
 			s.pollApp(p)
-		}
-	}
-	if s.nPolled > 0 {
-		for w, word := range s.polledWords {
-			for ; word != 0; word &= word - 1 {
-				s.pollApp(w<<6 + bits.TrailingZeros64(word))
-			}
 		}
 	}
 }
@@ -716,7 +671,7 @@ func (s *Sim) Step() bool {
 	if o := s.obsSt; o != nil {
 		// Hand-inlined obsStep fast path: in steady state neither predicate
 		// changes, so instrumentation costs these loads and compares only
-		// (the ≤2% overhead budget of BENCH_step.json).
+		// (the 2% overhead budget, docs/ARCHITECTURE.md "Observability").
 		if s.scanCensus {
 			s.obsStepScan()
 		} else {

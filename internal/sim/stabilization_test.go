@@ -5,9 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"kofl/internal/adversary"
 	"kofl/internal/checker"
 	"kofl/internal/core"
-	"kofl/internal/faults"
 	"kofl/internal/message"
 	"kofl/internal/sim"
 	"kofl/internal/tree"
@@ -32,7 +32,7 @@ func TestStabilizationProperty(t *testing.T) {
 		tr := tree.Random(n, rng)
 		cfg := core.Config{K: k, L: l, CMAX: cmax, Features: core.Full()}
 		s := sim.MustNew(tr, cfg, sim.Options{Seed: seed})
-		faults.ArbitraryConfiguration(s, rng)
+		adversary.ArbitraryConfiguration(s, rng)
 		leg := checker.NewLegitimacy(s)
 		saf := checker.NewSafety(s)
 		grants := checker.NewGrants(s)
@@ -139,7 +139,7 @@ func TestRecoveryFromTokenLoss(t *testing.T) {
 		t.Fatal("bootstrap failed")
 	}
 	rng := rand.New(rand.NewSource(77))
-	dropped := faults.DropTokens(s, rng, message.Res, 2)
+	dropped := adversary.DropTokens(s, rng, message.Res, 2, nil)
 	if dropped == 0 {
 		t.Skip("no free tokens to drop at this instant")
 	}
@@ -162,7 +162,7 @@ func TestRecoveryFromTokenDuplication(t *testing.T) {
 		t.Fatal("bootstrap failed")
 	}
 	rng := rand.New(rand.NewSource(78))
-	dup := faults.DuplicateTokens(s, rng, message.Res, 3)
+	dup := adversary.DuplicateTokens(s, rng, message.Res, 3, nil)
 	if dup == 0 {
 		t.Skip("no free tokens to duplicate at this instant")
 	}
@@ -185,7 +185,7 @@ func TestRecoveryFromLostController(t *testing.T) {
 		t.Fatal("bootstrap failed")
 	}
 	rng := rand.New(rand.NewSource(79))
-	faults.DropTokens(s, rng, message.Ctrl, 1<<30)
+	adversary.DropTokens(s, rng, message.Ctrl, 1<<30, nil)
 	circBefore := s.Delivered[message.Ctrl]
 	s.Run(20_000)
 	if s.Delivered[message.Ctrl] == circBefore {
@@ -206,7 +206,7 @@ func TestGarbageOnlyChannelsConverge(t *testing.T) {
 	cfg := core.Config{K: 2, L: 3, CMAX: 5, Features: core.Full()}
 	s := sim.MustNew(tr, cfg, sim.Options{Seed: 6})
 	rng := rand.New(rand.NewSource(80))
-	faults.GarbageChannels(s, rng, 5)
+	adversary.GarbageChannels(s, rng, 5, nil)
 	leg := checker.NewLegitimacy(s)
 	if !s.RunUntil(8*s.TimeoutTicks()+300_000, func() bool { _, ok := leg.ConvergedAt(); return ok }) {
 		t.Fatalf("no convergence from garbage channels: %v", s.Census())

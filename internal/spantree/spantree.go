@@ -12,7 +12,7 @@
 // heartbeat rounds, after which the parent pointers form a BFS spanning
 // tree.
 //
-// Composition note (DESIGN.md): the paper composes the layers fairly — both
+// Composition note: the paper composes the layers fairly — both
 // run concurrently and the exclusion layer re-stabilizes after the tree
 // layer settles, which is sound precisely because Theorem 1 tolerates
 // arbitrary exclusion-layer states. We realize the same argument in stages:

@@ -159,86 +159,3 @@ func JainIndex(xs []int64) float64 {
 	}
 	return sum * sum / (float64(len(xs)) * sumSq)
 }
-
-// Histogram counts samples into fixed-width buckets for quick shape checks.
-type Histogram struct {
-	Width   int64
-	Buckets map[int64]int64
-}
-
-// NewHistogram returns a histogram with the given bucket width (> 0).
-func NewHistogram(width int64) *Histogram {
-	if width <= 0 {
-		panic("stats: histogram width must be positive")
-	}
-	return &Histogram{Width: width, Buckets: map[int64]int64{}}
-}
-
-// Add records one sample. The bucket index is the floor of v/Width, so a
-// negative sample lands in the bucket whose rendered range contains it
-// (truncating division would fold e.g. -3 at width 4 into the 0..3 bucket).
-func (h *Histogram) Add(v int64) {
-	b := v / h.Width
-	if v < 0 && v%h.Width != 0 {
-		b--
-	}
-	h.Buckets[b]++
-}
-
-// Total returns the number of recorded samples.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, c := range h.Buckets {
-		t += c
-	}
-	return t
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of the recorded samples as the
-// inclusive upper bound of the bucket holding the nearest-rank sample — a
-// conservative (never underestimating) answer whose error is at most one
-// bucket width. At Width 1 it is exactly the nearest-rank quantile. It
-// returns 0 for an empty histogram; q outside [0, 1] is clamped.
-func (h *Histogram) Quantile(q float64) int64 {
-	total := h.Total()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	keys := make([]int64, 0, len(h.Buckets))
-	for k := range h.Buckets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var cum int64
-	for _, k := range keys {
-		cum += h.Buckets[k]
-		if cum >= rank {
-			return (k+1)*h.Width - 1
-		}
-	}
-	return (keys[len(keys)-1]+1)*h.Width - 1 // unreachable: cum == total ≥ rank
-}
-
-// String renders the buckets in ascending order as "lo..hi:count".
-func (h *Histogram) String() string {
-	keys := make([]int64, 0, len(h.Buckets))
-	for k := range h.Buckets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := ""
-	for i, k := range keys {
-		if i > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("%d..%d:%d", k*h.Width, (k+1)*h.Width-1, h.Buckets[k])
-	}
-	return out
-}

@@ -114,29 +114,6 @@ func TestSummaryString(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10)
-	for _, v := range []int64{0, 5, 9, 10, 19, 95} {
-		h.Add(v)
-	}
-	if h.Buckets[0] != 3 || h.Buckets[1] != 2 || h.Buckets[9] != 1 {
-		t.Errorf("buckets = %v", h.Buckets)
-	}
-	str := h.String()
-	if !strings.Contains(str, "0..9:3") || !strings.Contains(str, "90..99:1") {
-		t.Errorf("String = %q", str)
-	}
-}
-
-func TestHistogramPanicsOnBadWidth(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero width accepted")
-		}
-	}()
-	NewHistogram(0)
-}
-
 func TestJainIndex(t *testing.T) {
 	if got := JainIndex(nil); got != 0 {
 		t.Errorf("empty = %f", got)
@@ -175,101 +152,5 @@ func TestDescribeStddevAndCV(t *testing.T) {
 	}
 	if d := Describe([]int64{0, 0, 0}); d.CV() != 0 {
 		t.Errorf("zero mean: cv=%f, want 0", d.CV())
-	}
-}
-
-func TestHistogramNegativeSamples(t *testing.T) {
-	h := NewHistogram(4)
-	// Floor division: -3 belongs to the -4..-1 bucket, not 0..3 (truncating
-	// division used to fold it in with the non-negative samples).
-	for _, v := range []int64{-3, -1, -4, -5, 0, 3, 4} {
-		h.Add(v)
-	}
-	want := map[int64]int64{-2: 1, -1: 3, 0: 2, 1: 1}
-	if len(h.Buckets) != len(want) {
-		t.Fatalf("buckets = %v, want %v", h.Buckets, want)
-	}
-	for k, n := range want {
-		if h.Buckets[k] != n {
-			t.Errorf("bucket %d = %d, want %d (all: %v)", k, h.Buckets[k], n, h.Buckets)
-		}
-	}
-	if got, want := h.String(), "-8..-5:1 -4..-1:3 0..3:2 4..7:1"; got != want {
-		t.Errorf("String() = %q, want %q", got, want)
-	}
-}
-
-// TestHistogramQuantileExact pins Quantile at Width 1, where every bucket
-// holds exactly one integer value and the accessor must reproduce the
-// nearest-rank quantile exactly.
-func TestHistogramQuantileExact(t *testing.T) {
-	h := NewHistogram(1)
-	for v := int64(1); v <= 100; v++ {
-		h.Add(v)
-	}
-	cases := []struct {
-		q    float64
-		want int64
-	}{
-		{0, 1},      // rank clamps to 1
-		{0.01, 1},   // ceil(0.01·100) = 1
-		{0.5, 50},   // ceil(50) = 50
-		{0.505, 51}, // ceil(50.5) = 51
-		{0.95, 95},
-		{0.99, 99},
-		{1, 100},
-		{1.5, 100}, // clamped
-		{-1, 1},    // clamped
-	}
-	for _, c := range cases {
-		if got := h.Quantile(c.q); got != c.want {
-			t.Errorf("Quantile(%v) = %d, want %d", c.q, got, c.want)
-		}
-	}
-	if got := h.Total(); got != 100 {
-		t.Errorf("Total = %d, want 100", got)
-	}
-}
-
-// TestHistogramQuantileBuckets pins the bucketed answer: the q-quantile is
-// the inclusive upper bound of the bucket holding the nearest-rank sample.
-func TestHistogramQuantileBuckets(t *testing.T) {
-	h := NewHistogram(10)
-	for _, v := range []int64{0, 3, 9, 14, 27, 31, 35, 99} { // buckets 0,0,0,1,2,3,3,9
-		h.Add(v)
-	}
-	cases := []struct {
-		q    float64
-		want int64
-	}{
-		{0.25, 9},  // rank 2 → bucket 0 → upper bound 9
-		{0.5, 19},  // rank 4 → bucket 1 → 19
-		{0.75, 39}, // rank 6 → bucket 3 → 39
-		{1, 99},    // rank 8 → bucket 9 → 99
-	}
-	for _, c := range cases {
-		if got := h.Quantile(c.q); got != c.want {
-			t.Errorf("Quantile(%v) = %d, want %d", c.q, got, c.want)
-		}
-	}
-}
-
-// TestHistogramQuantileNegativeAndEmpty: negative samples use their floored
-// bucket's upper bound, and an empty histogram answers 0 for every q.
-func TestHistogramQuantileNegativeAndEmpty(t *testing.T) {
-	empty := NewHistogram(4)
-	for _, q := range []float64{0, 0.5, 1} {
-		if got := empty.Quantile(q); got != 0 {
-			t.Errorf("empty Quantile(%v) = %d, want 0", q, got)
-		}
-	}
-	h := NewHistogram(4)
-	h.Add(-5) // bucket -2 (covers -8..-5), upper bound -5
-	h.Add(3)  // bucket 0 (covers 0..3), upper bound 3
-	if got := h.Quantile(0.5); got != -5 {
-		t.Errorf("Quantile(0.5) = %d, want -5", got)
-	}
-	if got := h.Quantile(1); got != 3 {
-		t.Errorf("Quantile(1) = %d, want 3", got)
 	}
 }

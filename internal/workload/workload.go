@@ -181,7 +181,7 @@ func (c *Cycle) Enabled(now int64) bool {
 	}
 }
 
-// WakeAt implements sim.Waker: enablement is a pure deadline per phase
+// WakeAt implements sim.App: enablement is a pure deadline per phase
 // (readyAt while idle, holdUntil while critical), so idle generators cost
 // the kernel nothing until their deadline arrives.
 func (c *Cycle) WakeAt(now int64) int64 {
@@ -234,7 +234,4 @@ func Attach(s *sim.Sim, p int, c *Cycle) *Cycle {
 	return c
 }
 
-var (
-	_ sim.App   = (*Cycle)(nil)
-	_ sim.Waker = (*Cycle)(nil)
-)
+var _ sim.App = (*Cycle)(nil)

@@ -104,7 +104,8 @@ func (v Variant) String() string {
 	}
 }
 
-// Errata selects paper-literal pseudocode behaviors; see DESIGN.md §4.
+// Errata selects paper-literal pseudocode behaviors; each field documents
+// where the printed pseudocode and the paper's prose and proofs part.
 type Errata = core.Errata
 
 // State is a process's application-interface state.

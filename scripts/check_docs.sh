@@ -26,29 +26,26 @@ for f in $(grep -o '](\([A-Za-z0-9_/.-]*\.md\))' README.md | sed 's/](\(.*\))/\1
     [ -f "$f" ] || err "README.md links to $f which does not exist"
 done
 
-# The recorded-benchmark artifacts the README and CI reference must be real
-# benchmark functions.
-grep -q 'func BenchmarkStepThroughput' bench_test.go || err "BenchmarkStepThroughput gone but documented"
-grep -q 'func BenchmarkCensusThroughput' bench_test.go || err "BenchmarkCensusThroughput gone but documented"
-grep -q 'func BenchmarkCampaignScaling' bench_test.go || err "BenchmarkCampaignScaling gone but documented"
-# (ISSUE.md/CHANGES.md are historical records and may name the old bench.)
-grep -rq 'BenchmarkCampaignSpeedup' README.md docs internal/campaign/README.md .github && err "stale BenchmarkCampaignSpeedup reference (replaced by BenchmarkCampaignScaling)" || true
+# The README must point at the one perf path — the repo's benchmark — and
+# what it points at must exist.
+grep -q 'benchmark/run.sh' README.md || err "README.md no longer documents benchmark/run.sh"
+grep -q 'BENCHMARK.json' README.md || err "README.md no longer documents BENCHMARK.json"
+[ -f benchmark/run.sh ] || err "benchmark/run.sh gone but documented"
+[ -f BENCHMARK.json ] || err "BENCHMARK.json gone but documented"
 
 # The memory-model section documents the big-n kernel: the section itself,
 # the scale bench it points at, and the zero-allocation test that enforces
 # its contract must all still exist.
 grep -q 'Memory model' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the memory-model section"
 grep -q 'func BenchmarkBigNScale' bench_test.go || err "BenchmarkBigNScale gone but documented"
-grep -q 'BENCH_scale.json' README.md || err "README.md no longer documents BENCH_scale.json"
 grep -q 'func TestZeroAllocSteadyState' internal/sim/bign_test.go || err "TestZeroAllocSteadyState gone but documented"
 grep -q 'cpuprofile' cmd/koflbench/main.go || err "koflbench -cpuprofile gone but documented"
 
 # The worker model is documented in both the campaign README and the
-# architecture doc, and its bench-record guard must exist and be executable.
+# architecture doc, and the allocation ceiling both cite must exist.
 grep -q 'Worker model and parallel scaling' internal/campaign/README.md || err "campaign README lost the worker-model section"
 grep -q 'The worker model' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the worker-model section"
-grep -q 'parallel efficiency' docs/ARCHITECTURE.md || err "ARCHITECTURE.md no longer explains parallel efficiency"
-[ -x scripts/check_bench.sh ] || err "scripts/check_bench.sh missing or not executable"
+grep -q 'func TestSlotAllocCeiling' internal/campaign/worker_matrix_test.go || err "TestSlotAllocCeiling gone but documented"
 
 # ARCHITECTURE.md documents the two oracle options; they must still exist.
 grep -q 'FullRescan' internal/sim/sim.go || err "sim.Options.FullRescan gone but documented"
@@ -74,23 +71,22 @@ done
 grep -q 'func FuzzAdversaryScript' internal/adversary/fuzz_test.go || err "FuzzAdversaryScript gone but documented"
 
 # The serving layer's documented surface must still exist: the architecture
-# section, the recorded bench + its record in the README, the wire-protocol
-# fuzz target, and the public entry points.
+# section, the knee sweep, the wire-protocol fuzz target, and the public
+# entry points.
 grep -q 'serving layer' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the serving layer section"
-grep -q 'BENCH_serve.json' README.md || err "README.md no longer documents BENCH_serve.json"
 grep -q 'func BenchmarkServe(' bench_test.go || err "BenchmarkServe gone but documented"
 grep -q 'func FuzzServeFrame' internal/serve/frame_test.go || err "FuzzServeFrame gone but documented"
 grep -q 'func TestServeChurnMatrix' internal/serve/integration_test.go || err "TestServeChurnMatrix gone but documented"
 grep -q 'func Serve(' serve.go || err "kofl.Serve gone but documented"
 grep -q 'func DialLease(' serve.go || err "kofl.DialLease gone but documented"
 grep -q 'func Run(' internal/serve/loadgen/loadgen.go || err "loadgen.Run gone but documented"
-grep -q 'func (h \*Histogram) Quantile' internal/stats/stats.go || err "stats.Histogram.Quantile gone but documented"
+grep -q 'func (h \*Histogram) Quantile' internal/obs/registry.go || err "obs.Histogram.Quantile gone but documented"
 grep -q 'FramesDropped' internal/runtime/runtime.go || err "runtime frame-drop counter gone but documented"
 
 # The batched-admission overhaul's documented surface: the architecture doc
 # must cover batching, sub-lease accounting, routing and pacing; the code
 # symbols and CLI flags it describes must still exist; and the README must
-# document the GOMAXPROCS >= 2 recording requirement and the -timeout knob.
+# document the -timeout knob.
 grep -q 'Cycles are batched, multi-unit' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the batched-cycles section"
 grep -q 'Sub-lease accounting is refcounted' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the sub-lease accounting section"
 grep -q 'Routing is per-acquire' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the per-acquire routing section"
@@ -98,7 +94,6 @@ grep -q 'Delivery is paced' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost th
 grep -q 'batching is protocol-legal' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the batching-legality argument"
 grep -q 'func newBatch(' internal/serve/batch.go || err "serve batch type gone but documented"
 grep -q 'func newLoadIndex(' internal/serve/route.go || err "serve load index gone but documented"
-grep -q 'MaxBatch' internal/serve/server.go || err "serve Options.MaxBatch gone but documented"
 grep -q 'IdlePace' internal/runtime/runtime.go || err "runtime delivery pacing gone but documented"
 # Demand-driven delivery: the doc names the wake counter, the 1ms rest and
 # the one-P guard; each must still exist where the doc says.
@@ -107,20 +102,18 @@ grep -q 'demand_wakes_total' internal/runtime/runtime.go || err "runtime demand-
 grep -q 'restQuantum = time.Millisecond' internal/runtime/runtime.go || err "runtime 1ms rest quantum gone but documented"
 grep -q 'func TestOnePStarvationGuard' internal/serve/onep_test.go || err "one-P starvation guard gone but documented"
 grep -q 'GOMAXPROCS=1 ./koflserve' .github/workflows/ci.yml || err "CI lost the one-P load smoke ARCHITECTURE.md cites"
-grep -q '"max-batch"' cmd/koflserve/main.go || err "koflserve -max-batch gone but documented"
 grep -q '"idle-pace"' cmd/koflserve/main.go || err "koflserve -idle-pace gone but documented"
 grep -q '\-timeout' README.md || err "README.md no longer documents koflserve -timeout"
-grep -q 'GOMAXPROCS >= 2' README.md || err "README.md no longer documents the BENCH_serve GOMAXPROCS requirement"
-grep -q 'SERVE_THROUGHPUT_FLOOR' scripts/check_bench.sh || err "check_bench.sh lost the serve throughput floor"
+grep -q 'serveThroughputFloor = 226' bench_test.go || err "BenchmarkServe lost the throughput floor README.md cites"
 
 # The observability subsystem's documented surface: the architecture section
 # with the obs design rules, the README's debug-surface and progress docs,
 # and the code they point at (the registry, the journal, the debug mux, the
-# strict exposition checker, the CLI flags, the overhead gate).
+# strict exposition checker, the CLI flags).
 grep -q '## Observability' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the observability section"
 grep -q 'Zero steady-state allocation' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the obs zero-allocation rule"
 grep -q 'event journal' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the event-journal docs"
-grep -q 'obs_overhead_frac' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the recorded-overhead contract"
+grep -q 'obs_overhead_frac' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the overhead contract"
 grep -q '\-debug-addr' README.md || err "README.md no longer documents koflserve -debug-addr"
 grep -q '/debug/events' README.md || err "README.md no longer documents /debug/events"
 grep -q '\-progress' README.md || err "README.md no longer documents koflcampaign -progress"
@@ -132,7 +125,6 @@ grep -q 'func (s \*Server) Ready(' internal/serve/server.go || err "serve readin
 grep -q '"debug-addr"' cmd/koflserve/main.go || err "koflserve -debug-addr gone but documented"
 grep -q '"progress"' cmd/koflcampaign/main.go || err "koflcampaign -progress gone but documented"
 grep -q 'Obs \*obs.Registry' internal/sim/sim.go || err "sim.Options.Obs gone but documented"
-grep -q 'OBS_OVERHEAD_CEILING' scripts/check_bench.sh || err "check_bench.sh lost the instrumentation-overhead budget"
 
 [ "$fail" -eq 0 ] && echo "check_docs: OK"
 exit "$fail"

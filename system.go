@@ -3,9 +3,9 @@ package kofl
 import (
 	"fmt"
 
+	"kofl/internal/adversary"
 	"kofl/internal/checker"
 	"kofl/internal/core"
-	"kofl/internal/faults"
 	"kofl/internal/message"
 	"kofl/internal/sim"
 	"kofl/internal/workload"
@@ -172,18 +172,18 @@ func (y *System) RunUntilConverged(budget int64) bool {
 // configuration: random process states and up to CMAX garbage messages per
 // channel — the universal quantifier of Theorem 1.
 func (y *System) InjectArbitraryFaults(seed int64) {
-	faults.ArbitraryConfiguration(y.s, rand.New(rand.NewSource(seed)))
+	adversary.ArbitraryConfiguration(y.s, rand.New(rand.NewSource(seed)))
 }
 
 // DropResourceTokens removes up to count in-flight resource tokens,
 // returning how many were removed.
 func (y *System) DropResourceTokens(seed int64, count int) int {
-	return faults.DropTokens(y.s, rand.New(rand.NewSource(seed)), message.Res, count)
+	return adversary.DropTokens(y.s, rand.New(rand.NewSource(seed)), message.Res, count, nil)
 }
 
 // DuplicateResourceTokens duplicates up to count in-flight resource tokens.
 func (y *System) DuplicateResourceTokens(seed int64, count int) int {
-	return faults.DuplicateTokens(y.s, rand.New(rand.NewSource(seed)), message.Res, count)
+	return adversary.DuplicateTokens(y.s, rand.New(rand.NewSource(seed)), message.Res, count, nil)
 }
 
 // Metrics summarizes a run.
