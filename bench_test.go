@@ -34,6 +34,10 @@ import (
 // starvation regime fails it.
 const serveThroughputFloor = 226
 
+// bigNBytesCeiling is what a process may cost the simulator at big n, in
+// bytes resident after construction with a Fixed cycle attached.
+const bigNBytesCeiling = 540
+
 // BenchmarkServe sweeps the lease server's open-loop offered load from
 // 100/s to 12800/s — past the knee, until overload rejects appear — against
 // a live TCP server on the paper's tree, and reports completed throughput,
@@ -92,7 +96,7 @@ func BenchmarkServe(b *testing.B) {
 	}
 }
 
-// BenchmarkBigNScale charts the big-n scaling curve of the struct-of-arrays
+// BenchmarkBigNScale charts the big-n scaling curve of the simulation
 // kernel: steps/sec, resident bytes/process and allocations/step on
 // Prüfer-uniform random trees at n ∈ {2¹⁰, 2¹², 2¹⁴, 2¹⁶, 2²⁰} (-short stops
 // at 2¹⁴) under the standard saturated full-protocol workload. Memory is
@@ -102,7 +106,10 @@ func BenchmarkServe(b *testing.B) {
 // zero heap allocations per step: a real regression shows up as ≥ ~0.3
 // allocs/step (one box per app action), honest noise (amortized slab growth
 // over millions of steps) is < 1e-5, so the 0.001 threshold separates them
-// with orders of magnitude to spare.
+// with orders of magnitude to spare. The memory layout is guarded where it
+// matters: at n ≥ 2¹⁶ more than bigNBytesCeiling bytes/process fails the
+// benchmark (the layout lands near 410; sim.TestBytesPerProcessCeiling pins
+// the same number at n = 4096 in tier-1).
 func BenchmarkBigNScale(b *testing.B) {
 	sizes := []int{1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 20}
 	if testing.Short() {
@@ -125,6 +132,9 @@ func BenchmarkBigNScale(b *testing.B) {
 				runtime.GC()
 				runtime.ReadMemStats(&after)
 				bytesPerProc = float64(after.HeapAlloc-before.HeapAlloc) / float64(n)
+				if n >= 1<<16 && bytesPerProc > bigNBytesCeiling {
+					b.Fatalf("%.1f B/process at n=%d breaks the %d B layout ceiling", bytesPerProc, n, bigNBytesCeiling)
+				}
 
 				// Warm past convergence into steady churn: a few virtual-ring
 				// laps, floored so small trees still mix.
@@ -140,6 +150,7 @@ func BenchmarkBigNScale(b *testing.B) {
 				}
 			}
 			b.ReportMetric(stepsPerSec, "steps/s")
+			b.ReportMetric(1e9/stepsPerSec, "ns/step")
 			b.ReportMetric(bytesPerProc, "B/proc")
 			b.ReportMetric(allocsPerStep, "allocs/step")
 		})

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"kofl"
+	"kofl/internal/core"
 	"kofl/internal/serve"
 	"kofl/internal/serve/loadgen"
 	"kofl/internal/tree"
@@ -143,6 +144,9 @@ func run(args []string, out, errOut io.Writer) error {
 	}
 	if o.k < 1 || o.l < 1 || o.k > o.l {
 		return usageError(fmt.Sprintf("-k %d -l %d: need 1 ≤ k ≤ ℓ", o.k, o.l))
+	}
+	if o.l > core.MaxL {
+		return usageError(fmt.Sprintf("-l %d: the controller frame counts ℓ+1 in 16 bits, need ℓ ≤ %d", o.l, core.MaxL))
 	}
 	if o.cmax < 0 {
 		return usageError(fmt.Sprintf("-cmax %d: must be ≥ 0", o.cmax))

@@ -21,6 +21,7 @@ func TestUsageErrors(t *testing.T) {
 		{"positional arg", []string{"paper"}},
 		{"k over l", []string{"-k", "5", "-l", "2"}},
 		{"zero k", []string{"-k", "0"}},
+		{"l over the frame limit", []string{"-k", "1", "-l", "65535"}},
 		{"negative cmax", []string{"-cmax", "-1"}},
 		{"zero queue", []string{"-queue", "0"}},
 		{"negative load", []string{"-load", "-5"}},

@@ -14,6 +14,7 @@ func TestUsageErrors(t *testing.T) {
 	cases := [][]string{
 		{"-k", "5", "-l", "3"},
 		{"-k", "0"},
+		{"-l", "70001"}, // ℓ+1 must fit the controller frame's 16-bit count
 		{"-n", "1"},
 		{"-topo", "moebius"},
 		{"-variant", "bogus"},

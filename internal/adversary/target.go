@@ -98,7 +98,7 @@ func (tg Target) resolveStatic(s *sim.Sim) (sel selection, ok bool) {
 		}
 		var chans []*channel.Channel
 		s.Channels(func(c *channel.Channel) {
-			if member[c.From] && member[c.To] {
+			if member[int(c.From)] && member[int(c.To)] {
 				chans = append(chans, c)
 			}
 		})
@@ -154,7 +154,7 @@ func (tg Target) resolveRandom(s *sim.Sim, rng *rand.Rand, all []*channel.Channe
 func incidentChannels(s *sim.Sim, p int) []*channel.Channel {
 	var chans []*channel.Channel
 	s.Channels(func(c *channel.Channel) {
-		if c.From == p || c.To == p {
+		if int(c.From) == p || int(c.To) == p {
 			chans = append(chans, c)
 		}
 	})

@@ -13,22 +13,34 @@ const (
 	// arenaSlabFrames is the carving granularity: slabs of 2¹⁵ frames
 	// (~768 KiB) amortize allocator pressure across thousands of rings.
 	arenaSlabFrames = 1 << 15
+	// arenaRingHeaders is how many ring headers are carved from one
+	// allocation (8 KiB): a channel draws at most one in its lifetime.
+	arenaRingHeaders = 256
 )
 
-// Arena is a frame-buffer pool shared by all channels of one simulation. It
-// hands out power-of-two rings carved from large slabs and recycles released
-// rings through per-size-class freelists, so a long run reaches a fixed point
-// where every grow/reclaim cycle is served from the freelists and the steady
-// state performs no heap allocation at all. An Arena is not safe for
-// concurrent use; each simulation owns its own (matching the simulator's
-// single-threaded execution model).
-type Arena struct {
+// arena is the frame-buffer pool of a Hub, shared by all channels of one
+// simulation. It hands out power-of-two rings carved from large slabs and
+// recycles released rings through per-size-class freelists, so a long run
+// reaches a fixed point where every grow/reclaim cycle is served from the
+// freelists and the steady state performs no heap allocation at all. The zero
+// value is an empty arena.
+type arena struct {
 	free [arenaMaxClass + 1][][]message.Message
 	slab []message.Message // tail of the current slab, carved front to back
+
+	rings []ring // tail of the current slab of ring headers, carved likewise
 }
 
-// NewArena returns an empty arena.
-func NewArena() *Arena { return &Arena{} }
+// newRing returns a fresh ring header. Headers are never returned: a channel
+// keeps the one it drew.
+func (a *arena) newRing() *ring {
+	if len(a.rings) == 0 {
+		a.rings = make([]ring, arenaRingHeaders)
+	}
+	r := &a.rings[0]
+	a.rings = a.rings[1:]
+	return r
+}
 
 // class returns the size class of a power-of-two frame count.
 func arenaClass(n int) int {
@@ -40,7 +52,7 @@ func arenaClass(n int) int {
 }
 
 // alloc returns a ring of exactly n frames (n a power of two ≥ minBufCap).
-func (a *Arena) alloc(n int) []message.Message {
+func (a *arena) alloc(n int) []message.Message {
 	cl := arenaClass(n)
 	if cl > arenaMaxClass {
 		return make([]message.Message, n)
@@ -64,7 +76,7 @@ func (a *Arena) alloc(n int) []message.Message {
 
 // release returns a ring obtained from alloc to its freelist. Buffers above
 // the pooled classes are dropped for the GC to collect.
-func (a *Arena) release(buf []message.Message) {
+func (a *arena) release(buf []message.Message) {
 	cl := arenaClass(cap(buf))
 	if cl > arenaMaxClass || 1<<cl != cap(buf) {
 		return

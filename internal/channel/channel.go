@@ -8,15 +8,21 @@
 //
 // # Memory model
 //
-// In-transit messages live in a power-of-two ring buffer (head index plus
-// count, wrap by masking). The ring is allocated lazily on the first message,
-// grows by doubling when full, and is explicitly reclaimed: when a channel
-// drains empty and its ring has grown beyond reclaimCap, the buffer is
-// released — back to the shared Arena when one is attached, to the garbage
-// collector otherwise. A channel therefore never pins more than reclaimCap
-// frames across an empty spell, and a simulator-owned channel recycles every
-// buffer it ever grew. Steady-state traffic (bounded token populations) stays
-// far below reclaimCap, so the hot path neither allocates nor copies.
+// A channel is a one-cache-line header that holds its head message inline;
+// what queues behind the head lives in a power-of-two ring buffer (head index
+// plus count, wrap by masking). A channel in steady state carries at most one
+// frame, so it never owns a ring and a push or pop touches the header alone.
+// The ring appears when a second message queues up, grows by doubling when
+// full, and is explicitly reclaimed: when it drains and has grown beyond
+// reclaimCap, the buffer is released — back to the Hub's arena when the
+// channel is attached to one, to the garbage collector otherwise. A channel
+// therefore never pins more than reclaimCap frames across a quiet spell, and
+// a simulator-owned channel recycles every buffer it ever grew, so the hot
+// path neither allocates nor copies.
+//
+// What all channels of one simulation have in common — the population
+// counter, the arena, the emptiness hook — lives once in their Hub, not by
+// copy in every header.
 package channel
 
 import (
@@ -26,11 +32,9 @@ import (
 )
 
 // Counts aggregates the in-transit message populations of every channel that
-// shares it, by kind, plus the reset-flagged controller count. Channels
-// maintain an attached Counts inline on every mutation — the bulk-census
-// counterpart of the per-message OnMessage hook, without a callback per
-// message. Kinds outside the protocol's four (initial channel garbage) are
-// not counted, exactly as the census snapshot scan ignores them.
+// shares a Hub, by kind, plus the reset-flagged controller count. Kinds
+// outside the protocol's four (initial channel garbage) are not counted,
+// exactly as the census snapshot scan ignores them.
 type Counts struct {
 	Kinds     [8]int64 // by message.Kind; only Res..Ctrl (1..4) are used
 	ResetCtrl int64    // ctrl messages in transit with R set
@@ -47,6 +51,32 @@ func (ct *Counts) apply(m message.Message, delta int64) {
 	}
 }
 
+// Hub is what the channels of one simulation share, held once instead of by
+// copy in every header: the population counter every mutator maintains
+// inline, the arena ring storage is drawn from and released to, and the
+// emptiness hook. A Hub is not safe for concurrent use (it matches the
+// simulator's single-threaded execution model).
+type Hub struct {
+	// Counts is the in-transit population of the attached channels. Every
+	// mutator (Push, Seed, Pop, Replace) applies its content delta here, so
+	// reading a census of the channels is O(1). The owner may overwrite it
+	// to resynchronize after out-of-band changes.
+	Counts Counts
+
+	arena       arena
+	onEmptiness func(tag int32, nonempty bool)
+}
+
+// NewHub returns a hub whose channels report every emptiness transition to
+// onEmptiness (nil: none): with true when a channel goes 0 → nonzero
+// messages, with false when it drains back to zero, tagged with the value
+// the channel was attached under. Every mutator reports through this single
+// hook, which is what lets the simulator maintain its enabled-action set
+// incrementally instead of re-scanning every channel every step.
+func NewHub(onEmptiness func(tag int32, nonempty bool)) *Hub {
+	return &Hub{onEmptiness: onEmptiness}
+}
+
 const (
 	// minBufCap is the smallest ring ever allocated.
 	minBufCap = 4
@@ -55,179 +85,159 @@ const (
 	reclaimCap = 64
 )
 
-// Channel is one directed FIFO channel.
-type Channel struct {
-	// From/To identify the directed edge; FromCh/ToCh are the channel labels
-	// at the sender resp. receiver.
-	From, FromCh, To, ToCh int
-
-	buf   []message.Message // power-of-two ring; nil until the first message
-	head  uint32            // index of the head message (always < len(buf))
-	count uint32            // messages in transit
-
-	notify    func(nonempty bool)
-	tagged    func(tag int32, nonempty bool)
-	tag       int32
-	onMessage func(m message.Message, delta int)
-	counts    *Counts
-	arena     *Arena
-
-	// Stats.
-	Sent      int // messages ever enqueued (excluding initial garbage)
-	Delivered int // messages ever dequeued
-	MaxDepth  int // high-water mark of queue length
+// ring holds what queues behind a channel's head message: count−1 messages
+// of a channel holding count.
+type ring struct {
+	buf  []message.Message // power of two; nil until needed and after reclaim
+	head uint32            // index of the first message (always < len(buf))
 }
 
-// OnEmptiness registers f to be called on every emptiness transition: with
-// true when the channel goes 0 → nonzero messages, with false when it drains
-// back to zero. Every mutator (Push, Seed, Pop, Replace) reports through this
-// single hook, which is what lets the simulator maintain its enabled-action
-// set incrementally instead of re-scanning every channel every step. At most
-// one observer is supported; registering replaces the previous one.
-func (c *Channel) OnEmptiness(f func(nonempty bool)) { c.notify = f }
-
-// OnEmptinessTagged is OnEmptiness for callers owning many channels: the hook
-// receives the registered tag, so one shared closure serves every channel
-// instead of one captured closure per channel. The transition contract is
-// identical; both hooks fire when both are registered.
-func (c *Channel) OnEmptinessTagged(f func(tag int32, nonempty bool), tag int32) {
-	c.tagged, c.tag = f, tag
+// at returns the i-th message of the ring.
+func (r *ring) at(i uint32) message.Message {
+	return r.buf[(r.head+i)&uint32(len(r.buf)-1)]
 }
 
-// OnMessage registers f to be called with (m, +1) whenever a message enters
-// the channel (Push, Seed, the kept messages of a Replace) and with (m, -1)
-// whenever one leaves it (Pop, the discarded messages of a Replace). Where
-// OnEmptiness reports the 0↔nonzero transitions the scheduler needs, this
-// hook reports the full content delta. At most one observer is supported;
-// registering replaces the previous one. Callers that only need per-kind
-// population totals should attach a shared Counts instead (SetCounts), which
-// the channel maintains without a callback per message.
-func (c *Channel) OnMessage(f func(m message.Message, delta int)) { c.onMessage = f }
-
-// SetCounts attaches the shared population counter the channel maintains
-// inline on every content change (nil detaches). The deltas applied are
-// exactly those the OnMessage hook would report.
-func (c *Channel) SetCounts(ct *Counts) { c.counts = ct }
-
-// SetArena attaches the buffer arena ring storage is drawn from and released
-// to (nil detaches; buffers then come from the regular allocator).
-func (c *Channel) SetArena(a *Arena) { c.arena = a }
-
-// account applies one content delta to the attached Counts and OnMessage hook.
-func (c *Channel) account(m message.Message, delta int) {
-	if c.counts != nil {
-		c.counts.apply(m, int64(delta))
-	}
-	if c.onMessage != nil {
-		c.onMessage(m, delta)
-	}
-}
-
-// notifyTransition fires the emptiness hooks when the length moved across
-// zero. wasEmpty is the emptiness before the mutation.
-func (c *Channel) notifyTransition(wasEmpty bool) {
-	isEmpty := c.count == 0
-	if isEmpty == wasEmpty {
+// copyInto copies the ring's n messages, first to last, into dst.
+func (r *ring) copyInto(dst []message.Message, n int) {
+	if n == 0 {
 		return
 	}
-	if c.notify != nil {
-		c.notify(!isEmpty)
-	}
-	if c.tagged != nil {
-		c.tagged(c.tag, !isEmpty)
-	}
+	k := copy(dst[:n], r.buf[r.head:])
+	copy(dst[k:n], r.buf)
 }
 
-// New returns an empty channel for the directed edge from → to.
+// Channel is one directed FIFO channel. The header is one cache line (the
+// layout test pins ≤ 64 bytes) with the head message inline: a simulator
+// keeps all its channels in one dense slice, and a delivery touches the
+// header of the channel it pops and of the channel it pushes to — nothing
+// else per channel unless messages queue up.
+type Channel struct {
+	hub   *Hub            // shared counts, arena and hook; nil when standalone
+	tail  *ring           // messages behind the head; nil until two queue up
+	first message.Message // the head message (meaningful while count > 0)
+
+	// From/To identify the directed edge; FromCh/ToCh are the channel labels
+	// at the sender resp. receiver. Rev is for an owner that keeps its
+	// channels in a table: the index there of the opposite direction.
+	From, FromCh, To, ToCh, Rev int32
+
+	count uint32 // messages in transit, the head included
+	tag   int32  // what the hub's emptiness hook is told about this channel
+}
+
+// Attach joins c to h: from now on c maintains h.Counts, draws its rings from
+// h's arena and reports emptiness transitions to h's hook under tag. Attach
+// an empty channel (contents already in transit are not counted).
+func (c *Channel) Attach(h *Hub, tag int32) { c.hub, c.tag = h, tag }
+
+// New returns an empty standalone channel for the directed edge from → to:
+// no hub, so no counts, no hook, and rings from the regular allocator.
 func New(from, fromCh, to, toCh int) *Channel {
-	return &Channel{From: from, FromCh: fromCh, To: to, ToCh: toCh}
+	return &Channel{From: int32(from), FromCh: int32(fromCh), To: int32(to), ToCh: int32(toCh)}
 }
 
 // Len returns the number of messages currently in transit.
 func (c *Channel) Len() int { return int(c.count) }
 
-// Cap returns the current ring capacity (0 before the first message). The
-// capacity is always a power of two; it grows by doubling and is reclaimed
-// down to at most reclaimCap when the channel drains.
-func (c *Channel) Cap() int { return len(c.buf) }
-
-// allocBuf returns a zeroed-length ring of exactly n frames (n a power of
-// two), from the arena when one is attached.
-func (c *Channel) allocBuf(n int) []message.Message {
-	if c.arena != nil {
-		return c.arena.alloc(n)
+// Cap returns the capacity of the ring behind the inline head slot (0 until
+// two messages queue up). It is always a power of two; it grows by doubling
+// and is reclaimed down to at most reclaimCap when the ring drains.
+func (c *Channel) Cap() int {
+	if c.tail == nil {
+		return 0
 	}
-	return make([]message.Message, n)
+	return len(c.tail.buf)
 }
 
-// releaseBuf hands the current ring back to the arena (or the GC) and leaves
-// the channel bufferless.
+// at returns the i-th in-transit message (i < count), head first.
+func (c *Channel) at(i uint32) message.Message {
+	if i == 0 {
+		return c.first
+	}
+	return c.tail.at(i - 1)
+}
+
+// releaseBuf hands the ring's buffer back to the arena (or the GC).
 func (c *Channel) releaseBuf() {
-	if c.arena != nil && c.buf != nil {
-		c.arena.release(c.buf)
+	if c.hub != nil && c.tail.buf != nil {
+		c.hub.arena.release(c.tail.buf)
 	}
-	c.buf = nil
+	c.tail.buf = nil
 }
 
-// grow re-linearizes the ring into a fresh buffer of capacity ≥ need.
-func (c *Channel) grow(need int) {
+// grow re-linearizes the ring's queued messages into a fresh buffer of
+// capacity ≥ queued+1, from the hub's arena when attached.
+func (c *Channel) grow(queued int) {
 	newCap := minBufCap
-	for newCap < need {
+	for newCap <= queued {
 		newCap <<= 1
 	}
-	nb := c.allocBuf(newCap)
-	c.copyInto(nb)
+	var nb []message.Message
+	if c.hub != nil {
+		nb = c.hub.arena.alloc(newCap)
+	} else {
+		nb = make([]message.Message, newCap)
+	}
+	c.tail.copyInto(nb, queued)
 	c.releaseBuf()
-	c.buf = nb
-	c.head = 0
+	c.tail.buf = nb
+	c.tail.head = 0
 }
 
-// copyInto copies the in-transit messages, head first, into dst (which must
-// hold at least count frames).
-func (c *Channel) copyInto(dst []message.Message) {
+// enqueue appends m: into the head slot of an empty channel, else at the end
+// of the ring, created and grown as needed.
+func (c *Channel) enqueue(m message.Message) {
 	if c.count == 0 {
+		c.first, c.count = m, 1
 		return
 	}
-	n := copy(dst, c.buf[c.head:])
-	if int(c.count) > n {
-		copy(dst[n:], c.buf[:int(c.count)-n])
+	queued := c.count - 1 // already in the ring
+	c.count++
+	r := c.tail
+	if r == nil {
+		if c.hub != nil {
+			r = c.hub.arena.newRing()
+		} else {
+			r = new(ring)
+		}
+		c.tail = r
+	}
+	if int(queued) == len(r.buf) {
+		c.grow(int(queued))
+	}
+	r.buf[(r.head+queued)&uint32(len(r.buf)-1)] = m
+}
+
+// reclaim releases a burst-grown buffer once nothing queues behind the head.
+// Only mutations that touched the ring call it, so a channel back in steady
+// state stays on its header line.
+func (c *Channel) reclaim() {
+	if r := c.tail; r != nil && c.count <= 1 && len(r.buf) > reclaimCap {
+		c.releaseBuf()
 	}
 }
 
-// enqueue appends m at the tail, growing the ring if full.
-func (c *Channel) enqueue(m message.Message) {
-	if int(c.count) == len(c.buf) {
-		c.grow(int(c.count) + 1)
-	}
-	c.buf[(c.head+c.count)&uint32(len(c.buf)-1)] = m
-	c.count++
-	if d := int(c.count); d > c.MaxDepth {
-		c.MaxDepth = d
+// notify reports an emptiness transition to the hub's hook. wasEmpty is the
+// emptiness before the mutation.
+func (c *Channel) notify(wasEmpty bool) {
+	if isEmpty := c.count == 0; isEmpty != wasEmpty && c.hub != nil && c.hub.onEmptiness != nil {
+		c.hub.onEmptiness(c.tag, !isEmpty)
 	}
 }
 
 // Push enqueues m at the tail.
 func (c *Channel) Push(m message.Message) {
-	wasEmpty := c.count == 0
 	c.enqueue(m)
-	c.Sent++
-	if ct := c.counts; ct != nil {
-		ct.apply(m, +1)
+	if c.hub != nil {
+		c.hub.Counts.apply(m, +1)
 	}
-	if c.onMessage != nil {
-		c.onMessage(m, +1)
-	}
-	c.notifyTransition(wasEmpty)
+	c.notify(c.count == 1)
 }
 
-// Seed enqueues m without counting it as sent; used for initial-configuration
-// garbage and for seeding the non-self-stabilizing variants with tokens.
-func (c *Channel) Seed(m message.Message) {
-	wasEmpty := c.count == 0
-	c.enqueue(m)
-	c.account(m, +1)
-	c.notifyTransition(wasEmpty)
-}
+// Seed enqueues m as part of an initial configuration — channel garbage, or
+// the tokens the non-self-stabilizing variants start with. The model
+// distinguishes it from a send; the mechanics are Push's.
+func (c *Channel) Seed(m message.Message) { c.Push(m) }
 
 // Pop dequeues the head message. It panics on an empty channel; callers must
 // check Len first (the simulator only schedules non-empty channels).
@@ -235,23 +245,18 @@ func (c *Channel) Pop() message.Message {
 	if c.count == 0 {
 		panic(fmt.Sprintf("channel %d->%d: pop on empty channel", c.From, c.To))
 	}
-	m := c.buf[c.head]
-	c.head = (c.head + 1) & uint32(len(c.buf)-1)
+	m := c.first
 	c.count--
-	c.Delivered++
-	if ct := c.counts; ct != nil {
-		ct.apply(m, -1)
+	if c.count > 0 {
+		r := c.tail
+		c.first = r.buf[r.head]
+		r.head = (r.head + 1) & uint32(len(r.buf)-1)
+		c.reclaim()
 	}
-	if c.onMessage != nil {
-		c.onMessage(m, -1)
+	if c.hub != nil {
+		c.hub.Counts.apply(m, -1)
 	}
-	if c.count == 0 {
-		c.head = 0
-		if len(c.buf) > reclaimCap {
-			c.releaseBuf()
-		}
-	}
-	c.notifyTransition(false)
+	c.notify(false)
 	return m
 }
 
@@ -260,55 +265,48 @@ func (c *Channel) Peek() message.Message {
 	if c.count == 0 {
 		panic(fmt.Sprintf("channel %d->%d: peek on empty channel", c.From, c.To))
 	}
-	return c.buf[c.head]
+	return c.first
 }
 
 // Snapshot returns a copy of the in-transit messages, head first.
 func (c *Channel) Snapshot() []message.Message {
 	out := make([]message.Message, c.count)
-	c.copyInto(out)
+	if c.count > 0 {
+		out[0] = c.first
+	}
+	if c.count > 1 {
+		c.tail.copyInto(out[1:], int(c.count)-1)
+	}
 	return out
 }
 
 // Replace overwrites the in-transit contents with msgs (head first). Used by
 // fault injectors to corrupt, drop or duplicate in-flight messages; the
-// emptiness hook keeps the simulator's enabled-action set — and the attached
-// Counts / message hook its maintained token census — in sync even for such
-// out-of-band mutations (the discarded contents are reported as (m, -1)
-// deltas, the new contents as (m, +1)).
+// hub's emptiness hook and Counts stay in sync even for such out-of-band
+// mutations (the discarded contents count as −1 each, the new ones as +1).
 func (c *Channel) Replace(msgs []message.Message) {
 	wasEmpty := c.count == 0
-	if c.counts != nil || c.onMessage != nil {
+	if c.hub != nil {
 		for i := uint32(0); i < c.count; i++ {
-			c.account(c.buf[(c.head+i)&uint32(len(c.buf)-1)], -1)
+			c.hub.Counts.apply(c.at(i), -1)
 		}
 		for _, m := range msgs {
-			c.account(m, +1)
+			c.hub.Counts.apply(m, +1)
 		}
 	}
-	if len(msgs) > len(c.buf) {
-		// Fresh buffer without re-linearizing: the contents are discarded.
-		c.head, c.count = 0, 0
-		c.releaseBuf()
-		c.grow(len(msgs))
+	c.count = 0
+	for _, m := range msgs {
+		c.enqueue(m)
 	}
-	c.head = 0
-	c.count = uint32(len(msgs))
-	copy(c.buf, msgs)
-	if d := int(c.count); d > c.MaxDepth {
-		c.MaxDepth = d
-	}
-	if c.count == 0 && len(c.buf) > reclaimCap {
-		c.releaseBuf()
-	}
-	c.notifyTransition(wasEmpty)
+	c.reclaim()
+	c.notify(wasEmpty)
 }
 
 // Count returns the number of in-transit messages of the given kind.
 func (c *Channel) Count(k message.Kind) int {
 	n := 0
 	for i := uint32(0); i < c.count; i++ {
-		if c.buf[(c.head+i)&uint32(len(c.buf)-1)].Kind == k {
+		if c.at(i).Kind == k {
 			n++
 		}
 	}

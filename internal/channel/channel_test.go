@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"kofl/internal/message"
 )
@@ -54,27 +55,6 @@ func TestPeekEmptyPanics(t *testing.T) {
 		}
 	}()
 	New(0, 0, 1, 0).Peek()
-}
-
-func TestStats(t *testing.T) {
-	c := New(0, 0, 1, 0)
-	c.Seed(message.NewRes()) // garbage: not counted as sent
-	c.Push(message.NewPush())
-	c.Push(message.NewPrio())
-	if c.Sent != 2 {
-		t.Errorf("Sent = %d, want 2 (Seed must not count)", c.Sent)
-	}
-	if c.MaxDepth != 3 {
-		t.Errorf("MaxDepth = %d, want 3", c.MaxDepth)
-	}
-	c.Pop()
-	c.Pop()
-	if c.Delivered != 2 {
-		t.Errorf("Delivered = %d, want 2", c.Delivered)
-	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
-	}
 }
 
 func TestCount(t *testing.T) {
@@ -178,14 +158,28 @@ func TestString(t *testing.T) {
 	}
 }
 
+// recordingHub returns a hub whose hook appends every reported transition to
+// the returned slice.
+type transition struct {
+	tag      int32
+	nonempty bool
+}
+
+func recordingHub() (*Hub, *[]transition) {
+	var events []transition
+	return NewHub(func(tag int32, nonempty bool) {
+		events = append(events, transition{tag, nonempty})
+	}), &events
+}
+
 // TestOnEmptinessTransitions pins the hook contract every mutator shares:
 // fire with true on 0→nonzero, with false on nonzero→0, and stay silent on
 // every non-transition — the invariant the simulator's incremental
 // enabled-action set is built on.
 func TestOnEmptinessTransitions(t *testing.T) {
+	h, events := recordingHub()
 	c := New(0, 0, 1, 0)
-	var events []bool
-	c.OnEmptiness(func(nonempty bool) { events = append(events, nonempty) })
+	c.Attach(h, 7)
 
 	c.Push(message.NewRes())                                          // 0→1: true
 	c.Push(message.NewRes())                                          // 1→2: silent
@@ -198,12 +192,12 @@ func TestOnEmptinessTransitions(t *testing.T) {
 	c.Pop()                                                           // 1→0: false
 
 	want := []bool{true, false, true, false, true, false}
-	if len(events) != len(want) {
-		t.Fatalf("hook fired %d times (%v), want %d (%v)", len(events), events, len(want), want)
+	if len(*events) != len(want) {
+		t.Fatalf("hook fired %d times (%v), want %d (%v)", len(*events), *events, len(want), want)
 	}
 	for i := range want {
-		if events[i] != want[i] {
-			t.Fatalf("event %d = %v, want %v (all: %v)", i, events[i], want[i], events)
+		if (*events)[i] != (transition{7, want[i]}) {
+			t.Fatalf("event %d = %v, want {7 %v} (all: %v)", i, (*events)[i], want[i], *events)
 		}
 	}
 }
@@ -211,9 +205,9 @@ func TestOnEmptinessTransitions(t *testing.T) {
 // TestOnEmptinessSurvivesCompaction checks the Pop-side compaction (head
 // reset) does not confuse the transition detection.
 func TestOnEmptinessSurvivesCompaction(t *testing.T) {
+	h, events := recordingHub()
 	c := New(0, 0, 1, 0)
-	fired := 0
-	c.OnEmptiness(func(nonempty bool) { fired++ })
+	c.Attach(h, 0)
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 100; i++ {
 			c.Push(message.NewRes())
@@ -222,44 +216,45 @@ func TestOnEmptinessSurvivesCompaction(t *testing.T) {
 			c.Pop()
 		}
 	}
-	if fired != 10 { // one true + one false per round
-		t.Errorf("hook fired %d times, want 10", fired)
+	if len(*events) != 10 { // one true + one false per round
+		t.Errorf("hook fired %d times, want 10", len(*events))
 	}
 }
 
-// TestNoHookIsFine: channels without an observer must work unchanged.
+// TestNoHookIsFine: a standalone channel (no hub) and a channel on a hookless
+// hub must work unchanged.
 func TestNoHookIsFine(t *testing.T) {
-	c := New(0, 0, 1, 0)
-	c.Push(message.NewRes())
-	c.Replace(nil)
-	c.Seed(message.NewRes())
-	if c.Pop().Kind != message.Res {
-		t.Error("hookless channel misbehaved")
+	hookless := New(0, 0, 1, 0)
+	hookless.Attach(NewHub(nil), 0)
+	for _, c := range []*Channel{New(0, 0, 1, 0), hookless} {
+		c.Push(message.NewRes())
+		c.Replace(nil)
+		c.Seed(message.NewRes())
+		if c.Pop().Kind != message.Res {
+			t.Error("hookless channel misbehaved")
+		}
 	}
 }
 
-// TestOnMessageReportsEveryContentDelta drives every mutator and checks the
-// delta stream reconstructs the channel contents: Push/Seed report (+1),
-// Pop (-1), Replace the removed set then the added set. The running
-// per-kind balance must match what Count reports at every point.
-func TestOnMessageReportsEveryContentDelta(t *testing.T) {
-	c := New(0, 0, 1, 0)
-	balance := map[message.Kind]int{}
-	c.OnMessage(func(m message.Message, delta int) {
-		if delta != 1 && delta != -1 {
-			t.Fatalf("delta %d, want ±1", delta)
-		}
-		balance[m.Kind] += delta
-	})
+// TestCountsReportEveryContentDelta drives every mutator on two channels of
+// one hub and checks the shared Counts reconstruct their joint contents:
+// Push/Seed count +1, Pop −1, Replace the removed set then the added set.
+// The per-kind population must match what Count reports at every point.
+func TestCountsReportEveryContentDelta(t *testing.T) {
+	h := NewHub(nil)
+	c, d := New(0, 0, 1, 0), New(1, 0, 0, 0)
+	c.Attach(h, 0)
+	d.Attach(h, 1)
 	check := func(when string) {
 		t.Helper()
 		for _, k := range []message.Kind{message.Res, message.Push, message.Prio, message.Ctrl} {
-			if balance[k] != c.Count(k) {
-				t.Fatalf("%s: balance[%v]=%d but channel holds %d", when, k, balance[k], c.Count(k))
+			if got, want := h.Counts.Kinds[k], int64(c.Count(k)+d.Count(k)); got != want {
+				t.Fatalf("%s: Counts[%v]=%d but the channels hold %d", when, k, got, want)
 			}
 		}
 	}
 	c.Push(message.NewRes())
+	d.Push(message.NewRes())
 	c.Seed(message.NewPush())
 	c.Push(message.NewCtrl(3, true, 1, 0))
 	check("after push/seed")
@@ -268,8 +263,18 @@ func TestOnMessageReportsEveryContentDelta(t *testing.T) {
 	c.Replace([]message.Message{message.NewPrio(), message.NewPrio(), message.NewRes()})
 	check("after replace")
 	c.Replace(nil)
-	check("after replace-to-empty")
-	if total := balance[message.Res] + balance[message.Push] + balance[message.Prio] + balance[message.Ctrl]; total != 0 {
-		t.Errorf("net balance %d after emptying, want 0", total)
+	d.Pop()
+	check("after emptying")
+	if h.Counts != (Counts{}) {
+		t.Errorf("counts %+v after emptying, want zero", h.Counts)
+	}
+}
+
+// TestLayoutGuard pins the header to one cache line. If it grows, every
+// delivery touches a second line per channel end and the simulator's
+// bytes/process ceiling (sim.TestBytesPerProcessCeiling) goes with it.
+func TestLayoutGuard(t *testing.T) {
+	if got := unsafe.Sizeof(Channel{}); got > 64 {
+		t.Fatalf("Channel header is %d bytes, want ≤ 64", got)
 	}
 }

@@ -17,14 +17,32 @@ func TestBoundedRetention(t *testing.T) {
 	for i := 0; i < cycles; i++ {
 		c.Push(message.NewRes())
 		c.Push(message.NewPrio())
+		c.Push(message.NewPush())
+		c.Pop()
 		c.Pop()
 		c.Pop()
 	}
 	if got := c.Cap(); got > minBufCap {
 		t.Fatalf("capacity after %d shallow push/pop cycles = %d, want ≤ %d", cycles, got, minBufCap)
 	}
-	if c.Sent != 2*cycles || c.Delivered != 2*cycles {
-		t.Fatalf("stats: sent=%d delivered=%d, want %d each", c.Sent, c.Delivered, 2*cycles)
+}
+
+// TestSingleFrameNeverOwnsRing pins the inline head slot: a channel that
+// never holds more than one frame — every channel of a stabilized system —
+// draws no ring however long it runs, attached or standalone.
+func TestSingleFrameNeverOwnsRing(t *testing.T) {
+	attached := New(0, 0, 1, 0)
+	attached.Attach(NewHub(nil), 0)
+	for _, c := range []*Channel{New(0, 0, 1, 0), attached} {
+		for i := 0; i < 1000; i++ {
+			c.Push(message.NewCtrl(i, false, 0, 0))
+			if got := c.Pop(); got.C != i {
+				t.Fatalf("popped C=%d, want %d", got.C, i)
+			}
+		}
+		if c.Cap() != 0 {
+			t.Fatalf("single-frame traffic drew a ring of %d frames", c.Cap())
+		}
 	}
 }
 
@@ -47,6 +65,8 @@ func TestDrainReclaimsBurst(t *testing.T) {
 	}
 	// A small ring survives draining (no thrash on the steady state).
 	c.Push(message.NewRes())
+	c.Push(message.NewRes())
+	c.Pop()
 	c.Pop()
 	if got := c.Cap(); got == 0 || got > reclaimCap {
 		t.Fatalf("steady-state capacity after drain = %d, want (0, %d]", got, reclaimCap)
@@ -91,15 +111,16 @@ func TestWrapAroundOrder(t *testing.T) {
 // content deltas — Push, Seed, Pop, Replace — including the reset-flag split,
 // while garbage kinds stay uncounted.
 func TestCountsMaintained(t *testing.T) {
-	var ct Counts
+	h := NewHub(nil)
+	ct := &h.Counts
 	c := New(0, 0, 1, 0)
-	c.SetCounts(&ct)
+	c.Attach(h, 0)
 	c.Push(message.NewRes())
 	c.Seed(message.NewCtrl(3, true, 1, 0))
 	c.Push(message.NewPush())
 	c.Seed(message.Message{Kind: message.Kind(77)}) // garbage: not counted
 	if ct.Kinds[message.Res] != 1 || ct.Kinds[message.Ctrl] != 1 || ct.ResetCtrl != 1 || ct.Kinds[message.Push] != 1 {
-		t.Fatalf("counts after pushes: %+v", ct)
+		t.Fatalf("counts after pushes: %+v", *ct)
 	}
 	c.Pop() // the Res
 	if ct.Kinds[message.Res] != 0 {
@@ -107,38 +128,40 @@ func TestCountsMaintained(t *testing.T) {
 	}
 	c.Replace([]message.Message{message.NewPrio()})
 	if ct.Kinds[message.Ctrl] != 0 || ct.ResetCtrl != 0 || ct.Kinds[message.Push] != 0 || ct.Kinds[message.Prio] != 1 {
-		t.Fatalf("counts after replace: %+v", ct)
+		t.Fatalf("counts after replace: %+v", *ct)
 	}
 }
 
-// TestTaggedEmptinessHook checks OnEmptinessTagged fires with the registered
-// tag on exactly the 0↔nonzero transitions, like OnEmptiness.
+// TestTaggedEmptinessHook checks that one hub hook serves many channels:
+// each transition arrives under the tag its channel was attached with.
 func TestTaggedEmptinessHook(t *testing.T) {
-	c := New(0, 0, 1, 0)
-	type ev struct {
-		tag      int32
-		nonempty bool
-	}
-	var got []ev
-	c.OnEmptinessTagged(func(tag int32, nonempty bool) {
-		got = append(got, ev{tag, nonempty})
-	}, 42)
+	h, got := recordingHub()
+	c, d := New(0, 0, 1, 0), New(1, 0, 0, 0)
+	c.Attach(h, 42)
+	d.Attach(h, 43)
 	c.Push(message.NewRes()) // 0→1: fire true
+	d.Push(message.NewRes()) // the other channel, its own tag
 	c.Push(message.NewRes()) // 1→2: silent
 	c.Pop()                  // 2→1: silent
 	c.Pop()                  // 1→0: fire false
-	want := []ev{{42, true}, {42, false}}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("tagged events = %v, want %v", got, want)
+	want := []transition{{42, true}, {43, true}, {42, false}}
+	if len(*got) != len(want) {
+		t.Fatalf("tagged events = %v, want %v", *got, want)
+	}
+	for i := range want {
+		if (*got)[i] != want[i] {
+			t.Fatalf("tagged events = %v, want %v", *got, want)
+		}
 	}
 }
 
 // TestArenaRecycles checks the arena reaches a fixed point: rings released on
 // drain are handed back on the next growth of the same size class.
 func TestArenaRecycles(t *testing.T) {
-	a := NewArena()
+	h := NewHub(nil)
+	a := &h.arena
 	c := New(0, 0, 1, 0)
-	c.SetArena(a)
+	c.Attach(h, 0)
 	burst := func() {
 		for i := 0; i < 4*reclaimCap; i++ {
 			c.Push(message.NewRes())
@@ -162,7 +185,7 @@ func TestArenaRecycles(t *testing.T) {
 // TestArenaClasses checks alloc/release round-trips across the class range,
 // including the above-max direct path.
 func TestArenaClasses(t *testing.T) {
-	a := NewArena()
+	a := &arena{}
 	for cl := arenaMinClass; cl <= arenaMaxClass; cl++ {
 		buf := a.alloc(1 << cl)
 		if len(buf) != 1<<cl || cap(buf) != 1<<cl {

@@ -10,17 +10,18 @@ import (
 // CensusMonitor fuses the three census-consuming monitors a campaign run
 // needs — legitimacy/convergence tracking, the k-out-of-ℓ safety predicate,
 // and legitimate-step counting for availability — into one step hook that
-// reads the global census exactly once per step. It consumes the kernel's
-// incrementally maintained census (see the sim package's census kernel), so
-// one observation is O(1); the per-process over-k check rides on the
-// census's maintained OverK violation counter and only falls back to a node
-// scan in the rare steps where a violation actually exists. Under
+// reads the global census exactly once per step, through sim.Health: the
+// kernel's incrementally maintained census evaluated in place (see the sim
+// package's census kernel), so one observation is O(1) and copies nothing;
+// the per-process over-k check rides on the census's maintained OverK
+// violation counter and only falls back to a node scan in the rare steps
+// where a violation actually exists. Under
 // sim.Options.ScanCensus the same monitor transparently runs against the
 // snapshot oracle — which is what the census differential tests compare
 // against.
 type CensusMonitor struct {
-	s   *sim.Sim
-	cfg core.Config
+	s    *sim.Sim
+	k, l int
 
 	// Legitimacy (mirrors Legitimacy's fields and semantics).
 	lastViolation int64
@@ -48,7 +49,7 @@ func NewCensusMonitor(s *sim.Sim) *CensusMonitor {
 // allocating. Like NewCensusMonitor, it accounts for the initial
 // configuration immediately.
 func (m *CensusMonitor) Attach(s *sim.Sim) {
-	m.s, m.cfg = s, s.Cfg
+	m.s, m.k, m.l = s, s.Cfg.K, s.Cfg.L
 	m.lastViolation = -1
 	m.everCorrect = false
 	m.LegitSteps = 0
@@ -58,8 +59,8 @@ func (m *CensusMonitor) Attach(s *sim.Sim) {
 }
 
 func (m *CensusMonitor) observe(s *sim.Sim, isStep bool) {
-	c := s.Census()
-	if c.LegitimateFor(m.cfg, s.Nodes[s.Tree.Root()].ResetFlag()) {
+	legit, unitsInUse, overK := s.Health()
+	if legit {
 		m.everCorrect = true
 		if isStep {
 			m.LegitSteps++
@@ -67,20 +68,20 @@ func (m *CensusMonitor) observe(s *sim.Sim, isStep bool) {
 	} else {
 		m.lastViolation = s.Now()
 	}
-	if c.UnitsInUse > m.cfg.L {
+	if unitsInUse > m.l {
 		m.Violations = append(m.Violations, SafetyViolation{
 			Clock: s.Now(),
-			What:  fmt.Sprintf("%d units in use > ℓ=%d", c.UnitsInUse, m.cfg.L),
+			What:  fmt.Sprintf("%d units in use > ℓ=%d", unitsInUse, m.l),
 		})
 	}
-	if c.OverK > 0 {
+	if overK > 0 {
 		// Rare: some process is in its critical section holding more than k
 		// units. Only now is the O(n) scan paid, to name the offenders.
 		for p, n := range s.Nodes {
-			if n.State() == core.In && n.Reserved() > m.cfg.K {
+			if n.State() == core.In && n.Reserved() > m.k {
 				m.Violations = append(m.Violations, SafetyViolation{
 					Clock: s.Now(),
-					What:  fmt.Sprintf("process %d uses %d units > k=%d", p, n.Reserved(), m.cfg.K),
+					What:  fmt.Sprintf("process %d uses %d units > k=%d", p, n.Reserved(), m.k),
 				})
 			}
 		}

@@ -106,3 +106,46 @@ func TestCensusMonitorOracleEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestHealthMatchesCensusLegitimacy steps a run under the paper's fault storm
+// and requires, after every step, that sim.Health — the copy-free read the
+// monitors and the kernel's instrumentation consume — equals the reference
+// form of the predicate on the assembled census: Census().LegitimateFor with
+// the root's reset flag, plus the census's UnitsInUse and OverK. Under both
+// census kernels, since Health reads the maintained fields in one and the
+// snapshot oracle in the other.
+func TestHealthMatchesCensusLegitimacy(t *testing.T) {
+	for _, scan := range []bool{false, true} {
+		tr := tree.Paper()
+		cfg := core.Config{K: 3, L: 5, N: tr.N(), CMAX: 4, Features: core.Full()}
+		s := sim.MustNew(tr, cfg, sim.Options{Seed: 23, ScanCensus: scan})
+		for p := 0; p < tr.N(); p++ {
+			workload.Attach(s, p, workload.Fixed(1+p%3, 2, 4, 0))
+		}
+		const steps = 40_000
+		sched, err := adversary.Compile(adversary.LegacyStorm(1_500), steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var legitSteps, illegitSteps int
+		s.AddStepHook(func(s *sim.Sim) {
+			legit, unitsInUse, overK := s.Health()
+			c := s.Census()
+			want := c.LegitimateFor(s.Cfg, s.Nodes[s.Tree.Root()].ResetFlag())
+			if legit != want || unitsInUse != c.UnitsInUse || overK != c.OverK {
+				t.Fatalf("scan=%v clock %d: Health = (%v, %d, %d), census says (%v, %d, %d): %v",
+					scan, s.Now(), legit, unitsInUse, overK, want, c.UnitsInUse, c.OverK, c)
+			}
+			if legit {
+				legitSteps++
+			} else {
+				illegitSteps++
+			}
+		})
+		adversary.MustNewExecutor(s, sched, 23).Run(steps)
+		if legitSteps == 0 || illegitSteps == 0 {
+			t.Errorf("scan=%v: %d legitimate and %d illegitimate steps; the storm run must visit both",
+				scan, legitSteps, illegitSteps)
+		}
+	}
+}

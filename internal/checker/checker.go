@@ -82,11 +82,11 @@ func NewSafety(s *sim.Sim) *Safety {
 }
 
 func (m *Safety) onStep(s *sim.Sim) {
-	c := s.Census()
-	if c.UnitsInUse > m.cfg.L {
-		m.record(s.Now(), fmt.Sprintf("%d units in use > ℓ=%d", c.UnitsInUse, m.cfg.L))
+	_, unitsInUse, overK := s.Health()
+	if unitsInUse > m.cfg.L {
+		m.record(s.Now(), fmt.Sprintf("%d units in use > ℓ=%d", unitsInUse, m.cfg.L))
 	}
-	if c.OverK > 0 {
+	if overK > 0 {
 		// The maintained OverK violation counter says some process is over
 		// its k cap; only then pay the node scan to name the offenders.
 		for p, n := range s.Nodes {

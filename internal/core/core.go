@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"kofl/internal/message"
 )
@@ -110,6 +111,12 @@ type Config struct {
 	Errata   Errata
 }
 
+// MaxL is the largest usable ℓ: the controller's saturating surplus count
+// PT ∈ [0..ℓ+1] travels in a 16-bit field (message.Message.PT and the wire
+// codec), and convergence from an over-full configuration relies on it not
+// wrapping.
+const MaxL = math.MaxUint16 - 1
+
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	if c.N < 2 {
@@ -117,6 +124,9 @@ func (c Config) Validate() error {
 	}
 	if c.K < 1 || c.L < c.K {
 		return fmt.Errorf("core: need 1 ≤ k ≤ ℓ, got k=%d ℓ=%d", c.K, c.L)
+	}
+	if c.L > MaxL {
+		return fmt.Errorf("core: ℓ=%d does not fit the controller frame: ℓ+1 is counted in 16 bits, need ℓ ≤ %d", c.L, MaxL)
 	}
 	if c.CMAX < 0 {
 		return fmt.Errorf("core: CMAX must be ≥ 0, got %d", c.CMAX)

@@ -22,8 +22,8 @@ func (n *Node) receiveCtrl(env Env, q int, m message.Message) {
 // memory) and either tops up missing tokens or flags a reset traversal that
 // erases every token before recreating exactly (ℓ, 1, 1).
 func (n *Node) rootCtrl(env Env, q int, m message.Message) {
-	v, i := n.vars, n.idx
-	if int32(q) != v.succ[i] || m.C != v.myC[i] {
+	v, sl := n.vars, n.slot()
+	if int32(q) != sl.succ || m.C != sl.myC {
 		return // invalid: ignore, do not retransmit
 	}
 	pt, ppr := int(m.PT), int(m.PPr)
@@ -33,10 +33,10 @@ func (n *Node) rootCtrl(env Env, q int, m message.Message) {
 		// token is counted exactly once per circulation.
 		pt, ppr = n.accumulate(pt, ppr, q)
 	}
-	v.succ[i] = (v.succ[i] + 1) % n.deg
-	if v.succ[i] == 0 {
+	sl.succ = (sl.succ + 1) % n.deg
+	if sl.succ == 0 {
 		// End of traversal (Algorithm 1 lines 45-68).
-		v.myC[i] = (v.myC[i] + 1) % v.cmod
+		sl.myC = (sl.myC + 1) % v.cmod
 		resCount := pt + int(v.stoken)
 		prioCount := ppr + int(v.sprio)
 		pushCount := int(v.spush)
@@ -44,7 +44,7 @@ func (n *Node) rootCtrl(env Env, q int, m message.Message) {
 		n.emit(Event{Kind: EvCirculation, N1: resCount, N2: prioCount, N3: pushCount, Flag: v.reset})
 		if v.reset {
 			n.rsetClear()
-			v.prio[i] = NoPrio
+			sl.prio = NoPrio
 		} else {
 			createdRes, createdPrio, createdPush := 0, 0, 0
 			if prioCount < 1 && v.cfg.Features.Priority {
@@ -71,7 +71,7 @@ func (n *Node) rootCtrl(env Env, q int, m message.Message) {
 		// Paper order: accumulate after the completion block (lines 69-72).
 		pt, ppr = n.accumulate(pt, ppr, q)
 	}
-	env.Send(int(v.succ[i]), message.NewCtrl(v.myC[i], v.reset, pt, ppr))
+	env.Send(int(sl.succ), message.NewCtrl(sl.myC, v.reset, pt, ppr))
 	env.RestartTimer()
 }
 
@@ -80,7 +80,7 @@ func (n *Node) rootCtrl(env Env, q int, m message.Message) {
 // token that arrived from q — into the saturating counters.
 func (n *Node) accumulate(pt, ppr, q int) (int, int) {
 	pt = min(pt+n.multiplicity(q), n.vars.cfg.L+1)
-	if int(n.vars.prio[n.idx]) == q {
+	if int(n.slot().prio) == q {
 		ppr = min(ppr+1, 2)
 	}
 	return pt, ppr
@@ -93,10 +93,10 @@ func (n *Node) accumulate(pt, ppr, q int) (int, int) {
 // an unchanged flag is retransmitted without processing "to prevent
 // deadlock"; everything else is dropped.
 func (n *Node) nodeCtrl(env Env, q int, m message.Message) {
-	v, i := n.vars, n.idx
+	sl := n.slot()
 	ok := false
-	if int32(q) == v.succ[i] && m.C == v.myC[i] && v.succ[i] != 0 {
-		v.succ[i] = (v.succ[i] + 1) % n.deg
+	if int32(q) == sl.succ && m.C == sl.myC && sl.succ != 0 {
+		sl.succ = (sl.succ + 1) % n.deg
 		ok = true
 		if m.R {
 			n.applyReset()
@@ -104,29 +104,29 @@ func (n *Node) nodeCtrl(env Env, q int, m message.Message) {
 	}
 	if q == 0 {
 		ok = true
-		if m.C != v.myC[i] {
-			v.succ[i] = int32(min(1, int(n.deg)-1))
+		if m.C != sl.myC {
+			sl.succ = int32(min(1, int(n.deg)-1))
 			if m.R {
 				n.applyReset()
 			}
 		}
-		v.myC[i] = m.C
+		sl.myC = m.C
 	}
 	if ok {
 		pt, ppr := n.accumulate(int(m.PT), int(m.PPr), q)
-		env.Send(int(v.succ[i]), message.NewCtrl(v.myC[i], m.R, pt, ppr))
+		env.Send(int(sl.succ), message.NewCtrl(sl.myC, m.R, pt, ppr))
 	}
 }
 
 // applyReset erases the process's reservations and priority hold when
 // visited by a reset-flagged controller.
 func (n *Node) applyReset() {
-	v, i := n.vars, n.idx
-	if v.rlen[i] > 0 {
-		n.emit(Event{Kind: EvEvict, N1: int(v.rlen[i])})
+	sl := n.slot()
+	if sl.rlen > 0 {
+		n.emit(Event{Kind: EvEvict, N1: int(sl.rlen)})
 	}
 	n.rsetClear()
-	v.prio[i] = NoPrio
+	sl.prio = NoPrio
 }
 
 // HandleTimeout implements the root's retransmission (Algorithm 1 lines
@@ -139,7 +139,7 @@ func (n *Node) HandleTimeout(env Env) {
 		return
 	}
 	n.emit(Event{Kind: EvTimeout})
-	v, i := n.vars, n.idx
-	env.Send(int(v.succ[i]), message.NewCtrl(v.myC[i], v.reset, 0, 0))
+	v, sl := n.vars, n.slot()
+	env.Send(int(sl.succ), message.NewCtrl(sl.myC, v.reset, 0, 0))
 	env.RestartTimer()
 }

@@ -35,13 +35,12 @@ func (n *Node) HandleMessage(q int, m message.Message, env Env) {
 
 // receiveRes implements Algorithm 1 lines 10-19 / Algorithm 2 lines 9-15.
 func (n *Node) receiveRes(env Env, q int) {
-	v, i := n.vars, n.idx
-	if n.isRoot && v.reset {
+	if n.isRoot && n.vars.reset {
 		// During a reset traversal the root destroys every token it receives.
 		n.emit(Event{Kind: EvDrop, N1: int(message.Res)})
 		return
 	}
-	if v.state[i] == Req && v.rlen[i] < v.need[i] {
+	if sl := n.slot(); sl.state == Req && sl.rlen < sl.need {
 		n.rsetPush(int32(q))
 		n.emit(Event{Kind: EvReserve, N1: q})
 		return
@@ -57,18 +56,18 @@ func (n *Node) receiveRes(env Env, q int) {
 // pseudocode as printed (Prio ≠ ⊥), which inverts the priority shield
 // (erratum E1).
 func (n *Node) receivePush(env Env, q int) {
-	v, i := n.vars, n.idx
+	v, sl := n.vars, n.slot()
 	if n.isRoot && v.reset {
 		n.emit(Event{Kind: EvDrop, N1: int(message.Push)})
 		return
 	}
-	prioCond := v.prio[i] == NoPrio
+	prioCond := sl.prio == NoPrio
 	if v.cfg.Errata.LiteralPusherGuard {
-		prioCond = v.prio[i] != NoPrio
+		prioCond = sl.prio != NoPrio
 	}
-	if prioCond && (v.state[i] != Req || v.rlen[i] < v.need[i]) && v.state[i] != In {
-		if v.rlen[i] > 0 {
-			evicted := int(v.rlen[i])
+	if prioCond && (sl.state != Req || sl.rlen < sl.need) && sl.state != In {
+		if sl.rlen > 0 {
+			evicted := int(sl.rlen)
 			n.releaseAll(env)
 			n.emit(Event{Kind: EvEvict, N1: evicted})
 		}
@@ -80,13 +79,12 @@ func (n *Node) receivePush(env Env, q int) {
 // The token is captured whenever Prio = ⊥; the bottom half immediately
 // forwards it again unless it shields an unsatisfied request.
 func (n *Node) receivePrio(env Env, q int) {
-	v, i := n.vars, n.idx
-	if n.isRoot && v.reset {
+	if n.isRoot && n.vars.reset {
 		n.emit(Event{Kind: EvDrop, N1: int(message.Prio)})
 		return
 	}
-	if v.prio[i] == NoPrio {
-		v.prio[i] = int32(q)
+	if sl := n.slot(); sl.prio == NoPrio {
+		sl.prio = int32(q)
 		n.emit(Event{Kind: EvPrioAcquire, N1: q})
 		return
 	}

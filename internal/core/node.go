@@ -6,31 +6,40 @@ import (
 	"kofl/internal/message"
 )
 
-// Vars is the struct-of-arrays store for the protocol variables of a set of
-// processes. Each per-process variable lives in a dense slice indexed by a
-// slot number, and the RSet multisets are flattened into one shared backing
-// array with a fixed stride of k entries per slot — so a simulation of n
-// processes keeps its entire protocol state in a handful of contiguous
-// allocations instead of n heap objects with n private slices. A Node is a
-// cheap view (store pointer + slot) over this storage; the simulator binds
-// all its processes into one shared Vars, while standalone construction
-// (NewNode) gives each process a private single-slot store. Vars is not safe
-// for concurrent use across its slots' writers.
+// slot is the per-process protocol state, one array-of-structs entry per
+// process: a delivery reads and writes most of these together, so they share
+// half a cache line (the layout test pins ≤ 32 bytes) instead of one cold
+// line per variable.
+type slot struct {
+	myC   int   // counter-flushing flag (domain up to 2⁴⁰)
+	need  int32 // units requested
+	succ  int32 // channel the controller is expected from / forwarded to
+	prio  int32 // channel label, NoPrio = ⊥
+	rlen  int32 // |RSet|
+	state State
+}
+
+// Vars is the store for the protocol variables of a set of processes: one
+// slot per process in a single dense slice, with the RSet multisets
+// flattened into one shared backing array at a fixed stride of k entries per
+// slot — so a simulation of n processes keeps its entire protocol state in
+// two contiguous allocations instead of n heap objects with n private
+// slices. A Node is a cheap view (store pointer + slot index) over this
+// storage; the simulator binds all its processes into one shared Vars, while
+// standalone construction (NewNode) gives each process a private single-slot
+// store. Vars is not safe for concurrent use across its slots' writers.
 type Vars struct {
 	cfg  Config
 	cmod int   // precomputed CounterMod()
 	k    int32 // rset stride per slot
 
-	state []State
-	need  []int32
-	myC   []int // counter-flushing flag (domain up to 2⁴⁰)
-	succ  []int32
-	prio  []int32 // channel label, NoPrio = ⊥
-	rlen  []int32 // |RSet| per slot
-	rset  []int32 // flattened multisets: slot i owns rset[i*k : i*k+rlen[i]]
+	slots []slot
+	rset  []int32 // flattened multisets: slot i owns rset[i*k : i*k+slots[i].rlen]
+
+	obs Observer // event monitor shared by every slot (may be nil)
 
 	// Root-only variables (Algorithm 1). Exactly one slot of a Vars may be
-	// bound as the root, so these are scalars, not per-slot slices.
+	// bound as the root, so these are scalars, not per-slot.
 	rootBound bool
 	reset     bool
 	stoken    int32 // resource tokens across ring START this traversal (≤ ℓ+1)
@@ -50,16 +59,11 @@ func NewVars(cfg Config, n int) (*Vars, error) {
 		cfg:   cfg,
 		cmod:  cfg.CounterMod(),
 		k:     int32(cfg.K),
-		state: make([]State, n),
-		need:  make([]int32, n),
-		myC:   make([]int, n),
-		succ:  make([]int32, n),
-		prio:  make([]int32, n),
-		rlen:  make([]int32, n),
+		slots: make([]slot, n),
 		rset:  make([]int32, n*cfg.K),
 	}
-	for i := range v.prio {
-		v.prio[i] = NoPrio
+	for i := range v.slots {
+		v.slots[i].prio = NoPrio
 	}
 	return v, nil
 }
@@ -67,13 +71,17 @@ func NewVars(cfg Config, n int) (*Vars, error) {
 // Config returns the store's protocol configuration.
 func (v *Vars) Config() Config { return v.cfg }
 
+// SetObserver installs the event monitor every process of the store reports
+// to (may be nil).
+func (v *Vars) SetObserver(o Observer) { v.obs = o }
+
 // Bind attaches slot idx of v as the process with the given id and degree and
 // returns the Node view. The root (per the tree package, id 0) runs
 // Algorithm 1; at most one slot per store may be bound as the root. app must
 // be non-nil.
 func (v *Vars) Bind(idx, id, deg int, isRoot bool, app App) (Node, error) {
-	if idx < 0 || idx >= len(v.state) {
-		return Node{}, fmt.Errorf("core: Bind slot %d outside [0..%d)", idx, len(v.state))
+	if idx < 0 || idx >= len(v.slots) {
+		return Node{}, fmt.Errorf("core: Bind slot %d outside [0..%d)", idx, len(v.slots))
 	}
 	if deg < 1 {
 		return Node{}, fmt.Errorf("core: process %d has degree %d; the tree must be connected", id, deg)
@@ -100,13 +108,15 @@ func (v *Vars) Bind(idx, id, deg int, isRoot bool, app App) (Node, error) {
 // copyable view.
 type Node struct {
 	vars   *Vars
+	app    App
 	id     int32
 	idx    int32
 	deg    int32 // ∆p
 	isRoot bool
-	app    App
-	obs    Observer
 }
+
+// slot returns the node's protocol variables.
+func (n *Node) slot() *slot { return &n.vars.slots[n.idx] }
 
 // NewNode builds the process with the given id and degree, backed by its own
 // single-slot Vars store. The root (per the tree package, id 0) runs
@@ -132,8 +142,9 @@ func MustNewNode(cfg Config, id, deg int, isRoot bool, app App) *Node {
 	return n
 }
 
-// SetObserver installs the event monitor (may be nil).
-func (n *Node) SetObserver(o Observer) { n.obs = o }
+// SetObserver installs the event monitor of the node's store (see
+// Vars.SetObserver): every process bound into the same Vars reports to it.
+func (n *Node) SetObserver(o Observer) { n.vars.SetObserver(o) }
 
 // SetApp replaces the application callback adapter bound at Bind time, so a
 // host can rebind a process to a live application without an extra
@@ -146,9 +157,9 @@ func (n *Node) SetApp(app App) {
 }
 
 func (n *Node) emit(e Event) {
-	if n.obs != nil {
+	if obs := n.vars.obs; obs != nil {
 		e.P = int(n.id)
-		n.obs(e)
+		obs(e)
 	}
 }
 
@@ -162,38 +173,39 @@ func (n *Node) Degree() int { return int(n.deg) }
 func (n *Node) IsRoot() bool { return n.isRoot }
 
 // State returns the application-interface state.
-func (n *Node) State() State { return n.vars.state[n.idx] }
+func (n *Node) State() State { return n.slot().state }
 
 // Need returns the number of units currently requested.
-func (n *Node) Need() int { return int(n.vars.need[n.idx]) }
+func (n *Node) Need() int { return int(n.slot().need) }
 
 // Reserved returns the number of resource tokens currently reserved (|RSet|).
-func (n *Node) Reserved() int { return int(n.vars.rlen[n.idx]) }
+func (n *Node) Reserved() int { return int(n.slot().rlen) }
 
 // Probe returns the census-relevant view of slot idx — |RSet|, priority
 // held, in critical section — in one bounds-checked read of the store. The
 // simulator's census tracker brackets every node mutation with a pair of
 // probes; one fused accessor keeps that bracket to two calls.
 func (v *Vars) Probe(idx int) (res int32, prio, in bool) {
-	return v.rlen[idx], v.prio[idx] != NoPrio, v.state[idx] == In
+	sl := &v.slots[idx]
+	return sl.rlen, sl.prio != NoPrio, sl.state == In
 }
 
 // rsetAll returns the live flattened reservation multiset of this process.
 func (n *Node) rsetAll() []int32 {
 	off := int(n.idx) * int(n.vars.k)
-	return n.vars.rset[off : off+int(n.vars.rlen[n.idx])]
+	return n.vars.rset[off : off+int(n.slot().rlen)]
 }
 
 // rsetPush appends one reserved channel label. The caller guarantees
 // |RSet| < k (the receive guard enforces need ≤ k).
 func (n *Node) rsetPush(ch int32) {
-	v := n.vars
-	v.rset[int(n.idx)*int(v.k)+int(v.rlen[n.idx])] = ch
-	v.rlen[n.idx]++
+	v, sl := n.vars, n.slot()
+	v.rset[int(n.idx)*int(v.k)+int(sl.rlen)] = ch
+	sl.rlen++
 }
 
 // rsetClear empties the reservation multiset.
-func (n *Node) rsetClear() { n.vars.rlen[n.idx] = 0 }
+func (n *Node) rsetClear() { n.slot().rlen = 0 }
 
 // RSet returns a copy of the reservation multiset (channel labels).
 func (n *Node) RSet() []int {
@@ -206,16 +218,16 @@ func (n *Node) RSet() []int {
 }
 
 // Prio returns the channel the held priority token arrived from, or NoPrio.
-func (n *Node) Prio() int { return int(n.vars.prio[n.idx]) }
+func (n *Node) Prio() int { return int(n.slot().prio) }
 
 // HoldsPrio reports whether the process holds the priority token.
-func (n *Node) HoldsPrio() bool { return n.vars.prio[n.idx] != NoPrio }
+func (n *Node) HoldsPrio() bool { return n.slot().prio != NoPrio }
 
 // MyC returns the counter-flushing flag value.
-func (n *Node) MyC() int { return n.vars.myC[n.idx] }
+func (n *Node) MyC() int { return n.slot().myC }
 
 // Succ returns the channel the controller is expected from / forwarded to.
-func (n *Node) Succ() int { return int(n.vars.succ[n.idx]) }
+func (n *Node) Succ() int { return int(n.slot().succ) }
 
 // ResetFlag returns the root's Reset variable (false at non-roots).
 func (n *Node) ResetFlag() bool { return n.isRoot && n.vars.reset }
@@ -239,10 +251,10 @@ type Snapshot struct {
 
 // Snapshot returns a copy of the current protocol state.
 func (n *Node) Snapshot() Snapshot {
-	v := n.vars
+	v, sl := n.vars, n.slot()
 	s := Snapshot{
-		State: v.state[n.idx], Need: int(v.need[n.idx]), MyC: v.myC[n.idx],
-		Succ: int(v.succ[n.idx]), RSet: n.RSet(), Prio: int(v.prio[n.idx]),
+		State: sl.state, Need: int(sl.need), MyC: sl.myC,
+		Succ: int(sl.succ), RSet: n.RSet(), Prio: int(sl.prio),
 	}
 	if n.isRoot {
 		s.Reset = v.reset
@@ -254,22 +266,22 @@ func (n *Node) Snapshot() Snapshot {
 // Restore overwrites the protocol state with s, clamping every variable into
 // its declared domain (transient faults corrupt values, not types).
 func (n *Node) Restore(s Snapshot) {
-	v := n.vars
-	v.state[n.idx] = State(clamp(int(s.State), 0, int(In)))
-	v.need[n.idx] = int32(clamp(s.Need, 0, v.cfg.K))
-	v.myC[n.idx] = clamp(s.MyC, 0, v.cmod-1)
-	v.succ[n.idx] = int32(clamp(s.Succ, 0, int(n.deg)-1))
+	v, sl := n.vars, n.slot()
+	sl.state = State(clamp(int(s.State), 0, int(In)))
+	sl.need = int32(clamp(s.Need, 0, v.cfg.K))
+	sl.myC = clamp(s.MyC, 0, v.cmod-1)
+	sl.succ = int32(clamp(s.Succ, 0, int(n.deg)-1))
 	n.rsetClear()
 	for _, ch := range s.RSet {
-		if int(v.rlen[n.idx]) >= v.cfg.K {
+		if int(sl.rlen) >= v.cfg.K {
 			break
 		}
 		n.rsetPush(int32(clamp(ch, 0, int(n.deg)-1)))
 	}
 	if s.Prio == NoPrio {
-		v.prio[n.idx] = NoPrio
+		sl.prio = NoPrio
 	} else {
-		v.prio[n.idx] = int32(clamp(s.Prio, 0, int(n.deg)-1))
+		sl.prio = int32(clamp(s.Prio, 0, int(n.deg)-1))
 	}
 	if n.isRoot {
 		v.reset = s.Reset
@@ -294,15 +306,15 @@ func clamp(v, lo, hi int) int {
 // grant the request immediately. Any transition other than Out→Req is
 // forbidden by the interface contract and returns an error.
 func (n *Node) Request(env Env, need int) error {
-	v := n.vars
-	if v.state[n.idx] != Out {
-		return fmt.Errorf("core: process %d: Request in state %v (only Out→Req is allowed)", n.id, v.state[n.idx])
+	sl := n.slot()
+	if sl.state != Out {
+		return fmt.Errorf("core: process %d: Request in state %v (only Out→Req is allowed)", n.id, sl.state)
 	}
-	if need < 0 || need > v.cfg.K {
-		return fmt.Errorf("core: process %d: need %d outside [0..k=%d]", n.id, need, v.cfg.K)
+	if k := n.vars.cfg.K; need < 0 || need > k {
+		return fmt.Errorf("core: process %d: need %d outside [0..k=%d]", n.id, need, k)
 	}
-	v.need[n.idx] = int32(need)
-	v.state[n.idx] = Req
+	sl.need = int32(need)
+	sl.state = Req
 	n.emit(Event{Kind: EvRequest, N1: need})
 	n.bottomHalf(env)
 	return nil
@@ -318,25 +330,25 @@ func (n *Node) Poll(env Env) { n.bottomHalf(env) }
 
 // bottomHalf implements Algorithm 1 lines 78-98 / Algorithm 2 lines 62-76.
 func (n *Node) bottomHalf(env Env) {
-	v, i := n.vars, n.idx
+	sl := n.slot()
 	// Enter the critical section when the request is covered.
-	if v.state[i] == Req && v.rlen[i] >= v.need[i] {
-		v.state[i] = In
-		n.emit(Event{Kind: EvEnterCS, N1: int(v.need[i]), N2: int(v.rlen[i])})
+	if sl.state == Req && sl.rlen >= sl.need {
+		sl.state = In
+		n.emit(Event{Kind: EvEnterCS, N1: int(sl.need), N2: int(sl.rlen)})
 		n.app.EnterCS()
 	}
 	// Release every reserved token once the critical section is done.
-	if v.state[i] == In && n.app.ReleaseCS() {
-		released := int(v.rlen[i])
+	if sl.state == In && n.app.ReleaseCS() {
+		released := int(sl.rlen)
 		n.releaseAll(env)
-		v.state[i] = Out
-		v.need[i] = 0
+		sl.state = Out
+		sl.need = 0
 		n.emit(Event{Kind: EvExitCS, N1: released})
 	}
 	// Forward the priority token unless it shields an unsatisfied request.
-	if v.prio[i] != NoPrio && (v.state[i] != Req || v.rlen[i] >= v.need[i]) {
-		n.forwardPrio(env, int(v.prio[i]))
-		v.prio[i] = NoPrio
+	if sl.prio != NoPrio && (sl.state != Req || sl.rlen >= sl.need) {
+		n.forwardPrio(env, int(sl.prio))
+		sl.prio = NoPrio
 		n.emit(Event{Kind: EvPrioRelease})
 	}
 }
@@ -393,7 +405,7 @@ func (n *Node) String() string {
 	if n.isRoot {
 		role = "root"
 	}
-	v := n.vars
+	sl := n.slot()
 	return fmt.Sprintf("%s%d{%v need=%d |RSet|=%d prio=%d myC=%d succ=%d}",
-		role, n.id, v.state[n.idx], v.need[n.idx], v.rlen[n.idx], v.prio[n.idx], v.myC[n.idx], v.succ[n.idx])
+		role, n.id, sl.state, sl.need, sl.rlen, sl.prio, sl.myC, sl.succ)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"kofl/internal/message"
 )
@@ -80,6 +81,10 @@ func TestConfigValidate(t *testing.T) {
 			Features: Features{Controller: true, Priority: true}}, false},
 		{"controller-without-priority", Config{K: 1, L: 1, N: 2,
 			Features: Features{Controller: true, Pusher: true}}, false},
+		// The frame's PT field is 16 bits and must carry ℓ+1.
+		{"l-at-frame-limit", Config{K: 1, L: MaxL, N: 2}, true},
+		{"l-over-frame-limit", Config{K: 1, L: MaxL + 1, N: 2}, false},
+		{"l-far-over-frame-limit", Config{K: 1, L: 70000, N: 2}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -88,6 +93,20 @@ func TestConfigValidate(t *testing.T) {
 				t.Errorf("Validate() = %v, want ok=%v", err, tc.ok)
 			}
 		})
+	}
+	err := Config{K: 1, L: 70000, N: 2}.Validate()
+	if err == nil || !strings.Contains(err.Error(), "65534") {
+		t.Errorf("over-limit ℓ error = %v, want it to name the limit 65534", err)
+	}
+}
+
+// TestLayoutGuard pins the per-process slot to half a cache line. If it
+// grows, a delivery's protocol state no longer sits on one line and the
+// simulator's bytes/process ceiling (sim.TestBytesPerProcessCeiling) goes
+// with it.
+func TestLayoutGuard(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got > 32 {
+		t.Fatalf("slot is %d bytes, want ≤ 32", got)
 	}
 }
 

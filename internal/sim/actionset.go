@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"kofl/internal/channel"
 	"kofl/internal/tree"
 )
 
@@ -24,8 +25,8 @@ import (
 // that makes every seeded experiment reproduce byte-identically across the
 // scan and incremental kernels.
 //
-// Internally the set is a dense swap-remove index (O(1) add/remove/len)
-// paired with ordinal and per-process bitmaps. Order-statistic selection
+// Internally the set is an ordinal bitmap — membership is the bit, the size
+// a counter — paired with a per-process bitmap. Order-statistic selection
 // (At) descends a three-level population-count hierarchy over the ordinal
 // bitmap — counts per 512, 32768 and 2097152 ordinals — so selecting the
 // i-th enabled action costs O(levels + 64) words examined instead of a
@@ -33,15 +34,18 @@ import (
 // hundred loads, not fifty thousand. Next-enabled-process queries descend a
 // matching two-level summary bitmap over procWords.
 type ActionSet struct {
-	n     int     // processes
-	e     int     // deliver ordinals (directed channels)
-	m     int     // total ordinals: e + 1 + n
-	base  []int32 // base[p]: first deliver ordinal of process p; base[n] = e
-	owner []int32 // owner[ord]: receiving process of deliver ordinal ord
+	n    int     // processes
+	e    int     // deliver ordinals (directed channels)
+	m    int     // total ordinals: e + 1 + n
+	base []int32 // base[p]: first deliver ordinal of process p; base[n] = e
 
-	dense []int32 // enabled ordinals, unordered
-	pos   []int32 // pos[ord]: index into dense, or -1
+	// chans[ord] is the channel whose delivery is deliver ordinal ord — the
+	// channel INTO (receiver, label) in lexicographic order. Its header's
+	// To/ToCh decode the ordinal, on the line a delivery touches anyway, and
+	// its Rev is the ordinal of the channel OUT of (receiver, label).
+	chans []channel.Channel
 
+	size  int      // enabled ordinals
 	words []uint64 // membership bitmap over ordinals
 	cnt1  []int16  // enabled ordinals per 8 words (512 ordinals)
 	cnt2  []int32  // enabled ordinals per 64 cnt1 groups (32768 ordinals)
@@ -53,7 +57,8 @@ type ActionSet struct {
 	procSum2  []uint64 // bitmap of nonzero procSum words
 }
 
-// newActionSet sizes an empty set for topology t.
+// newActionSet sizes an empty set for topology t and lays out its channel
+// table (endpoints only; the simulator attaches the hub).
 func newActionSet(t *tree.Tree) *ActionSet {
 	n := t.N()
 	as := &ActionSet{
@@ -68,15 +73,15 @@ func newActionSet(t *tree.Tree) *ActionSet {
 	as.base[n] = off
 	as.e = int(off)
 	as.m = as.e + 1 + n
-	as.owner = make([]int32, as.e)
+	as.chans = make([]channel.Channel, as.e)
 	for p := 0; p < n; p++ {
-		for ord := as.base[p]; ord < as.base[p+1]; ord++ {
-			as.owner[ord] = int32(p)
+		for ch := 0; ch < t.Degree(p); ch++ {
+			q := t.Neighbor(p, ch)
+			c := &as.chans[as.ordDeliver(p, ch)]
+			qch := t.ChannelTo(q, p)
+			c.From, c.FromCh, c.To, c.ToCh = int32(q), int32(qch), int32(p), int32(ch)
+			c.Rev = int32(as.ordDeliver(q, qch))
 		}
-	}
-	as.pos = make([]int32, as.m)
-	for i := range as.pos {
-		as.pos[i] = -1
 	}
 	as.words = make([]uint64, (as.m+63)/64)
 	as.cnt1 = make([]int16, (len(as.words)+7)/8)
@@ -107,15 +112,15 @@ func (as *ActionSet) procOf(ord int) int {
 		}
 		return ord - as.e - 1
 	}
-	return int(as.owner[ord])
+	return int(as.chans[ord].To)
 }
 
 // actionOf decodes an ordinal.
 func (as *ActionSet) actionOf(ord int) Action {
 	switch {
 	case ord < as.e:
-		p := as.procOf(ord)
-		return Action{Kind: ActDeliver, Proc: p, Ch: ord - int(as.base[p])}
+		c := &as.chans[ord]
+		return Action{Kind: ActDeliver, Proc: int(c.To), Ch: int(c.ToCh)}
 	case ord == as.e:
 		return Action{Kind: ActTimeout, Proc: 0}
 	default:
@@ -149,20 +154,9 @@ func (as *ActionSet) ordinal(a Action) int {
 	return -1
 }
 
-// bitSet marks ordinal ord in the bitmap and the count hierarchy.
-func (as *ActionSet) bitSet(ord int) {
-	as.words[ord>>6] |= 1 << (uint(ord) & 63)
-	as.cnt1[ord>>9]++
-	as.cnt2[ord>>15]++
-	as.cnt3[ord>>21]++
-}
-
-// bitClear unmarks ordinal ord in the bitmap and the count hierarchy.
-func (as *ActionSet) bitClear(ord int) {
-	as.words[ord>>6] &^= 1 << (uint(ord) & 63)
-	as.cnt1[ord>>9]--
-	as.cnt2[ord>>15]--
-	as.cnt3[ord>>21]--
+// has reports whether ordinal ord is enabled.
+func (as *ActionSet) has(ord int) bool {
+	return as.words[ord>>6]&(1<<(uint(ord)&63)) != 0
 }
 
 // procMark records that process p gained its first enabled action,
@@ -194,30 +188,30 @@ func (as *ActionSet) procUnmark(p int) {
 
 // add inserts ordinal ord (idempotent).
 func (as *ActionSet) add(ord int) {
-	if as.pos[ord] >= 0 {
+	if as.has(ord) {
 		return
 	}
-	as.pos[ord] = int32(len(as.dense))
-	as.dense = append(as.dense, int32(ord))
-	as.bitSet(ord)
+	as.words[ord>>6] |= 1 << (uint(ord) & 63)
+	as.size++
+	as.cnt1[ord>>9]++
+	as.cnt2[ord>>15]++
+	as.cnt3[ord>>21]++
 	p := as.procOf(ord)
 	if as.perProc[p]++; as.perProc[p] == 1 {
 		as.procMark(p)
 	}
 }
 
-// remove deletes ordinal ord (idempotent) by swap-remove on the dense index.
+// remove deletes ordinal ord (idempotent).
 func (as *ActionSet) remove(ord int) {
-	i := as.pos[ord]
-	if i < 0 {
+	if !as.has(ord) {
 		return
 	}
-	last := as.dense[len(as.dense)-1]
-	as.dense[i] = last
-	as.pos[last] = i
-	as.dense = as.dense[:len(as.dense)-1]
-	as.pos[ord] = -1
-	as.bitClear(ord)
+	as.words[ord>>6] &^= 1 << (uint(ord) & 63)
+	as.size--
+	as.cnt1[ord>>9]--
+	as.cnt2[ord>>15]--
+	as.cnt3[ord>>21]--
 	p := as.procOf(ord)
 	if as.perProc[p]--; as.perProc[p] == 0 {
 		as.procUnmark(p)
@@ -233,26 +227,28 @@ func (as *ActionSet) set(ord int, enabled bool) {
 	}
 }
 
-// clear empties the set in O(enabled).
+// clear empties the set: a bulk zeroing of the bitmaps and counters, paid
+// only by full rebuilds (ResyncActions, the FullRescan oracle), which scan
+// every channel and application anyway.
 func (as *ActionSet) clear() {
-	for _, ord := range as.dense {
-		as.pos[ord] = -1
-		as.bitClear(int(ord))
-		p := as.procOf(int(ord))
-		if as.perProc[p]--; as.perProc[p] == 0 {
-			as.procUnmark(p)
-		}
-	}
-	as.dense = as.dense[:0]
+	as.size = 0
+	clear(as.words)
+	clear(as.cnt1)
+	clear(as.cnt2)
+	clear(as.cnt3)
+	clear(as.perProc)
+	clear(as.procWords)
+	clear(as.procSum)
+	clear(as.procSum2)
 }
 
 // Len returns the number of enabled actions.
-func (as *ActionSet) Len() int { return len(as.dense) }
+func (as *ActionSet) Len() int { return as.size }
 
 // Contains reports whether a is currently enabled.
 func (as *ActionSet) Contains(a Action) bool {
 	ord := as.ordinal(a)
-	return ord >= 0 && as.pos[ord] >= 0
+	return ord >= 0 && as.has(ord)
 }
 
 // At returns the i-th enabled action in canonical (old-scan) order: all
@@ -265,8 +261,8 @@ func (as *ActionSet) Contains(a Action) bool {
 // word, so the cost is bounded by the hierarchy height, not the bitmap
 // length.
 func (as *ActionSet) At(i int) Action {
-	if i < 0 || i >= len(as.dense) {
-		panic(fmt.Sprintf("sim: scheduler picked %d of %d actions", i, len(as.dense)))
+	if i < 0 || i >= as.size {
+		panic(fmt.Sprintf("sim: scheduler picked %d of %d actions", i, as.size))
 	}
 	rank := i
 	g3 := 0
@@ -287,7 +283,7 @@ func (as *ActionSet) At(i int) Action {
 	w := g1 << 3
 	for {
 		if w >= len(as.words) {
-			panic("sim: ActionSet bitmap out of sync with dense index")
+			panic("sim: ActionSet bitmap out of sync with its size")
 		}
 		word := as.words[w]
 		c := bits.OnesCount64(word)
@@ -364,7 +360,7 @@ func (as *ActionSet) AppendAll(dst []Action) []Action {
 // has at least one enabled action (the root timeout counts as the root's),
 // or -1 when the set is empty.
 func (as *ActionSet) NextProc(from int) int {
-	if len(as.dense) == 0 {
+	if as.size == 0 {
 		return -1
 	}
 	if from >= as.n || from < 0 {
@@ -484,7 +480,7 @@ func (as *ActionSet) EachDeliver(p int, f func(ch int) bool) {
 }
 
 // HasApp reports whether process p's application action is enabled.
-func (as *ActionSet) HasApp(p int) bool { return as.pos[as.ordApp(p)] >= 0 }
+func (as *ActionSet) HasApp(p int) bool { return as.has(as.ordApp(p)) }
 
 // TimeoutEnabled reports whether the root timeout is enabled.
-func (as *ActionSet) TimeoutEnabled() bool { return as.pos[as.ordTimeout()] >= 0 }
+func (as *ActionSet) TimeoutEnabled() bool { return as.has(as.ordTimeout()) }

@@ -68,7 +68,8 @@ func TestActionSetCanonicalOrder(t *testing.T) {
 	}
 }
 
-// TestActionSetSwapRemove exercises add/remove/clear against a model map.
+// TestActionSetSwapRemove exercises add/remove/clear against a model map (the
+// name dates from the swap-remove index the bitmap replaced).
 func TestActionSetSwapRemove(t *testing.T) {
 	tr := tree.Star(6)
 	as := newActionSet(tr)
@@ -105,6 +106,19 @@ func TestActionSetSwapRemove(t *testing.T) {
 	for p := 0; p < tr.N(); p++ {
 		if as.perProc[p] != 0 {
 			t.Errorf("perProc[%d] = %d after clear", p, as.perProc[p])
+		}
+	}
+	if as.NextProc(0) != -1 {
+		t.Error("clear left a process marked in the summary bitmaps")
+	}
+	// The cleared set is as good as new: refill it and the count hierarchy
+	// must select exactly as before.
+	for _, ord := range want {
+		as.add(ord)
+	}
+	for i, ord := range want {
+		if got := as.ordinal(as.At(i)); got != ord {
+			t.Fatalf("after clear and refill: At(%d) = ordinal %d, want %d", i, got, ord)
 		}
 	}
 }
@@ -184,11 +198,29 @@ func TestActionSetTracksSimMutations(t *testing.T) {
 			c.Replace(msgs)
 		case 2:
 			s.ResyncActions()
+		case 3:
+			stormThenResync(s, rng, rng.Intn(3))
 		default:
 			s.Step()
 		}
 		checkAgainstScan(t, s)
 	}
+}
+
+// stormThenResync rewrites every channel to hold depth random messages —
+// the shape of an adversary storm — then empties the action set behind the
+// kernel's back and resyncs: the full-rebuild path, which must recover the
+// set from the bulk-zeroed bitmaps alone.
+func stormThenResync(s *Sim, rng *rand.Rand, depth int) {
+	msgs := make([]message.Message, depth)
+	for ord := range s.chans {
+		for i := range msgs {
+			msgs[i] = message.Random(rng, 11, 3)
+		}
+		s.chans[ord].Replace(msgs)
+	}
+	s.actions.clear()
+	s.ResyncActions()
 }
 
 // FuzzActionSet feeds random add/remove/resync/step sequences to the
@@ -226,6 +258,8 @@ func FuzzActionSet(f *testing.F) {
 				s.In(p, ch).Replace(msgs)
 			case 4: // full resync
 				s.ResyncActions()
+			case 5: // storm, then clear() + resync
+				stormThenResync(s, rng, arg%3)
 			default: // protocol step
 				s.Step()
 			}

@@ -2,8 +2,10 @@ package sim_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"kofl/internal/checker"
 	"kofl/internal/core"
 	"kofl/internal/obs"
 	"kofl/internal/sim"
@@ -81,4 +83,32 @@ func TestBigNSmoke(t *testing.T) {
 	if s.Census().Res() != s.Cfg.L {
 		t.Errorf("resource population = %d, want %d", s.Census().Res(), s.Cfg.L)
 	}
+}
+
+// TestBytesPerProcessCeiling pins the memory layout by the number the
+// repository's benchmark reports as bytes_per_process, measured by the same
+// recipe (buildSim in benchmark/simphase.go): the GC-fenced HeapAlloc delta
+// around sim.New, one Fixed cycle attached per process and the fused census
+// monitor. The layout lands near 420 B/process (two 64-byte channel headers,
+// a 64-byte process line, a 32-byte protocol slot, a 16-byte port, a
+// 128-byte Cycle and a few words of tables); the ceiling leaves room for the
+// allocator's rounding at small n, not for another per-process table.
+func TestBytesPerProcessCeiling(t *testing.T) {
+	const n, ceiling = 4096, 540
+	tr := tree.Prufer(n, rand.New(rand.NewSource(7)))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := saturatedSim(t, tr)
+	mon := checker.NewCensusMonitor(s)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perProc := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	if perProc > ceiling {
+		t.Errorf("%.1f B/process at n=%d, want ≤ %d", perProc, n, ceiling)
+	}
+	t.Logf("%.1f B/process at n=%d", perProc, n)
+	runtime.KeepAlive(s)
+	runtime.KeepAlive(mon)
 }

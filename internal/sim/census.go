@@ -46,11 +46,11 @@ func (s *Sim) Census() Census {
 		return s.CensusScan()
 	}
 	c := s.census
-	c.FreeRes = int(s.counts.Kinds[message.Res])
-	c.FreePush = int(s.counts.Kinds[message.Push])
-	c.FreePrio = int(s.counts.Kinds[message.Prio])
-	c.Ctrl = int(s.counts.Kinds[message.Ctrl])
-	c.ResetCtrl = int(s.counts.ResetCtrl)
+	c.FreeRes = int(s.hub.Counts.Kinds[message.Res])
+	c.FreePush = int(s.hub.Counts.Kinds[message.Push])
+	c.FreePrio = int(s.hub.Counts.Kinds[message.Prio])
+	c.Ctrl = int(s.hub.Counts.Kinds[message.Ctrl])
+	c.ResetCtrl = int(s.hub.Counts.ResetCtrl)
 	return c
 }
 
@@ -98,15 +98,16 @@ func (s *Sim) CensusScan() Census {
 // by value keeps the node-tracking brackets on the kernel hot path free of
 // closure allocation and indirect calls.
 type nodeDelta struct {
-	res  int
+	p    int32
+	res  int32
 	prio bool
 	in   bool
 	skip bool // census disabled or reentrant frame: fold nothing
 }
 
 // beginTrack opens a node-tracking bracket around a state mutation of
-// process p; the returned before-image must be handed to endTrack(p, ·)
-// after the mutation. Every kernel entry point into a core.Node (message
+// process p; the returned before-image must be handed to endTrack after the
+// mutation. Every kernel entry point into a core.Node (message
 // handling, timeout, Handle calls, RestoreNode) is bracketed this way;
 // messages the node sends while handling are accounted separately by the
 // channels' shared population counter.
@@ -116,27 +117,33 @@ type nodeDelta struct {
 // frame observes the full before/after delta. A nested bracket for a
 // DIFFERENT node (user callbacks may drive another process's Handle) opens
 // its own frame, which is sound because census deltas of distinct nodes are
-// independent and additive.
+// independent and additive. Brackets nest like the calls that open them, so
+// the open ones form a stack — almost always of depth one.
 func (s *Sim) beginTrack(p int) nodeDelta {
-	if s.scanCensus || s.tracked[p] {
+	if s.scanCensus {
 		return nodeDelta{skip: true}
 	}
-	s.tracked[p] = true
+	for _, q := range s.tracking {
+		if int(q) == p {
+			return nodeDelta{skip: true}
+		}
+	}
+	s.tracking = append(s.tracking, int32(p))
 	res, prio, in := s.vars.Probe(p)
-	return nodeDelta{res: int(res), prio: prio, in: in}
+	return nodeDelta{p: int32(p), res: res, prio: prio, in: in}
 }
 
-// endTrack closes a node-tracking bracket, folding the state delta of
-// process p since beginTrack into the maintained census.
-func (s *Sim) endTrack(p int, d nodeDelta) {
+// endTrack closes the innermost open node-tracking bracket, folding the state
+// delta of its process since beginTrack into the maintained census.
+func (s *Sim) endTrack(d nodeDelta) {
 	if d.skip {
 		return
 	}
-	s.tracked[p] = false
-	res32, prioA, inA := s.vars.Probe(p)
-	resA := int(res32)
+	s.tracking = s.tracking[:len(s.tracking)-1]
+	res32, prioA, inA := s.vars.Probe(int(d.p))
+	resA, resB := int(res32), int(d.res)
 
-	s.census.ReservedRes += resA - d.res
+	s.census.ReservedRes += resA - resB
 	if prioA != d.prio {
 		if prioA {
 			s.census.HeldPrio++
@@ -146,8 +153,8 @@ func (s *Sim) endTrack(p int, d nodeDelta) {
 	}
 	if d.in {
 		s.census.InCS--
-		s.census.UnitsInUse -= d.res
-		if d.res > s.Cfg.K {
+		s.census.UnitsInUse -= resB
+		if resB > s.Cfg.K {
 			s.census.OverK--
 		}
 	}
@@ -166,7 +173,7 @@ func (s *Sim) endTrack(p int, d nodeDelta) {
 func (s *Sim) trackNode(p int, fn func()) {
 	d := s.beginTrack(p)
 	fn()
-	s.endTrack(p, d)
+	s.endTrack(d)
 }
 
 // ResyncCensus rebuilds the maintained census — the node-side fold and the
@@ -182,12 +189,12 @@ func (s *Sim) ResyncCensus() {
 	}
 	full := s.CensusScan()
 	s.census = full
-	s.counts = channel.Counts{}
-	s.counts.Kinds[message.Res] = int64(full.FreeRes)
-	s.counts.Kinds[message.Push] = int64(full.FreePush)
-	s.counts.Kinds[message.Prio] = int64(full.FreePrio)
-	s.counts.Kinds[message.Ctrl] = int64(full.Ctrl)
-	s.counts.ResetCtrl = int64(full.ResetCtrl)
+	s.hub.Counts = channel.Counts{}
+	s.hub.Counts.Kinds[message.Res] = int64(full.FreeRes)
+	s.hub.Counts.Kinds[message.Push] = int64(full.FreePush)
+	s.hub.Counts.Kinds[message.Prio] = int64(full.FreePrio)
+	s.hub.Counts.Kinds[message.Ctrl] = int64(full.Ctrl)
+	s.hub.Counts.ResetCtrl = int64(full.ResetCtrl)
 }
 
 // RestoreNode overwrites process p's protocol state with snap (clamped into
@@ -199,11 +206,31 @@ func (s *Sim) RestoreNode(p int, snap core.Snapshot) {
 	s.trackNode(p, func() { s.Nodes[p].Restore(snap) })
 }
 
+// Health is the copy-free per-step read of the maintained census: whether
+// the token populations are legitimate (Census().LegitimateFor with the
+// root's reset flag), the units in use and the number of processes over
+// their k cap. It is what Step's instrumentation and the per-step monitors
+// consume, so a step assembles no Census value; under Options.ScanCensus it
+// reads the snapshot oracle instead.
+func (s *Sim) Health() (legit bool, unitsInUse, overK int) {
+	rootReset := s.procs[s.Tree.Root()].node.ResetFlag()
+	if s.scanCensus {
+		c := s.CensusScan()
+		return c.LegitimateFor(s.Cfg, rootReset), c.UnitsInUse, c.OverK
+	}
+	ct, c, f := &s.hub.Counts, &s.census, s.Cfg.Features
+	legit = ct.Kinds[message.Res]+int64(c.ReservedRes) == int64(s.Cfg.L) &&
+		(!f.Pusher || ct.Kinds[message.Push] == 1) &&
+		(!f.Priority || ct.Kinds[message.Prio]+int64(c.HeldPrio) == 1) &&
+		ct.ResetCtrl == 0 && !rootReset
+	return legit, c.UnitsInUse, c.OverK
+}
+
 // LegitimateFor reports whether this census matches the legitimate token
 // populations for cfg: exactly ℓ resource tokens, and — per enabled feature
 // — exactly one pusher and one priority token, with no reset traversal
-// pending (rootReset is the root's reset flag). Monitors that already hold
-// a census use this to avoid recomputing it.
+// pending (rootReset is the root's reset flag). It is the reference form of
+// the predicate; Sim.Health evaluates it on the maintained census in place.
 func (c Census) LegitimateFor(cfg core.Config, rootReset bool) bool {
 	if c.Res() != cfg.L {
 		return false
@@ -226,7 +253,8 @@ func (c Census) LegitimateFor(cfg core.Config, rootReset bool) bool {
 // TokensCorrect reports whether the current token populations are
 // legitimate (see Census.LegitimateFor).
 func (s *Sim) TokensCorrect() bool {
-	return s.Census().LegitimateFor(s.Cfg, s.Nodes[s.Tree.Root()].ResetFlag())
+	legit, _, _ := s.Health()
+	return legit
 }
 
 // SeedLegitimate places a legitimate initial token population for variants

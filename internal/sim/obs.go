@@ -1,26 +1,16 @@
 package sim
 
-import (
-	"kofl/internal/core"
-	"kofl/internal/message"
-	"kofl/internal/obs"
-)
+import "kofl/internal/obs"
 
 // obsState is the simulation's opt-in instrumentation (Options.Obs /
 // Options.Journal). The kernel counters (Steps, Delivered, Timeouts,
 // AppActions) and the maintained census are bridged through func metrics —
-// read at scrape time, zero cost per step. The only per-step work is
-// obsStep's transition detection: a handful of field loads and compares
-// against the previous step, well inside the zero-allocation stepping
-// contract and the ≤2% overhead budget.
+// read at scrape time, zero cost per step. The only per-step work is the
+// transition detection in Step: one Health read compared against the
+// previous step, well inside the zero-allocation stepping contract and the
+// ≤2% overhead budget. The cold half lives below.
 type obsState struct {
 	journal *obs.Journal
-
-	// Config, cached so obsStep never chases s.Cfg.
-	l        int64
-	pusher   bool
-	priority bool
-	root     *core.Node
 
 	// Previous-step flags for edge detection.
 	prevLegit bool
@@ -32,53 +22,18 @@ type obsState struct {
 	stabilizations int64 // illegitimate→legitimate transitions
 }
 
-// legit reports token-population legitimacy from the maintained census
-// fields — the per-step fast path of Census().LegitimateFor(...), without
-// assembling a Census value.
-func (s *Sim) obsLegit() bool {
+// obsTransition records OverK-window and legitimacy edges in the counters
+// and the journal, stamped at the simulation clock.
+func (s *Sim) obsTransition(legit bool, unitsInUse, overKCount int) {
 	o := s.obsSt
-	if s.counts.Kinds[message.Res]+int64(s.census.ReservedRes) != o.l {
-		return false
-	}
-	if o.pusher && s.counts.Kinds[message.Push] != 1 {
-		return false
-	}
-	if o.priority && s.counts.Kinds[message.Prio]+int64(s.census.HeldPrio) != 1 {
-		return false
-	}
-	return s.counts.ResetCtrl == 0 && !o.root.ResetFlag()
-}
-
-// The per-step transition detection itself is hand-inlined into Step (see
-// the obsSt block there): in steady state it is a handful of field loads
-// and compares, and even an un-inlined call showed up against the ≤2%
-// overhead budget. The cold halves live below.
-
-// obsStepScan is the ScanCensus fallback of Step's detection block: one
-// full-scan census per step, journaling identical telemetry (the
-// differential test pins it).
-func (s *Sim) obsStepScan() {
-	o := s.obsSt
-	c := s.CensusScan()
-	overK := c.OverK > 0
-	legit := c.LegitimateFor(s.Cfg, o.root.ResetFlag())
-	if overK != o.prevOverK || legit != o.prevLegit {
-		s.obsTransition(overK, legit, int64(c.OverK), int64(c.UnitsInUse), int64(c.Res()))
-	}
-}
-
-// obsTransition is the cold half of obsStep: record OverK-window and
-// legitimacy edges in the counters and the journal, stamped at the
-// simulation clock.
-func (s *Sim) obsTransition(overK, legit bool, overKCount, unitsInUse, res int64) {
-	o := s.obsSt
+	overK := overKCount > 0
 	if overK != o.prevOverK {
 		o.prevOverK = overK
 		if overK {
 			o.violations++
 			if o.journal != nil {
 				o.journal.RecordAt(s.clock, obs.KindOverKOpen, int32(s.LastAction.Proc),
-					overKCount, unitsInUse)
+					int64(overKCount), int64(unitsInUse))
 			}
 		} else if o.journal != nil {
 			o.journal.RecordAt(s.clock, obs.KindOverKClose, int32(s.LastAction.Proc), 0, 0)
@@ -86,6 +41,7 @@ func (s *Sim) obsTransition(overK, legit bool, overKCount, unitsInUse, res int64
 	}
 	if legit != o.prevLegit {
 		o.prevLegit = legit
+		res := int64(s.Census().Res())
 		if legit {
 			o.stabilizations++
 			if o.journal != nil {
@@ -100,19 +56,12 @@ func (s *Sim) obsTransition(overK, legit bool, overKCount, unitsInUse, res int64
 // initObs attaches the instrumentation state and registers the kofl_sim_*
 // series on reg (setup time only; per-step cost is obsStep alone).
 func (s *Sim) initObs(reg *obs.Registry, journal *obs.Journal) {
-	o := &obsState{
-		journal:  journal,
-		l:        int64(s.Cfg.L),
-		pusher:   s.Cfg.Features.Pusher,
-		priority: s.Cfg.Features.Priority,
-		root:     s.Nodes[s.Tree.Root()],
-	}
+	o := &obsState{journal: journal}
 	s.obsSt = o
 	// Seed edge detection from the actual initial state so step 1 does not
 	// journal a phantom transition.
-	c := s.Census()
-	o.prevOverK = c.OverK > 0
-	o.prevLegit = c.LegitimateFor(s.Cfg, o.root.ResetFlag())
+	legit, _, overK := s.Health()
+	o.prevLegit, o.prevOverK = legit, overK > 0
 
 	if reg == nil {
 		return
@@ -134,13 +83,7 @@ func (s *Sim) initObs(reg *obs.Registry, journal *obs.Journal) {
 		return int64(s.Census().OverK)
 	})
 	reg.GaugeFunc("kofl_sim_census_legitimate", "token populations legitimate (0/1)", func() int64 {
-		if s.scanCensus {
-			if s.CensusScan().LegitimateFor(s.Cfg, o.root.ResetFlag()) {
-				return 1
-			}
-			return 0
-		}
-		if s.obsLegit() {
+		if s.TokensCorrect() {
 			return 1
 		}
 		return 0

@@ -13,8 +13,8 @@
 //
 // The kernel does NOT rescan channels and applications every step. It keeps
 // a persistent ActionSet maintained incrementally: channels report emptiness
-// transitions through an OnEmptiness hook, the root-timeout bit is synced
-// from the clock in O(1), and applications register wake times (App.WakeAt)
+// transitions through their hub's hook, the root-timeout bit is synced from
+// the clock in O(1), and applications register wake times (App.WakeAt)
 // instead of being polled — so a step costs O(changes), amortized O(1) for
 // the protocol's bounded token population, instead of O(E+n).
 //
@@ -32,30 +32,35 @@
 // # Incremental census kernel
 //
 // The global token census (Census) is likewise maintained incrementally:
-// every channel maintains a shared per-kind population counter
+// every channel maintains its hub's per-kind population counter
 // (channel.Counts) inline on every content change, and every kernel entry
 // point into a node (delivery, timeout, Handle calls, RestoreNode) folds the
 // node-state delta into the persistent census — so reading the census each
 // step is O(1) instead of O(n + channels). Monitors in internal/checker
-// consume the maintained value. Options.ScanCensus selects the legacy
+// consume the maintained value through Health, the one per-step read, which
+// copies nothing. Options.ScanCensus selects the legacy
 // recompute-on-read snapshot as the differential oracle, exactly as
 // Options.FullRescan does for scheduling.
 //
 // # Memory model
 //
-// The simulator state is laid out for the big-n regime: node protocol
-// variables live in one shared struct-of-arrays store (core.Vars), all
-// directed channels live in a single dense slice indexed by deliver ordinal
-// (the CSR layout of the ActionSet's ordinal space), channel rings draw from
-// one shared channel.Arena, and the per-process Env/App adapters are value
-// slices. Steady-state stepping performs zero heap allocations; see
+// The simulator state is laid out for random access at big n, where every
+// step lands on a process nobody touched recently: a delivery reads one
+// 64-byte line for the process (node view, application, wake time), its
+// 32-byte protocol slot in core.Vars and its 16-byte port, and one 64-byte
+// header per channel end — the one it pops and the one it pushes to, with
+// the head message inline. All directed channels live in a single dense
+// slice indexed by deliver ordinal (the CSR layout of the ActionSet's
+// ordinal space), whose headers double as the ordinal decode table and
+// name their reverse direction; what the channels share lives once in a
+// channel.Hub. Steady-state stepping performs zero heap allocations; see
 // docs/ARCHITECTURE.md ("Memory model").
 //
 // # Fault-injection resync rule
 //
 // Out-of-band mutations must keep the ActionSet and the census in sync.
 // Mutating channel contents through the channel API (Push/Pop/Seed/Replace)
-// is always safe — the emptiness hooks and population counters fire.
+// is always safe — the hub's emptiness hook and population counter fire.
 // Corrupting process state through Sim.RestoreNode is likewise tracked. Any
 // other out-of-band change must be followed by a call to Sim.ResyncActions
 // (which also resyncs the census) or Sim.ResyncCensus, both of which rebuild
@@ -204,27 +209,32 @@ type wake struct {
 	proc int32
 }
 
+// proc is what a step reads about one process besides its protocol slot in
+// core.Vars — the node view, the application, the registered wake time — on
+// one 64-byte line instead of one cold line per table.
+type proc struct {
+	node   core.Node
+	app    App
+	wakeAt int64 // registered wake time (NoWake = none)
+}
+
 // Sim is one simulated system.
 type Sim struct {
 	Tree  *tree.Tree
 	Cfg   core.Config
-	Nodes []*core.Node
-	Apps  []App
+	Nodes []*core.Node // Nodes[p] points into the per-process line
 
-	// Channel storage in CSR form: chans[ord] is the channel whose delivery
-	// is deliver ordinal ord of the ActionSet — i.e. the channel INTO
-	// (receiver, label) in lexicographic order. outOrd maps a sender-side
-	// ordinal (base[p]+ch, p's outgoing channel ch) to the index of that
-	// same directed channel in chans. One dense slice for all 2(n-1)
-	// channels instead of two n-sized tables of pointers.
-	chans  []channel.Channel
-	outOrd []int32
+	// Channel storage in CSR form: chans is the ActionSet's table, indexed by
+	// deliver ordinal — chans[base[p]+ch] is the channel INTO p with label
+	// ch, and its Rev the index of the channel OUT of p with label ch. One
+	// dense slice for all 2(n-1) channels, no side tables.
+	chans []channel.Channel
 
-	nodeBuf []core.Node // backing array of Nodes
-	vars    *core.Vars  // shared struct-of-arrays protocol state
-	envs    []env       // per-process core.Env adapters (pointed into)
-	handles []handle    // per-process Handle values (pointed into, no boxing)
-	arena   *channel.Arena
+	hub *channel.Hub // what all channels share: counts, ring arena, emptiness hook
+
+	procs []proc     // one line per process
+	ports []port     // per-process core.Env + Handle (pointed into, no boxing)
+	vars  *core.Vars // the protocol slots the node views index
 
 	clock        int64
 	rng          *rand.Rand
@@ -237,17 +247,15 @@ type Sim struct {
 
 	// The incremental scheduling kernel.
 	actions *ActionSet
-	wakes   []wake  // min-heap on at; stale entries skipped via wakeAt
-	wakeAt  []int64 // wakeAt[p]: registered wake time (NoWake = none)
-	rescan  bool    // Options.FullRescan
+	wakes   []wake // min-heap on at; stale entries skipped via proc.wakeAt
+	rescan  bool   // Options.FullRescan
 
 	// The incremental census kernel (see census.go). The channel-side
-	// populations live in counts (maintained inline by every channel); the
-	// node-side fields live in census and are folded by trackNode.
-	counts     channel.Counts
+	// populations live in hub.Counts (maintained inline by every channel);
+	// the node-side fields live in census and are folded by trackNode.
 	census     Census
-	scanCensus bool   // Options.ScanCensus
-	tracked    []bool // trackNode reentrancy guard, one flag per process
+	scanCensus bool    // Options.ScanCensus
+	tracking   []int32 // processes inside a trackNode bracket, innermost last
 
 	// Counters.
 	Steps      int64
@@ -282,20 +290,13 @@ func New(t *tree.Tree, cfg core.Config, opts Options) (*Sim, error) {
 		Tree:         t,
 		Cfg:          cfg,
 		Nodes:        make([]*core.Node, n),
-		Apps:         make([]App, n),
 		rng:          rand.New(rand.NewSource(opts.Seed)),
 		sched:        opts.Scheduler,
 		timeoutTicks: opts.TimeoutTicks,
-		arena:        channel.NewArena(),
 		actions:      newActionSet(t),
-		wakeAt:       make([]int64, n),
 		wakes:        make([]wake, 0, n),
 		rescan:       opts.FullRescan,
 		scanCensus:   opts.ScanCensus,
-		tracked:      make([]bool, n),
-	}
-	for p := range s.wakeAt {
-		s.wakeAt[p] = NoWake
 	}
 	if s.sched == nil {
 		s.sched = NewRandomScheduler()
@@ -304,47 +305,33 @@ func New(t *tree.Tree, cfg core.Config, opts Options) (*Sim, error) {
 	if s.timeoutTicks <= 0 {
 		s.timeoutTicks = DefaultTimeoutTicks(t.RingLen(), cfg.L)
 	}
-	// Channels, CSR-indexed by deliver ordinal.
-	e := s.actions.e
-	s.chans = make([]channel.Channel, e)
-	s.outOrd = make([]int32, e)
-	emptiness := s.chanEmptiness // one method value shared by all channels
-	for p := 0; p < n; p++ {
-		for ch := 0; ch < t.Degree(p); ch++ {
-			q := t.Neighbor(p, ch)
-			toCh := t.ChannelTo(q, p)
-			ord := s.actions.ordDeliver(q, toCh)
-			c := &s.chans[ord]
-			c.From, c.FromCh, c.To, c.ToCh = p, ch, q, toCh
-			s.outOrd[s.actions.ordDeliver(p, ch)] = int32(ord)
-			c.SetArena(s.arena)
-			if !s.rescan {
-				c.OnEmptinessTagged(emptiness, int32(ord))
-			}
-			if !s.scanCensus {
-				c.SetCounts(&s.counts)
-			}
-		}
+	// Channels: the action set's table, joined to one hub. The scan kernel
+	// rebuilds the set every step and takes no emptiness reports.
+	var onEmptiness func(ord int32, nonempty bool)
+	if !s.rescan {
+		onEmptiness = s.chanEmptiness
 	}
-	// Nodes over one shared struct-of-arrays store.
+	s.hub = channel.NewHub(onEmptiness)
+	s.chans = s.actions.chans
+	for ord := range s.chans {
+		s.chans[ord].Attach(s.hub, int32(ord))
+	}
+	// Nodes: views over one shared slot store.
 	vars, err := core.NewVars(cfg, n)
 	if err != nil {
 		return nil, err
 	}
 	s.vars = vars
-	s.nodeBuf = make([]core.Node, n)
-	s.envs = make([]env, n)
-	s.handles = make([]handle, n)
+	s.procs = make([]proc, n)
+	s.ports = make([]port, n)
 	for p := 0; p < n; p++ {
-		s.Apps[p] = nopApp{}
-		s.envs[p] = env{s: s, p: p, ob: s.actions.base[p]}
-		s.handles[p] = handle{s, p}
 		node, err := vars.Bind(p, p, t.Degree(p), t.IsRoot(p), nopApp{})
 		if err != nil {
 			return nil, err
 		}
-		s.nodeBuf[p] = node
-		s.Nodes[p] = &s.nodeBuf[p]
+		s.procs[p] = proc{node: node, app: nopApp{}, wakeAt: NoWake}
+		s.ports[p] = port{s: s, p: int32(p), ob: s.actions.base[p]}
+		s.Nodes[p] = &s.procs[p].node
 		s.pollApp(p)
 	}
 	if opts.Observer != nil {
@@ -380,12 +367,12 @@ func (nopApp) WakeAt(int64) int64 { return NoWake }
 
 // AttachApp installs the application driving process p. The node's EnterCS/
 // ReleaseCS callbacks are rebound directly to the application — no shim layer
-// on that hot path — so apps MUST be attached through here, never by writing
-// Apps[p].
+// on that hot path.
 func (s *Sim) AttachApp(p int, app App) {
-	s.Apps[p] = app
-	s.nodeBuf[p].SetApp(app)
-	s.wakeAt[p] = NoWake
+	pr := &s.procs[p]
+	pr.app = app
+	pr.node.SetApp(app)
+	pr.wakeAt = NoWake
 	s.pollApp(p)
 }
 
@@ -395,9 +382,7 @@ func (s *Sim) AttachApp(p int, app App) {
 func (s *Sim) AddObserver(o core.Observer) {
 	s.observers = append(s.observers, o)
 	if len(s.observers) == 1 {
-		for _, n := range s.Nodes {
-			n.SetObserver(s.fanout)
-		}
+		s.vars.SetObserver(s.fanout)
 	}
 }
 
@@ -407,52 +392,50 @@ func (s *Sim) fanout(e core.Event) {
 	}
 }
 
-// env implements core.Env for one process. ob caches the process's first
-// sender-side ordinal so Send is two array indexes off the cached value.
-type env struct {
+// port is process p's side of the kernel: the core.Env its node sends
+// through and the Handle its application acts through, one value serving
+// both. ob caches the process's first deliver ordinal: the outgoing channel
+// with label ch is the reverse of the incoming one at ob+ch.
+type port struct {
 	s  *Sim
-	p  int
-	ob int32 // base[p]: first sender-side ordinal of p
+	p  int32
+	ob int32 // base[p]: first deliver ordinal of p
 }
 
-func (e *env) Send(ch int, m message.Message) {
+func (e *port) Send(ch int, m message.Message) {
 	s := e.s
-	s.chans[s.outOrd[int(e.ob)+ch]].Push(m)
+	s.chans[s.chans[int(e.ob)+ch].Rev].Push(m)
 }
 
-func (e *env) RestartTimer() {
-	if e.s.Tree.IsRoot(e.p) {
+func (e *port) RestartTimer() {
+	if e.s.Tree.IsRoot(int(e.p)) {
 		e.s.lastRestart = e.s.clock
 	}
 }
 
-// handle implements Handle for one process (applications act through it).
-type handle struct {
-	s *Sim
-	p int
-}
-
-func (h handle) ID() int    { return h.p }
-func (h handle) Now() int64 { return h.s.clock }
-func (h handle) Request(need int) error {
-	d := h.s.beginTrack(h.p)
-	err := h.s.Nodes[h.p].Request(&h.s.envs[h.p], need)
-	h.s.endTrack(h.p, d)
-	h.s.pollApp(h.p)
+func (e *port) ID() int    { return int(e.p) }
+func (e *port) Now() int64 { return e.s.clock }
+func (e *port) Request(need int) error {
+	s, p := e.s, int(e.p)
+	d := s.beginTrack(p)
+	err := s.procs[p].node.Request(e, need)
+	s.endTrack(d)
+	s.pollApp(p)
 	return err
 }
-func (h handle) Poll() {
-	d := h.s.beginTrack(h.p)
-	h.s.Nodes[h.p].Poll(&h.s.envs[h.p])
-	h.s.endTrack(h.p, d)
-	h.s.pollApp(h.p)
+func (e *port) Poll() {
+	s, p := e.s, int(e.p)
+	d := s.beginTrack(p)
+	s.procs[p].node.Poll(e)
+	s.endTrack(d)
+	s.pollApp(p)
 }
 
 // Handle returns the application lever of process p. The paper's execution
 // model admits transitions in which "an external application modifies an
 // input variable", so driving requests through a Handle from outside the
 // scheduler is a legal execution.
-func (s *Sim) Handle(p int) Handle { return &s.handles[p] }
+func (s *Sim) Handle(p int) Handle { return &s.ports[p] }
 
 // Now returns the simulation clock (number of executed steps, plus timeout
 // fast-forwards).
@@ -468,15 +451,15 @@ func (s *Sim) In(p, ch int) *channel.Channel {
 
 // Out returns the outgoing channel of p with label ch.
 func (s *Sim) Out(p, ch int) *channel.Channel {
-	return &s.chans[s.outOrd[s.actions.ordDeliver(p, ch)]]
+	return &s.chans[s.In(p, ch).Rev]
 }
 
 // Channels calls f on every directed channel, in sender-lexicographic
 // (From, FromCh) order — the historical iteration order fault injectors'
 // target resolution depends on.
 func (s *Sim) Channels(f func(*channel.Channel)) {
-	for _, ord := range s.outOrd {
-		f(&s.chans[ord])
+	for ord := range s.chans {
+		f(&s.chans[s.chans[ord].Rev])
 	}
 }
 
@@ -495,8 +478,8 @@ func (s *Sim) scanEnabled(dst []Action) []Action {
 	if s.timerExpired() {
 		dst = append(dst, Action{Kind: ActTimeout, Proc: s.Tree.Root()})
 	}
-	for p, a := range s.Apps {
-		if a.Enabled(s.clock) {
+	for p := range s.procs {
+		if s.procs[p].app.Enabled(s.clock) {
 			dst = append(dst, Action{Kind: ActApp, Proc: p})
 		}
 	}
@@ -516,16 +499,16 @@ func (s *Sim) pollApp(p int) {
 	if s.rescan {
 		return
 	}
-	app := s.Apps[p]
+	pr := &s.procs[p]
 	ord := s.actions.ordApp(p)
-	if app.Enabled(s.clock) {
+	if pr.app.Enabled(s.clock) {
 		s.actions.add(ord)
 		return
 	}
 	s.actions.remove(ord)
-	t := app.WakeAt(s.clock)
+	t := pr.app.WakeAt(s.clock)
 	if t == NoWake {
-		s.wakeAt[p] = NoWake // stale heap entries are skipped on pop
+		pr.wakeAt = NoWake // stale heap entries are skipped on pop
 		return
 	}
 	if t <= s.clock {
@@ -533,8 +516,8 @@ func (s *Sim) pollApp(p int) {
 		// stay safe by re-checking on the next step.
 		t = s.clock + 1
 	}
-	if s.wakeAt[p] != t {
-		s.wakeAt[p] = t
+	if pr.wakeAt != t {
+		pr.wakeAt = t
 		wakePush(&s.wakes, wake{at: t, proc: int32(p)})
 	}
 }
@@ -551,8 +534,8 @@ func (s *Sim) syncActions() {
 	for len(s.wakes) > 0 && s.wakes[0].at <= s.clock {
 		w := wakePop(&s.wakes)
 		p := int(w.proc)
-		if s.wakeAt[p] == w.at {
-			s.wakeAt[p] = NoWake
+		if s.procs[p].wakeAt == w.at {
+			s.procs[p].wakeAt = NoWake
 			s.pollApp(p)
 		}
 	}
@@ -576,8 +559,8 @@ func (s *Sim) rebuildFromScan() {
 	if s.timerExpired() {
 		s.actions.add(s.actions.ordTimeout())
 	}
-	for p, a := range s.Apps {
-		if a.Enabled(s.clock) {
+	for p := range s.procs {
+		if s.procs[p].app.Enabled(s.clock) {
 			s.actions.add(s.actions.ordApp(p))
 		}
 	}
@@ -597,7 +580,7 @@ func (s *Sim) ResyncActions() {
 	s.actions.clear()
 	s.scanDelivers()
 	s.actions.set(s.actions.ordTimeout(), s.timerExpired())
-	for p := range s.Apps {
+	for p := range s.procs {
 		s.pollApp(p)
 	}
 }
@@ -645,46 +628,37 @@ func (s *Sim) Step() bool {
 	s.Steps++
 	s.LastAction = a
 	s.LastMsg = message.Message{}
+	pr, pt := &s.procs[a.Proc], &s.ports[a.Proc]
 	switch a.Kind {
 	case ActDeliver:
 		d := s.beginTrack(a.Proc)
-		m := s.chans[s.actions.ordDeliver(a.Proc, a.Ch)].Pop()
+		m := s.chans[int(pt.ob)+a.Ch].Pop()
 		if m.Kind.Valid() {
 			s.Delivered[m.Kind&7]++
 		}
 		s.LastMsg = m
-		s.Nodes[a.Proc].HandleMessage(a.Ch, m, &s.envs[a.Proc])
-		s.endTrack(a.Proc, d)
+		pr.node.HandleMessage(a.Ch, m, pt)
+		s.endTrack(d)
 	case ActTimeout:
 		s.Timeouts++
 		d := s.beginTrack(a.Proc)
-		s.Nodes[a.Proc].HandleTimeout(&s.envs[a.Proc])
-		s.endTrack(a.Proc, d)
+		pr.node.HandleTimeout(pt)
+		s.endTrack(d)
 	case ActApp:
 		s.AppActions++
-		s.Apps[a.Proc].Act(&s.handles[a.Proc])
+		pr.app.Act(pt)
 	}
 	// The executed action is the only place application enablement can have
 	// changed without a channel hook or Handle call firing (EnterCS during a
 	// delivery, the app's own Act): re-evaluate just that process.
 	s.pollApp(a.Proc)
 	if o := s.obsSt; o != nil {
-		// Hand-inlined obsStep fast path: in steady state neither predicate
-		// changes, so instrumentation costs these loads and compares only
-		// (the 2% overhead budget, docs/ARCHITECTURE.md "Observability").
-		if s.scanCensus {
-			s.obsStepScan()
-		} else {
-			overK := s.census.OverK > 0
-			legit := s.counts.Kinds[message.Res]+int64(s.census.ReservedRes) == o.l &&
-				(!o.pusher || s.counts.Kinds[message.Push] == 1) &&
-				(!o.priority || s.counts.Kinds[message.Prio]+int64(s.census.HeldPrio) == 1) &&
-				s.counts.ResetCtrl == 0 && !o.root.ResetFlag()
-			if overK != o.prevOverK || legit != o.prevLegit {
-				s.obsTransition(overK, legit,
-					int64(s.census.OverK), int64(s.census.UnitsInUse),
-					s.counts.Kinds[message.Res]+int64(s.census.ReservedRes))
-			}
+		// In steady state neither predicate changes, so instrumentation costs
+		// one Health read and two compares (the 2% overhead budget,
+		// docs/ARCHITECTURE.md "Observability").
+		legit, units, overK := s.Health()
+		if legit != o.prevLegit || (overK > 0) != o.prevOverK {
+			s.obsTransition(legit, units, overK)
 		}
 	}
 	for _, f := range s.stepHooks {

@@ -23,6 +23,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := sim.New(tree.Chain(4), fullCfg(1, 1), sim.Options{}); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
+	// ℓ+1 must fit the controller frame's 16-bit count.
+	if _, err := sim.New(tree.Chain(4), fullCfg(1, core.MaxL+1), sim.Options{}); err == nil {
+		t.Errorf("ℓ=%d accepted although the frame cannot carry ℓ+1", core.MaxL+1)
+	}
 }
 
 func TestMustNewPanics(t *testing.T) {

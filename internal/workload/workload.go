@@ -35,11 +35,12 @@ const retryBackoff = 64
 // grants). Durations are measured on the simulation clock; randomness (if
 // any) comes from the generator's own seeded RNG so runs stay reproducible.
 type Cycle struct {
-	// NeedFn yields the size of the i-th request (1-based).
-	NeedFn func(i int) int
-	// HoldFn yields the critical-section duration in simulation steps.
-	HoldFn func(i int) int64
-	// ThinkFn yields the pause before the next request.
+	// NeedFn yields the size of the i-th request (1-based), HoldFn the
+	// critical-section duration in simulation steps, ThinkFn the pause before
+	// the next request. A nil function selects the fixed parameter Fixed set
+	// (zero for a Cycle built any other way).
+	NeedFn  func(i int) int
+	HoldFn  func(i int) int64
 	ThinkFn func(i int) int64
 	// MaxRequests stops the loop after that many issued requests
 	// (0 = unbounded; negative = never issue requests at all, making the
@@ -48,28 +49,26 @@ type Cycle struct {
 	// where processes START in the Req state).
 	MaxRequests int
 
-	// Fixed-cycle parameters: Fixed builds closures that read these fields
-	// through the receiver, so ResetFixed can re-parameterize a Cycle in
-	// place (fixed marks cycles built that way).
-	fixed      bool
+	// The fixed parameters, read directly where the function is nil: a Fixed
+	// cycle is this one struct, no closures.
 	fixedNeed  int
 	fixedHold  int64
 	fixedThink int64
 
-	clock     func() int64
-	phase     Phase
+	sim       *sim.Sim // the clock (nil until Attach)
 	requests  int
-	enteredAt int64
 	holdUntil int64
 	readyAt   int64
-	inCS      bool
-	csOver    bool
 
 	// Stats.
 	Grants    int   // completed critical sections
 	Issued    int   // requests issued
 	Enters    int   // critical sections entered
 	LastEnter int64 // clock of the most recent entry
+
+	phase  Phase
+	inCS   bool
+	csOver bool
 }
 
 // NewCycle returns a Cycle with the given closures; a nil HoldFn means
@@ -85,35 +84,46 @@ func NewCycle(needFn func(int) int, holdFn, thinkFn func(int) int64, maxRequests
 }
 
 // Fixed returns a Cycle that always requests need units, holds for hold
-// steps and thinks for think steps between requests. The parameters live in
-// fields the closures read through the receiver, so ResetFixed can recycle
-// the Cycle — struct and closures — for a different configuration.
+// steps and thinks for think steps between requests: the three functions
+// stay nil and the parameters are read from the struct, so the whole
+// application is one allocation and ResetFixed can recycle it for a
+// different configuration.
 func Fixed(need int, hold, think int64, maxRequests int) *Cycle {
-	c := &Cycle{fixed: true}
-	c.NeedFn = func(int) int { return c.fixedNeed }
-	c.HoldFn = func(int) int64 { return c.fixedHold }
-	c.ThinkFn = func(int) int64 { return c.fixedThink }
+	c := &Cycle{}
 	c.ResetFixed(need, hold, think, maxRequests)
 	return c
 }
 
 // ResetFixed returns a Fixed cycle to its just-constructed state under new
-// parameters, reusing the struct and closure allocations — the campaign
-// engine's workers recycle one Cycle per process across slots. It panics on
-// cycles not built by Fixed, whose closures would silently ignore the new
-// parameters.
+// parameters, reusing the allocation — the campaign engine's workers recycle
+// one Cycle per process across slots. It panics on cycles not built by Fixed,
+// whose closures would silently ignore the new parameters.
 func (c *Cycle) ResetFixed(need int, hold, think int64, maxRequests int) {
-	if !c.fixed {
+	if c.NeedFn != nil || c.HoldFn != nil || c.ThinkFn != nil {
 		panic("workload: ResetFixed on a cycle not built by Fixed")
 	}
-	c.fixedNeed, c.fixedHold, c.fixedThink = need, hold, think
-	c.MaxRequests = maxRequests
-	c.clock = nil
-	c.phase = Idle
-	c.requests = 0
-	c.enteredAt, c.holdUntil, c.readyAt = 0, 0, 0
-	c.inCS, c.csOver = false, false
-	c.Grants, c.Issued, c.Enters, c.LastEnter = 0, 0, 0, 0
+	*c = Cycle{fixedNeed: need, fixedHold: hold, fixedThink: think, MaxRequests: maxRequests}
+}
+
+func (c *Cycle) need(i int) int {
+	if c.NeedFn != nil {
+		return c.NeedFn(i)
+	}
+	return c.fixedNeed
+}
+
+func (c *Cycle) hold(i int) int64 {
+	if c.HoldFn != nil {
+		return c.HoldFn(i)
+	}
+	return c.fixedHold
+}
+
+func (c *Cycle) think(i int) int64 {
+	if c.ThinkFn != nil {
+		return c.ThinkFn(i)
+	}
+	return c.fixedThink
 }
 
 // Uniform returns a Cycle requesting uniformly in [1..maxNeed] units with
@@ -153,11 +163,10 @@ func (c *Cycle) EnterCS() {
 	c.csOver = false
 	c.phase = Critical
 	c.Enters++
-	if c.clock != nil {
-		c.enteredAt = c.clock()
-		c.LastEnter = c.enteredAt
+	if c.sim != nil {
+		c.LastEnter = c.sim.Now()
 	}
-	c.holdUntil = c.enteredAt + c.HoldFn(c.requests)
+	c.holdUntil = c.LastEnter + c.hold(c.requests)
 }
 
 // ReleaseCS implements core.App.
@@ -205,7 +214,7 @@ func (c *Cycle) Act(h Handle) {
 		c.requests++
 		c.Issued++
 		c.phase = Waiting
-		if err := h.Request(c.NeedFn(c.requests)); err != nil {
+		if err := h.Request(c.need(c.requests)); err != nil {
 			// Only possible while a transient fault has the process outside
 			// Out; back off and let the protocol converge.
 			c.phase = Idle
@@ -218,7 +227,7 @@ func (c *Cycle) Act(h Handle) {
 		c.inCS = false
 		c.Grants++
 		c.phase = Idle
-		c.readyAt = h.Now() + c.ThinkFn(c.requests)
+		c.readyAt = h.Now() + c.think(c.requests)
 		h.Poll()
 	}
 }
@@ -229,7 +238,7 @@ type Handle = sim.Handle
 // Attach binds c to process p of s (giving it the simulation clock) and
 // installs it as p's application.
 func Attach(s *sim.Sim, p int, c *Cycle) *Cycle {
-	c.clock = s.Now
+	c.sim = s
 	s.AttachApp(p, c)
 	return c
 }

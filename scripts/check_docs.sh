@@ -39,6 +39,14 @@ grep -q 'BENCHMARK.json' README.md || err "README.md no longer documents BENCHMA
 grep -q 'Memory model' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the memory-model section"
 grep -q 'func BenchmarkBigNScale' bench_test.go || err "BenchmarkBigNScale gone but documented"
 grep -q 'func TestZeroAllocSteadyState' internal/sim/bign_test.go || err "TestZeroAllocSteadyState gone but documented"
+# The layout it documents is pinned by name: the bytes/process ceiling, the
+# two layout guards, and the hub the channels share.
+grep -q 'func TestBytesPerProcessCeiling' internal/sim/bign_test.go || err "TestBytesPerProcessCeiling gone but documented"
+grep -q 'func TestLayoutGuard' internal/channel/channel_test.go || err "channel TestLayoutGuard gone but documented"
+grep -q 'func TestLayoutGuard' internal/core/node_test.go || err "core TestLayoutGuard gone but documented"
+grep -q 'type Hub struct' internal/channel/channel.go || err "channel.Hub gone but documented"
+grep -q 'channel.Hub' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the channel hub"
+grep -q 'bigNBytesCeiling = 540' bench_test.go || err "BenchmarkBigNScale lost the bytes/process ceiling README.md cites"
 grep -q 'cpuprofile' cmd/koflbench/main.go || err "koflbench -cpuprofile gone but documented"
 
 # The worker model is documented in both the campaign README and the

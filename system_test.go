@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"kofl"
+	"kofl/internal/serve"
 )
 
 func TestNewValidatesOptions(t *testing.T) {
@@ -17,6 +18,12 @@ func TestNewValidatesOptions(t *testing.T) {
 	}
 	if _, err := kofl.New(kofl.Chain(4), kofl.Options{K: 1, L: 1}); err != nil {
 		t.Errorf("valid options rejected: %v", err)
+	}
+	// ℓ+1 must fit the controller frame's 16-bit count — on the live path
+	// (serve.New → runtime.New) as well, and the error names the limit.
+	_, err := serve.New(kofl.Chain(4), serve.Options{K: 1, L: 70001})
+	if err == nil || !strings.Contains(err.Error(), "65534") {
+		t.Errorf("serve.New with ℓ=70001: err = %v, want one naming the limit 65534", err)
 	}
 }
 
