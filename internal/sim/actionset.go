@@ -9,9 +9,9 @@ import (
 )
 
 // ActionSet is the persistent set of currently enabled actions, maintained
-// incrementally by the kernel: channels report emptiness transitions, the
-// timeout bit is synced from the clock, and applications register wake times
-// instead of being polled — so a step costs O(changes), not O(E+n).
+// incrementally by the kernel: channels report emptiness transitions, and the
+// kernel adds or removes the timeout and application ordinals when — and only
+// when — their enablement changes, so a step costs O(changes), not O(E+n).
 //
 // Every possible action of a topology has a fixed ordinal:
 //
@@ -25,14 +25,21 @@ import (
 // that makes every seeded experiment reproduce byte-identically across the
 // scan and incremental kernels.
 //
-// Internally the set is an ordinal bitmap — membership is the bit, the size
-// a counter — paired with a per-process bitmap. Order-statistic selection
-// (At) descends a three-level population-count hierarchy over the ordinal
-// bitmap — counts per 512, 32768 and 2097152 ordinals — so selecting the
-// i-th enabled action costs O(levels + 64) words examined instead of a
-// linear popcount scan over the whole bitmap: at n = 2²⁰ that is a few
-// hundred loads, not fifty thousand. Next-enabled-process queries descend a
-// matching two-level summary bitmap over procWords.
+// The set has two forms, selected by its size. The protocol's legitimate
+// configuration holds ℓ resource tokens, one pusher, one priority token and
+// one controller, so once a run has converged the set holds a handful of
+// ordinals whatever n is. While size ≤ smallCap the set IS the sorted array
+// small[:size]: At(i) decodes small[i], add and remove are one pass over
+// one or two cache lines, and no bitmap is read or written (they are all
+// zero). The insertion that would exceed smallCap spills the array into the
+// dense form — an ordinal bitmap under a two-level population-count
+// hierarchy (counts per 512 and 32768 ordinals), paired with a per-process
+// bitmap under a one-level summary — which bounds At and NextProc by the
+// hierarchy height when the set is large: the first ~n steps after New while
+// every application drains its first request, arbitrary-start garbage, fault
+// storms on big trees. A removal that brings a dense
+// set down to smallCap/2 extracts it back into the array; the gap between
+// the two thresholds keeps a set hovering at the cap from thrashing.
 type ActionSet struct {
 	n    int     // processes
 	e    int     // deliver ordinals (directed channels)
@@ -45,17 +52,22 @@ type ActionSet struct {
 	// its Rev is the ordinal of the channel OUT of (receiver, label).
 	chans []channel.Channel
 
-	size  int      // enabled ordinals
-	words []uint64 // membership bitmap over ordinals
-	cnt1  []int16  // enabled ordinals per 8 words (512 ordinals)
-	cnt2  []int32  // enabled ordinals per 64 cnt1 groups (32768 ordinals)
-	cnt3  []int32  // enabled ordinals per 64 cnt2 groups (2097152 ordinals)
+	size   int             // enabled ordinals, in either form
+	dense  bool            // the bitmaps hold the set, small is unused
+	small  [smallCap]int32 // !dense: the enabled ordinals, ascending, in small[:size]
+	spills int64           // small → dense transitions so far
 
+	// The dense form; all zero while !dense.
+	words     []uint64 // membership bitmap over ordinals
+	cnt1      []int16  // enabled ordinals per 8 words (512 ordinals)
+	cnt2      []int32  // enabled ordinals per 64 cnt1 groups (32768 ordinals)
 	perProc   []int32  // enabled actions per process (timeout counts for the root)
 	procWords []uint64 // bitmap of processes with perProc > 0
 	procSum   []uint64 // bitmap of nonzero procWords words
-	procSum2  []uint64 // bitmap of nonzero procSum words
 }
+
+// smallCap is the largest set kept as a sorted array; see ActionSet.
+const smallCap = 32
 
 // newActionSet sizes an empty set for topology t and lays out its channel
 // table (endpoints only; the simulator attaches the hub).
@@ -86,11 +98,9 @@ func newActionSet(t *tree.Tree) *ActionSet {
 	as.words = make([]uint64, (as.m+63)/64)
 	as.cnt1 = make([]int16, (len(as.words)+7)/8)
 	as.cnt2 = make([]int32, (len(as.cnt1)+63)/64)
-	as.cnt3 = make([]int32, (len(as.cnt2)+63)/64)
 	as.perProc = make([]int32, n)
 	as.procWords = make([]uint64, (n+63)/64)
 	as.procSum = make([]uint64, (len(as.procWords)+63)/64)
-	as.procSum2 = make([]uint64, (len(as.procSum)+63)/64)
 	return as
 }
 
@@ -156,19 +166,109 @@ func (as *ActionSet) ordinal(a Action) int {
 
 // has reports whether ordinal ord is enabled.
 func (as *ActionSet) has(ord int) bool {
+	if as.dense {
+		return as.denseHas(ord)
+	}
+	for _, v := range as.small[:as.size] {
+		if int(v) == ord {
+			return true
+		}
+	}
+	return false
+}
+
+// add inserts ordinal ord (idempotent). The small form does it in one pass
+// with no data-dependent branch — at these sizes one mispredicted loop exit
+// costs more than the whole pass: every member above ord moves up one place,
+// every other is rewritten where it is, and ord lands in the gap. The
+// comparisons are sign bits of differences, which cannot overflow because
+// ordinals are non-negative int32s.
+func (as *ActionSet) add(ord int) {
+	if as.dense {
+		as.denseAdd(ord)
+		return
+	}
+	n := as.size
+	if n == smallCap {
+		if !as.has(ord) {
+			as.spill()
+			as.denseAdd(ord)
+		}
+		return
+	}
+	s, o := as.small[:n+1], int32(ord)
+	above, absent := 0, 1
+	for j := n; j > 0; j-- {
+		v := s[j-1]
+		up := int(uint32(o-v) >> 31) // 1 iff v > ord
+		s[j-1+up] = v
+		above += up
+		absent &= ne32(v, o)
+	}
+	if absent == 0 { // already a member: close the gap again
+		copy(s[n-above:n], s[n-above+1:])
+		return
+	}
+	s[n-above] = o
+	as.size = n + 1
+}
+
+// ne32 returns 1 if a != b and 0 otherwise, without a branch (for
+// non-negative a and b).
+func ne32(a, b int32) int { return int((uint32(a-b) | uint32(b-a)) >> 31) }
+
+// remove deletes ordinal ord (idempotent). The small form compacts the array
+// over ord in one pass, again without a data-dependent branch.
+func (as *ActionSet) remove(ord int) {
+	if as.dense {
+		as.denseRemove(ord)
+		if as.size == smallCap/2 {
+			as.unspill()
+		}
+		return
+	}
+	s, o := as.small[:as.size], int32(ord)
+	k := 0
+	for _, v := range s {
+		s[k] = v
+		k += ne32(v, o)
+	}
+	as.size = k
+}
+
+// spill moves a full small array into the bitmaps.
+func (as *ActionSet) spill() {
+	as.size = 0
+	for _, ord := range as.small {
+		as.denseAdd(int(ord))
+	}
+	as.dense = true
+	as.spills++
+}
+
+// unspill extracts a dense set back into the small array, lowest ordinal
+// first, clearing each bit it takes: the bitmaps are left all zero.
+func (as *ActionSet) unspill() {
+	n := as.size
+	for i := 0; i < n; i++ {
+		ord := as.denseSelect(0)
+		as.denseRemove(ord)
+		as.small[i] = int32(ord)
+	}
+	as.size = n
+	as.dense = false
+}
+
+func (as *ActionSet) denseHas(ord int) bool {
 	return as.words[ord>>6]&(1<<(uint(ord)&63)) != 0
 }
 
 // procMark records that process p gained its first enabled action,
-// propagating the 0→nonzero word transitions up the summary bitmaps.
+// propagating a 0→nonzero word transition up to the summary bitmap.
 func (as *ActionSet) procMark(p int) {
 	w := p >> 6
 	if as.procWords[w] == 0 {
-		sw := w >> 6
-		if as.procSum[sw] == 0 {
-			as.procSum2[sw>>6] |= 1 << (uint(sw) & 63)
-		}
-		as.procSum[sw] |= 1 << (uint(w) & 63)
+		as.procSum[w>>6] |= 1 << (uint(w) & 63)
 	}
 	as.procWords[w] |= 1 << (uint(p) & 63)
 }
@@ -178,40 +278,32 @@ func (as *ActionSet) procUnmark(p int) {
 	w := p >> 6
 	as.procWords[w] &^= 1 << (uint(p) & 63)
 	if as.procWords[w] == 0 {
-		sw := w >> 6
-		as.procSum[sw] &^= 1 << (uint(w) & 63)
-		if as.procSum[sw] == 0 {
-			as.procSum2[sw>>6] &^= 1 << (uint(sw) & 63)
-		}
+		as.procSum[w>>6] &^= 1 << (uint(w) & 63)
 	}
 }
 
-// add inserts ordinal ord (idempotent).
-func (as *ActionSet) add(ord int) {
-	if as.has(ord) {
+func (as *ActionSet) denseAdd(ord int) {
+	if as.denseHas(ord) {
 		return
 	}
 	as.words[ord>>6] |= 1 << (uint(ord) & 63)
 	as.size++
 	as.cnt1[ord>>9]++
 	as.cnt2[ord>>15]++
-	as.cnt3[ord>>21]++
 	p := as.procOf(ord)
 	if as.perProc[p]++; as.perProc[p] == 1 {
 		as.procMark(p)
 	}
 }
 
-// remove deletes ordinal ord (idempotent).
-func (as *ActionSet) remove(ord int) {
-	if !as.has(ord) {
+func (as *ActionSet) denseRemove(ord int) {
+	if !as.denseHas(ord) {
 		return
 	}
 	as.words[ord>>6] &^= 1 << (uint(ord) & 63)
 	as.size--
 	as.cnt1[ord>>9]--
 	as.cnt2[ord>>15]--
-	as.cnt3[ord>>21]--
 	p := as.procOf(ord)
 	if as.perProc[p]--; as.perProc[p] == 0 {
 		as.procUnmark(p)
@@ -227,19 +319,21 @@ func (as *ActionSet) set(ord int, enabled bool) {
 	}
 }
 
-// clear empties the set: a bulk zeroing of the bitmaps and counters, paid
-// only by full rebuilds (ResyncActions, the FullRescan oracle), which scan
-// every channel and application anyway.
+// clear empties the set. A dense set pays a bulk zeroing of the bitmaps and
+// counters — only full rebuilds (ResyncActions, the FullRescan oracle) clear,
+// and they scan every channel and application anyway.
 func (as *ActionSet) clear() {
 	as.size = 0
+	if !as.dense {
+		return
+	}
+	as.dense = false
 	clear(as.words)
 	clear(as.cnt1)
 	clear(as.cnt2)
-	clear(as.cnt3)
 	clear(as.perProc)
 	clear(as.procWords)
 	clear(as.procSum)
-	clear(as.procSum2)
 }
 
 // Len returns the number of enabled actions.
@@ -255,22 +349,23 @@ func (as *ActionSet) Contains(a Action) bool {
 // deliveries lexicographic by (process, channel), then the timeout, then
 // application actions by process. It panics when i is out of range — exactly
 // as the historical kernel panicked on an out-of-range scheduler pick.
-//
-// Selection descends the count hierarchy — hypergroup, supergroup, group —
-// then popcount-scans at most 8 words and bit-selects within the final
-// word, so the cost is bounded by the hierarchy height, not the bitmap
-// length.
 func (as *ActionSet) At(i int) Action {
 	if i < 0 || i >= as.size {
 		panic(fmt.Sprintf("sim: scheduler picked %d of %d actions", i, as.size))
 	}
-	rank := i
-	g3 := 0
-	for int(as.cnt3[g3]) <= rank {
-		rank -= int(as.cnt3[g3])
-		g3++
+	if as.dense {
+		return as.actionOf(as.denseSelect(i))
 	}
-	g2 := g3 << 6
+	return as.actionOf(int(as.small[i]))
+}
+
+// denseSelect returns the rank-th enabled ordinal (rank < size) of the dense
+// form: it descends the count hierarchy — supergroup, group — then
+// popcount-scans at most 8 words and bit-selects within the final
+// word, so the cost is bounded by the hierarchy height, not the bitmap
+// length.
+func (as *ActionSet) denseSelect(rank int) int {
+	g2 := 0
 	for int(as.cnt2[g2]) <= rank {
 		rank -= int(as.cnt2[g2])
 		g2++
@@ -288,35 +383,16 @@ func (as *ActionSet) At(i int) Action {
 		word := as.words[w]
 		c := bits.OnesCount64(word)
 		if rank < c {
-			return as.actionOf(w<<6 + select64(word, rank))
+			return w<<6 + select64(word, rank)
 		}
 		rank -= c
 		w++
 	}
 }
 
-// selectInByte[b][r] is the position of the rank-r set bit of byte b (0xff
-// where r ≥ OnesCount8(b), never read). 2 KiB, resident in L1 on the hot
-// path; it turns the within-byte select into a single load.
-var selectInByte = func() (t [256][8]uint8) {
-	for b := 0; b < 256; b++ {
-		r := 0
-		for pos := 0; pos < 8; pos++ {
-			if b&(1<<pos) != 0 {
-				t[b][r] = uint8(pos)
-				r++
-			}
-		}
-		for ; r < 8; r++ {
-			t[b][r] = 0xff
-		}
-	}
-	return
-}()
-
 // select64 returns the position of the rank-th set bit of w (rank <
-// OnesCount64(w)): halving popcounts narrow to a byte, a table lookup
-// finishes — constant ~10 ops with no data-dependent loop.
+// OnesCount64(w)): halving popcounts narrow to a byte, whose lower set bits
+// are then cleared one by one — at most seven times.
 func select64(w uint64, rank int) int {
 	pos := 0
 	if c := bits.OnesCount32(uint32(w)); rank >= c {
@@ -334,13 +410,23 @@ func select64(w uint64, rank int) int {
 		w >>= 8
 		pos += 8
 	}
-	return pos + int(selectInByte[uint8(w)][rank&7])
+	for ; rank > 0; rank-- {
+		w &= w - 1
+	}
+	return pos + bits.TrailingZeros64(w)
 }
 
-// AppendAll appends every enabled action to dst in canonical order. Groups
-// with no enabled ordinal are skipped via the count hierarchy, so the cost
-// is O(enabled + nonempty groups) rather than a full bitmap scan.
+// AppendAll appends every enabled action to dst in canonical order. In the
+// dense form, groups with no enabled ordinal are skipped via the count
+// hierarchy, so the cost is O(enabled + nonempty groups) rather than a full
+// bitmap scan.
 func (as *ActionSet) AppendAll(dst []Action) []Action {
+	if !as.dense {
+		for _, ord := range as.small[:as.size] {
+			dst = append(dst, as.actionOf(int(ord)))
+		}
+		return dst
+	}
 	for g, c := range as.cnt1 {
 		if c == 0 {
 			continue
@@ -366,6 +452,21 @@ func (as *ActionSet) NextProc(from int) int {
 	if from >= as.n || from < 0 {
 		from = 0
 	}
+	if !as.dense {
+		// The lowest process at or after from, else the lowest of all.
+		first, next := as.n, as.n
+		for _, ord := range as.small[:as.size] {
+			p := as.procOf(int(ord))
+			first = min(first, p)
+			if p >= from {
+				next = min(next, p)
+			}
+		}
+		if next < as.n {
+			return next
+		}
+		return first
+	}
 	// [from, n) then the wrap-around [0, from).
 	if p := as.scanProcs(from, as.n); p >= 0 {
 		return p
@@ -374,8 +475,9 @@ func (as *ActionSet) NextProc(from int) int {
 }
 
 // scanProcs returns the first process in [lo, hi) with an enabled action.
-// Runs of all-zero procWords words are skipped through the two-level summary
-// bitmap, so a sparse set at big n does not pay a linear word scan.
+// Runs of all-zero procWords words are skipped through the summary bitmap
+// (one bit per 4096 processes), so a sparse dense set does not pay a linear
+// word scan.
 func (as *ActionSet) scanProcs(lo, hi int) int {
 	if lo >= hi {
 		return -1
@@ -399,69 +501,44 @@ func (as *ActionSet) scanProcs(lo, hi int) int {
 }
 
 // nextProcWord returns the first index ≥ w with a nonzero procWords word, or
-// -1, via the summary bitmaps.
+// -1, via the summary bitmap.
 func (as *ActionSet) nextProcWord(w int) int {
 	if w >= len(as.procWords) {
 		return -1
 	}
 	sw := w >> 6
 	word := as.procSum[sw] &^ ((1 << (uint(w) & 63)) - 1)
-	for {
-		if word != 0 {
-			return sw<<6 + bits.TrailingZeros64(word)
-		}
-		sw = as.nextSumWord(sw + 1)
-		if sw < 0 {
+	for word == 0 {
+		if sw++; sw >= len(as.procSum) {
 			return -1
 		}
 		word = as.procSum[sw]
 	}
-}
-
-// nextSumWord returns the first index ≥ sw with a nonzero procSum word, or
-// -1, via the top-level summary.
-func (as *ActionSet) nextSumWord(sw int) int {
-	if sw >= len(as.procSum) {
-		return -1
-	}
-	t := sw >> 6
-	word := as.procSum2[t] &^ ((1 << (uint(sw) & 63)) - 1)
-	for {
-		if word != 0 {
-			return t<<6 + bits.TrailingZeros64(word)
-		}
-		t++
-		if t >= len(as.procSum2) {
-			return -1
-		}
-		word = as.procSum2[t]
-	}
+	return sw<<6 + bits.TrailingZeros64(word)
 }
 
 // MinDeliver returns the lowest enabled deliver channel of process p, or -1.
 func (as *ActionSet) MinDeliver(p int) int {
-	lo, hi := int(as.base[p]), int(as.base[p+1])
-	for w := lo >> 6; hi > 0 && w <= (hi-1)>>6; w++ {
-		word := as.words[w]
-		if w == lo>>6 {
-			word &^= (1 << (uint(lo) & 63)) - 1
-		}
-		if word == 0 {
-			continue
-		}
-		ord := w<<6 + bits.TrailingZeros64(word)
-		if ord < hi {
-			return ord - lo
-		}
-		return -1
-	}
-	return -1
+	ch := -1
+	as.EachDeliver(p, func(c int) bool { ch = c; return false })
+	return ch
 }
 
 // EachDeliver calls f with every enabled deliver channel of process p in
 // ascending order, stopping early when f returns false.
 func (as *ActionSet) EachDeliver(p int, f func(ch int) bool) {
 	lo, hi := int(as.base[p]), int(as.base[p+1])
+	if !as.dense {
+		for _, ord := range as.small[:as.size] {
+			if int(ord) >= hi {
+				return
+			}
+			if int(ord) >= lo && !f(int(ord)-lo) {
+				return
+			}
+		}
+		return
+	}
 	for w := lo >> 6; hi > 0 && w <= (hi-1)>>6; w++ {
 		word := as.words[w]
 		if w == lo>>6 {

@@ -103,16 +103,14 @@ func TestActionSetSwapRemove(t *testing.T) {
 	if as.Len() != 0 || len(as.AppendAll(nil)) != 0 {
 		t.Error("clear left members behind")
 	}
-	for p := 0; p < tr.N(); p++ {
-		if as.perProc[p] != 0 {
-			t.Errorf("perProc[%d] = %d after clear", p, as.perProc[p])
-		}
+	if !bitmapsZero(as) {
+		t.Error("clear left a bit or a count behind")
 	}
 	if as.NextProc(0) != -1 {
-		t.Error("clear left a process marked in the summary bitmaps")
+		t.Error("clear left a process marked")
 	}
-	// The cleared set is as good as new: refill it and the count hierarchy
-	// must select exactly as before.
+	// The cleared set is as good as new: refill it and it must select
+	// exactly as before.
 	for _, ord := range want {
 		as.add(ord)
 	}
@@ -160,6 +158,256 @@ func TestActionSetProcQueries(t *testing.T) {
 	as.remove(as.ordTimeout())
 	if got := as.NextProc(6); got != 2 {
 		t.Errorf("NextProc(6) after timeout removal = %d, want 2", got)
+	}
+}
+
+// checkForms compares every accessor of as with a naive model: the sorted
+// slice of enabled ordinals.
+func checkForms(t *testing.T, as *ActionSet, model []int, dense bool) {
+	t.Helper()
+	if as.dense != dense {
+		t.Fatalf("dense = %v with %d members, want %v", as.dense, len(model), dense)
+	}
+	if !dense && !bitmapsZero(as) {
+		t.Fatal("a bitmap or count is nonzero while the set is in its small form")
+	}
+	if as.Len() != len(model) {
+		t.Fatalf("Len = %d, want %d", as.Len(), len(model))
+	}
+	in := make([]bool, as.m)
+	procs := make([]bool, as.n)
+	want := make([]Action, 0, len(model))
+	for i, ord := range model {
+		in[ord] = true
+		procs[as.procOf(ord)] = true
+		want = append(want, as.actionOf(ord))
+		if got := as.At(i); got != want[i] {
+			t.Fatalf("At(%d) = %v, want %v", i, got, want[i])
+		}
+	}
+	if got := as.AppendAll(make([]Action, 0, len(model))); !reflect.DeepEqual(got, want) {
+		t.Fatalf("AppendAll = %v, want %v", got, want)
+	}
+	for ord := 0; ord < as.m; ord++ {
+		if got := as.Contains(as.actionOf(ord)); got != in[ord] {
+			t.Fatalf("Contains(%v) = %v, want %v", as.actionOf(ord), got, in[ord])
+		}
+	}
+	for from := -1; from <= as.n; from++ {
+		want := -1
+		for i := 0; i < as.n && len(model) > 0; i++ {
+			if p := (max(from, 0)%as.n + i) % as.n; procs[p] {
+				want = p
+				break
+			}
+		}
+		if got := as.NextProc(from); got != want {
+			t.Fatalf("NextProc(%d) = %d, want %d", from, got, want)
+		}
+	}
+	for p := 0; p < as.n; p++ {
+		var chans []int
+		for ord := int(as.base[p]); ord < int(as.base[p+1]); ord++ {
+			if in[ord] {
+				chans = append(chans, ord-int(as.base[p]))
+			}
+		}
+		var got []int
+		as.EachDeliver(p, func(ch int) bool { got = append(got, ch); return true })
+		if !reflect.DeepEqual(got, chans) {
+			t.Fatalf("EachDeliver(%d) = %v, want %v", p, got, chans)
+		}
+		lowest := -1
+		if len(chans) > 0 {
+			lowest = chans[0]
+		}
+		if got := as.MinDeliver(p); got != lowest {
+			t.Fatalf("MinDeliver(%d) = %d, want %d", p, got, lowest)
+		}
+		if got := as.HasApp(p); got != in[as.ordApp(p)] {
+			t.Fatalf("HasApp(%d) = %v", p, got)
+		}
+	}
+	if got := as.TimeoutEnabled(); got != in[as.ordTimeout()] {
+		t.Fatalf("TimeoutEnabled = %v", got)
+	}
+}
+
+// bitmapsZero reports whether the whole dense form is zero — the invariant
+// of the small form.
+func bitmapsZero(as *ActionSet) bool {
+	zero := true
+	for _, w := range as.words {
+		zero = zero && w == 0
+	}
+	for _, c := range as.cnt1 {
+		zero = zero && c == 0
+	}
+	for _, c := range as.cnt2 {
+		zero = zero && c == 0
+	}
+	for _, c := range as.perProc {
+		zero = zero && c == 0
+	}
+	for _, w := range as.procWords {
+		zero = zero && w == 0
+	}
+	for _, w := range as.procSum {
+		zero = zero && w == 0
+	}
+	return zero
+}
+
+// TestActionSetForms walks one set through both forms and both crossings —
+// empty → smallCap (sorted array) → smallCap+1 (spilled into the bitmaps) →
+// smallCap/2 (extracted back) → clear — by random insertions and removals,
+// duplicates included, and checks every accessor against the model after
+// every mutation.
+func TestActionSetForms(t *testing.T) {
+	tr := tree.Caterpillar(6, 2) // 18 processes, 34 channels, 53 ordinals
+	as := newActionSet(tr)
+	rng := rand.New(rand.NewSource(5))
+	var model []int
+	for _, leg := range []struct {
+		name   string
+		size   int // mutate until the set has this many members; -1: clear()
+		dense  bool
+		spills int64
+	}{
+		{"fill to the cap", smallCap, false, 0},
+		{"spill", smallCap + 1, true, 1},
+		{"grow dense", smallCap + 12, true, 1},
+		{"shrink to just above half", smallCap/2 + 1, true, 1},
+		{"unspill", smallCap / 2, false, 1},
+		{"shrink small", 2, false, 1},
+		{"spill again", smallCap + 3, true, 2},
+		{"clear a dense set", -1, false, 2},
+		{"refill small", 7, false, 2},
+		{"clear a small set", -1, false, 2},
+	} {
+		if leg.size < 0 {
+			as.clear()
+			model = model[:0]
+			checkForms(t, as, model, false)
+		}
+		for len(model) != max(leg.size, 0) {
+			ord := rng.Intn(as.m)
+			i := sort.SearchInts(model, ord)
+			present := i < len(model) && model[i] == ord
+			wasDense := as.dense
+			if len(model) < leg.size {
+				as.add(ord)
+				if !present {
+					model = append(model, 0)
+					copy(model[i+1:], model[i:])
+					model[i] = ord
+				}
+			} else {
+				as.remove(ord)
+				if present {
+					model = append(model[:i], model[i+1:]...)
+				}
+			}
+			// The form only changes at the two thresholds.
+			dense := wasDense
+			if len(model) > smallCap {
+				dense = true
+			} else if len(model) <= smallCap/2 {
+				dense = false
+			}
+			checkForms(t, as, model, dense)
+		}
+		if as.dense != leg.dense || as.spills != leg.spills {
+			t.Fatalf("%s: dense = %v, spills = %d, want %v, %d", leg.name, as.dense, as.spills, leg.dense, leg.spills)
+		}
+	}
+}
+
+// toggleApp is an application whose enablement the test sets directly.
+type toggleApp struct {
+	core.NopApp
+	on   bool
+	wake int64
+}
+
+func (a *toggleApp) Enabled(int64) bool { return a.on }
+func (a *toggleApp) Act(Handle)         {}
+func (a *toggleApp) WakeAt(int64) int64 { return a.wake }
+
+// checkKnownState asserts what the kernel remembers about the set instead of
+// asking it — each application's appOn and the timeout's timeoutOn — agrees
+// with the set, and the set with a fresh scan.
+func checkKnownState(t *testing.T, s *Sim) {
+	t.Helper()
+	checkAgainstScan(t, s)
+	for p := range s.procs {
+		on := s.procs[p].app.Enabled(s.clock)
+		if got := s.actions.HasApp(p); got != on || (s.procs[p].wakeAt == appOn) != on {
+			t.Fatalf("process %d: application enabled = %v, HasApp = %v, wakeAt = %d", p, on, got, s.procs[p].wakeAt)
+		}
+	}
+	if on := s.timerExpired(); s.actions.TimeoutEnabled() != on || s.timeoutOn != on {
+		t.Fatalf("timer expired = %v, TimeoutEnabled = %v, timeoutOn = %v", on, s.actions.TimeoutEnabled(), s.timeoutOn)
+	}
+}
+
+// TestCallerKnownState covers the three places that reset what the kernel
+// remembers about application and timeout membership: AttachApp over an
+// enabled application, ResyncActions after mutations no hook saw, and the
+// quiescent fast-forward.
+func TestCallerKnownState(t *testing.T) {
+	tr := tree.Paper()
+	s := MustNew(tr, testCfg(2, 3), Options{Seed: 4, TimeoutTicks: 50})
+	apps := make([]*toggleApp, tr.N())
+	for p := range apps {
+		apps[p] = &toggleApp{on: p%2 == 0, wake: NoWake}
+		s.AttachApp(p, apps[p])
+		checkKnownState(t, s)
+	}
+	// Over an enabled application: a disabled one, an enabled one, and a
+	// disabled one with a wake time, which must then fire.
+	s.AttachApp(0, &toggleApp{wake: NoWake})
+	checkKnownState(t, s)
+	s.AttachApp(2, &toggleApp{on: true, wake: NoWake})
+	checkKnownState(t, s)
+	sleeper := &toggleApp{wake: s.clock + 3}
+	s.AttachApp(4, sleeper)
+	checkKnownState(t, s)
+	sleeper.on = true // from its wake time on, as its WakeAt promised
+	for i := 0; i < 3; i++ {
+		s.Step()
+	}
+	checkKnownState(t, s)
+	if !s.actions.HasApp(4) {
+		t.Error("the application attached over an enabled one never woke")
+	}
+
+	// Out-of-band: flip applications and the timer behind the kernel's back,
+	// empty the set, resync.
+	for p, a := range apps {
+		a.on = p%3 == 0
+	}
+	s.lastRestart = s.clock - s.timeoutTicks // expired
+	s.actions.clear()
+	s.ResyncActions()
+	checkKnownState(t, s)
+	s.lastRestart = s.clock // restarted
+	s.ResyncActions()
+	checkKnownState(t, s)
+
+	// Quiescent fast-forward: nothing in flight, no application enabled.
+	q := MustNew(tr, testCfg(2, 3), Options{Seed: 4, TimeoutTicks: 50})
+	if !q.Quiescent() {
+		t.Fatal("an empty system with no application is not quiescent")
+	}
+	q.Step() // jumps to the timeout and fires it
+	if q.Timeouts != 1 || q.clock != 51 {
+		t.Fatalf("fast-forward: %d timeouts at clock %d, want 1 at 51", q.Timeouts, q.clock)
+	}
+	checkKnownState(t, q)
+	for i := 0; i < 200; i++ {
+		q.Step()
+		checkKnownState(t, q)
 	}
 }
 
@@ -226,17 +474,21 @@ func stormThenResync(s *Sim, rng *rand.Rand, depth int) {
 // FuzzActionSet feeds random add/remove/resync/step sequences to the
 // incremental kernel and cross-checks the maintained set against the naive
 // scan after every mutation — the enabled-set invariant under arbitrary
-// interleavings of protocol steps and out-of-band channel rewrites.
+// interleavings of protocol steps and out-of-band channel rewrites. The tree
+// has 34 channels, so the bulk ops take the set across smallCap and back
+// below smallCap/2: both forms and both crossings are in reach of every
+// other op.
 func FuzzActionSet(f *testing.F) {
 	f.Add([]byte{0x00, 0x51, 0xa2, 0xf3})
 	f.Add([]byte{0x10, 0x21, 0x32, 0x43, 0x54, 0x65})
 	f.Add([]byte{0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88})
 	f.Add([]byte{0x07, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07, 0x07})
+	f.Add([]byte{0xe0, 0xc0, 0xe5, 0xc0, 0xe0, 0x80, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
 			return // bound the scan cost per input
 		}
-		tr := tree.Paper()
+		tr := tree.Caterpillar(6, 2)
 		s := MustNew(tr, testCfg(2, 3), Options{Seed: 1, TimeoutTicks: 40})
 		rng := rand.New(rand.NewSource(2))
 		for _, b := range data {
@@ -260,8 +512,20 @@ func FuzzActionSet(f *testing.F) {
 				s.ResyncActions()
 			case 5: // storm, then clear() + resync
 				stormThenResync(s, rng, arg%3)
-			default: // protocol step
+			case 6: // protocol step
 				s.Step()
+			default:
+				if arg%2 == 0 { // bulk add: a message into every empty channel
+					for ord := range s.chans {
+						if s.chans[ord].Len() == 0 {
+							s.chans[ord].Seed(message.Random(rng, 11, 3))
+						}
+					}
+				} else { // bulk remove: empty all but the first arg/2 < smallCap/2 channels
+					for ord := arg / 2; ord < len(s.chans); ord++ {
+						s.chans[ord].Replace(nil)
+					}
+				}
 			}
 			s.syncActions()
 			got := s.actions.AppendAll(nil)

@@ -7,6 +7,7 @@ import (
 
 	"kofl/internal/checker"
 	"kofl/internal/core"
+	"kofl/internal/message"
 	"kofl/internal/obs"
 	"kofl/internal/sim"
 	"kofl/internal/tree"
@@ -34,6 +35,9 @@ func saturatedSim(tb testing.TB, tr *tree.Tree) *sim.Sim {
 // hot-path callback is a method value bound at construction. The contract
 // holds with full instrumentation enabled (Options.Obs + Options.Journal):
 // per-step observation is field compares and ring writes, never allocation.
+// And it holds across the action set's two forms: a burst of 40 garbage
+// frames spills the sorted array into the bitmaps, draining them extracts it
+// back, and both forms were sized at construction.
 func TestZeroAllocSteadyState(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -46,9 +50,10 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := tc.tr
 			cfg := core.Config{K: 2, L: 8, N: tr.N(), CMAX: 4, Features: core.Full()}
+			reg := obs.NewRegistry()
 			s := sim.MustNew(tr, cfg, sim.Options{
 				Seed:    1,
-				Obs:     obs.NewRegistry(),
+				Obs:     reg,
 				Journal: obs.NewJournal(1024, nil),
 			})
 			for p := 0; p < tr.N(); p++ {
@@ -60,6 +65,23 @@ func TestZeroAllocSteadyState(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Errorf("steady-state stepping allocates: %.4f allocs per 2000-step run, want 0", allocs)
+			}
+			const spills = "kofl_sim_actionset_spills_total"
+			before := promValue(t, reg, spills)
+			allocs = testing.AllocsPerRun(10, func() {
+				for p := 1; p <= 40; p++ {
+					s.Seed(p, 0, message.Message{}) // no protocol kind: dropped on delivery
+				}
+				s.Run(2_000)
+			})
+			if allocs != 0 {
+				t.Errorf("spilling and unspilling the action set allocates: %.4f allocs per burst, want 0", allocs)
+			}
+			if got := promValue(t, reg, spills) - before; got != 11 {
+				t.Errorf("%d spills over 11 bursts (one warm-up, ten measured), want one each", got)
+			}
+			if got := promValue(t, reg, "kofl_sim_enabled_actions"); got > 16 {
+				t.Errorf("%d actions still enabled after the last burst drained", got)
 			}
 		})
 	}

@@ -15,11 +15,47 @@ import (
 
 // diffRun executes one seeded scenario under the given kernel and returns
 // the full action trace plus the closing counters and census: everything the
-// determinism contract promises is kernel-independent.
+// determinism contract promises is kernel-independent. A positive
+// stormPeriod injects a rotating fault storm every that many steps.
 func diffRun(t *testing.T, tr *tree.Tree, cfg core.Config, seed int64,
 	newSched func() sim.Scheduler, steps int64, stormPeriod int64, rescan bool) (trace []string, summary string) {
 	t.Helper()
-	s := sim.MustNew(tr, cfg, sim.Options{Seed: seed, Scheduler: newSched(), FullRescan: rescan})
+	drive := func(s *sim.Sim) { s.Run(steps) }
+	if stormPeriod > 0 {
+		drive = func(s *sim.Sim) {
+			// The fault schedule is a pure function of the seed, so both
+			// kernels inject identical storms at identical steps — including
+			// the Replace/Seed mutations that exercise the channel-hook
+			// resync path.
+			rng := rand.New(rand.NewSource(seed + 77))
+			next := stormPeriod
+			for s.Steps < steps && s.Step() {
+				if s.Steps >= next {
+					next += stormPeriod
+					switch (s.Steps / stormPeriod) % 5 {
+					case 0:
+						adversary.DropTokens(s, rng, message.Res, 1+rng.Intn(2), nil)
+					case 1:
+						adversary.DuplicateTokens(s, rng, message.Res, 1+rng.Intn(2), nil)
+					case 2:
+						adversary.CorruptStates(s, rng, []int{rng.Intn(tr.N())})
+					case 3:
+						adversary.GarbageChannels(s, rng, 2, nil)
+					case 4:
+						adversary.InjectTokens(s, rng, message.Push, 1, nil)
+					}
+				}
+			}
+		}
+	}
+	return diffDrive(t, tr, cfg, seed, newSched(), drive, rescan)
+}
+
+// diffDrive is diffRun with the run loop supplied by the caller.
+func diffDrive(t *testing.T, tr *tree.Tree, cfg core.Config, seed int64,
+	sched sim.Scheduler, drive func(*sim.Sim), rescan bool) (trace []string, summary string) {
+	t.Helper()
+	s := sim.MustNew(tr, cfg, sim.Options{Seed: seed, Scheduler: sched, FullRescan: rescan})
 	if !cfg.Features.Controller {
 		s.SeedLegitimate()
 	}
@@ -33,35 +69,49 @@ func diffRun(t *testing.T, tr *tree.Tree, cfg core.Config, seed int64,
 		}
 		trace = append(trace, line)
 	})
-	if stormPeriod > 0 {
-		// The fault schedule is a pure function of the seed, so both kernels
-		// inject identical storms at identical steps — including the
-		// Replace/Seed mutations that exercise the channel-hook resync path.
-		rng := rand.New(rand.NewSource(seed + 77))
-		next := stormPeriod
-		for s.Steps < steps && s.Step() {
-			if s.Steps >= next {
-				next += stormPeriod
-				switch (s.Steps / stormPeriod) % 5 {
-				case 0:
-					adversary.DropTokens(s, rng, message.Res, 1+rng.Intn(2), nil)
-				case 1:
-					adversary.DuplicateTokens(s, rng, message.Res, 1+rng.Intn(2), nil)
-				case 2:
-					adversary.CorruptStates(s, rng, []int{rng.Intn(tr.N())})
-				case 3:
-					adversary.GarbageChannels(s, rng, 2, nil)
-				case 4:
-					adversary.InjectTokens(s, rng, message.Push, 1, nil)
-				}
-			}
-		}
-	} else {
-		s.Run(steps)
-	}
+	drive(s)
 	summary = fmt.Sprintf("steps=%d delivered=%v timeouts=%d appacts=%d clock=%d census=%v",
 		s.Steps, s.Delivered, s.Timeouts, s.AppActions, s.Now(), s.Census())
 	return trace, summary
+}
+
+// sameRun fails the test unless the two kernels' traces and summaries agree.
+func sameRun(t *testing.T, gotTrace, wantTrace []string, gotSum, wantSum string) {
+	t.Helper()
+	if len(gotTrace) != len(wantTrace) {
+		t.Fatalf("trace lengths differ: incremental %d, rescan %d", len(gotTrace), len(wantTrace))
+	}
+	for i := range wantTrace {
+		if gotTrace[i] != wantTrace[i] {
+			t.Fatalf("kernels diverged at step %d:\n  rescan:      %s\n  incremental: %s",
+				i+1, wantTrace[i], gotTrace[i])
+		}
+	}
+	if gotSum != wantSum {
+		t.Errorf("summaries differ:\n  rescan:      %s\n  incremental: %s", wantSum, gotSum)
+	}
+}
+
+// formSpy is the uniform scheduler, recording how often the enabled set it
+// draws from crossed the action set's two thresholds: up past 32 members
+// (the sorted array spills into the bitmaps) and, after that, down to 16 (it
+// is extracted back).
+type formSpy struct {
+	sim.RandomScheduler
+	big          bool
+	spills, back int
+}
+
+func (f *formSpy) Next(s *sim.Sim, as *sim.ActionSet) sim.Action {
+	switch n := as.Len(); {
+	case !f.big && n > 32:
+		f.big = true
+		f.spills++
+	case f.big && n <= 16:
+		f.big = false
+		f.back++
+	}
+	return f.RandomScheduler.Next(s, as)
 }
 
 // TestDifferentialKernels is the determinism-contract proof: the incremental
@@ -100,25 +150,42 @@ func TestDifferentialKernels(t *testing.T) {
 						steps := int64(3_000)
 						gotTrace, gotSum := diffRun(t, tr, cfg, seed, newSched, steps, storm, false)
 						wantTrace, wantSum := diffRun(t, tr, cfg, seed, newSched, steps, storm, true)
-						if len(gotTrace) != len(wantTrace) {
-							t.Fatalf("trace lengths differ: incremental %d, rescan %d",
-								len(gotTrace), len(wantTrace))
-						}
-						for i := range wantTrace {
-							if gotTrace[i] != wantTrace[i] {
-								t.Fatalf("kernels diverged at step %d:\n  rescan:      %s\n  incremental: %s",
-									i+1, wantTrace[i], gotTrace[i])
-							}
-						}
-						if gotSum != wantSum {
-							t.Errorf("summaries differ:\n  rescan:      %s\n  incremental: %s",
-								wantSum, gotSum)
-						}
+						sameRun(t, gotTrace, wantTrace, gotSum, wantSum)
 					})
 				}
 			}
 		}
 	}
+	// Both forms of the action set and both crossings under the oracle: 64
+	// applications enabled at the start spill the sorted array into the
+	// bitmaps and their first requests drain it back within 50 steps; the
+	// legacy storm's third firing (step 12 000) fills all 126 channels with
+	// garbage, the protocol has cleaned that up by step ≈ 38 000, and the
+	// seventh firing (44 000) does it again.
+	t.Run("random/prufer-64/legacy-storm", func(t *testing.T) {
+		tr := tree.Prufer(64, rand.New(rand.NewSource(21)))
+		cfg := core.Config{K: 2, L: 8, N: tr.N(), CMAX: 4, Features: core.Full()}
+		const steps = 50_000
+		sched, err := adversary.Compile(adversary.LegacyStorm(4_000), steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drive := func(s *sim.Sim) {
+			x, err := adversary.NewExecutor(s, sched, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x.Run(steps)
+		}
+		spy := &formSpy{}
+		gotTrace, gotSum := diffDrive(t, tr, cfg, 5, spy, drive, false)
+		wantTrace, wantSum := diffDrive(t, tr, cfg, 5, &formSpy{}, drive, true)
+		sameRun(t, gotTrace, wantTrace, gotSum, wantSum)
+		if spy.spills < 2 || spy.back < 2 {
+			t.Errorf("the enabled set went past 32 members %d times and back to 16 %d times, want ≥ 2 of each",
+				spy.spills, spy.back)
+		}
+	})
 }
 
 // TestDifferentialModerateN repeats the kernel differential at n = 257 —
@@ -141,19 +208,7 @@ func TestDifferentialModerateN(t *testing.T) {
 				steps := int64(12_000)
 				gotTrace, gotSum := diffRun(t, tr, cfg, 3, newSched, steps, storm, false)
 				wantTrace, wantSum := diffRun(t, tr, cfg, 3, newSched, steps, storm, true)
-				if len(gotTrace) != len(wantTrace) {
-					t.Fatalf("trace lengths differ: incremental %d, rescan %d",
-						len(gotTrace), len(wantTrace))
-				}
-				for i := range wantTrace {
-					if gotTrace[i] != wantTrace[i] {
-						t.Fatalf("kernels diverged at step %d:\n  rescan:      %s\n  incremental: %s",
-							i+1, wantTrace[i], gotTrace[i])
-					}
-				}
-				if gotSum != wantSum {
-					t.Errorf("summaries differ:\n  rescan:      %s\n  incremental: %s", wantSum, gotSum)
-				}
+				sameRun(t, gotTrace, wantTrace, gotSum, wantSum)
 			})
 		}
 	}
@@ -177,18 +232,7 @@ func TestDifferentialVariants(t *testing.T) {
 			newSched := func() sim.Scheduler { return sim.NewRandomScheduler() }
 			gotTrace, gotSum := diffRun(t, tr, cfg, 11, newSched, 2_000, 0, false)
 			wantTrace, wantSum := diffRun(t, tr, cfg, 11, newSched, 2_000, 0, true)
-			if len(gotTrace) != len(wantTrace) {
-				t.Fatalf("trace lengths differ: incremental %d, rescan %d", len(gotTrace), len(wantTrace))
-			}
-			for i := range wantTrace {
-				if gotTrace[i] != wantTrace[i] {
-					t.Fatalf("kernels diverged at step %d:\n  rescan:      %s\n  incremental: %s",
-						i+1, wantTrace[i], gotTrace[i])
-				}
-			}
-			if gotSum != wantSum {
-				t.Errorf("summaries differ:\n  rescan:      %s\n  incremental: %s", wantSum, gotSum)
-			}
+			sameRun(t, gotTrace, wantTrace, gotSum, wantSum)
 		})
 	}
 }

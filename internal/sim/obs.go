@@ -79,6 +79,9 @@ func (s *Sim) initObs(reg *obs.Registry, journal *obs.Journal) {
 	reg.GaugeFunc("kofl_sim_enabled_actions", "currently enabled actions", func() int64 {
 		return int64(s.actions.Len())
 	})
+	reg.CounterFunc("kofl_sim_actionset_spills_total",
+		"times the enabled set outgrew its sorted array and moved to bitmaps (constant once the token population is legitimate)",
+		func() int64 { return s.actions.spills })
 	reg.GaugeFunc("kofl_sim_census_overk", "processes in CS holding more than k units", func() int64 {
 		return int64(s.Census().OverK)
 	})

@@ -1,6 +1,8 @@
 package sim_test
 
 import (
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -56,6 +58,7 @@ func TestSimObservability(t *testing.T) {
 	for _, want := range []string{
 		"kofl_sim_steps_total",
 		"kofl_sim_enabled_actions",
+		"kofl_sim_actionset_spills_total",
 		"kofl_sim_census_legitimate 1",
 		"kofl_sim_overk_violations_total",
 		"kofl_sim_stabilizations_total",
@@ -67,6 +70,58 @@ func TestSimObservability(t *testing.T) {
 	if err := obs.CheckExposition([]byte(out)); err != nil {
 		t.Fatalf("sim exposition fails strict format check: %v\n%s", err, out)
 	}
+
+	// The token-population invariant as a metric: with 64 applications
+	// enabled at the start the enabled set outgrows its sorted array exactly
+	// once, while they drain, and a legitimate population — ℓ resource
+	// tokens, a pusher, a priority token, a controller — never fills it again.
+	t.Run("spills", func(t *testing.T) {
+		tr := tree.Prufer(64, rand.New(rand.NewSource(3)))
+		cfg.N = tr.N()
+		reg := obs.NewRegistry()
+		s := sim.MustNew(tr, cfg, sim.Options{Seed: 42, Obs: reg})
+		const spills = "kofl_sim_actionset_spills_total"
+		if got := promValue(t, reg, spills); got != 0 {
+			t.Fatalf("%s = %d before any application is attached", spills, got)
+		}
+		for p := 0; p < tr.N(); p++ {
+			workload.Attach(s, p, workload.Fixed(1+p%3, 3, 5, 0))
+		}
+		if !s.RunUntil(2_000_000, s.TokensCorrect) {
+			t.Fatal("system never reached a legitimate token population")
+		}
+		if got := promValue(t, reg, spills); got != 1 {
+			t.Errorf("%s = %d after the start-up drain, want 1", spills, got)
+		}
+		s.Run(200_000)
+		if got := promValue(t, reg, spills); got != 1 {
+			t.Errorf("%s = %d after 200k legitimate steps, want it unchanged at 1", spills, got)
+		}
+		if got := promValue(t, reg, "kofl_sim_enabled_actions"); got > 16 {
+			t.Errorf("%d enabled actions in a legitimate configuration", got)
+		}
+	})
+}
+
+// promValue returns the value of the unlabelled series name in reg's
+// exposition.
+func promValue(t *testing.T, reg *obs.Registry, name string) int64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WriteProm(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("series %s: %v", name, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("series %s not exposed", name)
+	return 0
 }
 
 // TestSimObsMatchesScanOracle steps the instrumented maintained-census kernel

@@ -13,10 +13,17 @@
 //
 // The kernel does NOT rescan channels and applications every step. It keeps
 // a persistent ActionSet maintained incrementally: channels report emptiness
-// transitions through their hub's hook, the root-timeout bit is synced from
+// transitions through their hub's hook, the root timeout is compared with
 // the clock in O(1), and applications register wake times (App.WakeAt)
 // instead of being polled — so a step costs O(changes), amortized O(1) for
-// the protocol's bounded token population, instead of O(E+n).
+// the protocol's bounded token population, instead of O(E+n). The kernel
+// remembers whether the timeout and each application are in the set
+// (Sim.timeoutOn, the appOn value of proc.wakeAt) and calls the set only when
+// that changes. The set itself is as small as that population — ℓ resource
+// tokens, a pusher, a priority token, a controller — so it is kept as a
+// sorted array of at most smallCap ordinals, and moves to bitmaps under a
+// count hierarchy only while it is larger: the start-up drain, arbitrary-
+// start garbage, fault storms on big trees (see ActionSet).
 //
 // # Enumeration-order determinism contract
 //
@@ -215,8 +222,14 @@ type wake struct {
 type proc struct {
 	node   core.Node
 	app    App
-	wakeAt int64 // registered wake time (NoWake = none)
+	wakeAt int64 // registered wake time (NoWake = none), or appOn
 }
+
+// appOn is the proc.wakeAt value of a process whose application ordinal is in
+// the ActionSet: an enabled application has no wake time to register, and the
+// line a step is already on then says whether the set must change. No clock
+// value equals it, so heap entries left behind are skipped as stale.
+const appOn int64 = math.MinInt64
 
 // Sim is one simulated system.
 type Sim struct {
@@ -246,9 +259,10 @@ type Sim struct {
 	observers []core.Observer
 
 	// The incremental scheduling kernel.
-	actions *ActionSet
-	wakes   []wake // min-heap on at; stale entries skipped via proc.wakeAt
-	rescan  bool   // Options.FullRescan
+	actions   *ActionSet
+	timeoutOn bool   // the timeout ordinal is in actions
+	wakes     []wake // min-heap on at; stale entries skipped via proc.wakeAt
+	rescan    bool   // Options.FullRescan
 
 	// The incremental census kernel (see census.go). The channel-side
 	// populations live in hub.Counts (maintained inline by every channel);
@@ -372,7 +386,9 @@ func (s *Sim) AttachApp(p int, app App) {
 	pr := &s.procs[p]
 	pr.app = app
 	pr.node.SetApp(app)
-	pr.wakeAt = NoWake
+	if pr.wakeAt != appOn {
+		pr.wakeAt = NoWake // the old application's wake time; appOn is pollApp's to clear
+	}
 	s.pollApp(p)
 }
 
@@ -491,21 +507,26 @@ func (s *Sim) timerExpired() bool {
 }
 
 // pollApp re-evaluates process p's application enablement and updates the
-// ActionSet: the dirty-flag path, called after every event that can change
-// enablement (the app acted, its node handled a message or timeout, a Handle
-// call, attachment) and at registered wake times. A disabled app registers
-// its next wake.
+// ActionSet when it changed: the dirty-flag path, called after every event
+// that can change enablement (the app acted, its node handled a message or
+// timeout, a Handle call, attachment) and at registered wake times. A
+// disabled app registers its next wake.
 func (s *Sim) pollApp(p int) {
 	if s.rescan {
 		return
 	}
 	pr := &s.procs[p]
-	ord := s.actions.ordApp(p)
 	if pr.app.Enabled(s.clock) {
-		s.actions.add(ord)
+		if pr.wakeAt != appOn {
+			pr.wakeAt = appOn
+			s.actions.add(s.actions.ordApp(p))
+		}
 		return
 	}
-	s.actions.remove(ord)
+	if pr.wakeAt == appOn {
+		pr.wakeAt = NoWake
+		s.actions.remove(s.actions.ordApp(p))
+	}
 	t := pr.app.WakeAt(s.clock)
 	if t == NoWake {
 		pr.wakeAt = NoWake // stale heap entries are skipped on pop
@@ -523,14 +544,17 @@ func (s *Sim) pollApp(p int) {
 }
 
 // syncActions brings the ActionSet up to date with the clock: the timeout
-// bit and the applications whose wake time arrived. In FullRescan mode it
+// ordinal and the applications whose wake time arrived. In FullRescan mode it
 // instead rebuilds the whole set from a scan.
 func (s *Sim) syncActions() {
 	if s.rescan {
 		s.rebuildFromScan()
 		return
 	}
-	s.actions.set(s.actions.ordTimeout(), s.timerExpired())
+	if on := s.timerExpired(); on != s.timeoutOn {
+		s.timeoutOn = on
+		s.actions.set(s.actions.ordTimeout(), on)
+	}
 	for len(s.wakes) > 0 && s.wakes[0].at <= s.clock {
 		w := wakePop(&s.wakes)
 		p := int(w.proc)
@@ -579,8 +603,13 @@ func (s *Sim) ResyncActions() {
 	}
 	s.actions.clear()
 	s.scanDelivers()
-	s.actions.set(s.actions.ordTimeout(), s.timerExpired())
+	if s.timeoutOn = s.timerExpired(); s.timeoutOn {
+		s.actions.add(s.actions.ordTimeout())
+	}
 	for p := range s.procs {
+		if s.procs[p].wakeAt == appOn {
+			s.procs[p].wakeAt = NoWake // the cleared set holds no application
+		}
 		s.pollApp(p)
 	}
 }
@@ -612,6 +641,7 @@ func (s *Sim) Step() bool {
 		// under the scan kernel, which scanned before the jump and forced
 		// the timeout alone.
 		s.clock = s.lastRestart + s.timeoutTicks
+		s.timeoutOn = true
 		s.actions.add(s.actions.ordTimeout())
 	}
 	var a Action

@@ -47,6 +47,11 @@ grep -q 'func TestLayoutGuard' internal/core/node_test.go || err "core TestLayou
 grep -q 'type Hub struct' internal/channel/channel.go || err "channel.Hub gone but documented"
 grep -q 'channel.Hub' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the channel hub"
 grep -q 'bigNBytesCeiling = 540' bench_test.go || err "BenchmarkBigNScale lost the bytes/process ceiling README.md cites"
+# The action set's two forms: the cap the doc quotes, the test that walks
+# both crossings, and the sentence naming the forms.
+grep -q 'smallCap = 32' internal/sim/actionset.go || err "actionset.go lost smallCap = 32, which ARCHITECTURE.md quotes"
+grep -q 'func TestActionSetForms' internal/sim/actionset_test.go || err "TestActionSetForms gone but documented"
+grep -q 'The action set has two forms' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the sentence naming the action set's two forms"
 grep -q 'cpuprofile' cmd/koflbench/main.go || err "koflbench -cpuprofile gone but documented"
 
 # The worker model is documented in both the campaign README and the
