@@ -64,16 +64,18 @@ type Hub struct {
 	Counts Counts
 
 	arena       arena
-	onEmptiness func(tag int32, nonempty bool)
+	onEmptiness func(c *Channel, nonempty bool)
 }
 
 // NewHub returns a hub whose channels report every emptiness transition to
 // onEmptiness (nil: none): with true when a channel goes 0 → nonzero
-// messages, with false when it drains back to zero, tagged with the value
-// the channel was attached under. Every mutator reports through this single
-// hook, which is what lets the simulator maintain its enabled-action set
-// incrementally instead of re-scanning every channel every step.
-func NewHub(onEmptiness func(tag int32, nonempty bool)) *Hub {
+// messages, with false when it drains back to zero. The hook receives the
+// channel itself, whose header — just written, so on a hot line — carries
+// the tag it was attached under and the owner's table indices. Every mutator
+// reports through this single hook, which is what lets the simulator
+// maintain its enabled-action set incrementally instead of re-scanning every
+// channel every step.
+func NewHub(onEmptiness func(c *Channel, nonempty bool)) *Hub {
 	return &Hub{onEmptiness: onEmptiness}
 }
 
@@ -117,18 +119,23 @@ type Channel struct {
 	first message.Message // the head message (meaningful while count > 0)
 
 	// From/To identify the directed edge; FromCh/ToCh are the channel labels
-	// at the sender resp. receiver. Rev is for an owner that keeps its
-	// channels in a table: the index there of the opposite direction.
-	From, FromCh, To, ToCh, Rev int32
+	// at the sender resp. receiver. Rev and ToSlot are for an owner that
+	// keeps its channels and processes in tables: Rev is the index there of
+	// the opposite direction, ToSlot the receiver's position.
+	From, FromCh, To, ToCh, Rev, ToSlot int32
 
 	count uint32 // messages in transit, the head included
 	tag   int32  // what the hub's emptiness hook is told about this channel
 }
 
 // Attach joins c to h: from now on c maintains h.Counts, draws its rings from
-// h's arena and reports emptiness transitions to h's hook under tag. Attach
-// an empty channel (contents already in transit are not counted).
+// h's arena and reports emptiness transitions to h's hook, which reads tag
+// back through Tag. Attach an empty channel (contents already in transit are
+// not counted). A nil h records the tag alone.
 func (c *Channel) Attach(h *Hub, tag int32) { c.hub, c.tag = h, tag }
+
+// Tag returns the value c was attached under.
+func (c *Channel) Tag() int32 { return c.tag }
 
 // New returns an empty standalone channel for the directed edge from → to:
 // no hub, so no counts, no hook, and rings from the regular allocator.
@@ -221,7 +228,7 @@ func (c *Channel) reclaim() {
 // emptiness before the mutation.
 func (c *Channel) notify(wasEmpty bool) {
 	if isEmpty := c.count == 0; isEmpty != wasEmpty && c.hub != nil && c.hub.onEmptiness != nil {
-		c.hub.onEmptiness(c.tag, !isEmpty)
+		c.hub.onEmptiness(c, !isEmpty)
 	}
 }
 

@@ -167,8 +167,8 @@ type transition struct {
 
 func recordingHub() (*Hub, *[]transition) {
 	var events []transition
-	return NewHub(func(tag int32, nonempty bool) {
-		events = append(events, transition{tag, nonempty})
+	return NewHub(func(c *Channel, nonempty bool) {
+		events = append(events, transition{c.Tag(), nonempty})
 	}), &events
 }
 

@@ -182,12 +182,12 @@ func (n *Node) Need() int { return int(n.slot().need) }
 func (n *Node) Reserved() int { return int(n.slot().rlen) }
 
 // Probe returns the census-relevant view of slot idx — |RSet|, priority
-// held, in critical section — in one bounds-checked read of the store. The
-// simulator's census tracker brackets every node mutation with a pair of
-// probes; one fused accessor keeps that bracket to two calls.
-func (v *Vars) Probe(idx int) (res int32, prio, in bool) {
+// held, application-interface state — in one bounds-checked read of the
+// store. The simulator's census tracker brackets every node mutation with a
+// pair of probes; one fused accessor keeps that bracket to two calls.
+func (v *Vars) Probe(idx int) (res int32, prio bool, state State) {
 	sl := &v.slots[idx]
-	return sl.rlen, sl.prio != NoPrio, sl.state == In
+	return sl.rlen, sl.prio != NoPrio, sl.state
 }
 
 // rsetAll returns the live flattened reservation multiset of this process.

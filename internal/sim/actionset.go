@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"sort"
 
 	"kofl/internal/channel"
 	"kofl/internal/tree"
@@ -23,38 +24,51 @@ import (
 // order the historical full-scan kernel enumerated enabled actions in, and
 // all ordered accessors (At, AppendAll) follow it — the determinism contract
 // that makes every seeded experiment reproduce byte-identically across the
-// scan and incremental kernels.
+// scan and incremental kernels. Ordinals are ids' order; the tables a step
+// touches are in slot order (see the package comment), so each member also
+// carries where its action lives — the channel's table index for a delivery,
+// the process's slot otherwise — and a draw reaches the channel header and
+// the process line without a lookup.
 //
 // The set has two forms, selected by its size. The protocol's legitimate
 // configuration holds ℓ resource tokens, one pusher, one priority token and
 // one controller, so once a run has converged the set holds a handful of
-// ordinals whatever n is. While size ≤ smallCap the set IS the sorted array
+// members whatever n is. While size ≤ smallCap the set IS the sorted array
 // small[:size]: At(i) decodes small[i], add and remove are one pass over
-// one or two cache lines, and no bitmap is read or written (they are all
-// zero). The insertion that would exceed smallCap spills the array into the
-// dense form — an ordinal bitmap under a two-level population-count
-// hierarchy (counts per 512 and 32768 ordinals), paired with a per-process
-// bitmap under a one-level summary — which bounds At and NextProc by the
-// hierarchy height when the set is large: the first ~n steps after New while
-// every application drains its first request, arbitrary-start garbage, fault
-// storms on big trees. A removal that brings a dense
-// set down to smallCap/2 extracts it back into the array; the gap between
-// the two thresholds keeps a set hovering at the cap from thrashing.
+// a few cache lines, and no bitmap is read or written (they are all zero).
+// The insertion that would exceed smallCap spills the array into the dense
+// form — an ordinal bitmap under a two-level population-count hierarchy
+// (counts per 512 and 32768 ordinals), paired with a per-process bitmap
+// under a one-level summary — which bounds At and NextProc by the hierarchy
+// height when the set is large: the first ~n steps after New while every
+// application drains its first request, arbitrary-start garbage, fault
+// storms on big trees. The bitmaps hold ordinals only, so the dense form
+// finds where a member lives when it decodes it (locate). A removal that
+// brings a dense set down to smallCap/2 extracts it back into the array; the
+// gap between the two thresholds keeps a set hovering at the cap from
+// thrashing.
 type ActionSet struct {
-	n    int     // processes
-	e    int     // deliver ordinals (directed channels)
-	m    int     // total ordinals: e + 1 + n
-	base []int32 // base[p]: first deliver ordinal of process p; base[n] = e
+	n    int        // processes
+	e    int        // deliver ordinals (directed channels)
+	m    int        // total ordinals: e + 1 + n
+	tree *tree.Tree // deliver ordinal of (p, ch): tree.ChannelOffset(p) + ch
 
-	// chans[ord] is the channel whose delivery is deliver ordinal ord — the
-	// channel INTO (receiver, label) in lexicographic order. Its header's
-	// To/ToCh decode the ordinal, on the line a delivery touches anyway, and
-	// its Rev is the ordinal of the channel OUT of (receiver, label).
+	// The second numbering: slotOf[p] is process p's slot, its position in
+	// DFS preorder (ring order), and tbase[s] the table index of the first
+	// channel into the process at slot s (tbase[n] = e).
+	slotOf []int32
+	tbase  []int32
+
+	// chans is the channel table, CSR by receiver slot: chans[tbase[s]+ch] is
+	// the channel INTO the process at slot s with label ch. Its header names
+	// the receiver (To, ToCh, ToSlot) on the line a delivery touches anyway,
+	// its Rev is the table index of the channel OUT of (receiver, label), and
+	// its tag is its deliver ordinal.
 	chans []channel.Channel
 
 	size   int             // enabled ordinals, in either form
 	dense  bool            // the bitmaps hold the set, small is unused
-	small  [smallCap]int32 // !dense: the enabled ordinals, ascending, in small[:size]
+	small  [smallCap]entry // !dense: the enabled actions, ascending, in small[:size]
 	spills int64           // small → dense transitions so far
 
 	// The dense form; all zero while !dense.
@@ -69,32 +83,60 @@ type ActionSet struct {
 // smallCap is the largest set kept as a sorted array; see ActionSet.
 const smallCap = 32
 
-// newActionSet sizes an empty set for topology t and lays out its channel
-// table (endpoints only; the simulator attaches the hub).
-func newActionSet(t *tree.Tree) *ActionSet {
+// entry is one member of the small form: the ordinal in the high half, so
+// entries sort as their ordinals do, and where the action lives in the low
+// half — the channel's table index for a delivery, the process's slot for
+// an application action, the root's slot (0) for the timeout.
+type entry int64
+
+func pack(ord int, at int32) entry { return entry(ord)<<32 | entry(uint32(at)) }
+
+func (v entry) ord() int  { return int(v >> 32) }
+func (v entry) at() int32 { return int32(v) }
+
+// newActionSet sizes an empty set for topology t, numbers its processes in
+// ring order and lays out its channel table, attaching every channel to hub
+// (nil: none) under its deliver ordinal.
+func newActionSet(t *tree.Tree, hub *channel.Hub) *ActionSet {
 	n := t.N()
 	as := &ActionSet{
-		n:    n,
-		base: make([]int32, n+1),
+		n:      n,
+		e:      t.RingLen(),
+		tree:   t,
+		slotOf: make([]int32, n),
+		tbase:  make([]int32, n+1),
 	}
-	off := int32(0)
-	for p := 0; p < n; p++ {
-		as.base[p] = off
-		off += int32(t.Degree(p))
-	}
-	as.base[n] = off
-	as.e = int(off)
 	as.m = as.e + 1 + n
+	// Slots: DFS preorder with children in label order — the order in which
+	// a token lap first reaches each process. The walk needs no stack: back
+	// from child c, the parent's next child follows c in its ascending list.
+	// Each process's channels take the next stretch of the table as the walk
+	// reaches it, and each tree edge is laid out, both directions, when the
+	// walk first crosses it.
 	as.chans = make([]channel.Channel, as.e)
-	for p := 0; p < n; p++ {
-		for ch := 0; ch < t.Degree(p); ch++ {
-			q := t.Neighbor(p, ch)
-			c := &as.chans[as.ordDeliver(p, ch)]
-			qch := t.ChannelTo(q, p)
-			c.From, c.FromCh, c.To, c.ToCh = int32(q), int32(qch), int32(p), int32(ch)
-			c.Rev = int32(as.ordDeliver(q, qch))
+	off := int32(t.Degree(0)) // the root: slot 0, table indices from 0
+	for p, next, s := 0, 0, int32(1); ; {
+		if kids := t.Children(p); next < len(kids) {
+			c := kids[next]
+			as.slotOf[c], as.tbase[s] = s, off
+			off += int32(t.Degree(c))
+			s++
+			pch := next // c's label at p: children follow the parent's label 0
+			if p != 0 {
+				pch++
+			}
+			as.link(hub, p, pch, c, 0)
+			p, next = c, 0
+			continue
 		}
+		if p == 0 {
+			break
+		}
+		q := t.Parent(p)
+		next = sort.SearchInts(t.Children(q), p) + 1
+		p = q
 	}
+	as.tbase[n] = off
 	as.words = make([]uint64, (as.m+63)/64)
 	as.cnt1 = make([]int16, (len(as.words)+7)/8)
 	as.cnt2 = make([]int32, (len(as.cnt1)+63)/64)
@@ -104,8 +146,21 @@ func newActionSet(t *tree.Tree) *ActionSet {
 	return as
 }
 
+// link lays out both directions of the tree edge between p, where it has
+// label pch, and q, where it has label qch; both processes have slots.
+func (as *ActionSet) link(hub *channel.Hub, p, pch, q, qch int) {
+	sp, sq := as.slotOf[p], as.slotOf[q]
+	intoP, intoQ := as.tbase[sp]+int32(pch), as.tbase[sq]+int32(qch)
+	c := &as.chans[intoP]
+	c.From, c.FromCh, c.To, c.ToCh, c.ToSlot, c.Rev = int32(q), int32(qch), int32(p), int32(pch), sp, intoQ
+	c.Attach(hub, int32(as.ordDeliver(p, pch)))
+	c = &as.chans[intoQ]
+	c.From, c.FromCh, c.To, c.ToCh, c.ToSlot, c.Rev = int32(p), int32(pch), int32(q), int32(qch), sq, intoP
+	c.Attach(hub, int32(as.ordDeliver(q, qch)))
+}
+
 // ordDeliver returns the ordinal of delivering into (p, ch).
-func (as *ActionSet) ordDeliver(p, ch int) int { return int(as.base[p]) + ch }
+func (as *ActionSet) ordDeliver(p, ch int) int { return as.tree.ChannelOffset(p) + ch }
 
 // ordTimeout returns the ordinal of the root timeout.
 func (as *ActionSet) ordTimeout() int { return as.e }
@@ -113,23 +168,49 @@ func (as *ActionSet) ordTimeout() int { return as.e }
 // ordApp returns the ordinal of process p's application action.
 func (as *ActionSet) ordApp(p int) int { return as.e + 1 + p }
 
-// procOf returns the process an ordinal belongs to (the root for the
+// where returns where a (valid) action lives: the table index of the channel
+// a delivery pops, the slot of the process otherwise (the root's, 0, for the
 // timeout).
-func (as *ActionSet) procOf(ord int) int {
-	if ord >= as.e {
-		if ord == as.e {
-			return 0 // the timeout belongs to the root
-		}
-		return ord - as.e - 1
+func (as *ActionSet) where(a Action) int32 {
+	switch a.Kind {
+	case ActDeliver:
+		return as.tbase[as.slotOf[a.Proc]] + int32(a.Ch)
+	case ActTimeout:
+		return 0
+	default:
+		return as.slotOf[a.Proc]
 	}
-	return int(as.chans[ord].To)
 }
 
-// actionOf decodes an ordinal.
-func (as *ActionSet) actionOf(ord int) Action {
+// locate returns where the action with ordinal ord lives: what a small-form
+// entry carries, recomputed for the dense form, which stores ordinals only.
+func (as *ActionSet) locate(ord int) int32 {
+	if ord < as.e {
+		p := as.tree.ChannelOwner(ord)
+		return as.where(Action{Kind: ActDeliver, Proc: p, Ch: ord - as.tree.ChannelOffset(p)})
+	}
+	return as.where(as.action(pack(ord, 0)))
+}
+
+// procOf returns the process an ordinal living at at belongs to (the root
+// for the timeout).
+func (as *ActionSet) procOf(ord int, at int32) int {
 	switch {
 	case ord < as.e:
-		c := &as.chans[ord]
+		return int(as.chans[at].To)
+	case ord == as.e:
+		return 0 // the timeout belongs to the root
+	default:
+		return ord - as.e - 1
+	}
+}
+
+// action decodes an entry; a delivery's process and label are read from the
+// header of the channel it pops.
+func (as *ActionSet) action(v entry) Action {
+	switch ord := v.ord(); {
+	case ord < as.e:
+		c := &as.chans[v.at()]
 		return Action{Kind: ActDeliver, Proc: int(c.To), Ch: int(c.ToCh)}
 	case ord == as.e:
 		return Action{Kind: ActTimeout, Proc: 0}
@@ -138,18 +219,17 @@ func (as *ActionSet) actionOf(ord int) Action {
 	}
 }
 
+// actionOf decodes an ordinal.
+func (as *ActionSet) actionOf(ord int) Action { return as.action(pack(ord, as.locate(ord))) }
+
 // ordinal encodes a (valid) action; it returns -1 for out-of-range ones.
 func (as *ActionSet) ordinal(a Action) int {
 	switch a.Kind {
 	case ActDeliver:
-		if a.Proc < 0 || a.Proc >= as.n || a.Ch < 0 {
+		if a.Proc < 0 || a.Proc >= as.n || a.Ch < 0 || a.Ch >= as.tree.Degree(a.Proc) {
 			return -1
 		}
-		ord := int(as.base[a.Proc]) + a.Ch
-		if ord >= int(as.base[a.Proc+1]) {
-			return -1
-		}
-		return ord
+		return as.ordDeliver(a.Proc, a.Ch)
 	case ActTimeout:
 		if a.Proc != 0 {
 			return -1
@@ -159,7 +239,7 @@ func (as *ActionSet) ordinal(a Action) int {
 		if a.Proc < 0 || a.Proc >= as.n {
 			return -1
 		}
-		return as.e + 1 + a.Proc
+		return as.ordApp(a.Proc)
 	}
 	return -1
 }
@@ -170,40 +250,41 @@ func (as *ActionSet) has(ord int) bool {
 		return as.denseHas(ord)
 	}
 	for _, v := range as.small[:as.size] {
-		if int(v) == ord {
+		if v.ord() == ord {
 			return true
 		}
 	}
 	return false
 }
 
-// add inserts ordinal ord (idempotent). The small form does it in one pass
-// with no data-dependent branch — at these sizes one mispredicted loop exit
-// costs more than the whole pass: every member above ord moves up one place,
-// every other is rewritten where it is, and ord lands in the gap. The
-// comparisons are sign bits of differences, which cannot overflow because
-// ordinals are non-negative int32s.
-func (as *ActionSet) add(ord int) {
+// add inserts ordinal ord, which lives at at (idempotent). The small form
+// does it in one pass with no data-dependent branch — at these sizes one
+// mispredicted loop exit costs more than the whole pass: every member above
+// ord moves up one place, every other is rewritten where it is, and the new
+// entry lands in the gap. The comparisons are sign bits of differences,
+// which cannot overflow because entries are non-negative int64s; an ordinal
+// always lives at the same place, so entries compare as their ordinals do.
+func (as *ActionSet) add(ord int, at int32) {
 	if as.dense {
-		as.denseAdd(ord)
+		as.denseAdd(ord, as.procOf(ord, at))
 		return
 	}
 	n := as.size
 	if n == smallCap {
 		if !as.has(ord) {
 			as.spill()
-			as.denseAdd(ord)
+			as.denseAdd(ord, as.procOf(ord, at))
 		}
 		return
 	}
-	s, o := as.small[:n+1], int32(ord)
+	s, o := as.small[:n+1], pack(ord, at)
 	above, absent := 0, 1
 	for j := n; j > 0; j-- {
 		v := s[j-1]
-		up := int(uint32(o-v) >> 31) // 1 iff v > ord
+		up := int(uint64(o-v) >> 63) // 1 iff v > o
 		s[j-1+up] = v
 		above += up
-		absent &= ne32(v, o)
+		absent &= ne(v, o)
 	}
 	if absent == 0 { // already a member: close the gap again
 		copy(s[n-above:n], s[n-above+1:])
@@ -213,25 +294,25 @@ func (as *ActionSet) add(ord int) {
 	as.size = n + 1
 }
 
-// ne32 returns 1 if a != b and 0 otherwise, without a branch (for
-// non-negative a and b).
-func ne32(a, b int32) int { return int((uint32(a-b) | uint32(b-a)) >> 31) }
+// ne returns 1 if a != b and 0 otherwise, without a branch.
+func ne(a, b entry) int { return int((uint64(a-b) | uint64(b-a)) >> 63) }
 
-// remove deletes ordinal ord (idempotent). The small form compacts the array
-// over ord in one pass, again without a data-dependent branch.
-func (as *ActionSet) remove(ord int) {
+// remove deletes ordinal ord, which lives at at (idempotent). The small form
+// compacts the array over it in one pass, again without a data-dependent
+// branch.
+func (as *ActionSet) remove(ord int, at int32) {
 	if as.dense {
-		as.denseRemove(ord)
+		as.denseRemove(ord, as.procOf(ord, at))
 		if as.size == smallCap/2 {
 			as.unspill()
 		}
 		return
 	}
-	s, o := as.small[:as.size], int32(ord)
+	s, o := as.small[:as.size], pack(ord, at)
 	k := 0
 	for _, v := range s {
 		s[k] = v
-		k += ne32(v, o)
+		k += ne(v, o)
 	}
 	as.size = k
 }
@@ -239,8 +320,8 @@ func (as *ActionSet) remove(ord int) {
 // spill moves a full small array into the bitmaps.
 func (as *ActionSet) spill() {
 	as.size = 0
-	for _, ord := range as.small {
-		as.denseAdd(int(ord))
+	for _, v := range as.small {
+		as.denseAdd(v.ord(), as.procOf(v.ord(), v.at()))
 	}
 	as.dense = true
 	as.spills++
@@ -252,8 +333,9 @@ func (as *ActionSet) unspill() {
 	n := as.size
 	for i := 0; i < n; i++ {
 		ord := as.denseSelect(0)
-		as.denseRemove(ord)
-		as.small[i] = int32(ord)
+		at := as.locate(ord)
+		as.denseRemove(ord, as.procOf(ord, at))
+		as.small[i] = pack(ord, at)
 	}
 	as.size = n
 	as.dense = false
@@ -282,7 +364,8 @@ func (as *ActionSet) procUnmark(p int) {
 	}
 }
 
-func (as *ActionSet) denseAdd(ord int) {
+// denseAdd sets ordinal ord, an action of process p.
+func (as *ActionSet) denseAdd(ord, p int) {
 	if as.denseHas(ord) {
 		return
 	}
@@ -290,13 +373,13 @@ func (as *ActionSet) denseAdd(ord int) {
 	as.size++
 	as.cnt1[ord>>9]++
 	as.cnt2[ord>>15]++
-	p := as.procOf(ord)
 	if as.perProc[p]++; as.perProc[p] == 1 {
 		as.procMark(p)
 	}
 }
 
-func (as *ActionSet) denseRemove(ord int) {
+// denseRemove clears ordinal ord, an action of process p.
+func (as *ActionSet) denseRemove(ord, p int) {
 	if !as.denseHas(ord) {
 		return
 	}
@@ -304,18 +387,17 @@ func (as *ActionSet) denseRemove(ord int) {
 	as.size--
 	as.cnt1[ord>>9]--
 	as.cnt2[ord>>15]--
-	p := as.procOf(ord)
 	if as.perProc[p]--; as.perProc[p] == 0 {
 		as.procUnmark(p)
 	}
 }
 
-// set forces membership of ord to enabled.
-func (as *ActionSet) set(ord int, enabled bool) {
+// set forces membership of ord, which lives at at, to enabled.
+func (as *ActionSet) set(ord int, at int32, enabled bool) {
 	if enabled {
-		as.add(ord)
+		as.add(ord, at)
 	} else {
-		as.remove(ord)
+		as.remove(ord, at)
 	}
 }
 
@@ -349,14 +431,18 @@ func (as *ActionSet) Contains(a Action) bool {
 // deliveries lexicographic by (process, channel), then the timeout, then
 // application actions by process. It panics when i is out of range — exactly
 // as the historical kernel panicked on an out-of-range scheduler pick.
-func (as *ActionSet) At(i int) Action {
+func (as *ActionSet) At(i int) Action { return as.action(as.entryAt(i)) }
+
+// entryAt is At for the kernel: the i-th member with where it lives.
+func (as *ActionSet) entryAt(i int) entry {
 	if i < 0 || i >= as.size {
 		panic(fmt.Sprintf("sim: scheduler picked %d of %d actions", i, as.size))
 	}
 	if as.dense {
-		return as.actionOf(as.denseSelect(i))
+		ord := as.denseSelect(i)
+		return pack(ord, as.locate(ord))
 	}
-	return as.actionOf(int(as.small[i]))
+	return as.small[i]
 }
 
 // denseSelect returns the rank-th enabled ordinal (rank < size) of the dense
@@ -422,8 +508,8 @@ func select64(w uint64, rank int) int {
 // bitmap scan.
 func (as *ActionSet) AppendAll(dst []Action) []Action {
 	if !as.dense {
-		for _, ord := range as.small[:as.size] {
-			dst = append(dst, as.actionOf(int(ord)))
+		for _, v := range as.small[:as.size] {
+			dst = append(dst, as.action(v))
 		}
 		return dst
 	}
@@ -455,8 +541,8 @@ func (as *ActionSet) NextProc(from int) int {
 	if !as.dense {
 		// The lowest process at or after from, else the lowest of all.
 		first, next := as.n, as.n
-		for _, ord := range as.small[:as.size] {
-			p := as.procOf(int(ord))
+		for _, v := range as.small[:as.size] {
+			p := as.procOf(v.ord(), v.at())
 			first = min(first, p)
 			if p >= from {
 				next = min(next, p)
@@ -527,13 +613,14 @@ func (as *ActionSet) MinDeliver(p int) int {
 // EachDeliver calls f with every enabled deliver channel of process p in
 // ascending order, stopping early when f returns false.
 func (as *ActionSet) EachDeliver(p int, f func(ch int) bool) {
-	lo, hi := int(as.base[p]), int(as.base[p+1])
+	lo, hi := as.tree.ChannelOffset(p), as.tree.ChannelOffset(p+1)
 	if !as.dense {
-		for _, ord := range as.small[:as.size] {
-			if int(ord) >= hi {
+		for _, v := range as.small[:as.size] {
+			ord := v.ord()
+			if ord >= hi {
 				return
 			}
-			if int(ord) >= lo && !f(int(ord)-lo) {
+			if ord >= lo && !f(ord-lo) {
 				return
 			}
 		}

@@ -19,7 +19,7 @@ func testCfg(k, l int) core.Config {
 // ordinal space of an irregular topology.
 func TestActionSetOrdinalRoundTrip(t *testing.T) {
 	tr := tree.Caterpillar(4, 2)
-	as := newActionSet(tr)
+	as := newActionSet(tr, nil)
 	if as.e != tr.RingLen() {
 		t.Fatalf("e = %d, want %d", as.e, tr.RingLen())
 	}
@@ -48,10 +48,10 @@ func TestActionSetOrdinalRoundTrip(t *testing.T) {
 // order regardless of insertion order.
 func TestActionSetCanonicalOrder(t *testing.T) {
 	tr := tree.Paper()
-	as := newActionSet(tr)
+	as := newActionSet(tr, nil)
 	ords := rand.New(rand.NewSource(3)).Perm(as.m)
 	for _, ord := range ords {
-		as.add(ord)
+		addOrd(as, ord)
 	}
 	if as.Len() != as.m {
 		t.Fatalf("Len = %d, want %d", as.Len(), as.m)
@@ -72,16 +72,16 @@ func TestActionSetCanonicalOrder(t *testing.T) {
 // name dates from the swap-remove index the bitmap replaced).
 func TestActionSetSwapRemove(t *testing.T) {
 	tr := tree.Star(6)
-	as := newActionSet(tr)
+	as := newActionSet(tr, nil)
 	model := map[int]bool{}
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 10_000; i++ {
 		ord := rng.Intn(as.m)
 		if rng.Intn(2) == 0 {
-			as.add(ord)
+			addOrd(as, ord)
 			model[ord] = true
 		} else {
-			as.remove(ord)
+			removeOrd(as, ord)
 			delete(model, ord)
 		}
 	}
@@ -112,7 +112,7 @@ func TestActionSetSwapRemove(t *testing.T) {
 	// The cleared set is as good as new: refill it and it must select
 	// exactly as before.
 	for _, ord := range want {
-		as.add(ord)
+		addOrd(as, ord)
 	}
 	for i, ord := range want {
 		if got := as.ordinal(as.At(i)); got != ord {
@@ -124,14 +124,14 @@ func TestActionSetSwapRemove(t *testing.T) {
 // TestActionSetProcQueries pins NextProc/MinDeliver/EachDeliver semantics.
 func TestActionSetProcQueries(t *testing.T) {
 	tr := tree.Paper() // r(a(b c) d(e f g)): degrees r=2 a=3 d=4 leaves=1
-	as := newActionSet(tr)
+	as := newActionSet(tr, nil)
 	if as.NextProc(0) != -1 {
 		t.Error("NextProc on empty set != -1")
 	}
-	as.add(as.ordDeliver(2, 3)) // d's channel 3
-	as.add(as.ordDeliver(2, 1))
-	as.add(as.ordApp(5))
-	as.add(as.ordTimeout()) // counts for the root
+	addOrd(as, as.ordDeliver(2, 3)) // d's channel 3
+	addOrd(as, as.ordDeliver(2, 1))
+	addOrd(as, as.ordApp(5))
+	addOrd(as, as.ordTimeout()) // counts for the root
 	if got := as.NextProc(3); got != 5 {
 		t.Errorf("NextProc(3) = %d, want 5", got)
 	}
@@ -155,7 +155,7 @@ func TestActionSetProcQueries(t *testing.T) {
 	if !as.TimeoutEnabled() || !as.HasApp(5) || as.HasApp(4) {
 		t.Error("membership predicates wrong")
 	}
-	as.remove(as.ordTimeout())
+	removeOrd(as, as.ordTimeout())
 	if got := as.NextProc(6); got != 2 {
 		t.Errorf("NextProc(6) after timeout removal = %d, want 2", got)
 	}
@@ -179,7 +179,7 @@ func checkForms(t *testing.T, as *ActionSet, model []int, dense bool) {
 	want := make([]Action, 0, len(model))
 	for i, ord := range model {
 		in[ord] = true
-		procs[as.procOf(ord)] = true
+		procs[as.procOf(ord, as.locate(ord))] = true
 		want = append(want, as.actionOf(ord))
 		if got := as.At(i); got != want[i] {
 			t.Fatalf("At(%d) = %v, want %v", i, got, want[i])
@@ -207,9 +207,10 @@ func checkForms(t *testing.T, as *ActionSet, model []int, dense bool) {
 	}
 	for p := 0; p < as.n; p++ {
 		var chans []int
-		for ord := int(as.base[p]); ord < int(as.base[p+1]); ord++ {
+		lo := as.tree.ChannelOffset(p)
+		for ord := lo; ord < as.tree.ChannelOffset(p+1); ord++ {
 			if in[ord] {
-				chans = append(chans, ord-int(as.base[p]))
+				chans = append(chans, ord-lo)
 			}
 		}
 		var got []int
@@ -232,6 +233,11 @@ func checkForms(t *testing.T, as *ActionSet, model []int, dense bool) {
 		t.Fatalf("TimeoutEnabled = %v", got)
 	}
 }
+
+// addOrd and removeOrd drive a set by ordinal alone, finding where each
+// action lives the way the dense form does.
+func addOrd(as *ActionSet, ord int)    { as.add(ord, as.locate(ord)) }
+func removeOrd(as *ActionSet, ord int) { as.remove(ord, as.locate(ord)) }
 
 // bitmapsZero reports whether the whole dense form is zero — the invariant
 // of the small form.
@@ -265,7 +271,7 @@ func bitmapsZero(as *ActionSet) bool {
 // every mutation.
 func TestActionSetForms(t *testing.T) {
 	tr := tree.Caterpillar(6, 2) // 18 processes, 34 channels, 53 ordinals
-	as := newActionSet(tr)
+	as := newActionSet(tr, nil)
 	rng := rand.New(rand.NewSource(5))
 	var model []int
 	for _, leg := range []struct {
@@ -296,14 +302,14 @@ func TestActionSetForms(t *testing.T) {
 			present := i < len(model) && model[i] == ord
 			wasDense := as.dense
 			if len(model) < leg.size {
-				as.add(ord)
+				addOrd(as, ord)
 				if !present {
 					model = append(model, 0)
 					copy(model[i+1:], model[i:])
 					model[i] = ord
 				}
 			} else {
-				as.remove(ord)
+				removeOrd(as, ord)
 				if present {
 					model = append(model[:i], model[i+1:]...)
 				}
@@ -340,10 +346,11 @@ func (a *toggleApp) WakeAt(int64) int64 { return a.wake }
 func checkKnownState(t *testing.T, s *Sim) {
 	t.Helper()
 	checkAgainstScan(t, s)
-	for p := range s.procs {
-		on := s.procs[p].app.Enabled(s.clock)
-		if got := s.actions.HasApp(p); got != on || (s.procs[p].wakeAt == appOn) != on {
-			t.Fatalf("process %d: application enabled = %v, HasApp = %v, wakeAt = %d", p, on, got, s.procs[p].wakeAt)
+	for p := 0; p < s.Tree.N(); p++ {
+		pr := &s.procs[s.actions.slotOf[p]]
+		on := pr.app.Enabled(s.clock)
+		if got := s.actions.HasApp(p); got != on || (pr.wakeAt == appOn) != on {
+			t.Fatalf("process %d: application enabled = %v, HasApp = %v, wakeAt = %d", p, on, got, pr.wakeAt)
 		}
 	}
 	if on := s.timerExpired(); s.actions.TimeoutEnabled() != on || s.timeoutOn != on {
@@ -461,11 +468,11 @@ func TestActionSetTracksSimMutations(t *testing.T) {
 // set from the bulk-zeroed bitmaps alone.
 func stormThenResync(s *Sim, rng *rand.Rand, depth int) {
 	msgs := make([]message.Message, depth)
-	for ord := range s.chans {
+	for c := range s.chans {
 		for i := range msgs {
 			msgs[i] = message.Random(rng, 11, 3)
 		}
-		s.chans[ord].Replace(msgs)
+		s.chans[c].Replace(msgs)
 	}
 	s.actions.clear()
 	s.ResyncActions()
@@ -516,14 +523,14 @@ func FuzzActionSet(f *testing.F) {
 				s.Step()
 			default:
 				if arg%2 == 0 { // bulk add: a message into every empty channel
-					for ord := range s.chans {
-						if s.chans[ord].Len() == 0 {
-							s.chans[ord].Seed(message.Random(rng, 11, 3))
+					for c := range s.chans {
+						if s.chans[c].Len() == 0 {
+							s.chans[c].Seed(message.Random(rng, 11, 3))
 						}
 					}
 				} else { // bulk remove: empty all but the first arg/2 < smallCap/2 channels
-					for ord := arg / 2; ord < len(s.chans); ord++ {
-						s.chans[ord].Replace(nil)
+					for c := arg / 2; c < len(s.chans); c++ {
+						s.chans[c].Replace(nil)
 					}
 				}
 			}

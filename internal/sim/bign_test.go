@@ -111,10 +111,12 @@ func TestBigNSmoke(t *testing.T) {
 // repository's benchmark reports as bytes_per_process, measured by the same
 // recipe (buildSim in benchmark/simphase.go): the GC-fenced HeapAlloc delta
 // around sim.New, one Fixed cycle attached per process and the fused census
-// monitor. The layout lands near 420 B/process (two 64-byte channel headers,
+// monitor. The layout lands near 415 B/process (two 64-byte channel headers,
 // a 64-byte process line, a 32-byte protocol slot, a 16-byte port, a
-// 128-byte Cycle and a few words of tables); the ceiling leaves room for the
-// allocator's rounding at small n, not for another per-process table.
+// 128-byte Cycle and a few words of tables: the node pointer, the wake heap,
+// the id→slot map, the per-slot channel offsets and the dense action set's
+// per-process counts); the ceiling leaves room for the allocator's rounding
+// at small n, not for another per-process table.
 func TestBytesPerProcessCeiling(t *testing.T) {
 	const n, ceiling = 4096, 540
 	tr := tree.Prufer(n, rand.New(rand.NewSource(7)))

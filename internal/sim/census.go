@@ -98,15 +98,15 @@ func (s *Sim) CensusScan() Census {
 // by value keeps the node-tracking brackets on the kernel hot path free of
 // closure allocation and indirect calls.
 type nodeDelta struct {
-	p    int32
-	res  int32
-	prio bool
-	in   bool
-	skip bool // census disabled or reentrant frame: fold nothing
+	slot  int32
+	res   int32
+	prio  bool
+	state core.State
+	skip  bool // census disabled or reentrant frame: fold nothing
 }
 
-// beginTrack opens a node-tracking bracket around a state mutation of
-// process p; the returned before-image must be handed to endTrack after the
+// beginTrack opens a node-tracking bracket around a state mutation of the
+// process at slot; the returned before-image must be handed to endTrack after the
 // mutation. Every kernel entry point into a core.Node (message
 // handling, timeout, Handle calls, RestoreNode) is bracketed this way;
 // messages the node sends while handling are accounted separately by the
@@ -119,29 +119,33 @@ type nodeDelta struct {
 // its own frame, which is sound because census deltas of distinct nodes are
 // independent and additive. Brackets nest like the calls that open them, so
 // the open ones form a stack — almost always of depth one.
-func (s *Sim) beginTrack(p int) nodeDelta {
+func (s *Sim) beginTrack(slot int) nodeDelta {
 	if s.scanCensus {
 		return nodeDelta{skip: true}
 	}
 	for _, q := range s.tracking {
-		if int(q) == p {
+		if int(q) == slot {
 			return nodeDelta{skip: true}
 		}
 	}
-	s.tracking = append(s.tracking, int32(p))
-	res, prio, in := s.vars.Probe(p)
-	return nodeDelta{p: int32(p), res: res, prio: prio, in: in}
+	s.tracking = append(s.tracking, int32(slot))
+	res, prio, state := s.vars.Probe(slot)
+	return nodeDelta{slot: int32(slot), res: res, prio: prio, state: state}
 }
 
 // endTrack closes the innermost open node-tracking bracket, folding the state
-// delta of its process since beginTrack into the maintained census.
-func (s *Sim) endTrack(d nodeDelta) {
+// delta of its process since beginTrack into the maintained census. It
+// reports whether the node left Req — the one way a delivery or timeout
+// calls the application's EnterCS — or, for a frame that folds nothing,
+// that it cannot tell.
+func (s *Sim) endTrack(d nodeDelta) (leftReq bool) {
 	if d.skip {
-		return
+		return true
 	}
 	s.tracking = s.tracking[:len(s.tracking)-1]
-	res32, prioA, inA := s.vars.Probe(int(d.p))
+	res32, prioA, state := s.vars.Probe(int(d.slot))
 	resA, resB := int(res32), int(d.res)
+	inA := state == core.In
 
 	s.census.ReservedRes += resA - resB
 	if prioA != d.prio {
@@ -151,7 +155,7 @@ func (s *Sim) endTrack(d nodeDelta) {
 			s.census.HeldPrio--
 		}
 	}
-	if d.in {
+	if d.state == core.In {
 		s.census.InCS--
 		s.census.UnitsInUse -= resB
 		if resB > s.Cfg.K {
@@ -165,13 +169,14 @@ func (s *Sim) endTrack(d nodeDelta) {
 			s.census.OverK++
 		}
 	}
+	return d.state == core.Req && state != core.Req
 }
 
-// trackNode runs fn — which may mutate node p's protocol state — and folds
-// the resulting state delta into the maintained census: the closure
-// convenience form of beginTrack/endTrack for cold paths.
-func (s *Sim) trackNode(p int, fn func()) {
-	d := s.beginTrack(p)
+// trackNode runs fn — which may mutate the protocol state of the process at
+// slot — and folds the resulting state delta into the maintained census: the
+// closure convenience form of beginTrack/endTrack for cold paths.
+func (s *Sim) trackNode(slot int, fn func()) {
+	d := s.beginTrack(slot)
 	fn()
 	s.endTrack(d)
 }
@@ -203,7 +208,7 @@ func (s *Sim) ResyncCensus() {
 // state. State corruption cannot change action enablement, so no action-set
 // resync is needed.
 func (s *Sim) RestoreNode(p int, snap core.Snapshot) {
-	s.trackNode(p, func() { s.Nodes[p].Restore(snap) })
+	s.trackNode(int(s.actions.slotOf[p]), func() { s.Nodes[p].Restore(snap) })
 }
 
 // Health is the copy-free per-step read of the maintained census: whether
@@ -213,7 +218,7 @@ func (s *Sim) RestoreNode(p int, snap core.Snapshot) {
 // consume, so a step assembles no Census value; under Options.ScanCensus it
 // reads the snapshot oracle instead.
 func (s *Sim) Health() (legit bool, unitsInUse, overK int) {
-	rootReset := s.procs[s.Tree.Root()].node.ResetFlag()
+	rootReset := s.procs[0].node.ResetFlag() // the root's slot is 0
 	if s.scanCensus {
 		c := s.CensusScan()
 		return c.LegitimateFor(s.Cfg, rootReset), c.UnitsInUse, c.OverK

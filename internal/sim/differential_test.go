@@ -156,36 +156,49 @@ func TestDifferentialKernels(t *testing.T) {
 			}
 		}
 	}
-	// Both forms of the action set and both crossings under the oracle: 64
-	// applications enabled at the start spill the sorted array into the
-	// bitmaps and their first requests drain it back within 50 steps; the
+	// Both forms of the action set and both crossings under the oracle. At
+	// n=64: 64 applications enabled at the start spill the sorted array into
+	// the bitmaps and their first requests drain it back within 50 steps; the
 	// legacy storm's third firing (step 12 000) fills all 126 channels with
 	// garbage, the protocol has cleaned that up by step ≈ 38 000, and the
-	// seventh firing (44 000) does it again.
-	t.Run("random/prufer-64/legacy-storm", func(t *testing.T) {
-		tr := tree.Prufer(64, rand.New(rand.NewSource(21)))
-		cfg := core.Config{K: 2, L: 8, N: tr.N(), CMAX: 4, Features: core.Full()}
-		const steps = 50_000
-		sched, err := adversary.Compile(adversary.LegacyStorm(4_000), steps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		drive := func(s *sim.Sim) {
-			x, err := adversary.NewExecutor(s, sched, 5)
+	// seventh firing (44 000) does it again. At n=1024 the labels are far
+	// from ring order, so the dense form decodes ordinals whose table indices
+	// disagree with them — through the drain, and through the garbage the
+	// third firing leaves in all 2046 channels.
+	for _, tc := range []struct {
+		n             int
+		seed          int64
+		steps         int64
+		spills, backs int
+	}{
+		{64, 21, 50_000, 2, 2},
+		{1024, 23, 16_000, 2, 1},
+	} {
+		t.Run(fmt.Sprintf("random/prufer-%d/legacy-storm", tc.n), func(t *testing.T) {
+			tr := tree.Prufer(tc.n, rand.New(rand.NewSource(tc.seed)))
+			cfg := core.Config{K: 2, L: 8, N: tr.N(), CMAX: 4, Features: core.Full()}
+			sched, err := adversary.Compile(adversary.LegacyStorm(4_000), tc.steps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			x.Run(steps)
-		}
-		spy := &formSpy{}
-		gotTrace, gotSum := diffDrive(t, tr, cfg, 5, spy, drive, false)
-		wantTrace, wantSum := diffDrive(t, tr, cfg, 5, &formSpy{}, drive, true)
-		sameRun(t, gotTrace, wantTrace, gotSum, wantSum)
-		if spy.spills < 2 || spy.back < 2 {
-			t.Errorf("the enabled set went past 32 members %d times and back to 16 %d times, want ≥ 2 of each",
-				spy.spills, spy.back)
-		}
-	})
+			drive := func(s *sim.Sim) {
+				x, err := adversary.NewExecutor(s, sched, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				x.Run(tc.steps)
+			}
+			spy := &formSpy{}
+			gotTrace, gotSum := diffDrive(t, tr, cfg, 5, spy, drive, false)
+			wantTrace, wantSum := diffDrive(t, tr, cfg, 5, &formSpy{}, drive, true)
+			sameRun(t, gotTrace, wantTrace, gotSum, wantSum)
+			if spy.spills < tc.spills || spy.back < tc.backs {
+				t.Errorf("the enabled set went past 32 members %d times and back to 16 %d times, want ≥ %d and ≥ %d",
+					spy.spills, spy.back, tc.spills, tc.backs)
+			}
+			t.Logf("%d spills, %d back", spy.spills, spy.back)
+		})
+	}
 }
 
 // TestDifferentialModerateN repeats the kernel differential at n = 257 —

@@ -7,8 +7,10 @@ import "kofl/internal/obs"
 // AppActions) and the maintained census are bridged through func metrics —
 // read at scrape time, zero cost per step. The only per-step work is the
 // transition detection in Step: one Health read compared against the
-// previous step, well inside the zero-allocation stepping contract and the
-// ≤2% overhead budget. The cold half lives below.
+// previous step, inside the zero-allocation stepping contract. Whether it
+// stays inside the ≤2% overhead budget is unverified — the benchmark's
+// sim.obs_overhead_frac reads above it; see docs/ARCHITECTURE.md
+// "Observability". The cold half lives below.
 type obsState struct {
 	journal *obs.Journal
 

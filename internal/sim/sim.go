@@ -15,15 +15,16 @@
 // a persistent ActionSet maintained incrementally: channels report emptiness
 // transitions through their hub's hook, the root timeout is compared with
 // the clock in O(1), and applications register wake times (App.WakeAt)
-// instead of being polled — so a step costs O(changes), amortized O(1) for
-// the protocol's bounded token population, instead of O(E+n). The kernel
-// remembers whether the timeout and each application are in the set
-// (Sim.timeoutOn, the appOn value of proc.wakeAt) and calls the set only when
-// that changes. The set itself is as small as that population — ℓ resource
-// tokens, a pusher, a priority token, a controller — so it is kept as a
-// sorted array of at most smallCap ordinals, and moves to bitmaps under a
-// count hierarchy only while it is larger: the start-up drain, arbitrary-
-// start garbage, fault storms on big trees (see ActionSet).
+// instead of being polled, and are re-read only after an event at them — so
+// a step costs O(changes), amortized O(1) for the protocol's bounded token
+// population, instead of O(E+n). The kernel remembers whether the timeout
+// and each application are in the set (Sim.timeoutOn, the appOn value of
+// proc.wakeAt) and calls the set only when that changes. The set itself is
+// as small as that population — ℓ resource tokens, a pusher, a priority
+// token, a controller — so it is kept as a sorted array of at most smallCap
+// entries, and moves to bitmaps under a count hierarchy only while it is
+// larger: the start-up drain, arbitrary-start garbage, fault storms on big
+// trees (see ActionSet).
 //
 // # Enumeration-order determinism contract
 //
@@ -51,16 +52,22 @@
 //
 // # Memory model
 //
-// The simulator state is laid out for random access at big n, where every
-// step lands on a process nobody touched recently: a delivery reads one
-// 64-byte line for the process (node view, application, wake time), its
-// 32-byte protocol slot in core.Vars and its 16-byte port, and one 64-byte
-// header per channel end — the one it pops and the one it pushes to, with
-// the head message inline. All directed channels live in a single dense
-// slice indexed by deliver ordinal (the CSR layout of the ActionSet's
-// ordinal space), whose headers double as the ordinal decode table and
-// name their reverse direction; what the channels share lives once in a
-// channel.Hub. Steady-state stepping performs zero heap allocations; see
+// A delivery reads one 64-byte line for the process (node view,
+// application, wake time), its 32-byte protocol slot in core.Vars and its
+// 16-byte port, and one 64-byte header per channel end — the one it pops and
+// the one it pushes to, with the head message inline; what the channels
+// share lives once in a channel.Hub. Tokens only move along the virtual
+// ring, so what a step costs at big n is the ORDER of those lines: the
+// simulator keeps two numberings apart. Ids are tree labels — every API,
+// event, trace and scheduler, and the canonical enumeration order above,
+// speak ids. Slots are DFS-preorder positions, the order in which a token
+// lap first reaches each process; every table a step touches (procs, ports,
+// the core.Vars slots, the wake heap, the census bracket) is indexed by
+// slot, and the channel table is CSR by receiver slot, so a lap walks memory
+// forward instead of landing on a random label's line. The mapping is the
+// identity on chains, stars and any tree already labelled in preorder; the
+// id→slot table is read only at the API boundary and by the dense action
+// set's decode. Steady-state stepping performs zero heap allocations; see
 // docs/ARCHITECTURE.md ("Memory model").
 //
 // # Fault-injection resync rule
@@ -156,6 +163,13 @@ type Handle interface {
 // between an event at the process and the returned wake time, Enabled must
 // not change; and once enabled, the application must stay enabled until its
 // next event (Act, EnterCS, or a Handle call).
+//
+// The kernel relies on it: it re-reads Enabled after an event delivered to
+// the application and at the wake time, and never after a step that
+// delivered the application no event — a delivery or timeout at its process
+// that did not call EnterCS leaves it unpolled. An application that breaks
+// the contract is therefore not noticed until its next event (or its wake
+// time; a wake time at or before the clock is re-checked on the next step).
 type App interface {
 	core.App
 	Enabled(now int64) bool
@@ -180,15 +194,14 @@ type Options struct {
 	// Observer additionally receives every protocol event (may be nil).
 	Observer core.Observer
 	// FullRescan selects the legacy O(E+n) kernel that rebuilds the enabled-
-	// action set from a full scan every step. It exists as the differential-
-	// testing oracle and the before-side of the step-throughput benchmark;
-	// the incremental kernel is bit-for-bit equivalent and strictly faster.
+	// action set from a full scan every step, re-reading every application's
+	// Enabled. It exists as the differential-testing oracle; the incremental
+	// kernel is bit-for-bit equivalent and strictly faster.
 	FullRescan bool
 	// ScanCensus selects the legacy O(n + channels) census that Census()
 	// recomputes from a full snapshot on every call, instead of the
 	// incrementally maintained one. Like FullRescan it exists as the
-	// differential-testing oracle and the before-side of the census-
-	// throughput benchmark; the maintained census is value-identical.
+	// differential-testing oracle; the maintained census is value-identical.
 	ScanCensus bool
 	// Obs, when non-nil, registers the kofl_sim_* instrumentation series on
 	// it: the kernel counters and the maintained census bridged as func
@@ -210,15 +223,17 @@ func DefaultTimeoutTicks(ringLen, l int) int64 {
 	return int64(16 * ringLen * (l + 4))
 }
 
-// wake is one pending application wake-up: proc re-polls at clock `at`.
+// wake is one pending application wake-up: the process at slot re-polls at
+// clock `at`.
 type wake struct {
 	at   int64
-	proc int32
+	slot int32
 }
 
 // proc is what a step reads about one process besides its protocol slot in
 // core.Vars — the node view, the application, the registered wake time — on
-// one 64-byte line instead of one cold line per table.
+// one 64-byte line instead of one cold line per table. Sim.procs holds them
+// by slot.
 type proc struct {
 	node   core.Node
 	app    App
@@ -235,19 +250,19 @@ const appOn int64 = math.MinInt64
 type Sim struct {
 	Tree  *tree.Tree
 	Cfg   core.Config
-	Nodes []*core.Node // Nodes[p] points into the per-process line
+	Nodes []*core.Node // Nodes[p] points into process p's line
 
-	// Channel storage in CSR form: chans is the ActionSet's table, indexed by
-	// deliver ordinal — chans[base[p]+ch] is the channel INTO p with label
-	// ch, and its Rev the index of the channel OUT of p with label ch. One
-	// dense slice for all 2(n-1) channels, no side tables.
+	// Channel storage in CSR form by receiver slot: chans is the ActionSet's
+	// table — chans[tbase[s]+ch] is the channel INTO the process at slot s
+	// with label ch, and its Rev the index of the channel OUT of it with
+	// label ch. One dense slice for all 2(n-1) channels, no side tables.
 	chans []channel.Channel
 
 	hub *channel.Hub // what all channels share: counts, ring arena, emptiness hook
 
-	procs []proc     // one line per process
-	ports []port     // per-process core.Env + Handle (pointed into, no boxing)
-	vars  *core.Vars // the protocol slots the node views index
+	procs []proc     // one line per process, by slot
+	ports []port     // per-process core.Env + Handle (pointed into, no boxing), by slot
+	vars  *core.Vars // the protocol slots the node views index, by slot
 
 	clock        int64
 	rng          *rand.Rand
@@ -263,13 +278,14 @@ type Sim struct {
 	timeoutOn bool   // the timeout ordinal is in actions
 	wakes     []wake // min-heap on at; stale entries skipped via proc.wakeAt
 	rescan    bool   // Options.FullRescan
+	acting    int32  // slot whose application is inside Act (-1: none)
 
 	// The incremental census kernel (see census.go). The channel-side
 	// populations live in hub.Counts (maintained inline by every channel);
 	// the node-side fields live in census and are folded by trackNode.
 	census     Census
 	scanCensus bool    // Options.ScanCensus
-	tracking   []int32 // processes inside a trackNode bracket, innermost last
+	tracking   []int32 // slots inside a trackNode bracket, innermost last
 
 	// Counters.
 	Steps      int64
@@ -307,9 +323,9 @@ func New(t *tree.Tree, cfg core.Config, opts Options) (*Sim, error) {
 		rng:          rand.New(rand.NewSource(opts.Seed)),
 		sched:        opts.Scheduler,
 		timeoutTicks: opts.TimeoutTicks,
-		actions:      newActionSet(t),
 		wakes:        make([]wake, 0, n),
 		rescan:       opts.FullRescan,
+		acting:       -1,
 		scanCensus:   opts.ScanCensus,
 	}
 	if s.sched == nil {
@@ -321,16 +337,16 @@ func New(t *tree.Tree, cfg core.Config, opts Options) (*Sim, error) {
 	}
 	// Channels: the action set's table, joined to one hub. The scan kernel
 	// rebuilds the set every step and takes no emptiness reports.
-	var onEmptiness func(ord int32, nonempty bool)
+	var onEmptiness func(c *channel.Channel, nonempty bool)
 	if !s.rescan {
 		onEmptiness = s.chanEmptiness
 	}
 	s.hub = channel.NewHub(onEmptiness)
+	s.actions = newActionSet(t, s.hub)
 	s.chans = s.actions.chans
-	for ord := range s.chans {
-		s.chans[ord].Attach(s.hub, int32(ord))
-	}
-	// Nodes: views over one shared slot store.
+	// Nodes: views over one shared slot store, each bound at its process's
+	// slot under its id, in slot order. Every process has a channel, and the
+	// first one into it names it.
 	vars, err := core.NewVars(cfg, n)
 	if err != nil {
 		return nil, err
@@ -338,15 +354,16 @@ func New(t *tree.Tree, cfg core.Config, opts Options) (*Sim, error) {
 	s.vars = vars
 	s.procs = make([]proc, n)
 	s.ports = make([]port, n)
-	for p := 0; p < n; p++ {
-		node, err := vars.Bind(p, p, t.Degree(p), t.IsRoot(p), nopApp{})
+	for slot := range int32(n) {
+		ob := s.actions.tbase[slot]
+		p := int(s.chans[ob].To)
+		node, err := vars.Bind(int(slot), p, t.Degree(p), t.IsRoot(p), nopApp{})
 		if err != nil {
 			return nil, err
 		}
-		s.procs[p] = proc{node: node, app: nopApp{}, wakeAt: NoWake}
-		s.ports[p] = port{s: s, p: int32(p), ob: s.actions.base[p]}
-		s.Nodes[p] = &s.procs[p].node
-		s.pollApp(p)
+		s.procs[slot] = proc{node: node, app: nopApp{}, wakeAt: NoWake}
+		s.ports[slot] = port{s: s, slot: slot, ob: ob}
+		s.Nodes[p] = &s.procs[slot].node
 	}
 	if opts.Observer != nil {
 		s.AddObserver(opts.Observer)
@@ -367,9 +384,10 @@ func MustNew(t *tree.Tree, cfg core.Config, opts Options) *Sim {
 }
 
 // chanEmptiness is the shared channel emptiness hook: the tag is the
-// channel's deliver ordinal.
-func (s *Sim) chanEmptiness(ord int32, nonempty bool) {
-	s.actions.set(int(ord), nonempty)
+// channel's deliver ordinal, and its table index follows from the receiver's
+// slot.
+func (s *Sim) chanEmptiness(c *channel.Channel, nonempty bool) {
+	s.actions.set(int(c.Tag()), s.actions.tbase[c.ToSlot]+c.ToCh, nonempty)
 }
 
 // nopApp is the default application: never requests, never acts.
@@ -383,13 +401,14 @@ func (nopApp) WakeAt(int64) int64 { return NoWake }
 // ReleaseCS callbacks are rebound directly to the application — no shim layer
 // on that hot path.
 func (s *Sim) AttachApp(p int, app App) {
-	pr := &s.procs[p]
+	slot := int(s.actions.slotOf[p])
+	pr := &s.procs[slot]
 	pr.app = app
 	pr.node.SetApp(app)
 	if pr.wakeAt != appOn {
 		pr.wakeAt = NoWake // the old application's wake time; appOn is pollApp's to clear
 	}
-	s.pollApp(p)
+	s.pollApp(slot)
 }
 
 // AddObserver registers an additional protocol-event monitor. The node-side
@@ -408,14 +427,14 @@ func (s *Sim) fanout(e core.Event) {
 	}
 }
 
-// port is process p's side of the kernel: the core.Env its node sends
+// port is one process's side of the kernel: the core.Env its node sends
 // through and the Handle its application acts through, one value serving
-// both. ob caches the process's first deliver ordinal: the outgoing channel
+// both. ob caches the process's first table index: the outgoing channel
 // with label ch is the reverse of the incoming one at ob+ch.
 type port struct {
-	s  *Sim
-	p  int32
-	ob int32 // base[p]: first deliver ordinal of p
+	s    *Sim
+	slot int32
+	ob   int32 // tbase[slot]: table index of the first channel into the process
 }
 
 func (e *port) Send(ch int, m message.Message) {
@@ -424,34 +443,38 @@ func (e *port) Send(ch int, m message.Message) {
 }
 
 func (e *port) RestartTimer() {
-	if e.s.Tree.IsRoot(int(e.p)) {
+	if e.slot == 0 { // the root's slot
 		e.s.lastRestart = e.s.clock
 	}
 }
 
-func (e *port) ID() int    { return int(e.p) }
+func (e *port) ID() int    { return e.s.procs[e.slot].node.ID() }
 func (e *port) Now() int64 { return e.s.clock }
 func (e *port) Request(need int) error {
-	s, p := e.s, int(e.p)
-	d := s.beginTrack(p)
-	err := s.procs[p].node.Request(e, need)
+	s, slot := e.s, int(e.slot)
+	d := s.beginTrack(slot)
+	err := s.procs[slot].node.Request(e, need)
 	s.endTrack(d)
-	s.pollApp(p)
+	if e.slot != s.acting {
+		s.pollApp(slot)
+	}
 	return err
 }
 func (e *port) Poll() {
-	s, p := e.s, int(e.p)
-	d := s.beginTrack(p)
-	s.procs[p].node.Poll(e)
+	s, slot := e.s, int(e.slot)
+	d := s.beginTrack(slot)
+	s.procs[slot].node.Poll(e)
 	s.endTrack(d)
-	s.pollApp(p)
+	if e.slot != s.acting {
+		s.pollApp(slot)
+	}
 }
 
 // Handle returns the application lever of process p. The paper's execution
 // model admits transitions in which "an external application modifies an
 // input variable", so driving requests through a Handle from outside the
 // scheduler is a legal execution.
-func (s *Sim) Handle(p int) Handle { return &s.ports[p] }
+func (s *Sim) Handle(p int) Handle { return &s.ports[s.actions.slotOf[p]] }
 
 // Now returns the simulation clock (number of executed steps, plus timeout
 // fast-forwards).
@@ -460,12 +483,19 @@ func (s *Sim) Now() int64 { return s.clock }
 // TimeoutTicks returns the effective retransmission timeout.
 func (s *Sim) TimeoutTicks() int64 { return s.timeoutTicks }
 
-// In returns the incoming channel of p with label ch.
+// In returns the incoming channel of p with label ch. It panics unless p is
+// a process and 0 ≤ ch < Degree(p).
 func (s *Sim) In(p, ch int) *channel.Channel {
-	return &s.chans[s.actions.ordDeliver(p, ch)]
+	if p < 0 || p >= s.Tree.N() {
+		panic(fmt.Sprintf("sim: no process %d (n=%d)", p, s.Tree.N()))
+	}
+	if deg := s.Tree.Degree(p); ch < 0 || ch >= deg {
+		panic(fmt.Sprintf("sim: process %d has no channel %d (degree %d)", p, ch, deg))
+	}
+	return &s.chans[s.actions.where(Action{Kind: ActDeliver, Proc: p, Ch: ch})]
 }
 
-// Out returns the outgoing channel of p with label ch.
+// Out returns the outgoing channel of p with label ch, under In's checks.
 func (s *Sim) Out(p, ch int) *channel.Channel {
 	return &s.chans[s.In(p, ch).Rev]
 }
@@ -474,8 +504,10 @@ func (s *Sim) Out(p, ch int) *channel.Channel {
 // (From, FromCh) order — the historical iteration order fault injectors'
 // target resolution depends on.
 func (s *Sim) Channels(f func(*channel.Channel)) {
-	for ord := range s.chans {
-		f(&s.chans[s.chans[ord].Rev])
+	for p := 0; p < s.Tree.N(); p++ {
+		for ch := 0; ch < s.Tree.Degree(p); ch++ {
+			f(s.Out(p, ch))
+		}
 	}
 }
 
@@ -486,16 +518,19 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // order and returns it: the historical full scan, kept as the oracle for
 // ResyncActions, the FullRescan kernel, and the differential/fuzz tests.
 func (s *Sim) scanEnabled(dst []Action) []Action {
-	for ord := range s.chans {
-		if s.chans[ord].Len() > 0 {
-			dst = append(dst, s.actions.actionOf(ord))
+	n := s.Tree.N()
+	for p := 0; p < n; p++ {
+		for ch := 0; ch < s.Tree.Degree(p); ch++ {
+			if s.In(p, ch).Len() > 0 {
+				dst = append(dst, Action{Kind: ActDeliver, Proc: p, Ch: ch})
+			}
 		}
 	}
 	if s.timerExpired() {
 		dst = append(dst, Action{Kind: ActTimeout, Proc: s.Tree.Root()})
 	}
-	for p := range s.procs {
-		if s.procs[p].app.Enabled(s.clock) {
+	for p := 0; p < n; p++ {
+		if s.procs[s.actions.slotOf[p]].app.Enabled(s.clock) {
 			dst = append(dst, Action{Kind: ActApp, Proc: p})
 		}
 	}
@@ -506,26 +541,26 @@ func (s *Sim) timerExpired() bool {
 	return s.Cfg.Features.Controller && s.clock-s.lastRestart >= s.timeoutTicks
 }
 
-// pollApp re-evaluates process p's application enablement and updates the
-// ActionSet when it changed: the dirty-flag path, called after every event
-// that can change enablement (the app acted, its node handled a message or
-// timeout, a Handle call, attachment) and at registered wake times. A
-// disabled app registers its next wake.
-func (s *Sim) pollApp(p int) {
+// pollApp re-evaluates the enablement of the application at slot and updates
+// the ActionSet when it changed: the dirty-flag path, called after every
+// event that can change enablement (the app acted, its node entered the
+// critical section, a Handle call, attachment) and at registered wake times.
+// A disabled app registers its next wake.
+func (s *Sim) pollApp(slot int) {
 	if s.rescan {
 		return
 	}
-	pr := &s.procs[p]
+	pr := &s.procs[slot]
 	if pr.app.Enabled(s.clock) {
 		if pr.wakeAt != appOn {
 			pr.wakeAt = appOn
-			s.actions.add(s.actions.ordApp(p))
+			s.actions.add(s.actions.ordApp(pr.node.ID()), int32(slot))
 		}
 		return
 	}
 	if pr.wakeAt == appOn {
 		pr.wakeAt = NoWake
-		s.actions.remove(s.actions.ordApp(p))
+		s.actions.remove(s.actions.ordApp(pr.node.ID()), int32(slot))
 	}
 	t := pr.app.WakeAt(s.clock)
 	if t == NoWake {
@@ -539,7 +574,7 @@ func (s *Sim) pollApp(p int) {
 	}
 	if pr.wakeAt != t {
 		pr.wakeAt = t
-		wakePush(&s.wakes, wake{at: t, proc: int32(p)})
+		wakePush(&s.wakes, wake{at: t, slot: int32(slot)})
 	}
 }
 
@@ -553,14 +588,13 @@ func (s *Sim) syncActions() {
 	}
 	if on := s.timerExpired(); on != s.timeoutOn {
 		s.timeoutOn = on
-		s.actions.set(s.actions.ordTimeout(), on)
+		s.actions.set(s.actions.ordTimeout(), 0, on)
 	}
 	for len(s.wakes) > 0 && s.wakes[0].at <= s.clock {
 		w := wakePop(&s.wakes)
-		p := int(w.proc)
-		if s.procs[p].wakeAt == w.at {
-			s.procs[p].wakeAt = NoWake
-			s.pollApp(p)
+		if pr := &s.procs[w.slot]; pr.wakeAt == w.at {
+			pr.wakeAt = NoWake
+			s.pollApp(int(w.slot))
 		}
 	}
 }
@@ -569,9 +603,9 @@ func (s *Sim) syncActions() {
 // deliver half of a full rebuild, shared by the scan oracle and the resync
 // path so their enablement criterion cannot drift apart.
 func (s *Sim) scanDelivers() {
-	for ord := range s.chans {
-		if s.chans[ord].Len() > 0 {
-			s.actions.add(ord)
+	for i := range s.chans {
+		if c := &s.chans[i]; c.Len() > 0 {
+			s.actions.add(int(c.Tag()), int32(i))
 		}
 	}
 }
@@ -581,11 +615,11 @@ func (s *Sim) rebuildFromScan() {
 	s.actions.clear()
 	s.scanDelivers()
 	if s.timerExpired() {
-		s.actions.add(s.actions.ordTimeout())
+		s.actions.add(s.actions.ordTimeout(), 0)
 	}
-	for p := range s.procs {
-		if s.procs[p].app.Enabled(s.clock) {
-			s.actions.add(s.actions.ordApp(p))
+	for slot := range s.procs {
+		if pr := &s.procs[slot]; pr.app.Enabled(s.clock) {
+			s.actions.add(s.actions.ordApp(pr.node.ID()), int32(slot))
 		}
 	}
 }
@@ -604,13 +638,13 @@ func (s *Sim) ResyncActions() {
 	s.actions.clear()
 	s.scanDelivers()
 	if s.timeoutOn = s.timerExpired(); s.timeoutOn {
-		s.actions.add(s.actions.ordTimeout())
+		s.actions.add(s.actions.ordTimeout(), 0)
 	}
-	for p := range s.procs {
-		if s.procs[p].wakeAt == appOn {
-			s.procs[p].wakeAt = NoWake // the cleared set holds no application
+	for slot := range s.procs {
+		if s.procs[slot].wakeAt == appOn {
+			s.procs[slot].wakeAt = NoWake // the cleared set holds no application
 		}
-		s.pollApp(p)
+		s.pollApp(slot)
 	}
 }
 
@@ -620,7 +654,7 @@ func (s *Sim) Peek(a Action) message.Message {
 	if a.Kind != ActDeliver {
 		panic("sim: Peek on non-deliver action")
 	}
-	return s.chans[s.actions.ordDeliver(a.Proc, a.Ch)].Peek()
+	return s.In(a.Proc, a.Ch).Peek()
 }
 
 // Step executes one scheduler-chosen action. It returns false when the
@@ -642,50 +676,67 @@ func (s *Sim) Step() bool {
 		// the timeout alone.
 		s.clock = s.lastRestart + s.timeoutTicks
 		s.timeoutOn = true
-		s.actions.add(s.actions.ordTimeout())
+		s.actions.add(s.actions.ordTimeout(), 0)
 	}
-	var a Action
+	var (
+		a  Action
+		at int32 // where a lives: the popped channel's table index, else the slot
+	)
 	if s.randSched {
 		// Inlined RandomScheduler.Next: same draw, no interface dispatch.
-		a = s.actions.At(s.rng.Intn(s.actions.Len()))
+		v := s.actions.entryAt(s.rng.Intn(s.actions.Len()))
+		a, at = s.actions.action(v), v.at()
 	} else {
 		a = s.sched.Next(s, s.actions)
 		if !s.actions.Contains(a) {
 			panic(fmt.Sprintf("sim: scheduler picked disabled action %v", a))
 		}
+		at = s.actions.where(a)
 	}
 	s.clock++
 	s.Steps++
 	s.LastAction = a
 	s.LastMsg = message.Message{}
-	pr, pt := &s.procs[a.Proc], &s.ports[a.Proc]
+	// Only an event at the application can change its enablement (App): its
+	// own Act, or EnterCS during a delivery or timeout — which the census
+	// bracket sees as the node leaving Req. After any other step the
+	// application is not polled, and its line stays cold.
+	var slot int32
+	var poll bool
 	switch a.Kind {
 	case ActDeliver:
-		d := s.beginTrack(a.Proc)
-		m := s.chans[int(pt.ob)+a.Ch].Pop()
+		c := &s.chans[at]
+		slot = c.ToSlot
+		d := s.beginTrack(int(slot))
+		m := c.Pop()
 		if m.Kind.Valid() {
 			s.Delivered[m.Kind&7]++
 		}
 		s.LastMsg = m
-		pr.node.HandleMessage(a.Ch, m, pt)
-		s.endTrack(d)
+		s.procs[slot].node.HandleMessage(a.Ch, m, &s.ports[slot])
+		poll = s.endTrack(d)
 	case ActTimeout:
 		s.Timeouts++
-		d := s.beginTrack(a.Proc)
-		pr.node.HandleTimeout(pt)
-		s.endTrack(d)
+		d := s.beginTrack(0) // slot stays 0, the root's
+		s.procs[0].node.HandleTimeout(&s.ports[0])
+		poll = s.endTrack(d)
 	case ActApp:
+		slot = at
 		s.AppActions++
-		pr.app.Act(pt)
+		// Step polls after Act, so the Handle calls Act makes need not.
+		s.acting = slot
+		s.procs[slot].app.Act(&s.ports[slot])
+		s.acting = -1
+		poll = true
 	}
-	// The executed action is the only place application enablement can have
-	// changed without a channel hook or Handle call firing (EnterCS during a
-	// delivery, the app's own Act): re-evaluate just that process.
-	s.pollApp(a.Proc)
+	if poll {
+		s.pollApp(int(slot))
+	}
 	if o := s.obsSt; o != nil {
 		// In steady state neither predicate changes, so instrumentation costs
-		// one Health read and two compares (the 2% overhead budget,
-		// docs/ARCHITECTURE.md "Observability").
+		// one Health read and two compares. Whether that stays inside the 2%
+		// overhead budget is unverified: see docs/ARCHITECTURE.md
+		// "Observability".
 		legit, units, overK := s.Health()
 		if legit != o.prevLegit || (overK > 0) != o.prevOverK {
 			s.obsTransition(legit, units, overK)

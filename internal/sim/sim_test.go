@@ -2,6 +2,8 @@ package sim_test
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"kofl/internal/channel"
@@ -61,6 +63,104 @@ func TestChannelWiring(t *testing.T) {
 	if len(seen) != tr.RingLen() {
 		t.Errorf("%d channels, want %d", len(seen), tr.RingLen())
 	}
+}
+
+// TestChannelLabelOutOfRange pins the boundary check of the channel
+// accessors: a label outside 0..Degree(p)-1, or a process that does not
+// exist, panics naming what was asked for instead of aliasing whichever
+// channel sits at that position of the table.
+func TestChannelLabelOutOfRange(t *testing.T) {
+	tr := tree.Chain(3) // degrees 1, 2, 1
+	s := sim.MustNew(tr, fullCfg(1, 1), sim.Options{})
+	for _, tc := range []struct {
+		name string
+		call func()
+		want string
+	}{
+		{"Out past the root's degree", func() { s.Out(0, 1) }, "process 0 has no channel 1 (degree 1)"},
+		{"In below zero", func() { s.In(1, -1) }, "process 1 has no channel -1 (degree 2)"},
+		{"In past a middle process's degree", func() { s.In(1, 2) }, "process 1 has no channel 2 (degree 2)"},
+		{"Out past the leaf's degree", func() { s.Out(2, 1) }, "process 2 has no channel 1 (degree 1)"},
+		{"Seed past the root's degree", func() { s.Seed(0, 1, message.NewRes()) }, "process 0 has no channel 1 (degree 1)"},
+		{"Peek past the root's degree", func() { s.Peek(sim.Action{Kind: sim.ActDeliver, Proc: 0, Ch: 1}) }, "process 0 has no channel 1 (degree 1)"},
+		{"In on a process past n", func() { s.In(3, 0) }, "no process 3"},
+		{"Out on a negative process", func() { s.Out(-1, 0) }, "no process -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if msg := fmt.Sprint(r); r == nil || !strings.Contains(msg, tc.want) {
+					t.Errorf("panic %v, want one naming %q", r, tc.want)
+				}
+			}()
+			tc.call()
+		})
+	}
+	if got := s.Census(); got != (sim.Census{}) {
+		t.Errorf("a rejected Seed queued something: %v", got)
+	}
+}
+
+// pollCounter wraps a Fixed cycle and counts how often the kernel reads its
+// Enabled, against the events that may change it: Act, EnterCS, and the
+// first read at or after the wake time it last returned.
+type pollCounter struct {
+	*workload.Cycle
+	wake                           int64
+	enabled, acts, enters, wakeups int
+}
+
+func (c *pollCounter) Enabled(now int64) bool {
+	c.enabled++
+	if now >= c.wake {
+		c.wakeups++
+		c.wake = sim.NoWake
+	}
+	return c.Cycle.Enabled(now)
+}
+
+func (c *pollCounter) WakeAt(now int64) int64 {
+	c.wake = c.Cycle.WakeAt(now)
+	return c.wake
+}
+
+func (c *pollCounter) Act(h sim.Handle) { c.acts++; c.Cycle.Act(h) }
+func (c *pollCounter) EnterCS()         { c.enters++; c.Cycle.EnterCS() }
+
+// TestNoColdPoll pins the App contract the kernel relies on: once a run has
+// converged, an application's Enabled is read after its own events and at
+// its wake times only — not after every step at its process, which would
+// touch the caller's application object once per step.
+func TestNoColdPoll(t *testing.T) {
+	tr := tree.Prufer(1023, rand.New(rand.NewSource(7)))
+	s := sim.MustNew(tr, core.Config{K: 2, L: 8, N: tr.N(), CMAX: 4, Features: core.Full()}, sim.Options{Seed: 7})
+	apps := make([]*pollCounter, tr.N())
+	for p := range apps {
+		apps[p] = &pollCounter{Cycle: workload.Attach(s, p, workload.Fixed(1+p%2, 2, 4, 0)), wake: sim.NoWake}
+		s.AttachApp(p, apps[p])
+	}
+	s.Run(200_000)
+	if !s.TokensCorrect() {
+		t.Fatal("not converged after 200k steps")
+	}
+	for _, a := range apps {
+		a.enabled, a.acts, a.enters, a.wakeups = 0, 0, 0, 0
+	}
+	const steps = 100_000
+	s.Run(steps)
+	var enabled, events int
+	for _, a := range apps {
+		enabled += a.enabled
+		events += a.acts + a.enters + a.wakeups
+	}
+	if enabled > events {
+		t.Errorf("%d Enabled reads over %d steps, but only %d events (Act, EnterCS, wake-ups) that can change it",
+			enabled, steps, events)
+	}
+	if enabled >= steps {
+		t.Errorf("%d Enabled reads over %d steps: the kernel polls every step", enabled, steps)
+	}
+	t.Logf("%d Enabled reads, %d events, %d steps", enabled, events, steps)
 }
 
 func TestDeterminism(t *testing.T) {

@@ -1,0 +1,149 @@
+package sim
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"kofl/internal/channel"
+	"kofl/internal/message"
+	"kofl/internal/tree"
+)
+
+// TestSlotsAreRingOrder pins the two numberings: slots are DFS preorder —
+// the order in which a token lap first reaches each process — and the
+// identity where labels already are; every accessor still speaks ids; the
+// channel iteration order fault injectors depend on is unchanged; and the
+// incremental set, whose members carry table indices, enumerates exactly
+// what the id-ordered scan finds, in both of its forms.
+func TestSlotsAreRingOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		tr       *tree.Tree
+		identity bool
+	}{
+		{"prufer-257", tree.Prufer(257, rand.New(rand.NewSource(13))), false},
+		{"caterpillar-6x2", tree.Caterpillar(6, 2), false},
+		{"paper", tree.Paper(), false},
+		{"chain-9", tree.Chain(9), true},
+		{"star-9", tree.Star(9), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := tc.tr
+			s := MustNew(tr, testCfg(2, 3), Options{Seed: 1, TimeoutTicks: 1 << 40})
+
+			// Preorder by recursion, and the first visits of the Euler tour:
+			// the two must agree with each other and with the slots.
+			var pre []int
+			var walk func(p int)
+			walk = func(p int) {
+				pre = append(pre, p)
+				for _, c := range tr.Children(p) {
+					walk(c)
+				}
+			}
+			walk(tr.Root())
+			var tour []int
+			seen := make([]bool, tr.N())
+			for _, v := range tr.EulerTour() {
+				if !seen[v.From] {
+					seen[v.From] = true
+					tour = append(tour, v.From)
+				}
+			}
+			if !reflect.DeepEqual(pre, tour) {
+				t.Fatalf("preorder %v is not the ring's first-visit order %v", pre, tour)
+			}
+			for slot, p := range pre {
+				if got := int(s.actions.slotOf[p]); got != slot {
+					t.Fatalf("process %d has slot %d, want %d (preorder %v)", p, got, slot, pre)
+				}
+				if tc.identity && p != slot {
+					t.Fatalf("process %d at slot %d: the mapping should be the identity", p, slot)
+				}
+				if got := s.procs[slot].node.ID(); got != p {
+					t.Fatalf("slot %d holds process %d, want %d", slot, got, p)
+				}
+			}
+
+			// Every accessor answers in ids.
+			for p := 0; p < tr.N(); p++ {
+				if got := s.Nodes[p].ID(); got != p {
+					t.Fatalf("Nodes[%d].ID() = %d", p, got)
+				}
+				if got := s.Handle(p).ID(); got != p {
+					t.Fatalf("Handle(%d).ID() = %d", p, got)
+				}
+				for ch := 0; ch < tr.Degree(p); ch++ {
+					in, out := s.In(p, ch), s.Out(p, ch)
+					if int(in.To) != p || int(in.ToCh) != ch {
+						t.Fatalf("In(%d, %d) = %v", p, ch, in)
+					}
+					if int(out.From) != p || int(out.FromCh) != ch {
+						t.Fatalf("Out(%d, %d) = %v", p, ch, out)
+					}
+					if q := tr.Neighbor(p, ch); int(out.To) != q || int(in.From) != q {
+						t.Fatalf("channel %d of %d does not lead to %d: in %v, out %v", ch, p, q, in, out)
+					}
+				}
+			}
+
+			// Channels visits in sender-lexicographic order, every channel once.
+			var prev *[2]int32
+			count := 0
+			s.Channels(func(c *channel.Channel) {
+				cur := [2]int32{c.From, c.FromCh}
+				if prev != nil && (cur[0] < prev[0] || cur[0] == prev[0] && cur[1] <= prev[1]) {
+					t.Fatalf("Channels visited %v after %v", cur, *prev)
+				}
+				prev = &cur
+				count++
+			})
+			if count != tr.RingLen() {
+				t.Fatalf("Channels visited %d channels, want %d", count, tr.RingLen())
+			}
+
+			// The set against the scan: applications and single messages in
+			// the small form, then a message in every channel — the dense form
+			// on the two trees with more than smallCap channels — then steps
+			// down again.
+			apps := make([]*toggleApp, tr.N())
+			for p := range apps {
+				apps[p] = &toggleApp{on: p%3 == 1, wake: NoWake}
+				s.AttachApp(p, apps[p])
+			}
+			rng := rand.New(rand.NewSource(5))
+			for i := 0; i < 5; i++ {
+				p := rng.Intn(tr.N())
+				s.Seed(p, rng.Intn(tr.Degree(p)), message.NewRes())
+			}
+			checkAgainstScan(t, s)
+			checkAt(t, s.actions)
+			for p := 0; p < tr.N(); p++ {
+				for ch := 0; ch < tr.Degree(p); ch++ {
+					s.Seed(p, ch, message.Message{}) // no protocol kind: dropped on delivery
+				}
+			}
+			if big := s.actions.Len() > smallCap; s.actions.dense != big {
+				t.Fatalf("%d enabled actions, dense = %v", s.actions.Len(), s.actions.dense)
+			}
+			checkAgainstScan(t, s)
+			checkAt(t, s.actions)
+			for i := 0; i < 4*tr.RingLen(); i++ {
+				s.Step()
+				checkAgainstScan(t, s)
+			}
+			checkAt(t, s.actions)
+		})
+	}
+}
+
+// checkAt asserts At agrees with AppendAll position by position.
+func checkAt(t *testing.T, as *ActionSet) {
+	t.Helper()
+	for i, a := range as.AppendAll(nil) {
+		if got := as.At(i); got != a {
+			t.Fatalf("At(%d) = %v, AppendAll[%d] = %v (dense %v)", i, got, i, a, as.dense)
+		}
+	}
+}

@@ -174,6 +174,35 @@ func (t *Tree) ChannelTo(p, q int) int {
 	panic(fmt.Sprintf("tree: %d is not a neighbor of %d", q, p))
 }
 
+// ChannelOffset returns how many channels processes 0..p-1 have together
+// (0 ≤ p ≤ N()): p's channel ch is number ChannelOffset(p)+ch of all 2(n-1)
+// in lexicographic (process, label) order, and ChannelOffset(N()) is
+// RingLen(). It is read off the child offsets the tree keeps anyway, so a
+// caller numbering channels this way needs no table of its own.
+func (t *Tree) ChannelOffset(p int) int {
+	if p == 0 {
+		return 0
+	}
+	return int(t.childOff[p]) + p - 1
+}
+
+// ChannelOwner inverts ChannelOffset: the process owning channel number i
+// (0 ≤ i < RingLen()) in lexicographic (process, label) order, found by
+// binary search — every process has at least one channel, so the offsets
+// strictly increase.
+func (t *Tree) ChannelOwner(i int) int {
+	lo, hi := 0, t.N()-1 // ChannelOffset(lo) ≤ i < ChannelOffset(hi+1)
+	for lo < hi {
+		mid := int(uint(lo+hi+1) >> 1)
+		if t.ChannelOffset(mid) <= i {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo
+}
+
 // IsLeaf reports whether p has no children.
 func (t *Tree) IsLeaf(p int) bool { return t.nChildren(p) == 0 }
 

@@ -92,6 +92,33 @@ func TestChannelToInvertsNeighbor(t *testing.T) {
 	}
 }
 
+// TestChannelOffsetNumbersChannels checks ChannelOffset against a running
+// sum of degrees and ChannelOwner against it, channel by channel.
+func TestChannelOffsetNumbersChannels(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	trees := []*Tree{Paper(), Chain(2), Star(7), Caterpillar(5, 3)}
+	for trial := 0; trial < 30; trial++ {
+		trees = append(trees, Prufer(2+rng.Intn(60), rng))
+	}
+	for _, tr := range trees {
+		i := 0
+		for p := 0; p < tr.N(); p++ {
+			if got := tr.ChannelOffset(p); got != i {
+				t.Fatalf("%v: ChannelOffset(%d) = %d, want %d", tr, p, got, i)
+			}
+			for ch := 0; ch < tr.Degree(p); ch++ {
+				if got := tr.ChannelOwner(i); got != p {
+					t.Fatalf("%v: ChannelOwner(%d) = %d, want %d", tr, i, got, p)
+				}
+				i++
+			}
+		}
+		if got := tr.ChannelOffset(tr.N()); got != tr.RingLen() {
+			t.Fatalf("%v: ChannelOffset(N) = %d, want %d", tr, got, tr.RingLen())
+		}
+	}
+}
+
 func TestChannelToPanicsOnNonNeighbor(t *testing.T) {
 	tr := Chain(4)
 	defer func() {

@@ -53,6 +53,12 @@ grep -q 'smallCap = 32' internal/sim/actionset.go || err "actionset.go lost smal
 grep -q 'func TestActionSetForms' internal/sim/actionset_test.go || err "TestActionSetForms gone but documented"
 grep -q 'The action set has two forms' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the sentence naming the action set's two forms"
 grep -q 'cpuprofile' cmd/koflbench/main.go || err "koflbench -cpuprofile gone but documented"
+# The two numberings (ids, slots) and the poll contract: the sentence naming
+# them, the test that holds slots to ring order, and the one that holds the
+# kernel to one Enabled read per application event.
+grep -q 'The simulator keeps two numberings' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the sentence naming the two numberings"
+grep -q 'func TestSlotsAreRingOrder' internal/sim/slots_test.go || err "TestSlotsAreRingOrder gone but documented"
+grep -q 'func TestNoColdPoll' internal/sim/sim_test.go || err "TestNoColdPoll gone but documented"
 
 # The worker model is documented in both the campaign README and the
 # architecture doc, and the allocation ceiling both cite must exist.
