@@ -90,10 +90,10 @@ func TestRequestWakesIdleHolds(t *testing.T) {
 	n.Start(context.Background())
 	defer n.Stop()
 
-	// The first root timeout starts the bootstrap; from there to a
-	// legitimate census is milliseconds at the busy cadence, against half a
-	// minute at 200ms per hop.
-	deadline := time.Now().Add(8 * time.Second)
+	// The root fires once at Start; from there to a legitimate census is
+	// milliseconds at the busy cadence, against half a minute at 200ms per
+	// hop.
+	deadline := time.Now().Add(time.Second)
 	for !n.Stabilized() {
 		if time.Now().After(deadline) {
 			t.Fatal("network never stabilized: bootstrap ran at the idle beat")

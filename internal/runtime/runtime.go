@@ -29,9 +29,14 @@ import (
 // stabilization work instead of crashing.
 const DefaultLinkBuffer = 256
 
+// DefaultTimeout is the root's retransmission timeout when Options.Timeout is 0.
+const DefaultTimeout = 25 * time.Millisecond
+
 // Options configures a live network.
 type Options struct {
-	// Timeout is the root's retransmission timeout (default 25ms).
+	// Timeout is the root's retransmission timeout (default DefaultTimeout).
+	// The root fires once at Start, as the simulator's fast-forward does, and
+	// from then on after Timeout without a controller token back.
 	Timeout time.Duration
 	// LinkBuffer overrides DefaultLinkBuffer.
 	LinkBuffer int
@@ -151,15 +156,15 @@ type proc struct {
 }
 
 // New builds a live network for cfg over t. The system starts from the empty
-// configuration and bootstraps through the root timeout, exactly like the
-// simulator.
+// configuration; the root's timeout fires once at Start, as the simulator's
+// quiescent fast-forward does, and its controller lap creates the tokens.
 func New(t *tree.Tree, cfg core.Config, opts Options) (*Net, error) {
 	cfg.N = t.N()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if opts.Timeout <= 0 {
-		opts.Timeout = 25 * time.Millisecond
+		opts.Timeout = DefaultTimeout
 	}
 	if opts.LinkBuffer <= 0 {
 		opts.LinkBuffer = DefaultLinkBuffer
@@ -330,13 +335,16 @@ func (pr *proc) run(ctx context.Context, wg *sync.WaitGroup) {
 	n := pr.net
 	env := &liveEnv{pr: pr, beat: time.NewTimer(time.Hour)}
 	env.beat.Stop() // rest arms it
+	var timerC <-chan time.Time
 	if pr.node.IsRoot() && n.cfg.Features.Controller {
 		env.timer = time.NewTimer(n.opts.Timeout)
 		defer env.timer.Stop()
-	}
-	var timerC <-chan time.Time
-	if env.timer != nil {
 		timerC = env.timer.C
+		// From the empty configuration the root's timeout is the only enabled
+		// action, and the asynchronous model puts no lower bound on when it
+		// fires: take it now rather than idle for a Timeout. A redundant
+		// controller copy (garbage start) is absorbed by counter flushing.
+		env.timeout()
 	}
 	var debt time.Duration // Pace owed for frames delivered since the last rest
 	for {
@@ -368,15 +376,21 @@ func (pr *proc) run(ctx context.Context, wg *sync.WaitGroup) {
 				debt = 0
 			}
 		case <-timerC:
-			n.timeouts.Add(1)
-			if j := n.opts.Journal; j != nil {
-				j.Record(obs.KindTimeout, int32(pr.id), 0, 0)
-			}
-			pr.node.HandleTimeout(env)
+			env.timeout()
 		case cmd := <-pr.cmds:
 			env.command(cmd)
 		}
 	}
+}
+
+// timeout takes the root's retransmission action and re-arms its timer.
+func (e *liveEnv) timeout() {
+	n := e.pr.net
+	n.timeouts.Add(1)
+	if j := n.opts.Journal; j != nil {
+		j.Record(obs.KindTimeout, int32(e.pr.id), 0, 0)
+	}
+	e.pr.node.HandleTimeout(e)
 }
 
 // deliver verifies and decodes one frame and hands it to the state machine.
@@ -515,9 +529,10 @@ func (n *Net) FramesPaced() int64 { return n.framesPaced.Load() }
 // DemandWakes returns the number of idle holds a Request cut short.
 func (n *Net) DemandWakes() int64 { return n.demandWakes.Load() }
 
-// Timeouts returns the number of root retransmission-timeout firings. In
-// steady state this stays flat; a climbing rate means the timeout is too
-// tight for the configured pacing (retransmission storms).
+// Timeouts returns the number of root retransmission-timeout firings,
+// counting the start-up firing as one. In steady state this stays flat; a
+// climbing rate means the timeout is too tight for the configured pacing
+// (retransmission storms).
 func (n *Net) Timeouts() int64 { return n.timeouts.Load() }
 
 // Register exposes the network's counters on reg under the given series
@@ -536,7 +551,7 @@ func (n *Net) Register(reg *obs.Registry, prefix string) {
 	reg.CounterFunc(prefix+"demand_wakes_total",
 		"idle holds cut short by a request", n.DemandWakes)
 	reg.CounterFunc(prefix+"timeout_retransmissions_total",
-		"root retransmission timeout firings", n.Timeouts)
+		"root retransmission timeout firings (the start-up firing counts as one)", n.Timeouts)
 	reg.CounterFunc(prefix+"grants_total",
 		"critical-section entries granted by the protocol", n.Grants)
 	reg.GaugeFunc(prefix+"demand",

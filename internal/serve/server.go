@@ -22,7 +22,7 @@ const (
 	DefaultDedupeTTL    = 30 * time.Second
 	DefaultLeaseTTL     = 10 * time.Second
 	DefaultDrainTimeout = 5 * time.Second
-	DefaultTimeout      = 25 * time.Millisecond
+	DefaultTimeout      = runtime.DefaultTimeout
 	DefaultPace         = 10 * time.Microsecond
 	DefaultIdlePace     = time.Millisecond
 )
@@ -34,8 +34,9 @@ type Options struct {
 	K, L, CMAX int
 	// Addr is the TCP listen address (default "127.0.0.1:0").
 	Addr string
-	// Timeout is the root's retransmission timeout (default 25ms, the bare
-	// runtime's default). Tightening it below a few milliseconds is
+	// Timeout is the root's retransmission timeout (default DefaultTimeout).
+	// The root fires once at Start, as the simulator's fast-forward does, so
+	// Ready does not wait it out. Tightening it below a few milliseconds is
 	// counterproductive: retransmission storms churn the tree and grant
 	// latency rises.
 	Timeout time.Duration
@@ -83,9 +84,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Addr == "" {
 		o.Addr = "127.0.0.1:0"
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = DefaultTimeout
 	}
 	if o.Pace == 0 {
 		o.Pace = DefaultPace

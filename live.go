@@ -15,17 +15,18 @@ type Live = runtime.Net
 // LiveOptions configures a Live network.
 type LiveOptions struct {
 	Options
-	// Timeout is the root's wall-clock retransmission timeout
-	// (default 25ms).
+	// Timeout is the root's wall-clock retransmission timeout (default
+	// 25ms). The root fires once at Start, as the simulator's fast-forward
+	// does.
 	Timeout time.Duration
 	// LinkBuffer is the per-link frame buffer (default 256).
 	LinkBuffer int
 }
 
-// NewLive builds a live network over t. Call Start to launch it; the system
-// bootstraps its tokens through the root timeout. Only the full
-// (self-stabilizing) variant is supported live — the other rungs exist for
-// the simulator's ablations.
+// NewLive builds a live network over t. Call Start to launch it; the root's
+// timeout fires at once and its controller lap creates the tokens. Only the
+// full (self-stabilizing) variant is supported live — the other rungs exist
+// for the simulator's ablations.
 func NewLive(t *Tree, opts LiveOptions) (*Live, error) {
 	return runtime.New(t, opts.Options.config(t), runtime.Options{
 		Timeout:    opts.Timeout,

@@ -111,6 +111,9 @@ grep -q 'Sub-lease accounting is refcounted' docs/ARCHITECTURE.md || err "ARCHIT
 grep -q 'Routing is per-acquire' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the per-acquire routing section"
 grep -q 'Delivery is paced' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the delivery pacing section"
 grep -q 'batching is protocol-legal' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the batching-legality argument"
+# The start-up firing: the sentence naming it and the test that pins it.
+grep -q 'The root fires its timeout once' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the sentence naming the start-up firing"
+grep -q 'func TestFirstLapAtStart' internal/runtime/bootstrap_test.go || err "TestFirstLapAtStart gone but documented"
 grep -q 'func newBatch(' internal/serve/batch.go || err "serve batch type gone but documented"
 grep -q 'func newLoadIndex(' internal/serve/route.go || err "serve load index gone but documented"
 grep -q 'IdlePace' internal/runtime/runtime.go || err "runtime delivery pacing gone but documented"
