@@ -1,40 +1,58 @@
 package kofl_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"kofl"
+	"kofl/internal/graph"
 )
 
+// TestNewFromGraphComposition is §5's composition on meshes of growing size
+// and density: the spanning-tree layer stabilizes from a corrupted state to
+// a BFS tree, and the exclusion layer converges on it and starves no one.
 func TestNewFromGraphComposition(t *testing.T) {
-	g := kofl.GridGraph(3, 3)
-	comp, err := kofl.NewFromGraph(g, kofl.Options{K: 2, L: 3, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp.SpanningTree.N() != 9 {
-		t.Fatalf("tree size %d", comp.SpanningTree.N())
-	}
-	if comp.TreeRounds <= 0 {
-		t.Errorf("TreeRounds = %d, want > 0 (layer starts corrupted)", comp.TreeRounds)
-	}
-	// BFS optimality: corner-rooted 3x3 grid has height 4.
-	if comp.SpanningTree.Height() != 4 {
-		t.Errorf("tree height %d, want BFS optimum 4", comp.SpanningTree.Height())
-	}
-	// The exclusion layer works on top.
-	for p := 0; p < 9; p++ {
-		comp.Saturate(p, 1+p%2, 2, 4, 0)
-	}
-	comp.Run(300_000)
-	m := comp.Metrics()
-	if !m.Converged {
-		t.Fatal("exclusion layer did not converge on the extracted tree")
-	}
-	for p, gr := range m.Grants {
-		if gr == 0 {
-			t.Errorf("process %d starved on the composed system", p)
-		}
+	for _, tc := range []struct {
+		name string
+		g    *kofl.Graph
+	}{
+		{"grid-3x3", kofl.GridGraph(3, 3)},
+		{"ring-12", kofl.RingGraph(12)},
+		{"grid-4x4", kofl.GridGraph(4, 4)},
+		{"complete-8", kofl.CompleteGraph(8)},
+		{"random-16+8", graph.RandomConnected(16, 8, rand.New(rand.NewSource(7)))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			comp, err := kofl.NewFromGraph(tc.g, kofl.Options{K: 2, L: 3, Seed: 11})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := tc.g.N()
+			if comp.SpanningTree.N() != n {
+				t.Fatalf("tree size %d, want %d", comp.SpanningTree.N(), n)
+			}
+			if comp.TreeRounds <= 0 {
+				t.Errorf("TreeRounds = %d, want > 0 (layer starts corrupted)", comp.TreeRounds)
+			}
+			for u, d := range tc.g.BFSDistances() {
+				if got := comp.SpanningTree.Depth(u); got != d {
+					t.Errorf("node %d at depth %d, want its BFS distance %d", u, got, d)
+				}
+			}
+			for p := 0; p < n; p++ {
+				comp.Saturate(p, 1+p%2, 2, 4, 0)
+			}
+			comp.Run(300_000)
+			m := comp.Metrics()
+			if !m.Converged {
+				t.Fatal("exclusion layer did not converge on the extracted tree")
+			}
+			for p, gr := range m.Grants {
+				if gr == 0 {
+					t.Errorf("process %d starved on the composed system", p)
+				}
+			}
+		})
 	}
 }
 

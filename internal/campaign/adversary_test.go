@@ -12,7 +12,6 @@ import (
 	"kofl/internal/core"
 	"kofl/internal/message"
 	"kofl/internal/sim"
-	"kofl/internal/stats"
 	"kofl/internal/workload"
 )
 
@@ -77,7 +76,7 @@ func legacyStormRun(spec Spec, c Cell, seed int64) RunResult {
 		Seed:          seed,
 		Steps:         s.Steps,
 		Grants:        gr.Total(),
-		Jain:          round6(jain(gr.Enters)),
+		Jain:          round6(JainIndex(gr.Enters)),
 		MaxWaiting:    wait.Max(),
 		WaitingRatio:  round6(wait.BoundRatio(tr.N(), c.L)),
 		Circulations:  circ.Completed,
@@ -296,8 +295,8 @@ func TestScenarioValidation(t *testing.T) {
 // waiting noise that the convergence-time CV alone would miss.
 func TestEscalationWaitingCV(t *testing.T) {
 	cr := CellResult{
-		Convergence: stats.Describe([]int64{1_000, 1_001, 1_002}),
-		Waiting:     stats.Describe([]int64{10, 400, 2_000}),
+		Convergence: Describe([]int64{1_000, 1_001, 1_002}),
+		Waiting:     Describe([]int64{10, 400, 2_000}),
 	}
 	es := EscalationSpec{Rounds: 1, CV: 0.5}
 	if needsEscalation(cr, es) {
@@ -307,7 +306,7 @@ func TestEscalationWaitingCV(t *testing.T) {
 	if !needsEscalation(cr, es) {
 		t.Fatal("waiting-ratio CV trigger did not fire")
 	}
-	cr.Waiting = stats.Describe([]int64{400, 410, 395})
+	cr.Waiting = Describe([]int64{400, 410, 395})
 	if needsEscalation(cr, es) {
 		t.Fatal("waiting-ratio CV trigger fired on a quiet cell")
 	}

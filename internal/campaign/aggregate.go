@@ -2,9 +2,82 @@ package campaign
 
 import (
 	"math"
+	"slices"
 
-	"kofl/internal/stats"
+	"kofl/internal/checker"
 )
+
+// Dist is a JSON-friendly summary of an int64 sample vector. All fields are
+// pure functions of the sample values and their order, so a Dist computed
+// from samples collected in a fixed order is byte-for-byte reproducible when
+// marshalled.
+type Dist struct {
+	N      int     `json:"n"`
+	Mean   float64 `json:"mean"`
+	Stddev float64 `json:"stddev"`
+	Median int64   `json:"median"`
+	Min    int64   `json:"min"`
+	Max    int64   `json:"max"`
+}
+
+// Describe summarizes samples into a Dist. The mean and the sample standard
+// deviation are accumulated in the order given, keeping float rounding
+// deterministic for a fixed input order; the median is the nearest-rank
+// 50th percentile.
+func Describe(samples []int64) Dist {
+	n := len(samples)
+	if n == 0 {
+		return Dist{}
+	}
+	var sum float64
+	for _, v := range samples {
+		sum += float64(v)
+	}
+	d := Dist{N: n, Mean: sum / float64(n)}
+	if n >= 2 {
+		var acc float64
+		for _, v := range samples {
+			dv := float64(v) - d.Mean
+			acc += dv * dv
+		}
+		d.Stddev = math.Sqrt(acc / float64(n-1))
+	}
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
+	d.Median = sorted[(n+1)/2-1]
+	d.Min, d.Max = sorted[0], sorted[n-1]
+	return d
+}
+
+// CV returns the coefficient of variation (stddev / mean), the scale-free
+// spread measure adaptive seed escalation keys on. It is 0 when the mean is
+// 0 or fewer than two samples were described.
+func (d Dist) CV() float64 {
+	if d.Mean == 0 || d.N < 2 {
+		return 0
+	}
+	return d.Stddev / d.Mean
+}
+
+// JainIndex returns Jain's fairness index (Σx)²/(n·Σx²) for the sample
+// vector: 1 for perfectly equal allocations, approaching 1/n under total
+// starvation of all but one participant. It is 0 for an empty or all-zero
+// vector by convention.
+func JainIndex(xs []int64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var sum, sumSq float64
+	for _, x := range xs {
+		f := float64(x)
+		sum += f
+		sumSq += f * f
+	}
+	if sumSq == 0 {
+		return 0
+	}
+	return sum * sum / (float64(len(xs)) * sumSq)
+}
 
 // CellResult is one grid cell's aggregate over its seed sweep, plus the
 // per-run results it was computed from (in seed order).
@@ -25,11 +98,11 @@ type CellResult struct {
 	TotalCtrl     int64 `json:"total_delivered_ctrl"`
 
 	// Distributions over runs.
-	Grants      stats.Dist `json:"grants"`
-	Convergence stats.Dist `json:"convergence"` // ConvergedAt of converged runs
-	Waiting     stats.Dist `json:"waiting"`     // per-run worst waiting times
-	Diverged    int        `json:"diverged"`    // runs that never converged
-	MaxWaiting  int64      `json:"max_waiting"` // worst over all runs
+	Grants      Dist  `json:"grants"`
+	Convergence Dist  `json:"convergence"` // ConvergedAt of converged runs
+	Waiting     Dist  `json:"waiting"`     // per-run worst waiting times
+	Diverged    int   `json:"diverged"`    // runs that never converged
+	MaxWaiting  int64 `json:"max_waiting"` // worst over all runs
 
 	// Derived ratios (0 when undefined).
 	WaitingRatio float64 `json:"waiting_ratio"` // MaxWaiting / WaitingBound
@@ -59,16 +132,6 @@ type Report struct {
 	TotalRuns   int          `json:"total_runs"`
 	Results     []CellResult `json:"results"`
 }
-
-// waitingBound is Theorem 2's ℓ(2n-3)² (kept local to avoid importing the
-// root package).
-func waitingBound(n, l int) int64 {
-	d := int64(2*n - 3)
-	return int64(l) * d * d
-}
-
-// jain is Jain's fairness index over per-process grants.
-func jain(xs []int64) float64 { return stats.JainIndex(xs) }
 
 // round6 trims float noise to 6 decimals so emitted JSON stays readable;
 // it is a pure function, so determinism is unaffected.
@@ -100,7 +163,7 @@ func aggregate(plan *Plan, results [][]RunResult) *Report {
 			Label:        c.Label(),
 			N:            tr.N(),
 			RingLen:      tr.RingLen(),
-			WaitingBound: waitingBound(tr.N(), c.L),
+			WaitingBound: checker.Bound(tr.N(), c.L),
 			Runs:         results[i],
 		}
 		var grants, converged, waiting []int64
@@ -128,9 +191,9 @@ func aggregate(plan *Plan, results [][]RunResult) *Report {
 			}
 			jainSum += rr.Jain
 		}
-		cr.Grants = stats.Describe(grants)
-		cr.Convergence = stats.Describe(converged)
-		cr.Waiting = stats.Describe(waiting)
+		cr.Grants = Describe(grants)
+		cr.Convergence = Describe(converged)
+		cr.Waiting = Describe(waiting)
 		if cr.WaitingBound > 0 {
 			cr.WaitingRatio = round6(float64(cr.MaxWaiting) / float64(cr.WaitingBound))
 		}

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -370,5 +371,56 @@ func TestPathologicalTopologyKinds(t *testing.T) {
 		if cr.TotalGrants == 0 {
 			t.Errorf("cell %s: no grants", cr.Label)
 		}
+	}
+}
+
+func TestJainIndex(t *testing.T) {
+	if got := JainIndex(nil); got != 0 {
+		t.Errorf("empty = %f", got)
+	}
+	if got := JainIndex([]int64{0, 0, 0}); got != 0 {
+		t.Errorf("all-zero = %f", got)
+	}
+	if got := JainIndex([]int64{5, 5, 5, 5}); math.Abs(got-1) > 1e-12 {
+		t.Errorf("equal = %f, want 1", got)
+	}
+	// One participant hogging everything: index 1/n.
+	if got := JainIndex([]int64{10, 0, 0, 0}); math.Abs(got-0.25) > 1e-12 {
+		t.Errorf("hog = %f, want 0.25", got)
+	}
+	// Monotone: more skew, lower index.
+	a := JainIndex([]int64{6, 5, 5})
+	b := JainIndex([]int64{10, 3, 3})
+	if a <= b {
+		t.Errorf("skew ordering: %f ≤ %f", a, b)
+	}
+}
+
+func TestDescribeStddevAndCV(t *testing.T) {
+	samples := []int64{9, 4, 2, 4, 7, 5, 4, 5}
+	d := Describe(samples)
+	if d.N != 8 || d.Mean != 5 || d.Median != 4 || d.Min != 2 || d.Max != 9 {
+		t.Errorf("Describe = %+v, want n=8 mean=5 median=4 (nearest rank) min=2 max=9", d)
+	}
+	if samples[0] != 9 {
+		t.Error("Describe reordered its input")
+	}
+	if d := Describe([]int64{5, 1, 3, 2, 4}); d.Median != 3 {
+		t.Errorf("odd count: median %d, want 3", d.Median)
+	}
+	if math.Abs(d.Stddev-2.13808993) > 1e-6 {
+		t.Errorf("Stddev = %f, want ≈2.138 (sample stddev)", d.Stddev)
+	}
+	if cv := d.CV(); math.Abs(cv-d.Stddev/5.0) > 1e-9 {
+		t.Errorf("CV = %f, want stddev/mean", cv)
+	}
+	if d := Describe([]int64{7}); d.Stddev != 0 || d.CV() != 0 || d.Median != 7 {
+		t.Errorf("single sample: %+v, want median 7, stddev and cv 0", d)
+	}
+	if d := Describe(nil); d != (Dist{}) {
+		t.Errorf("empty: %+v, want the zero Dist", d)
+	}
+	if d := Describe([]int64{0, 0, 0}); d.CV() != 0 {
+		t.Errorf("zero mean: cv=%f, want 0", d.CV())
 	}
 }

@@ -450,7 +450,7 @@ func runOne(spec Spec, c Cell, rt *cellRuntime, seed int64, ws *workerState, att
 		Seed:          seed,
 		Steps:         s.Steps,
 		Grants:        gr.Total(),
-		Jain:          round6(jain(gr.Enters)),
+		Jain:          round6(JainIndex(gr.Enters)),
 		MaxWaiting:    wait.Max(),
 		WaitingRatio:  round6(wait.BoundRatio(tr.N(), c.L)),
 		Circulations:  circ.Completed,

@@ -1,5 +1,5 @@
-// Package checker provides the invariant monitors the experiments and tests
-// hang off a simulation: token conservation / legitimacy, the k-out-of-ℓ
+// Package checker provides the invariant monitors the campaign engine and
+// tests hang off a simulation: token conservation / legitimacy, the k-out-of-ℓ
 // safety predicate, fairness (the paper's waiting-time metric), and the DFS
 // circulation order of Figure 1.
 //
@@ -128,7 +128,6 @@ func (m *Safety) ViolationsAfter(clock int64) int {
 type Waiting struct {
 	totalEnters int64
 	pendingAt   []int64 // per process: totalEnters at request time; -1 = no pending request
-	samples     []int64
 	max         int64
 	perProc     []int64 // max per process
 }
@@ -141,9 +140,9 @@ func NewWaiting(s *sim.Sim) *Waiting {
 }
 
 // Attach (re)binds w to s, resetting it to the just-constructed state while
-// reusing the per-process and sample slices' capacity — campaign workers
-// recycle one monitor across slots, so only a run observing more samples
-// than any predecessor on the same worker allocates.
+// reusing the per-process slices' capacity — campaign workers recycle one
+// monitor across slots, so only a run on a larger tree than any predecessor
+// on the same worker allocates.
 func (w *Waiting) Attach(s *sim.Sim) {
 	n := s.Tree.N()
 	if cap(w.pendingAt) < n || cap(w.perProc) < n {
@@ -157,11 +156,6 @@ func (w *Waiting) Attach(s *sim.Sim) {
 		w.pendingAt[p] = -1
 		w.perProc[p] = 0
 	}
-	if w.samples == nil {
-		w.samples = make([]int64, 0, 64)
-	} else {
-		w.samples = w.samples[:0]
-	}
 	w.totalEnters, w.max = 0, 0
 	s.AddObserver(w.onEvent)
 }
@@ -173,7 +167,6 @@ func (w *Waiting) onEvent(e core.Event) {
 	case core.EvEnterCS:
 		if at := w.pendingAt[e.P]; at >= 0 {
 			wait := w.totalEnters - at
-			w.samples = append(w.samples, wait)
 			if wait > w.max {
 				w.max = wait
 			}
@@ -191,9 +184,6 @@ func (w *Waiting) Max() int64 { return w.max }
 
 // MaxOf returns the worst observed waiting time of process p.
 func (w *Waiting) MaxOf(p int) int64 { return w.perProc[p] }
-
-// Samples returns every recorded waiting time, in grant order.
-func (w *Waiting) Samples() []int64 { return w.samples }
 
 // Bound returns Theorem 2's worst-case bound ℓ(2n-3)² for the given system.
 func Bound(n, l int) int64 {

@@ -86,46 +86,81 @@ func TestConservationFaultFree(t *testing.T) {
 	}
 }
 
-// TestClosureFullProtocol: once converged, the full protocol must never
-// reset again in a fault-free continuation (closure property, corrected
-// count order).
-func TestClosureFullProtocol(t *testing.T) {
+// countOrderWorkloads are the fault-free runs on the paper tree (k=3, ℓ=5)
+// that the two count-order tests share. In each the root requests, so it
+// parks tokens across controller circulation boundaries: exactly where the
+// count-order erratum (E2) breaks closure. In "all-request" every process
+// asks for 1–3 units; "heavy-root" is A2's, where the root asks for 3 units
+// and everyone else for 1.
+var countOrderWorkloads = []struct {
+	name  string
+	seed  int64
+	steps int64
+	app   func(p int) *workload.Cycle
+}{
+	{"all-request", 21, 400_000, func(p int) *workload.Cycle { return workload.Fixed(1+p%3, 5, 3, 0) }},
+	{"heavy-root", 7, 150_000, func(p int) *workload.Cycle {
+		if p == tree.PaperID("r") {
+			return workload.Fixed(3, 6, 2, 0)
+		}
+		return workload.Fixed(1, 4, 10, 0)
+	}},
+}
+
+// runCountOrder plays one count-order workload under the corrected or the
+// paper's printed accumulation order.
+func runCountOrder(paperOrder bool, seed, steps int64, app func(int) *workload.Cycle) (*checker.Circulations, *checker.Legitimacy) {
 	tr := tree.Paper()
-	s := sim.MustNew(tr, fullCfg(3, 5), sim.Options{Seed: 21})
+	cfg := fullCfg(3, 5)
+	cfg.Errata.PaperCountOrder = paperOrder
+	s := sim.MustNew(tr, cfg, sim.Options{Seed: seed})
 	circ := checker.NewCirculations(s)
 	leg := checker.NewLegitimacy(s)
-	// The root requests too: the count-order erratum would break closure
-	// exactly here, so this test pins the corrected behavior.
 	for p := 0; p < tr.N(); p++ {
-		workload.Attach(s, p, workload.Fixed(1+p%3, 5, 3, 0))
+		workload.Attach(s, p, app(p))
 	}
-	s.Run(400_000)
-	if _, ok := leg.ConvergedAt(); !ok {
-		t.Fatal("did not converge")
-	}
-	if circ.Resets != 0 {
-		t.Errorf("%d resets in a fault-free run (closure violation)", circ.Resets)
-	}
-	if circ.Completed < 100 {
-		t.Errorf("only %d circulations completed", circ.Completed)
+	s.Run(steps)
+	return circ, leg
+}
+
+// TestClosureFullProtocol: once converged, the full protocol must never
+// reset again in a fault-free continuation (closure property, corrected
+// count order), and creates no resource token beyond the bootstrap's ℓ.
+func TestClosureFullProtocol(t *testing.T) {
+	for _, w := range countOrderWorkloads {
+		t.Run(w.name, func(t *testing.T) {
+			circ, leg := runCountOrder(false, w.seed, w.steps, w.app)
+			if _, ok := leg.ConvergedAt(); !ok {
+				t.Fatal("did not converge")
+			}
+			if circ.Resets != 0 {
+				t.Errorf("%d resets in a fault-free run (closure violation)", circ.Resets)
+			}
+			if circ.Created != 5 {
+				t.Errorf("created %d resource tokens, want exactly the ℓ=5 of the bootstrap", circ.Created)
+			}
+			if circ.Completed < 100 {
+				t.Errorf("only %d circulations completed", circ.Completed)
+			}
+		})
 	}
 }
 
 // TestPaperCountOrderBreaksClosure pins the A2 erratum finding as a
 // regression test: with the paper's printed accumulation order and a
-// requesting root, spurious resets occur.
+// requesting root, the controller misses tokens the root reserved, creates
+// replacements beyond the ℓ of the bootstrap, and resets spuriously.
 func TestPaperCountOrderBreaksClosure(t *testing.T) {
-	tr := tree.Paper()
-	cfg := fullCfg(3, 5)
-	cfg.Errata.PaperCountOrder = true
-	s := sim.MustNew(tr, cfg, sim.Options{Seed: 21})
-	circ := checker.NewCirculations(s)
-	for p := 0; p < tr.N(); p++ {
-		workload.Attach(s, p, workload.Fixed(1+p%3, 5, 3, 0))
-	}
-	s.Run(400_000)
-	if circ.Resets == 0 {
-		t.Error("expected spurious resets under the paper's count order (erratum E2)")
+	for _, w := range countOrderWorkloads {
+		t.Run(w.name, func(t *testing.T) {
+			circ, _ := runCountOrder(true, w.seed, w.steps, w.app)
+			if circ.Resets == 0 {
+				t.Error("expected spurious resets under the paper's count order (erratum E2)")
+			}
+			if circ.Created <= 5 {
+				t.Errorf("created %d resource tokens, want more than the ℓ=5 of the bootstrap", circ.Created)
+			}
+		})
 	}
 }
 

@@ -144,36 +144,56 @@ func TestDepthAndHeight(t *testing.T) {
 	}
 }
 
+// eulerTourOK reports whether tr's Euler tour has exactly 2(n-1) positions,
+// starts and ends at the root, and traverses every directed edge exactly
+// once.
+func eulerTourOK(tr *Tree) bool {
+	n := tr.N()
+	ring := tr.EulerTour()
+	if len(ring) != 2*(n-1) || len(ring) != tr.RingLen() {
+		return false
+	}
+	if ring[0].From != tr.Root() || ring[len(ring)-1].To != tr.Root() {
+		return false
+	}
+	seen := map[[2]int]int{}
+	for _, v := range ring {
+		seen[[2]int{v.From, v.To}]++
+	}
+	if len(seen) != 2*(n-1) {
+		return false
+	}
+	for _, c := range seen {
+		if c != 1 {
+			return false
+		}
+	}
+	return true
+}
+
 func TestEulerTourLengthProperty(t *testing.T) {
-	// For any tree, the Euler tour has exactly 2(n-1) positions, starts and
-	// ends at the root, and traverses every directed edge exactly once.
-	check := func(seed int64, size uint8) bool {
-		n := 2 + int(size)%60
-		tr := Random(n, rand.New(rand.NewSource(seed)))
-		ring := tr.EulerTour()
-		if len(ring) != 2*(n-1) || len(ring) != tr.RingLen() {
-			return false
-		}
-		if ring[0].From != tr.Root() || ring[len(ring)-1].To != tr.Root() {
-			return false
-		}
-		seen := map[[2]int]int{}
-		for _, v := range ring {
-			seen[[2]int{v.From, v.To}]++
-		}
-		if len(seen) != 2*(n-1) {
-			return false
-		}
-		for _, c := range seen {
-			if c != 1 {
-				return false
+	// Figure 4's tree and the shapes it is contrasted with, then any tree.
+	for _, tc := range []struct {
+		name string
+		tr   *Tree
+	}{
+		{"paper", Paper()}, {"chain-8", Chain(8)}, {"star-8", Star(8)},
+		{"balanced-2x3", Balanced(2, 3)}, {"caterpillar-5x3", Caterpillar(5, 3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if !eulerTourOK(tc.tr) {
+				t.Errorf("Euler tour %v is not a closed walk over each directed edge once", tc.tr.EulerTour())
 			}
+		})
+	}
+	t.Run("random", func(t *testing.T) {
+		check := func(seed int64, size uint8) bool {
+			return eulerTourOK(Random(2+int(size)%60, rand.New(rand.NewSource(seed))))
 		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
+		if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 func TestEulerTourIsContinuous(t *testing.T) {

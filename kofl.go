@@ -16,8 +16,8 @@
 //
 //   - System — a deterministic simulated network with an adversarial
 //     scheduler; runs are reproducible from a seed, and monitors report
-//     convergence, waiting time and safety. This is what the experiments
-//     and benchmarks use.
+//     convergence, waiting time and safety. This is what the campaign
+//     engine, the paper-fidelity tests and the benchmark use.
 //   - Live — a goroutine-per-process runtime over buffered Go channels with
 //     wire-encoded frames and a wall-clock root timeout.
 //
@@ -33,6 +33,7 @@ package kofl
 import (
 	"kofl/internal/adversary"
 	"kofl/internal/campaign"
+	"kofl/internal/checker"
 	"kofl/internal/core"
 	"kofl/internal/sim"
 	"kofl/internal/tree"
@@ -161,10 +162,7 @@ func (o Options) config(t *Tree) core.Config {
 
 // WaitingBound returns Theorem 2's worst-case waiting time ℓ(2n-3)² for a
 // stabilized system of n processes and ℓ units.
-func WaitingBound(n, l int) int64 {
-	d := int64(2*n - 3)
-	return int64(l) * d * d
-}
+func WaitingBound(n, l int) int64 { return checker.Bound(n, l) }
 
 // CampaignSpec declares a parallel sweep: a grid of topologies, (k,ℓ)
 // pairs, CMAX values, variants, timeouts and fault schedules, each cell run

@@ -52,7 +52,14 @@ grep -q 'bigNBytesCeiling = 540' bench_test.go || err "BenchmarkBigNScale lost t
 grep -q 'smallCap = 32' internal/sim/actionset.go || err "actionset.go lost smallCap = 32, which ARCHITECTURE.md quotes"
 grep -q 'func TestActionSetForms' internal/sim/actionset_test.go || err "TestActionSetForms gone but documented"
 grep -q 'The action set has two forms' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the sentence naming the action set's two forms"
-grep -q 'cpuprofile' cmd/koflbench/main.go || err "koflbench -cpuprofile gone but documented"
+
+# The paper's sweeps are spec files the README runs, and the paper's
+# figures and sweeps are held by two named tests.
+[ -f examples/campaigns/p1-throughput.json ] || err "examples/campaigns/p1-throughput.json gone but documented"
+grep -q 'examples/campaigns/p1-throughput.json' README.md || err "README.md no longer runs the P1 sweep spec"
+grep -q 'func TestPaperSweepSpecs' internal/campaign/paper_test.go || err "TestPaperSweepSpecs gone but documented"
+grep -q 'func TestFigure2Deadlock' internal/sim/paper_test.go || err "TestFigure2Deadlock gone but documented"
+
 # The two numberings (ids, slots) and the poll contract: the sentence naming
 # them, the test that holds slots to ring order, and the one that holds the
 # kernel to one Enabled read per application event.
