@@ -22,50 +22,20 @@ import (
 // Options configures an engine invocation. Workers ≤ 0 selects one worker
 // per logical CPU. Progress, when non-nil, is called after every completed
 // run with (done, total); it may be called concurrently from workers.
-//
-// Hooks observe every completed slot (see SlotHook); TraceDir enables the
-// built-in outlier trace capture when the spec's TraceSpec is configured.
 type Options struct {
 	Workers  int
 	Progress func(done, total int)
-	// Hooks run after each slot's simulation completes, while the engine
-	// still knows how to replay it. They are called concurrently from
-	// worker goroutines; any mutation of HookContext.Result must be a
-	// deterministic function of the slot for reports to stay byte-stable.
-	Hooks []SlotHook
-	// TraceDir is where the built-in outlier trace capture writes per-slot
-	// trace files. Empty disables capture even when the spec asks for it —
-	// but note the capture predicate annotates the report (RunResult.Trace),
-	// so all shards of one campaign must agree on whether TraceDir is set.
+	// TraceDir is where the outlier trace capture writes per-slot trace
+	// files when the spec's TraceSpec is configured. Empty disables capture
+	// even when the spec asks for it — but note the capture predicate
+	// annotates the report (RunResult.Trace), so all shards of one campaign
+	// must agree on whether TraceDir is set.
 	TraceDir string
 	// Obs, when non-nil, receives per-worker slot-completion counters and
 	// shard totals (see ExecObs) — the data behind koflcampaign's -progress
 	// line. It never affects report bytes.
 	Obs *ExecObs
 }
-
-// SlotHook observes one completed slot. Implementations may annotate the
-// result (e.g. record a trace filename) and may call Replay to re-execute
-// the slot's simulation with extra instrumentation attached — the
-// determinism contract makes the replay exact.
-type SlotHook func(hc *HookContext)
-
-// HookContext is what a SlotHook sees: the plan, the slot, its cell, and
-// the mutable run result about to be recorded.
-type HookContext struct {
-	Plan   *Plan
-	Slot   Slot
-	Cell   Cell
-	Result *RunResult
-
-	replay func(attach func(*sim.Sim))
-}
-
-// Replay re-runs the slot's simulation from scratch. attach is called after
-// the initial configuration is established (where the engine attaches its
-// own monitors), so observers see exactly what the original run's monitors
-// saw. Replay does not touch Result.
-func (hc *HookContext) Replay(attach func(*sim.Sim)) { hc.replay(attach) }
 
 // features maps a variant name to the protocol feature set.
 func features(v string) (core.Features, error) {
@@ -104,7 +74,7 @@ type RunResult struct {
 	DeliveredCtrl int64   `json:"delivered_ctrl"`
 	Storms        int64   `json:"storms,omitempty"`
 	// Trace is the filename of this run's captured outlier trace, when the
-	// spec's TraceSpec predicate fired (see TraceCapture).
+	// spec's TraceSpec predicate fired (see traceCapture).
 	Trace string `json:"trace,omitempty"`
 }
 
@@ -234,7 +204,7 @@ func (ws *workerState) cycle(p, need int, hold, think int64) *workload.Cycle {
 		ws.cycles = append(ws.cycles, workload.Fixed(0, 0, 0, 0))
 	}
 	c := ws.cycles[p]
-	c.ResetFixed(need, hold, think, 0)
+	c.Reset(need, hold, think, 0)
 	return c
 }
 
@@ -268,14 +238,12 @@ func ExecuteShard(plan *Plan, i, m int, opts Options) (*Partial, error) {
 	if err != nil {
 		return nil, err
 	}
-	hooks := opts.Hooks
-	var capture *TraceCapture
+	var capture *traceCapture
 	if plan.Spec.Trace.Enabled() && opts.TraceDir != "" {
-		capture, err = NewTraceCapture(opts.TraceDir, plan.Spec.Trace)
+		capture, err = newTraceCapture(opts.TraceDir, plan.Spec.Trace)
 		if err != nil {
 			return nil, err
 		}
-		hooks = append(append([]SlotHook(nil), hooks...), capture.Hook())
 	}
 	rts := make([]*cellRuntime, len(plan.Cells))
 	for _, slot := range slots {
@@ -319,17 +287,10 @@ func ExecuteShard(plan *Plan, i, m int, opts Options) (*Partial, error) {
 				}
 				for j := start; j < end; j++ {
 					slot := slots[j]
-					cell := plan.Cells[slot.Cell]
 					rt := rts[slot.Cell]
-					rr := runSlot(plan.Spec, cell, rt, slot, ws, nil)
-					hc := &HookContext{
-						Plan: plan, Slot: slot, Cell: cell, Result: &rr,
-						replay: func(attach func(*sim.Sim)) {
-							runSlot(plan.Spec, cell, rt, slot, ws, attach)
-						},
-					}
-					for _, h := range hooks {
-						h(hc)
+					rr := runSlot(plan.Spec, plan.Cells[slot.Cell], rt, slot, ws, nil)
+					if capture != nil {
+						capture.capture(plan, slot, rt, ws, &rr)
 					}
 					results[j] = SlotResult{Slot: slot.Index, Result: rr}
 					if wc != nil {
@@ -345,7 +306,7 @@ func ExecuteShard(plan *Plan, i, m int, opts Options) (*Partial, error) {
 	}
 	wg.Wait()
 	if capture != nil {
-		if err := capture.Err(); err != nil {
+		if err := capture.firstErr(); err != nil {
 			return nil, err
 		}
 	}
@@ -401,8 +362,8 @@ func runOne(spec Spec, c Cell, rt *cellRuntime, seed int64, ws *workerState, att
 	if attach != nil {
 		attach(s)
 	}
-	// One fused census monitor instead of separate legitimacy/safety/
-	// availability hooks: a single O(1) census read per step, not three.
+	// The census monitor serves legitimacy, safety and availability from a
+	// single O(1) census read per step.
 	mon, wait, gr, circ := ws.mon, ws.wait, ws.gr, ws.circ
 	mon.Attach(s)
 	wait.Attach(s)

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"kofl/internal/checker"
@@ -379,43 +377,35 @@ func TestEscalationPlanShape(t *testing.T) {
 	}
 }
 
-// TestSlotHooksAndReplay: hooks see every slot exactly once with a mutable
-// result, and Replay re-executes the slot deterministically.
-func TestSlotHooksAndReplay(t *testing.T) {
-	spec := matrixSpec()
-	plan, err := NewPlan(spec)
+// TestSlotReplayIsExact: re-running a slot with extra instrumentation
+// attached, as outlier trace capture does, reproduces the recorded run
+// exactly. The replay's result is identical, and a monitor attached at the
+// replay counts the grants the original run recorded.
+func TestSlotReplayIsExact(t *testing.T) {
+	plan, err := NewPlan(matrixSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var calls atomic.Int64
-	hook := func(hc *HookContext) {
-		calls.Add(1)
-		if !reflect.DeepEqual(hc.Cell, plan.Cells[hc.Slot.Cell]) {
-			t.Error("hook cell does not match slot")
+	ws := newWorkerState()
+	for _, slot := range plan.Slots {
+		cell := plan.Cells[slot.Cell]
+		rt, err := newCellRuntime(plan.Spec, cell)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if hc.Result.Seed != hc.Slot.Seed {
-			t.Error("hook result seed does not match slot")
+		want := runSlot(plan.Spec, cell, rt, slot, ws, nil)
+		if want.Seed != slot.Seed {
+			t.Errorf("slot %d: result seed %d, want %d", slot.Index, want.Seed, slot.Seed)
 		}
-		if hc.Slot.Cell == 0 && hc.Slot.Run == 0 {
-			// Replay the slot with fresh monitors attached: the replayed
-			// simulation must reproduce the recorded run exactly.
-			var replayed *checker.Grants
-			hc.Replay(func(s *sim.Sim) { replayed = checker.NewGrants(s) })
-			if replayed.Total() != hc.Result.Grants {
-				t.Errorf("replay saw %d grants, original run recorded %d",
-					replayed.Total(), hc.Result.Grants)
-			}
+		var replayed *checker.Grants
+		got := runSlot(plan.Spec, cell, rt, slot, ws, func(s *sim.Sim) { replayed = checker.NewGrants(s) })
+		if got != want {
+			t.Errorf("slot %d: replay %+v differs from the recorded run %+v", slot.Index, got, want)
 		}
-	}
-	part, err := ExecuteShard(plan, 0, 1, Options{Workers: 4, Hooks: []SlotHook{hook}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(calls.Load()) != len(plan.Slots) {
-		t.Fatalf("hook ran %d times, want %d", calls.Load(), len(plan.Slots))
-	}
-	if len(part.Results) != len(plan.Slots) {
-		t.Fatalf("partial has %d results, want %d", len(part.Results), len(plan.Slots))
+		if replayed.Total() != want.Grants {
+			t.Errorf("slot %d: replay saw %d grants, original run recorded %d",
+				slot.Index, replayed.Total(), want.Grants)
+		}
 	}
 }
 
@@ -493,14 +483,14 @@ func TestTraceFileNameSanitized(t *testing.T) {
 		Name:  "../../evil name/..x",
 		Cells: []Cell{{Index: 3}},
 	}
-	got := TraceFileName(plan, Slot{Cell: 0, Seed: 7})
+	got := traceFileName(plan, Slot{Cell: 0, Seed: 7})
 	if strings.ContainsAny(got, "/\\ ") || strings.HasPrefix(got, ".") {
 		t.Errorf("unsafe trace filename %q", got)
 	}
 	if want := "______evil_name___x-r0-c003-s7.trace"; got != want {
-		t.Errorf("TraceFileName = %q, want %q", got, want)
+		t.Errorf("traceFileName = %q, want %q", got, want)
 	}
-	if got := TraceFileName(&Plan{Cells: []Cell{{}}}, Slot{}); !strings.HasPrefix(got, "campaign-") {
+	if got := traceFileName(&Plan{Cells: []Cell{{}}}, Slot{}); !strings.HasPrefix(got, "campaign-") {
 		t.Errorf("empty name not defaulted: %q", got)
 	}
 }

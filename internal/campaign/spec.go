@@ -7,7 +7,7 @@
 // The four stages:
 //
 //	plan     Spec → Plan          NewPlan / EscalationPlan
-//	execute  Plan → Partial       ExecuteShard (per-slot hooks, trace capture)
+//	execute  Plan → Partial       ExecuteShard (outlier trace capture)
 //	merge    []Partial → Report   Merge (coverage/overlap/provenance checks)
 //	report   Report → JSON/CSV    Report.JSON / WriteCSV
 //
@@ -26,7 +26,7 @@
 // unsharded report exactly (TestShardMergeMatrix), which is what makes
 // cross-machine campaign results trustworthy artifacts.
 //
-// Every run carries a fused checker.CensusMonitor, which reads the sim
+// Every run carries a checker.CensusMonitor, which reads the sim
 // kernel's incrementally maintained census in O(1) per step — see
 // docs/ARCHITECTURE.md at the repository root for how the two incremental
 // kernels and the determinism contract fit together.

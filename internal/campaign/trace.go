@@ -14,14 +14,14 @@ import (
 // does not say otherwise.
 const defaultTraceCap = 20_000
 
-// TraceCapture is the built-in SlotHook consumer of the spec's TraceSpec:
-// when a slot's result trips the outlier predicate, the slot is replayed
-// with an internal/trace log attached and the trace written to Dir as
+// traceCapture carries out the spec's TraceSpec: when a slot's result trips
+// the outlier predicate, the slot is replayed with an internal/trace log
+// attached and the trace written to dir as
 // "<plan>-r<round>-c<cell>-s<seed>.trace". The filename (not the
 // directory) is recorded in RunResult.Trace, so reports reference their
 // traces portably and stay byte-identical across sharded and unsharded
 // executions.
-type TraceCapture struct {
+type traceCapture struct {
 	dir  string
 	spec TraceSpec
 
@@ -29,12 +29,12 @@ type TraceCapture struct {
 	err error
 }
 
-// NewTraceCapture creates the capture directory and returns the capture.
-func NewTraceCapture(dir string, ts TraceSpec) (*TraceCapture, error) {
+// newTraceCapture creates the capture directory and returns the capture.
+func newTraceCapture(dir string, ts TraceSpec) (*traceCapture, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: trace dir: %w", err)
 	}
-	return &TraceCapture{dir: dir, spec: ts}, nil
+	return &traceCapture{dir: dir, spec: ts}, nil
 }
 
 // outlier is the capture predicate over a completed run.
@@ -48,11 +48,11 @@ func (ts TraceSpec) outlier(rr *RunResult) bool {
 	return false
 }
 
-// TraceFileName is the deterministic per-slot trace filename. The campaign
+// traceFileName is the deterministic per-slot trace filename. The campaign
 // name is sanitized to a safe filename component: specs are user input, and
 // a name containing path separators must not let capture write outside the
 // configured trace directory.
-func TraceFileName(plan *Plan, slot Slot) string {
+func traceFileName(plan *Plan, slot Slot) string {
 	return fmt.Sprintf("%s-r%d-c%03d-s%d.trace", sanitizeName(plan.Name), plan.Round,
 		plan.Cells[slot.Cell].Index, slot.Seed)
 }
@@ -75,48 +75,49 @@ func sanitizeName(name string) string {
 	return string(b)
 }
 
-// Hook returns the SlotHook that performs the capture. It is safe for
-// concurrent use by workers; write failures are collected and surfaced by
-// Err after the pool drains.
-func (tc *TraceCapture) Hook() SlotHook {
-	return func(hc *HookContext) {
-		if !tc.spec.outlier(hc.Result) {
-			return
-		}
-		cap := tc.spec.Cap
-		if cap <= 0 {
-			cap = defaultTraceCap
-		}
-		var lg *trace.Log
-		hc.Replay(func(s *sim.Sim) { lg = trace.New(s, cap) })
-		name := TraceFileName(hc.Plan, hc.Slot)
-		f, err := os.Create(filepath.Join(tc.dir, name))
-		if err == nil {
-			_, err = fmt.Fprintf(f, "# campaign %s round %d\n# cell %d: %s\n# seed %d: grants=%d max_waiting=%d (%.4f of bound) converged=%v\n",
-				hc.Plan.Name, hc.Plan.Round, hc.Cell.Index, hc.Cell.Label(),
-				hc.Slot.Seed, hc.Result.Grants, hc.Result.MaxWaiting,
-				hc.Result.WaitingRatio, hc.Result.Converged)
-			if err == nil {
-				_, err = lg.WriteTo(f)
-			}
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			tc.mu.Lock()
-			if tc.err == nil {
-				tc.err = fmt.Errorf("campaign: trace capture %s: %w", name, err)
-			}
-			tc.mu.Unlock()
-			return
-		}
-		hc.Result.Trace = name
+// capture checks rr, the result of slot, against the predicate; on an
+// outlier it replays the slot on the worker's state with a trace log
+// attached (exact, because a run is a pure function of its slot), writes
+// the trace and records its filename in rr.Trace. Workers call it
+// concurrently; write failures are collected and surfaced by firstErr after
+// the pool drains.
+func (tc *traceCapture) capture(plan *Plan, slot Slot, rt *cellRuntime, ws *workerState, rr *RunResult) {
+	if !tc.spec.outlier(rr) {
+		return
 	}
+	cap := tc.spec.Cap
+	if cap <= 0 {
+		cap = defaultTraceCap
+	}
+	cell := plan.Cells[slot.Cell]
+	var lg *trace.Log
+	runSlot(plan.Spec, cell, rt, slot, ws, func(s *sim.Sim) { lg = trace.New(s, cap) })
+	name := traceFileName(plan, slot)
+	f, err := os.Create(filepath.Join(tc.dir, name))
+	if err == nil {
+		_, err = fmt.Fprintf(f, "# campaign %s round %d\n# cell %d: %s\n# seed %d: grants=%d max_waiting=%d (%.4f of bound) converged=%v\n",
+			plan.Name, plan.Round, cell.Index, cell.Label(),
+			slot.Seed, rr.Grants, rr.MaxWaiting, rr.WaitingRatio, rr.Converged)
+		if err == nil {
+			_, err = lg.WriteTo(f)
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		tc.mu.Lock()
+		if tc.err == nil {
+			tc.err = fmt.Errorf("campaign: trace capture %s: %w", name, err)
+		}
+		tc.mu.Unlock()
+		return
+	}
+	rr.Trace = name
 }
 
-// Err returns the first write failure the capture hit, if any.
-func (tc *TraceCapture) Err() error {
+// firstErr returns the first write failure the capture hit, if any.
+func (tc *traceCapture) firstErr() error {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	return tc.err

@@ -3,19 +3,17 @@ package campaign
 import (
 	"bytes"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
-	"kofl/internal/checker"
 	"kofl/internal/sim"
 )
 
 // TestWorkerCountDeterminismMatrix pins the engine's worker-count contract
-// under the chunked work-stealing dispatcher: with hooks, outlier trace
-// capture, and adaptive seed escalation all active, every worker count must
-// produce byte-identical partials and byte-identical escalated reports. The
-// CI race pass runs this under -race, so the concurrent Progress, SlotHook,
-// and Replay paths are exercised with the race detector watching.
+// under the chunked work-stealing dispatcher: with outlier trace capture and
+// adaptive seed escalation both active, every worker count must produce
+// byte-identical partials and byte-identical escalated reports. The CI race
+// pass runs this under -race, so the concurrent Progress and capture-replay
+// paths are exercised with the race detector watching.
 func TestWorkerCountDeterminismMatrix(t *testing.T) {
 	spec := matrixSpec()
 	spec.Name = "worker-matrix"
@@ -31,27 +29,12 @@ func TestWorkerCountDeterminismMatrix(t *testing.T) {
 	wantShard := make([][]byte, 2)
 	var wantEsc []byte
 	for _, w := range workerCounts {
-		var hooked, replayed atomic.Int64
-		hook := func(hc *HookContext) {
-			hooked.Add(1)
-			if hc.Slot.Index%5 == 0 {
-				// Replay with benign instrumentation: observers must see the
-				// original run exactly, and the replay must not perturb the
-				// recorded result.
-				before := *hc.Result
-				hc.Replay(func(s *sim.Sim) { checker.NewGrants(s) })
-				replayed.Add(1)
-				if *hc.Result != before {
-					t.Errorf("workers=%d: replay mutated slot %d's result", w, hc.Slot.Index)
-				}
-			}
-		}
 		opts := Options{
 			Workers:  w,
-			Hooks:    []SlotHook{hook},
 			TraceDir: t.TempDir(),
 			Progress: func(done, total int) {},
 		}
+		traced := 0
 		for sh := 0; sh < 2; sh++ {
 			pt, err := ExecuteShard(plan, sh, 2, opts)
 			if err != nil {
@@ -67,20 +50,18 @@ func TestWorkerCountDeterminismMatrix(t *testing.T) {
 				t.Fatalf("workers=%d: shard %d partial differs from workers=%d",
 					w, sh, workerCounts[0])
 			}
+			for _, r := range pt.Results {
+				if r.Result.Trace != "" {
+					traced++
+				}
+			}
 		}
-		if got := int(hooked.Load()); got != len(plan.Slots) {
-			t.Fatalf("workers=%d: hook saw %d slots, plan has %d", w, got, len(plan.Slots))
-		}
-		if replayed.Load() == 0 {
-			t.Fatalf("workers=%d: no slot exercised Replay", w)
+		if traced == 0 {
+			t.Fatalf("workers=%d: no slot was captured, so no replay ran", w)
 		}
 
-		esc, err := RunEscalated(spec, Options{
-			Workers:  w,
-			Hooks:    []SlotHook{hook},
-			TraceDir: t.TempDir(),
-			Progress: func(done, total int) {},
-		})
+		opts.TraceDir = t.TempDir()
+		esc, err := RunEscalated(spec, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: RunEscalated: %v", w, err)
 		}

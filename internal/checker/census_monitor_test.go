@@ -1,6 +1,7 @@
 package checker_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -12,23 +13,46 @@ import (
 	"kofl/internal/workload"
 )
 
-// TestCensusMonitorMatchesSeparateMonitors attaches the fused monitor and
-// the separate Legitimacy/Safety monitors (plus a hand-rolled legit-step
-// counter) to the same simulation and requires identical readings — the
-// fused monitor is an optimization, not a semantics change.
+// TestCensusMonitorMatchesSeparateMonitors attaches the census monitor and
+// a separate reference reading to the same simulation and requires
+// identical results. The reference reads nothing the monitor reads: it
+// rebuilds the census by a full scan every step, applies the predicate's
+// reference form (Census.LegitimateFor) and names over-k processes by a node
+// scan, where the monitor reads the maintained census through sim.Health
+// and scans nodes only when the maintained OverK counter says so.
 func TestCensusMonitorMatchesSeparateMonitors(t *testing.T) {
 	tr := tree.Paper()
 	cfg := core.Config{K: 3, L: 5, N: tr.N(), CMAX: 4, Features: core.Full()}
 	s := sim.MustNew(tr, cfg, sim.Options{Seed: 11})
-	fused := checker.NewCensusMonitor(s)
-	leg := checker.NewLegitimacy(s)
-	saf := checker.NewSafety(s)
+	mon := checker.NewCensusMonitor(s)
+
+	var lastBad int64 = -1
+	var everLegit bool
 	var legitSteps int64
-	s.AddStepHook(func(s *sim.Sim) {
-		if s.TokensCorrect() {
-			legitSteps++
+	var violations []checker.SafetyViolation
+	reference := func(s *sim.Sim, isStep bool) {
+		c := s.CensusScan()
+		if c.LegitimateFor(s.Cfg, s.Nodes[s.Tree.Root()].ResetFlag()) {
+			everLegit = true
+			if isStep {
+				legitSteps++
+			}
+		} else {
+			lastBad = s.Now()
 		}
-	})
+		if c.UnitsInUse > cfg.L {
+			violations = append(violations, checker.SafetyViolation{
+				Clock: s.Now(), What: fmt.Sprintf("%d units in use > ℓ=%d", c.UnitsInUse, cfg.L)})
+		}
+		for p, n := range s.Nodes {
+			if n.State() == core.In && n.Reserved() > cfg.K {
+				violations = append(violations, checker.SafetyViolation{
+					Clock: s.Now(), What: fmt.Sprintf("process %d uses %d units > k=%d", p, n.Reserved(), cfg.K)})
+			}
+		}
+	}
+	reference(s, false)
+	s.AddStepHook(func(s *sim.Sim) { reference(s, true) })
 	for p := 0; p < tr.N(); p++ {
 		workload.Attach(s, p, workload.Fixed(1+p%3, 2, 4, 0))
 	}
@@ -37,28 +61,23 @@ func TestCensusMonitorMatchesSeparateMonitors(t *testing.T) {
 	adversary.ArbitraryConfiguration(s, rand.New(rand.NewSource(99)))
 	s.Run(60_000)
 
-	fa, fok := fused.ConvergedAt()
-	la, lok := leg.ConvergedAt()
-	if fa != la || fok != lok {
-		t.Errorf("ConvergedAt: fused (%d,%v) vs separate (%d,%v)", fa, fok, la, lok)
+	at, ok := mon.ConvergedAt()
+	if !ok || !everLegit || at != lastBad+1 {
+		t.Errorf("ConvergedAt = (%d, %v), reference converged at %d (ever legitimate: %v)",
+			at, ok, lastBad+1, everLegit)
 	}
-	if fused.LegitSteps != legitSteps {
-		t.Errorf("LegitSteps: fused %d vs counted %d", fused.LegitSteps, legitSteps)
+	if mon.LegitSteps != legitSteps {
+		t.Errorf("LegitSteps: monitor %d vs reference %d", mon.LegitSteps, legitSteps)
 	}
-	if len(fused.Violations) != len(saf.Violations) {
-		t.Fatalf("violations: fused %d vs separate %d",
-			len(fused.Violations), len(saf.Violations))
+	if len(violations) == 0 {
+		t.Fatal("the corruption produced no safety violation (vacuous test)")
 	}
-	for i := range fused.Violations {
-		if fused.Violations[i] != saf.Violations[i] {
-			t.Errorf("violation %d: fused %+v vs separate %+v",
-				i, fused.Violations[i], saf.Violations[i])
-		}
+	if len(mon.Violations) != len(violations) {
+		t.Fatalf("violations: monitor %d vs reference %d", len(mon.Violations), len(violations))
 	}
-	if fok {
-		if fused.ViolationsAfter(fa) != saf.ViolationsAfter(la) {
-			t.Errorf("ViolationsAfter: fused %d vs separate %d",
-				fused.ViolationsAfter(fa), saf.ViolationsAfter(la))
+	for i := range violations {
+		if mon.Violations[i] != violations[i] {
+			t.Errorf("violation %d: monitor %+v vs reference %+v", i, mon.Violations[i], violations[i])
 		}
 	}
 }

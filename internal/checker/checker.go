@@ -1,11 +1,12 @@
 // Package checker provides the invariant monitors the campaign engine and
-// tests hang off a simulation: token conservation / legitimacy, the k-out-of-ℓ
-// safety predicate, fairness (the paper's waiting-time metric), and the DFS
-// circulation order of Figure 1.
+// tests hang off a simulation: the census monitor (legitimacy, availability
+// and the k-out-of-ℓ safety predicate), fairness (the paper's waiting-time
+// metric), grant and controller counters, and the DFS circulation order of
+// Figure 1.
 //
 // Self-stabilization makes every property an "eventually" property: the
 // monitors therefore record the time of the LAST violation rather than
-// failing on the first, and experiments assert that violations stop.
+// failing on the first, and tests assert that violations stop.
 package checker
 
 import (
@@ -17,96 +18,107 @@ import (
 	"kofl/internal/tree"
 )
 
-// Legitimacy watches the global token census after every step and records
-// when it was last wrong. A run has converged when the census has been
-// correct from some point onward; ConvergedAt reports that point.
-type Legitimacy struct {
-	s             *sim.Sim
-	lastViolation int64 // clock of the most recent incorrect census; -1 if never
-	everCorrect   bool
-}
-
-// NewLegitimacy attaches a legitimacy monitor to s.
-func NewLegitimacy(s *sim.Sim) *Legitimacy {
-	l := &Legitimacy{s: s, lastViolation: -1}
-	s.AddStepHook(l.onStep)
-	l.onStep(s) // account for the initial configuration
-	return l
-}
-
-func (l *Legitimacy) onStep(s *sim.Sim) {
-	if s.TokensCorrect() {
-		l.everCorrect = true
-	} else {
-		l.lastViolation = s.Now()
-	}
-}
-
-// CorrectNow reports whether the census is currently legitimate.
-func (l *Legitimacy) CorrectNow() bool { return l.s.TokensCorrect() }
-
-// LastViolation returns the clock of the most recent violation (-1 = never).
-func (l *Legitimacy) LastViolation() int64 { return l.lastViolation }
-
-// ConvergedAt returns the clock after which the census has been continuously
-// correct, and whether that has happened at all.
-func (l *Legitimacy) ConvergedAt() (int64, bool) {
-	if !l.CorrectNow() || !l.everCorrect {
-		return 0, false
-	}
-	return l.lastViolation + 1, true
-}
-
 // SafetyViolation describes one breach of the k-out-of-ℓ safety property.
 type SafetyViolation struct {
 	Clock int64
 	What  string
 }
 
-// Safety watches the paper's safety predicate after every step: at most ℓ
+// CensusMonitor is the one monitor that reads the global token census. After
+// every step it tracks legitimacy (for convergence), counts legitimate steps
+// (for availability) and checks the paper's safety predicate: at most ℓ
 // units in use, at most k per process (counted as reserved tokens of
-// processes inside their critical section), and the global resource-token
-// population not exceeding ℓ. Violations before convergence are expected —
-// the property is "eventually safe".
-type Safety struct {
-	cfg        core.Config
+// processes inside their critical section). Violations before convergence
+// are expected — the property is "eventually safe".
+//
+// It reads the census once per step through sim.Health: the kernel's
+// incrementally maintained census evaluated in place (see the sim package's
+// census kernel), so one observation is O(1) and copies nothing. The
+// per-process over-k check rides on the census's maintained OverK violation
+// counter and only falls back to a node scan in the rare steps where a
+// violation actually exists. Under sim.Options.ScanCensus the same monitor
+// runs against the snapshot oracle, which is what the census differential
+// tests compare against.
+type CensusMonitor struct {
+	s    *sim.Sim
+	k, l int
+
+	lastViolation int64 // clock of the most recent illegitimate census; -1 if never
+	everCorrect   bool
+
+	// LegitSteps counts executed steps whose census was legitimate (the
+	// initial configuration is not a step and is not counted).
+	LegitSteps int64
+
+	// Violations records every safety breach, in clock order.
 	Violations []SafetyViolation
-	last       int64
 }
 
-// NewSafety attaches a safety monitor to s.
-func NewSafety(s *sim.Sim) *Safety {
-	m := &Safety{cfg: s.Cfg, last: -1}
-	s.AddStepHook(m.onStep)
+// NewCensusMonitor attaches a census monitor to s. It accounts for the
+// initial configuration immediately, so attach it once that configuration
+// is established.
+func NewCensusMonitor(s *sim.Sim) *CensusMonitor {
+	m := &CensusMonitor{}
+	m.Attach(s)
 	return m
 }
 
-func (m *Safety) onStep(s *sim.Sim) {
-	_, unitsInUse, overK := s.Health()
-	if unitsInUse > m.cfg.L {
-		m.record(s.Now(), fmt.Sprintf("%d units in use > ℓ=%d", unitsInUse, m.cfg.L))
+// Attach (re)binds m to s, first resetting it to the just-constructed state
+// while keeping the violation slice's capacity: campaign workers recycle one
+// monitor across slots, so steady-state runs record violations without
+// allocating. Like NewCensusMonitor, it accounts for the initial
+// configuration immediately.
+func (m *CensusMonitor) Attach(s *sim.Sim) {
+	m.s, m.k, m.l = s, s.Cfg.K, s.Cfg.L
+	m.lastViolation = -1
+	m.everCorrect = false
+	m.LegitSteps = 0
+	m.Violations = m.Violations[:0]
+	s.AddStepHook(func(s *sim.Sim) { m.observe(s, true) })
+	m.observe(s, false) // initial configuration: no step to count
+}
+
+func (m *CensusMonitor) observe(s *sim.Sim, isStep bool) {
+	legit, unitsInUse, overK := s.Health()
+	if legit {
+		m.everCorrect = true
+		if isStep {
+			m.LegitSteps++
+		}
+	} else {
+		m.lastViolation = s.Now()
+	}
+	if unitsInUse > m.l {
+		m.Violations = append(m.Violations, SafetyViolation{
+			Clock: s.Now(),
+			What:  fmt.Sprintf("%d units in use > ℓ=%d", unitsInUse, m.l),
+		})
 	}
 	if overK > 0 {
-		// The maintained OverK violation counter says some process is over
-		// its k cap; only then pay the node scan to name the offenders.
+		// Rare: some process is in its critical section holding more than k
+		// units. Only now is the O(n) scan paid, to name the offenders.
 		for p, n := range s.Nodes {
-			if n.State() == core.In && n.Reserved() > m.cfg.K {
-				m.record(s.Now(), fmt.Sprintf("process %d uses %d units > k=%d", p, n.Reserved(), m.cfg.K))
+			if n.State() == core.In && n.Reserved() > m.k {
+				m.Violations = append(m.Violations, SafetyViolation{
+					Clock: s.Now(),
+					What:  fmt.Sprintf("process %d uses %d units > k=%d", p, n.Reserved(), m.k),
+				})
 			}
 		}
 	}
 }
 
-func (m *Safety) record(clock int64, what string) {
-	m.Violations = append(m.Violations, SafetyViolation{Clock: clock, What: what})
-	m.last = clock
+// ConvergedAt returns the clock after which the census has been
+// continuously legitimate, and whether that has happened at all.
+func (m *CensusMonitor) ConvergedAt() (int64, bool) {
+	if !m.s.TokensCorrect() || !m.everCorrect {
+		return 0, false
+	}
+	return m.lastViolation + 1, true
 }
 
-// LastViolation returns the clock of the most recent violation (-1 = never).
-func (m *Safety) LastViolation() int64 { return m.last }
-
-// ViolationsAfter counts violations strictly after the given clock.
-func (m *Safety) ViolationsAfter(clock int64) int {
+// ViolationsAfter counts safety violations strictly after the given clock.
+func (m *CensusMonitor) ViolationsAfter(clock int64) int {
 	n := 0
 	for _, v := range m.Violations {
 		if v.Clock > clock {
@@ -122,9 +134,8 @@ func (m *Safety) ViolationsAfter(clock int64) int {
 // protocol has stabilized.
 //
 // All per-event state is flat per-process slices sized at attach time, so
-// observing an event allocates nothing (event-heavy campaign runs used to
-// churn map buckets here — BenchmarkWaitingMonitor tracks the delta against
-// the historical map-based implementation).
+// observing an event allocates nothing (TestWaitingFlattenedMatchesMapOracle
+// holds it equal to the historical map-based implementation).
 type Waiting struct {
 	totalEnters int64
 	pendingAt   []int64 // per process: totalEnters at request time; -1 = no pending request

@@ -30,41 +30,41 @@ func (stuckApp) WakeAt(int64) int64 { return sim.NoWake }
 func TestLegitimacyTracksViolations(t *testing.T) {
 	tr := tree.Chain(4)
 	s := fullSim(t, tr, 1, 2, 1)
-	leg := checker.NewLegitimacy(s)
+	mon := checker.NewCensusMonitor(s)
 	// Empty start: census wrong (no tokens yet).
-	if leg.CorrectNow() {
+	if s.TokensCorrect() {
 		t.Fatal("empty census reported legitimate")
 	}
-	if _, ok := leg.ConvergedAt(); ok {
+	if _, ok := mon.ConvergedAt(); ok {
 		t.Fatal("converged before running")
 	}
-	if !s.RunUntil(500_000, leg.CorrectNow) {
+	if !s.RunUntil(500_000, s.TokensCorrect) {
 		t.Fatal("never legitimate")
 	}
 	s.Run(5_000)
-	at, ok := leg.ConvergedAt()
+	at, ok := mon.ConvergedAt()
 	if !ok {
 		t.Fatal("not converged after census stabilized")
 	}
 	if at <= 0 || at > s.Now() {
 		t.Errorf("ConvergedAt = %d out of range (now %d)", at, s.Now())
 	}
-	if leg.LastViolation() != at-1 {
-		t.Errorf("LastViolation = %d, want %d", leg.LastViolation(), at-1)
+	if mon.LegitSteps < 5_000 {
+		t.Errorf("LegitSteps = %d, want ≥ the 5000 steps run after convergence", mon.LegitSteps)
 	}
 }
 
 func TestLegitimacyDetectsRelapse(t *testing.T) {
 	tr := tree.Chain(4)
 	s := fullSim(t, tr, 1, 2, 2)
-	leg := checker.NewLegitimacy(s)
-	if !s.RunUntil(500_000, leg.CorrectNow) {
+	mon := checker.NewCensusMonitor(s)
+	if !s.RunUntil(500_000, s.TokensCorrect) {
 		t.Fatal("never legitimate")
 	}
 	// Inject an extra token: converged must flip to false after a step.
 	s.Seed(0, 0, message.NewRes())
 	s.Run(1)
-	if _, ok := leg.ConvergedAt(); ok {
+	if _, ok := mon.ConvergedAt(); ok {
 		t.Error("relapse not detected")
 	}
 }
@@ -73,7 +73,7 @@ func TestSafetyFlagsOverCommitment(t *testing.T) {
 	tr := tree.Chain(3)
 	cfg := core.Config{K: 2, L: 2, CMAX: 2, Features: core.Full()}
 	s := sim.MustNew(tr, cfg, sim.Options{Seed: 3})
-	saf := checker.NewSafety(s)
+	mon := checker.NewCensusMonitor(s)
 	// Corrupt two processes into In with more units than ℓ allows in total;
 	// their applications are mid-critical-section (never release).
 	s.AttachApp(1, stuckApp{})
@@ -82,16 +82,17 @@ func TestSafetyFlagsOverCommitment(t *testing.T) {
 	s.RestoreNode(2, core.Snapshot{State: core.In, Need: 2, RSet: []int{0, 0}, Prio: core.NoPrio})
 	s.Seed(0, 0, message.NewRes())
 	s.Run(1)
-	if len(saf.Violations) == 0 {
+	if len(mon.Violations) == 0 {
 		t.Fatal("4 units in use with ℓ=2 not flagged")
 	}
-	if saf.LastViolation() < 0 {
-		t.Error("LastViolation not set")
+	last := mon.Violations[len(mon.Violations)-1].Clock
+	if last != s.Now() {
+		t.Errorf("last violation at clock %d, want the step just run (%d)", last, s.Now())
 	}
-	if saf.ViolationsAfter(saf.LastViolation()) != 0 {
+	if mon.ViolationsAfter(last) != 0 {
 		t.Error("ViolationsAfter(last) should be 0")
 	}
-	if saf.ViolationsAfter(-1) == 0 {
+	if mon.ViolationsAfter(-1) != len(mon.Violations) {
 		t.Error("ViolationsAfter(-1) should count everything")
 	}
 }

@@ -10,9 +10,9 @@ import (
 	"kofl/internal/workload"
 )
 
-// ExampleNewCensusMonitor attaches the fused census monitor a campaign run
-// uses — legitimacy/convergence, k-out-of-ℓ safety and legit-step counting
-// in one step hook — and reads its verdict after a run. The monitor consumes
+// ExampleNewCensusMonitor attaches the census monitor a campaign run uses —
+// legitimacy/convergence, k-out-of-ℓ safety and legit-step counting in one
+// step hook — and reads its verdict after a run. The monitor consumes
 // the simulator's incrementally maintained census, so its per-step cost is
 // O(1) regardless of system size.
 func ExampleNewCensusMonitor() {

@@ -64,12 +64,9 @@ type Options struct {
 	// in the inbox.
 	Pace     time.Duration
 	IdlePace time.Duration
-	// Observer receives protocol events; it is called from process
-	// goroutines and must be safe for concurrent use (may be nil).
-	Observer core.Observer
 	// OnDrop is called whenever a full link forces a frame drop (sender p,
-	// channel ch). Like Observer it runs on process goroutines and must be
-	// safe for concurrent use (may be nil). The FramesDropped counter is
+	// channel ch). It runs on process goroutines and must be safe for
+	// concurrent use (may be nil). The FramesDropped counter is
 	// maintained regardless.
 	OnDrop func(p, ch int)
 	// Journal, when non-nil, receives structured stabilization telemetry:
@@ -221,9 +218,6 @@ func (n *Net) observe(e core.Event) {
 				n.opts.Journal.Record(k, int32(e.P), int64(e.N1), int64(e.N2))
 			}
 		}
-	}
-	if n.opts.Observer != nil {
-		n.opts.Observer(e)
 	}
 }
 

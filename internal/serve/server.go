@@ -50,8 +50,6 @@ type Options struct {
 	// cost of the serve path. See runtime.Options.
 	Pace     time.Duration
 	IdlePace time.Duration
-	// LinkBuffer overrides the runtime's per-link frame buffer.
-	LinkBuffer int
 	// QueueDepth bounds each process's pending-acquire queue (default 64);
 	// an acquire finding its routed queue AND the fallback queue full is
 	// rejected with ErrOverload.
@@ -77,8 +75,6 @@ type Options struct {
 	// entries). The journal records lease lifecycle, stabilization
 	// transitions, root timeouts, drain, and fault injections.
 	JournalCapacity int
-	// OnDrop is forwarded to the runtime (full-link frame drops).
-	OnDrop func(p, ch int)
 }
 
 func (o Options) withDefaults() Options {
@@ -194,12 +190,10 @@ func New(tr *tree.Tree, opts Options) (*Server, error) {
 	cfg := core.Config{K: opts.K, L: opts.L, N: tr.N(), CMAX: cmax, Features: core.Full()}
 	journal := obs.NewJournal(opts.JournalCapacity, func() int64 { return time.Now().UnixNano() })
 	n, err := runtime.New(tr, cfg, runtime.Options{
-		Timeout:    opts.Timeout,
-		LinkBuffer: opts.LinkBuffer,
-		Pace:       opts.Pace,
-		IdlePace:   opts.IdlePace,
-		OnDrop:     opts.OnDrop,
-		Journal:    journal,
+		Timeout:  opts.Timeout,
+		Pace:     opts.Pace,
+		IdlePace: opts.IdlePace,
+		Journal:  journal,
 	})
 	if err != nil {
 		return nil, err

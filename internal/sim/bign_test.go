@@ -110,10 +110,10 @@ func TestBigNSmoke(t *testing.T) {
 // TestBytesPerProcessCeiling pins the memory layout by the number the
 // repository's benchmark reports as bytes_per_process, measured by the same
 // recipe (buildSim in benchmark/simphase.go): the GC-fenced HeapAlloc delta
-// around sim.New, one Fixed cycle attached per process and the fused census
-// monitor. The layout lands near 415 B/process (two 64-byte channel headers,
+// around sim.New, one Fixed cycle attached per process and the census
+// monitor. The layout lands near 385 B/process (two 64-byte channel headers,
 // a 64-byte process line, a 32-byte protocol slot, a 16-byte port, a
-// 128-byte Cycle and a few words of tables: the node pointer, the wake heap,
+// 96-byte Cycle and a few words of tables: the node pointer, the wake heap,
 // the id→slot map, the per-slot channel offsets and the dense action set's
 // per-process counts); the ceiling leaves room for the allocator's rounding
 // at small n, not for another per-process table.

@@ -284,11 +284,11 @@ func TestTheorem2WaitingBound(t *testing.T) {
 	saturated := func(tr *tree.Tree, k, l int, sched sim.Scheduler, steps int64) *checker.Waiting {
 		s := sim.MustNew(tr, core.Config{K: k, L: l, CMAX: 2, Features: core.Full()},
 			sim.Options{Seed: paperSeed, Scheduler: sched})
-		leg := checker.NewLegitimacy(s)
+		mon := checker.NewCensusMonitor(s)
 		// Warm up with no requests until the census stabilizes, so Theorem
 		// 2's "once stabilized" premise holds.
 		s.RunUntil(4*s.TimeoutTicks()+200_000, func() bool {
-			_, ok := leg.ConvergedAt()
+			_, ok := mon.ConvergedAt()
 			return ok
 		})
 		wait := checker.NewWaiting(s)
@@ -355,12 +355,12 @@ func TestGarbageBeyondCMAX(t *testing.T) {
 				rng := rand.New(rand.NewSource(paperSeed + 100 + trial))
 				adversary.CorruptStates(s, rng, nil)
 				adversary.ForceGarbageChannels(s, rng, garbage, nil)
-				leg := checker.NewLegitimacy(s)
+				mon := checker.NewCensusMonitor(s)
 				for p := 0; p < tr.N(); p++ {
 					workload.Attach(s, p, workload.Fixed(1+p%2, 3, 9, 0))
 				}
 				s.Run(8*s.TimeoutTicks() + 150_000)
-				if _, ok := leg.ConvergedAt(); !ok {
+				if _, ok := mon.ConvergedAt(); !ok {
 					t.Errorf("unbounded=%v garbage=%d trial %d: no convergence (census %v)",
 						unbounded, garbage, trial, s.Census())
 				}

@@ -191,8 +191,6 @@ type Options struct {
 	// 0 selects a topology-derived default generous enough that the timeout
 	// never fires in steady state (paper footnote 4).
 	TimeoutTicks int64
-	// Observer additionally receives every protocol event (may be nil).
-	Observer core.Observer
 	// FullRescan selects the legacy O(E+n) kernel that rebuilds the enabled-
 	// action set from a full scan every step, re-reading every application's
 	// Enabled. It exists as the differential-testing oracle; the incremental
@@ -364,9 +362,6 @@ func New(t *tree.Tree, cfg core.Config, opts Options) (*Sim, error) {
 		s.procs[slot] = proc{node: node, app: nopApp{}, wakeAt: NoWake}
 		s.ports[slot] = port{s: s, slot: slot, ob: ob}
 		s.Nodes[p] = &s.procs[slot].node
-	}
-	if opts.Observer != nil {
-		s.AddObserver(opts.Observer)
 	}
 	if opts.Obs != nil || opts.Journal != nil {
 		s.initObs(opts.Obs, opts.Journal)

@@ -21,8 +21,7 @@ func TestSmokeFullProtocol(t *testing.T) {
 	cfg := core.Config{K: 3, L: 5, CMAX: 4, Features: core.Full()}
 	s := sim.MustNew(tr, cfg, sim.Options{Seed: 1})
 
-	leg := checker.NewLegitimacy(s)
-	saf := checker.NewSafety(s)
+	mon := checker.NewCensusMonitor(s)
 	grants := checker.NewGrants(s)
 	circ := checker.NewCirculations(s)
 
@@ -32,15 +31,14 @@ func TestSmokeFullProtocol(t *testing.T) {
 
 	s.Run(300_000)
 
-	conv, ok := leg.ConvergedAt()
+	conv, ok := mon.ConvergedAt()
 	if !ok {
-		t.Fatalf("never converged: census=%v lastViolation=%d circ=%+v",
-			s.Census(), leg.LastViolation(), circ)
+		t.Fatalf("never converged: census=%v circ=%+v", s.Census(), circ)
 	}
 	t.Logf("converged at %d (timeout=%d), circulations=%d resets=%d timeouts=%d",
 		conv, s.TimeoutTicks(), circ.Completed, circ.Resets, circ.Timeouts)
-	if n := saf.ViolationsAfter(conv); n > 0 {
-		t.Fatalf("%d safety violations after convergence at %d: %+v", n, conv, saf.Violations)
+	if n := mon.ViolationsAfter(conv); n > 0 {
+		t.Fatalf("%d safety violations after convergence at %d: %+v", n, conv, mon.Violations)
 	}
 	for p := 0; p < tr.N(); p++ {
 		if grants.Enters[p] == 0 {

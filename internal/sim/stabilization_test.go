@@ -33,21 +33,20 @@ func TestStabilizationProperty(t *testing.T) {
 		cfg := core.Config{K: k, L: l, CMAX: cmax, Features: core.Full()}
 		s := sim.MustNew(tr, cfg, sim.Options{Seed: seed})
 		adversary.ArbitraryConfiguration(s, rng)
-		leg := checker.NewLegitimacy(s)
-		saf := checker.NewSafety(s)
+		mon := checker.NewCensusMonitor(s)
 		grants := checker.NewGrants(s)
 		for p := 0; p < n; p++ {
 			workload.Attach(s, p, workload.Fixed(1+rng.Intn(k), int64(rng.Intn(6)), int64(rng.Intn(12)), 0))
 		}
 		budget := 8*s.TimeoutTicks() + 150_000
 		s.Run(budget)
-		at, ok := leg.ConvergedAt()
+		at, ok := mon.ConvergedAt()
 		if !ok {
 			t.Logf("seed=%d n=%d k=%d l=%d cmax=%d: no convergence in %d steps (census %v)",
 				seed, n, k, l, cmax, budget, s.Census())
 			return false
 		}
-		if v := saf.ViolationsAfter(at); v > 0 {
+		if v := mon.ViolationsAfter(at); v > 0 {
 			t.Logf("seed=%d: %d safety violations after convergence at %d", seed, v, at)
 			return false
 		}
@@ -109,18 +108,18 @@ var countOrderWorkloads = []struct {
 
 // runCountOrder plays one count-order workload under the corrected or the
 // paper's printed accumulation order.
-func runCountOrder(paperOrder bool, seed, steps int64, app func(int) *workload.Cycle) (*checker.Circulations, *checker.Legitimacy) {
+func runCountOrder(paperOrder bool, seed, steps int64, app func(int) *workload.Cycle) (*checker.Circulations, *checker.CensusMonitor) {
 	tr := tree.Paper()
 	cfg := fullCfg(3, 5)
 	cfg.Errata.PaperCountOrder = paperOrder
 	s := sim.MustNew(tr, cfg, sim.Options{Seed: seed})
 	circ := checker.NewCirculations(s)
-	leg := checker.NewLegitimacy(s)
+	mon := checker.NewCensusMonitor(s)
 	for p := 0; p < tr.N(); p++ {
 		workload.Attach(s, p, app(p))
 	}
 	s.Run(steps)
-	return circ, leg
+	return circ, mon
 }
 
 // TestClosureFullProtocol: once converged, the full protocol must never
@@ -129,8 +128,8 @@ func runCountOrder(paperOrder bool, seed, steps int64, app func(int) *workload.C
 func TestClosureFullProtocol(t *testing.T) {
 	for _, w := range countOrderWorkloads {
 		t.Run(w.name, func(t *testing.T) {
-			circ, leg := runCountOrder(false, w.seed, w.steps, w.app)
-			if _, ok := leg.ConvergedAt(); !ok {
+			circ, mon := runCountOrder(false, w.seed, w.steps, w.app)
+			if _, ok := mon.ConvergedAt(); !ok {
 				t.Fatal("did not converge")
 			}
 			if circ.Resets != 0 {
@@ -169,8 +168,8 @@ func TestPaperCountOrderBreaksClosure(t *testing.T) {
 func TestRecoveryFromTokenLoss(t *testing.T) {
 	tr := tree.Star(6)
 	s := sim.MustNew(tr, fullCfg(2, 4), sim.Options{Seed: 3})
-	leg := checker.NewLegitimacy(s)
-	if !s.RunUntil(500_000, func() bool { _, ok := leg.ConvergedAt(); return ok }) {
+	mon := checker.NewCensusMonitor(s)
+	if !s.RunUntil(500_000, func() bool { _, ok := mon.ConvergedAt(); return ok }) {
 		t.Fatal("bootstrap failed")
 	}
 	rng := rand.New(rand.NewSource(77))
@@ -192,8 +191,8 @@ func TestRecoveryFromTokenDuplication(t *testing.T) {
 	tr := tree.Star(6)
 	s := sim.MustNew(tr, fullCfg(2, 4), sim.Options{Seed: 4})
 	circ := checker.NewCirculations(s)
-	leg := checker.NewLegitimacy(s)
-	if !s.RunUntil(500_000, func() bool { _, ok := leg.ConvergedAt(); return ok }) {
+	mon := checker.NewCensusMonitor(s)
+	if !s.RunUntil(500_000, func() bool { _, ok := mon.ConvergedAt(); return ok }) {
 		t.Fatal("bootstrap failed")
 	}
 	rng := rand.New(rand.NewSource(78))
@@ -215,8 +214,8 @@ func TestRecoveryFromTokenDuplication(t *testing.T) {
 func TestRecoveryFromLostController(t *testing.T) {
 	tr := tree.Chain(5)
 	s := sim.MustNew(tr, fullCfg(1, 2), sim.Options{Seed: 5, TimeoutTicks: 2_000})
-	leg := checker.NewLegitimacy(s)
-	if !s.RunUntil(500_000, func() bool { _, ok := leg.ConvergedAt(); return ok }) {
+	mon := checker.NewCensusMonitor(s)
+	if !s.RunUntil(500_000, func() bool { _, ok := mon.ConvergedAt(); return ok }) {
 		t.Fatal("bootstrap failed")
 	}
 	rng := rand.New(rand.NewSource(79))
@@ -242,8 +241,8 @@ func TestGarbageOnlyChannelsConverge(t *testing.T) {
 	s := sim.MustNew(tr, cfg, sim.Options{Seed: 6})
 	rng := rand.New(rand.NewSource(80))
 	adversary.GarbageChannels(s, rng, 5, nil)
-	leg := checker.NewLegitimacy(s)
-	if !s.RunUntil(8*s.TimeoutTicks()+300_000, func() bool { _, ok := leg.ConvergedAt(); return ok }) {
+	mon := checker.NewCensusMonitor(s)
+	if !s.RunUntil(8*s.TimeoutTicks()+300_000, func() bool { _, ok := mon.ConvergedAt(); return ok }) {
 		t.Fatalf("no convergence from garbage channels: %v", s.Census())
 	}
 }

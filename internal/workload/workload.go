@@ -1,6 +1,7 @@
-// Package workload provides the simulated applications that drive requests
-// against the protocol: generic generators (saturating, random think-time,
-// one-shot) and the exact scenarios of the paper's figures.
+// Package workload provides the simulated application that drives requests
+// against the protocol: a fixed request loop (request need units, hold,
+// think, repeat), bounded or unbounded, or release-only for requests issued
+// from outside.
 //
 // An application is a small state machine around the paper's interface: it
 // switches State from Out to Req (via Handle.Request), the protocol grants
@@ -8,11 +9,7 @@
 // completion by answering ReleaseCS()=true and polling the protocol.
 package workload
 
-import (
-	"math/rand"
-
-	"kofl/internal/sim"
-)
+import "kofl/internal/sim"
 
 // Phase tracks where an application stands in its request cycle.
 type Phase uint8
@@ -30,39 +27,22 @@ const (
 // (possible only while a transient fault left the process outside Out).
 const retryBackoff = 64
 
-// Cycle is a generic request loop: think, request NeedFn units, hold the
-// critical section for HoldFn steps, release, repeat (up to MaxRequests
-// grants). Durations are measured on the simulation clock; randomness (if
-// any) comes from the generator's own seeded RNG so runs stay reproducible.
+// Cycle is a request loop: think, request need units, hold the critical
+// section for hold steps, release, repeat (up to maxRequests grants).
+// Durations are measured on the simulation clock. The whole application is
+// one allocation, and Reset recycles it for a different configuration.
 type Cycle struct {
-	// NeedFn yields the size of the i-th request (1-based), HoldFn the
-	// critical-section duration in simulation steps, ThinkFn the pause before
-	// the next request. A nil function selects the fixed parameter Fixed set
-	// (zero for a Cycle built any other way).
-	NeedFn  func(i int) int
-	HoldFn  func(i int) int64
-	ThinkFn func(i int) int64
-	// MaxRequests stops the loop after that many issued requests
-	// (0 = unbounded; negative = never issue requests at all, making the
-	// Cycle a pure releaser for requests issued externally through a
-	// sim.Handle — useful to reproduce the paper's figure configurations
-	// where processes START in the Req state).
-	MaxRequests int
-
-	// The fixed parameters, read directly where the function is nil: a Fixed
-	// cycle is this one struct, no closures.
-	fixedNeed  int
-	fixedHold  int64
-	fixedThink int64
+	need        int
+	hold, think int64
+	maxRequests int
 
 	sim       *sim.Sim // the clock (nil until Attach)
-	requests  int
 	holdUntil int64
 	readyAt   int64
 
 	// Stats.
 	Grants    int   // completed critical sections
-	Issued    int   // requests issued
+	Issued    int   // requests issued (and not refused)
 	Enters    int   // critical sections entered
 	LastEnter int64 // clock of the most recent entry
 
@@ -71,93 +51,31 @@ type Cycle struct {
 	csOver bool
 }
 
-// NewCycle returns a Cycle with the given closures; a nil HoldFn means
-// zero-length critical sections and a nil ThinkFn no think time.
-func NewCycle(needFn func(int) int, holdFn, thinkFn func(int) int64, maxRequests int) *Cycle {
-	if holdFn == nil {
-		holdFn = func(int) int64 { return 0 }
-	}
-	if thinkFn == nil {
-		thinkFn = func(int) int64 { return 0 }
-	}
-	return &Cycle{NeedFn: needFn, HoldFn: holdFn, ThinkFn: thinkFn, MaxRequests: maxRequests}
-}
-
 // Fixed returns a Cycle that always requests need units, holds for hold
-// steps and thinks for think steps between requests: the three functions
-// stay nil and the parameters are read from the struct, so the whole
-// application is one allocation and ResetFixed can recycle it for a
-// different configuration.
+// steps and thinks for think steps between requests. maxRequests stops the
+// loop after that many issued requests: 0 = unbounded; negative = never
+// issue requests at all, making the Cycle a pure releaser for requests
+// issued externally through a sim.Handle — useful to reproduce the paper's
+// figure configurations where processes START in the Req state.
 func Fixed(need int, hold, think int64, maxRequests int) *Cycle {
 	c := &Cycle{}
-	c.ResetFixed(need, hold, think, maxRequests)
+	c.Reset(need, hold, think, maxRequests)
 	return c
 }
 
-// ResetFixed returns a Fixed cycle to its just-constructed state under new
-// parameters, reusing the allocation — the campaign engine's workers recycle
-// one Cycle per process across slots. It panics on cycles not built by Fixed,
-// whose closures would silently ignore the new parameters.
-func (c *Cycle) ResetFixed(need int, hold, think int64, maxRequests int) {
-	if c.NeedFn != nil || c.HoldFn != nil || c.ThinkFn != nil {
-		panic("workload: ResetFixed on a cycle not built by Fixed")
-	}
-	*c = Cycle{fixedNeed: need, fixedHold: hold, fixedThink: think, MaxRequests: maxRequests}
+// Reset returns c to its just-constructed state under new parameters,
+// reusing the allocation — the campaign engine's workers recycle one Cycle
+// per process across slots.
+func (c *Cycle) Reset(need int, hold, think int64, maxRequests int) {
+	*c = Cycle{need: need, hold: hold, think: think, maxRequests: maxRequests}
 }
 
-func (c *Cycle) need(i int) int {
-	if c.NeedFn != nil {
-		return c.NeedFn(i)
-	}
-	return c.fixedNeed
-}
-
-func (c *Cycle) hold(i int) int64 {
-	if c.HoldFn != nil {
-		return c.HoldFn(i)
-	}
-	return c.fixedHold
-}
-
-func (c *Cycle) think(i int) int64 {
-	if c.ThinkFn != nil {
-		return c.ThinkFn(i)
-	}
-	return c.fixedThink
-}
-
-// Uniform returns a Cycle requesting uniformly in [1..maxNeed] units with
-// hold/think times uniform in [0..maxHold]/[0..maxThink], drawn from rng.
-// Each duration is sampled once per request cycle (hold at CS entry, think
-// at release), so the draw sequence is a pure function of the grant history.
-// (Historically the hold duration was re-drawn on every enablement poll,
-// making it scheduler-dependent; seeded Uniform runs therefore do not replay
-// pre-incremental-kernel traces. Fixed workloads are unaffected.)
-func Uniform(maxNeed int, maxHold, maxThink int64, rng *rand.Rand, maxRequests int) *Cycle {
-	return NewCycle(
-		func(int) int { return 1 + rng.Intn(maxNeed) },
-		func(int) int64 {
-			if maxHold <= 0 {
-				return 0
-			}
-			return rng.Int63n(maxHold + 1)
-		},
-		func(int) int64 {
-			if maxThink <= 0 {
-				return 0
-			}
-			return rng.Int63n(maxThink + 1)
-		},
-		maxRequests)
-}
-
-// Phase returns where the application currently stands.
+// CurrentPhase returns where the application currently stands.
 func (c *Cycle) CurrentPhase() Phase { return c.phase }
 
 // EnterCS implements core.App: the protocol granted the request. The
-// critical-section duration is sampled here, once per grant (not re-sampled
-// on every enablement check), so the kernel can register the release time as
-// a wake-up instead of polling.
+// release time is fixed here, once per grant, so the kernel can register it
+// as a wake-up instead of polling.
 func (c *Cycle) EnterCS() {
 	c.inCS = true
 	c.csOver = false
@@ -166,7 +84,7 @@ func (c *Cycle) EnterCS() {
 	if c.sim != nil {
 		c.LastEnter = c.sim.Now()
 	}
-	c.holdUntil = c.LastEnter + c.hold(c.requests)
+	c.holdUntil = c.LastEnter + c.hold
 }
 
 // ReleaseCS implements core.App.
@@ -176,10 +94,10 @@ func (c *Cycle) ReleaseCS() bool { return !c.inCS || c.csOver }
 func (c *Cycle) Enabled(now int64) bool {
 	switch c.phase {
 	case Idle:
-		if c.MaxRequests < 0 {
+		if c.maxRequests < 0 {
 			return false // release-only: requests are issued externally
 		}
-		if c.MaxRequests > 0 && c.requests >= c.MaxRequests {
+		if c.maxRequests > 0 && c.Issued >= c.maxRequests {
 			return false
 		}
 		return now >= c.readyAt
@@ -196,7 +114,7 @@ func (c *Cycle) Enabled(now int64) bool {
 func (c *Cycle) WakeAt(now int64) int64 {
 	switch c.phase {
 	case Idle:
-		if c.MaxRequests < 0 || (c.MaxRequests > 0 && c.requests >= c.MaxRequests) {
+		if c.maxRequests < 0 || (c.maxRequests > 0 && c.Issued >= c.maxRequests) {
 			return sim.NoWake
 		}
 		return c.readyAt
@@ -211,14 +129,12 @@ func (c *Cycle) WakeAt(now int64) int64 {
 func (c *Cycle) Act(h Handle) {
 	switch c.phase {
 	case Idle:
-		c.requests++
 		c.Issued++
 		c.phase = Waiting
-		if err := h.Request(c.need(c.requests)); err != nil {
+		if err := h.Request(c.need); err != nil {
 			// Only possible while a transient fault has the process outside
 			// Out; back off and let the protocol converge.
 			c.phase = Idle
-			c.requests--
 			c.Issued--
 			c.readyAt = h.Now() + retryBackoff
 		}
@@ -227,7 +143,7 @@ func (c *Cycle) Act(h Handle) {
 		c.inCS = false
 		c.Grants++
 		c.phase = Idle
-		c.readyAt = h.Now() + c.think(c.requests)
+		c.readyAt = h.Now() + c.think
 		h.Poll()
 	}
 }

@@ -1,7 +1,6 @@
 package workload_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"kofl/internal/checker"
@@ -97,47 +96,6 @@ func TestCycleThinkTime(t *testing.T) {
 		if enters[i]-exits[i-1] < think {
 			t.Errorf("request %d issued %d after exit, want ≥ %d", i, enters[i]-exits[i-1], think)
 		}
-	}
-}
-
-func TestUniformStaysInRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	s := newSim(t, 5)
-	var needs []int
-	s.AddObserver(func(e core.Event) {
-		if e.Kind == core.EvRequest && e.P == 3 {
-			needs = append(needs, e.N1)
-		}
-	})
-	workload.Attach(s, 3, workload.Uniform(2, 5, 5, rng, 0))
-	s.Run(150_000)
-	if len(needs) < 50 {
-		t.Fatalf("only %d requests", len(needs))
-	}
-	seen := map[int]bool{}
-	for _, n := range needs {
-		if n < 1 || n > 2 {
-			t.Fatalf("need %d outside [1,2]", n)
-		}
-		seen[n] = true
-	}
-	if !seen[1] || !seen[2] {
-		t.Error("Uniform never varied the request size")
-	}
-}
-
-func TestUniformZeroDurations(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	c := workload.Uniform(1, 0, 0, rng, 1)
-	if c.HoldFn(1) != 0 || c.ThinkFn(1) != 0 {
-		t.Error("zero max durations must yield zero durations")
-	}
-}
-
-func TestNewCycleNilFns(t *testing.T) {
-	c := workload.NewCycle(func(int) int { return 1 }, nil, nil, 0)
-	if c.HoldFn(1) != 0 || c.ThinkFn(1) != 0 {
-		t.Error("nil hold/think functions must default to zero")
 	}
 }
 

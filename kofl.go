@@ -203,7 +203,7 @@ func ParseAdversaryScript(b []byte) (*AdversaryScript, error) { return adversary
 type CampaignReport = campaign.Report
 
 // CampaignOptions tunes the engine (worker count, progress callback,
-// per-slot hooks, trace capture directory).
+// trace capture directory, execution counters).
 type CampaignOptions = campaign.Options
 
 // CampaignPlan is the serializable execution plan of a campaign — the

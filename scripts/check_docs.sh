@@ -85,6 +85,14 @@ for sym in NewPlan ExecuteShard Merge EscalationPlan; do
 done
 grep -q 'campaign pipeline' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the campaign pipeline section"
 grep -q 'koflcampaign merge' internal/campaign/README.md || err "campaign README lost the merge usage"
+# Trace capture is the one thing that replays a slot, and the census monitor
+# the one monitor that reads the census: the replay test the campaign README
+# cites must exist, and no doc may advertise the hook layer that was removed.
+grep -q 'func TestSlotReplayIsExact' internal/campaign/pipeline_test.go || err "TestSlotReplayIsExact gone but documented"
+grep -q 'type CensusMonitor struct' internal/checker/checker.go || err "checker.CensusMonitor gone but documented"
+if grep -q 'Options.Hooks\|SlotHook' README.md docs/ARCHITECTURE.md internal/campaign/README.md; then
+    err "a doc still advertises the removed campaign hook layer"
+fi
 
 # The adversary engine's documented surface must still exist: the section,
 # the scenario axis docs, the CLI listing, and the engine symbols.

@@ -18,8 +18,7 @@ import (
 type System struct {
 	tr   *Tree
 	s    *sim.Sim
-	leg  *checker.Legitimacy
-	saf  *checker.Safety
+	mon  *checker.CensusMonitor
 	wait *checker.Waiting
 	gr   *checker.Grants
 	circ *checker.Circulations
@@ -63,8 +62,7 @@ func New(t *Tree, opts Options) (*System, error) {
 	y := &System{
 		tr:     t,
 		s:      s,
-		leg:    checker.NewLegitimacy(s),
-		saf:    checker.NewSafety(s),
+		mon:    checker.NewCensusMonitor(s),
 		wait:   checker.NewWaiting(s),
 		gr:     checker.NewGrants(s),
 		circ:   checker.NewCirculations(s),
@@ -157,13 +155,13 @@ func (y *System) Census() Census { return y.s.Census() }
 
 // Converged reports whether the token census is legitimate and has been
 // since the returned clock value.
-func (y *System) Converged() (since int64, ok bool) { return y.leg.ConvergedAt() }
+func (y *System) Converged() (since int64, ok bool) { return y.mon.ConvergedAt() }
 
 // RunUntilConverged runs until the census is legitimate (then keeps the
 // result even if later faults break it again), up to budget steps.
 func (y *System) RunUntilConverged(budget int64) bool {
 	return y.s.RunUntil(budget, func() bool {
-		_, ok := y.leg.ConvergedAt()
+		_, ok := y.mon.ConvergedAt()
 		return ok
 	})
 }
@@ -205,7 +203,7 @@ type Metrics struct {
 
 // Metrics returns the current monitor readings.
 func (y *System) Metrics() Metrics {
-	at, ok := y.leg.ConvergedAt()
+	at, ok := y.mon.ConvergedAt()
 	m := Metrics{
 		Steps:        y.s.Steps,
 		Grants:       append([]int64(nil), y.gr.Enters...),
@@ -220,7 +218,7 @@ func (y *System) Metrics() Metrics {
 		Census:       y.s.Census(),
 	}
 	if ok {
-		m.SafetyViolationsAfterConvergence = y.saf.ViolationsAfter(at)
+		m.SafetyViolationsAfterConvergence = y.mon.ViolationsAfter(at)
 	}
 	return m
 }
