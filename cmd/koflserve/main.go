@@ -1,8 +1,8 @@
 // Command koflserve runs a k-out-of-ℓ exclusion resource-lease server: a
 // live protocol tree behind a TCP endpoint speaking the serve protocol
 // (length-prefixed JSON; acquire/release/stats), with bounded per-process
-// queues, idempotent acquire, lease expiry and optional Prometheus-style
-// metrics over HTTP.
+// queues, idempotent acquire, lease expiry and an optional HTTP debug surface
+// (Prometheus-style /metrics, health probes, event journal, pprof).
 //
 // With -load R the command instead runs a self-contained load test: it
 // starts the server, drives an open-loop generator at R acquires/sec
@@ -15,7 +15,7 @@
 // Examples:
 //
 //	koflserve -topo paper -k 3 -l 5 -addr 127.0.0.1:7700
-//	koflserve -topo star -n 8 -k 2 -l 3 -metrics 127.0.0.1:7701
+//	koflserve -topo star -n 8 -k 2 -l 3 -debug-addr 127.0.0.1:7701
 //	koflserve -topo paper -k 3 -l 5 -load 200 -load-duration 2s
 package main
 
@@ -25,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"os/signal"
 	"syscall"
@@ -62,7 +61,7 @@ type options struct {
 	topo          string
 	n, k, l, cmax int
 	seed          int64
-	addr, metrics string
+	addr          string
 	debugAddr     string
 	timeout       time.Duration
 	pace          time.Duration
@@ -90,7 +89,6 @@ func flags() (*flag.FlagSet, *options) {
 	fs.IntVar(&o.cmax, "cmax", 4, "CMAX: bound on initial garbage per channel")
 	fs.Int64Var(&o.seed, "seed", 1, "seed for -topo random")
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:0", "TCP listen address (port 0 = pick one)")
-	fs.StringVar(&o.metrics, "metrics", "", "HTTP /metrics listen address (empty = disabled)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "HTTP debug-surface listen address: unified /metrics, /healthz, /readyz, /debug/events, /debug/pprof/* (empty = disabled)")
 	fs.DurationVar(&o.timeout, "timeout", serve.DefaultTimeout, "root retransmission timeout (tightening below a few ms causes retransmission storms)")
 	fs.DurationVar(&o.pace, "pace", serve.DefaultPace, "average protocol delivery delay per frame while acquires wait, slept off in 1ms rests (negative = full speed)")
@@ -105,32 +103,6 @@ func flags() (*flag.FlagSet, *options) {
 	fs.IntVar(&o.loadClients, "load-clients", 8, "load-test connections")
 	fs.IntVar(&o.loadUnits, "load-units", 0, "load-test max units per acquire (0 = k)")
 	return fs, &o
-}
-
-func buildTree(topo string, n int, seed int64) (*kofl.Tree, error) {
-	if n < 2 && topo != "paper" {
-		return nil, usageError(fmt.Sprintf("-n %d: need at least 2 processes", n))
-	}
-	switch topo {
-	case "chain":
-		return kofl.Chain(n), nil
-	case "star":
-		return kofl.Star(n), nil
-	case "paper":
-		return kofl.PaperTree(), nil
-	case "balanced":
-		d := 1
-		for size := 3; size < n; size = size*2 + 1 {
-			d++
-		}
-		return kofl.Balanced(2, d), nil
-	case "caterpillar":
-		return kofl.Caterpillar((n+3)/4, 3), nil
-	case "random":
-		return tree.Random(n, rand.New(rand.NewSource(seed))), nil
-	default:
-		return nil, usageError(fmt.Sprintf("unknown topology %q (chain|star|paper|balanced|caterpillar|random)", topo))
-	}
 }
 
 func run(args []string, out, errOut io.Writer) error {
@@ -160,14 +132,14 @@ func run(args []string, out, errOut io.Writer) error {
 	if o.loadUnits < 0 || o.loadUnits > o.k {
 		return usageError(fmt.Sprintf("-load-units %d: must be in [0, k=%d]", o.loadUnits, o.k))
 	}
-	tr, err := buildTree(o.topo, o.n, o.seed)
+	tr, err := tree.Named(o.topo, o.n, o.seed)
 	if err != nil {
-		return err
+		return usageError(err.Error())
 	}
 
 	srv, err := kofl.Serve(tr, kofl.ServeOptions{
 		K: o.k, L: o.l, CMAX: o.cmax,
-		Addr: o.addr, MetricsAddr: o.metrics, DebugAddr: o.debugAddr,
+		Addr: o.addr, DebugAddr: o.debugAddr,
 		Timeout: o.timeout, Pace: o.pace, IdlePace: o.idlePace,
 		QueueDepth: o.queue, LeaseTTL: o.leaseTTL, DedupeTTL: o.dedupeTTL, DrainTimeout: o.drain,
 	})
@@ -209,9 +181,6 @@ func run(args []string, out, errOut io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "koflserve: serving %s (n=%d) k=%d l=%d on %s\n", o.topo, tr.N(), o.k, o.l, srv.Addr())
-	if m := srv.MetricsAddr(); m != "" {
-		fmt.Fprintf(out, "koflserve: metrics on http://%s/metrics\n", m)
-	}
 	if d := srv.DebugAddr(); d != "" {
 		fmt.Fprintf(out, "koflserve: debug surface on http://%s (/metrics /healthz /readyz /debug/events /debug/pprof/)\n", d)
 	}

@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 
 	"kofl"
@@ -32,33 +31,6 @@ import (
 	"kofl/internal/core"
 	"kofl/internal/tree"
 )
-
-func buildTree(topo string, n int, seed int64) (*kofl.Tree, error) {
-	if n < 2 && topo != "paper" {
-		return nil, usageError(fmt.Sprintf("-n %d: need at least 2 processes", n))
-	}
-	switch topo {
-	case "chain":
-		return kofl.Chain(n), nil
-	case "star":
-		return kofl.Star(n), nil
-	case "paper":
-		return kofl.PaperTree(), nil
-	case "balanced":
-		// Smallest balanced binary tree with ≥ n processes.
-		d := 1
-		for size := 3; size < n; size = size*2 + 1 {
-			d++
-		}
-		return kofl.Balanced(2, d), nil
-	case "caterpillar":
-		return kofl.Caterpillar((n+3)/4, 3), nil
-	case "random":
-		return tree.Random(n, rand.New(rand.NewSource(seed))), nil
-	default:
-		return nil, usageError(fmt.Sprintf("unknown topology %q (chain|star|paper|balanced|caterpillar|random)", topo))
-	}
-}
 
 func parseVariant(s string) (kofl.Variant, error) {
 	switch s {
@@ -175,9 +147,9 @@ func run(args []string, out io.Writer) error {
 		return usageError("-hold and -think must be ≥ 0")
 	}
 
-	tr, err := buildTree(o.topo, o.n, o.seed)
+	tr, err := tree.Named(o.topo, o.n, o.seed)
 	if err != nil {
-		return err
+		return usageError(err.Error())
 	}
 	variant, err := parseVariant(o.variant)
 	if err != nil {

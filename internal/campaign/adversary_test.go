@@ -36,10 +36,7 @@ func legacyStormRun(spec Spec, c Cell, seed int64) RunResult {
 	if spec.Faults.ArbitraryStart {
 		adversary.ArbitraryConfiguration(s, rand.New(rand.NewSource(seed+1000)))
 	}
-	mon := checker.NewCensusMonitor(s)
-	wait := checker.NewWaiting(s)
-	gr := checker.NewGrants(s)
-	circ := checker.NewCirculations(s)
+	mon := checker.NewRun(s)
 	for p := 0; p < tr.N(); p++ {
 		need := spec.Workload.Need
 		if need <= 0 {
@@ -75,13 +72,13 @@ func legacyStormRun(spec Spec, c Cell, seed int64) RunResult {
 	rr := RunResult{
 		Seed:          seed,
 		Steps:         s.Steps,
-		Grants:        gr.Total(),
-		Jain:          round6(JainIndex(gr.Enters)),
-		MaxWaiting:    wait.Max(),
-		WaitingRatio:  round6(wait.BoundRatio(tr.N(), c.L)),
-		Circulations:  circ.Completed,
-		Resets:        circ.Resets,
-		Timeouts:      circ.Timeouts,
+		Grants:        mon.Total(),
+		Jain:          round6(JainIndex(mon.Enters)),
+		MaxWaiting:    mon.Max(),
+		WaitingRatio:  round6(mon.BoundRatio(tr.N(), c.L)),
+		Circulations:  mon.Completed,
+		Resets:        mon.Resets,
+		Timeouts:      mon.Timeouts,
 		Converged:     ok,
 		ConvergedAt:   at,
 		LegitSteps:    mon.LegitSteps,

@@ -169,8 +169,8 @@ func newCellRuntime(spec Spec, c Cell) (*cellRuntime, error) {
 }
 
 // workerState is the reusable per-worker mutable state: the fault RNG
-// (re-seeded per slot instead of re-allocated), the four monitors (reset and
-// re-attached per slot, retaining their slice capacity), and one workload
+// (re-seeded per slot instead of re-allocated), the run monitor (reset and
+// re-attached per slot, retaining its slice capacity), and one workload
 // cycle per process (re-parameterized per slot). With it, a worker's
 // steady-state slot execution allocates only the simulator itself — monitor
 // and workload churn used to be the main source of GC pressure that capped
@@ -178,10 +178,7 @@ func newCellRuntime(spec Spec, c Cell) (*cellRuntime, error) {
 type workerState struct {
 	faultSrc rand.Source
 	faultRng *rand.Rand
-	mon      *checker.CensusMonitor
-	wait     *checker.Waiting
-	gr       *checker.Grants
-	circ     *checker.Circulations
+	run      checker.Run
 	cycles   []*workload.Cycle
 }
 
@@ -190,10 +187,6 @@ func newWorkerState() *workerState {
 	return &workerState{
 		faultSrc: src,
 		faultRng: rand.New(src),
-		mon:      &checker.CensusMonitor{},
-		wait:     &checker.Waiting{},
-		gr:       &checker.Grants{},
-		circ:     &checker.Circulations{},
 	}
 }
 
@@ -339,7 +332,7 @@ func runSlot(spec Spec, c Cell, rt *cellRuntime, slot Slot, ws *workerState, att
 // rt is derived from (spec, cell) and ws only carries recycled allocations,
 // never state that survives into the next run's results. attach, when
 // non-nil, is called with the simulator after the initial configuration is
-// established — the point where the engine's own monitors attach — and must
+// established — the point where the engine's run monitor attaches — and must
 // not perturb scheduling (observers and step hooks are safe; see the
 // determinism contract).
 func runOne(spec Spec, c Cell, rt *cellRuntime, seed int64, ws *workerState, attach func(*sim.Sim)) RunResult {
@@ -348,7 +341,7 @@ func runOne(spec Spec, c Cell, rt *cellRuntime, seed int64, ws *workerState, att
 	s := sim.MustNew(tr, cfg, sim.Options{Seed: seed, TimeoutTicks: c.TimeoutTicks})
 	// Establish the true initial configuration (token seeding for
 	// non-controller variants, arbitrary-start faults) BEFORE attaching the
-	// census monitor: its construction-time observation must account the
+	// run monitor: its construction-time observation must account the
 	// configuration the run actually starts from.
 	if !cfg.Features.Controller {
 		s.SeedLegitimate()
@@ -362,13 +355,10 @@ func runOne(spec Spec, c Cell, rt *cellRuntime, seed int64, ws *workerState, att
 	if attach != nil {
 		attach(s)
 	}
-	// The census monitor serves legitimacy, safety and availability from a
-	// single O(1) census read per step.
-	mon, wait, gr, circ := ws.mon, ws.wait, ws.gr, ws.circ
+	// One step hook reads the census (legitimacy, safety, availability) in
+	// O(1); one observer takes every protocol event.
+	mon := &ws.run
 	mon.Attach(s)
-	wait.Attach(s)
-	gr.Attach(s)
-	circ.Attach(s)
 	for p := 0; p < tr.N(); p++ {
 		need := spec.Workload.Need
 		if need <= 0 {
@@ -410,13 +400,13 @@ func runOne(spec Spec, c Cell, rt *cellRuntime, seed int64, ws *workerState, att
 	rr := RunResult{
 		Seed:          seed,
 		Steps:         s.Steps,
-		Grants:        gr.Total(),
-		Jain:          round6(JainIndex(gr.Enters)),
-		MaxWaiting:    wait.Max(),
-		WaitingRatio:  round6(wait.BoundRatio(tr.N(), c.L)),
-		Circulations:  circ.Completed,
-		Resets:        circ.Resets,
-		Timeouts:      circ.Timeouts,
+		Grants:        mon.Total(),
+		Jain:          round6(JainIndex(mon.Enters)),
+		MaxWaiting:    mon.Max(),
+		WaitingRatio:  round6(mon.BoundRatio(tr.N(), c.L)),
+		Circulations:  mon.Completed,
+		Resets:        mon.Resets,
+		Timeouts:      mon.Timeouts,
 		Converged:     ok,
 		ConvergedAt:   at,
 		LegitSteps:    mon.LegitSteps,

@@ -397,8 +397,8 @@ func TestSlotReplayIsExact(t *testing.T) {
 		if want.Seed != slot.Seed {
 			t.Errorf("slot %d: result seed %d, want %d", slot.Index, want.Seed, slot.Seed)
 		}
-		var replayed *checker.Grants
-		got := runSlot(plan.Spec, cell, rt, slot, ws, func(s *sim.Sim) { replayed = checker.NewGrants(s) })
+		var replayed *checker.Run
+		got := runSlot(plan.Spec, cell, rt, slot, ws, func(s *sim.Sim) { replayed = checker.NewRun(s) })
 		if got != want {
 			t.Errorf("slot %d: replay %+v differs from the recorded run %+v", slot.Index, got, want)
 		}

@@ -1,8 +1,11 @@
-// Package checker provides the invariant monitors the campaign engine and
-// tests hang off a simulation: the census monitor (legitimacy, availability
-// and the k-out-of-ℓ safety predicate), fairness (the paper's waiting-time
-// metric), grant and controller counters, and the DFS circulation order of
-// Figure 1.
+// Package checker provides the invariant monitors the campaign engine,
+// kofl.System and tests hang off a simulation. Run is the one a run carries:
+// it embeds CensusMonitor (legitimacy, availability and the k-out-of-ℓ
+// safety predicate, read from the maintained census once per step) and
+// handles every protocol event in one observer — the paper's waiting-time
+// metric, grant counts and the root controller's laps. CensusMonitor also
+// attaches alone, where only the census matters; DFSOrder checks the
+// circulation order of Figure 1.
 //
 // Self-stabilization makes every property an "eventually" property: the
 // monitors therefore record the time of the LAST violation rather than
@@ -128,73 +131,116 @@ func (m *CensusMonitor) ViolationsAfter(clock int64) int {
 	return n
 }
 
-// Waiting records the paper's waiting-time metric: for each satisfied
-// request, the number of critical-section entries by other processes between
-// the request and its grant. Theorem 2 bounds it by ℓ(2n-3)² once the
-// protocol has stabilized.
+// Run is the monitor one run of the protocol carries: the census monitor
+// (convergence, safety, availability) and, from a single protocol-event
+// observer, the paper's waiting-time metric, per-process grant counts and
+// the root controller's laps. Attaching it registers one step hook and one
+// observer.
 //
-// All per-event state is flat per-process slices sized at attach time, so
-// observing an event allocates nothing (TestWaitingFlattenedMatchesMapOracle
-// holds it equal to the historical map-based implementation).
-type Waiting struct {
-	totalEnters int64
+// The waiting time of a satisfied request is the number of critical-section
+// entries by other processes between the request and its grant; Theorem 2
+// bounds it by ℓ(2n-3)² once the protocol has stabilized.
+//
+// All per-process state is flat slices sized at attach time, so observing
+// an event allocates nothing (TestWaitingFlattenedMatchesMapOracle holds the
+// waiting metric equal to the historical map-based implementation).
+type Run struct {
+	CensusMonitor
+
+	// Enters and Exits count critical-section entries and exits per process.
+	Enters, Exits []int64
+
+	// The root controller: completed circulations, those that reset, resource
+	// tokens created by the root, tokens destroyed during resets, root
+	// timeouts, and the last census the controller reported (res, prio, push).
+	Completed, Resets, Created, Dropped, Timeouts int64
+	LastCount                                     [3]int
+
+	totalEnters int64   // critical-section entries, system-wide
 	pendingAt   []int64 // per process: totalEnters at request time; -1 = no pending request
-	max         int64
-	perProc     []int64 // max per process
+	maxWait     int64
+	maxWaitOf   []int64
 }
 
-// NewWaiting attaches a waiting-time monitor to s.
-func NewWaiting(s *sim.Sim) *Waiting {
-	w := &Waiting{}
-	w.Attach(s)
-	return w
+// NewRun attaches a run monitor to s. Like NewCensusMonitor, it accounts for
+// the initial configuration immediately, so attach it once that
+// configuration is established.
+func NewRun(s *sim.Sim) *Run {
+	r := &Run{}
+	r.Attach(s)
+	return r
 }
 
-// Attach (re)binds w to s, resetting it to the just-constructed state while
-// reusing the per-process slices' capacity — campaign workers recycle one
+// Attach (re)binds r to s, resetting it to the just-constructed state while
+// reusing the per-process slices' capacity: campaign workers recycle one
 // monitor across slots, so only a run on a larger tree than any predecessor
 // on the same worker allocates.
-func (w *Waiting) Attach(s *sim.Sim) {
+func (r *Run) Attach(s *sim.Sim) {
 	n := s.Tree.N()
-	if cap(w.pendingAt) < n || cap(w.perProc) < n {
-		w.pendingAt = make([]int64, n)
-		w.perProc = make([]int64, n)
-	} else {
-		w.pendingAt = w.pendingAt[:n]
-		w.perProc = w.perProc[:n]
+	*r = Run{
+		CensusMonitor: r.CensusMonitor,
+		Enters:        reuse(r.Enters, n),
+		Exits:         reuse(r.Exits, n),
+		pendingAt:     reuse(r.pendingAt, n),
+		maxWaitOf:     reuse(r.maxWaitOf, n),
 	}
-	for p := 0; p < n; p++ {
-		w.pendingAt[p] = -1
-		w.perProc[p] = 0
+	for p := range r.pendingAt {
+		r.pendingAt[p] = -1
 	}
-	w.totalEnters, w.max = 0, 0
-	s.AddObserver(w.onEvent)
+	r.CensusMonitor.Attach(s)
+	s.AddObserver(r.onEvent)
 }
 
-func (w *Waiting) onEvent(e core.Event) {
+// reuse returns b resliced to n zeroed entries, reallocating only when its
+// capacity is short.
+func reuse(b []int64, n int) []int64 {
+	if cap(b) < n {
+		return make([]int64, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
+}
+
+func (r *Run) onEvent(e core.Event) {
 	switch e.Kind {
 	case core.EvRequest:
-		w.pendingAt[e.P] = w.totalEnters
+		r.pendingAt[e.P] = r.totalEnters
 	case core.EvEnterCS:
-		if at := w.pendingAt[e.P]; at >= 0 {
-			wait := w.totalEnters - at
-			if wait > w.max {
-				w.max = wait
+		r.Enters[e.P]++
+		if at := r.pendingAt[e.P]; at >= 0 {
+			wait := r.totalEnters - at
+			if wait > r.maxWait {
+				r.maxWait = wait
 			}
-			if wait > w.perProc[e.P] {
-				w.perProc[e.P] = wait
+			if wait > r.maxWaitOf[e.P] {
+				r.maxWaitOf[e.P] = wait
 			}
-			w.pendingAt[e.P] = -1
+			r.pendingAt[e.P] = -1
 		}
-		w.totalEnters++
+		r.totalEnters++
+	case core.EvExitCS:
+		r.Exits[e.P]++
+	case core.EvCirculation:
+		r.Completed++
+		r.LastCount = [3]int{e.N1, e.N2, e.N3}
+		if e.Flag {
+			r.Resets++
+		}
+	case core.EvCreate:
+		r.Created += int64(e.N1)
+	case core.EvDrop:
+		r.Dropped++
+	case core.EvTimeout:
+		r.Timeouts++
 	}
 }
 
 // Max returns the worst observed waiting time.
-func (w *Waiting) Max() int64 { return w.max }
+func (r *Run) Max() int64 { return r.maxWait }
 
 // MaxOf returns the worst observed waiting time of process p.
-func (w *Waiting) MaxOf(p int) int64 { return w.perProc[p] }
+func (r *Run) MaxOf(p int) int64 { return r.maxWaitOf[p] }
 
 // Bound returns Theorem 2's worst-case bound ℓ(2n-3)² for the given system.
 func Bound(n, l int) int64 {
@@ -206,62 +252,16 @@ func Bound(n, l int) int64 {
 // Theorem 2's bound for an (n, ℓ) system — the bound-proximity statistic the
 // campaign engine's outlier-trace predicate keys on (a run near 1.0 is a
 // candidate counterexample worth a full trace).
-func (w *Waiting) BoundRatio(n, l int) float64 {
+func (r *Run) BoundRatio(n, l int) float64 {
 	b := Bound(n, l)
 	if b <= 0 {
 		return 0
 	}
-	return float64(w.max) / float64(b)
-}
-
-// Grants records per-process critical-section entries and exits; the basis
-// for fairness and liveness assertions.
-type Grants struct {
-	Enters []int64 // per process
-	Exits  []int64
-}
-
-// NewGrants attaches a grant counter to s.
-func NewGrants(s *sim.Sim) *Grants {
-	g := &Grants{}
-	g.Attach(s)
-	return g
-}
-
-// Attach (re)binds g to s, resetting the counters while reusing the
-// per-process slices' capacity (see Waiting.Attach).
-func (g *Grants) Attach(s *sim.Sim) {
-	n := s.Tree.N()
-	if cap(g.Enters) < n || cap(g.Exits) < n {
-		g.Enters = make([]int64, n)
-		g.Exits = make([]int64, n)
-	} else {
-		g.Enters = g.Enters[:n]
-		g.Exits = g.Exits[:n]
-		for p := 0; p < n; p++ {
-			g.Enters[p], g.Exits[p] = 0, 0
-		}
-	}
-	s.AddObserver(g.onEvent)
-}
-
-func (g *Grants) onEvent(e core.Event) {
-	switch e.Kind {
-	case core.EvEnterCS:
-		g.Enters[e.P]++
-	case core.EvExitCS:
-		g.Exits[e.P]++
-	}
+	return float64(r.maxWait) / float64(b)
 }
 
 // Total returns the system-wide number of critical-section entries.
-func (g *Grants) Total() int64 {
-	var t int64
-	for _, e := range g.Enters {
-		t += e
-	}
-	return t
-}
+func (r *Run) Total() int64 { return r.totalEnters }
 
 // DFSOrder verifies Figure 1: deliveries of resource tokens follow the
 // virtual ring. It tracks the single-token case exactly: every ResT delivery
@@ -307,44 +307,4 @@ func (d *DFSOrder) onStep(s *sim.Sim) {
 		return
 	}
 	d.pos = (d.pos + 1) % len(d.ring)
-}
-
-// Circulations watches the root's controller traversals.
-type Circulations struct {
-	Completed int64
-	Resets    int64
-	Created   int64 // resource tokens created by the root
-	Dropped   int64 // tokens destroyed during resets
-	Timeouts  int64
-	LastCount [3]int // last census reported by the controller (res, prio, push)
-}
-
-// NewCirculations attaches a controller monitor to s.
-func NewCirculations(s *sim.Sim) *Circulations {
-	c := &Circulations{}
-	c.Attach(s)
-	return c
-}
-
-// Attach (re)binds c to s, zeroing all counters (see Waiting.Attach).
-func (c *Circulations) Attach(s *sim.Sim) {
-	*c = Circulations{}
-	s.AddObserver(c.onEvent)
-}
-
-func (c *Circulations) onEvent(e core.Event) {
-	switch e.Kind {
-	case core.EvCirculation:
-		c.Completed++
-		c.LastCount = [3]int{e.N1, e.N2, e.N3}
-		if e.Flag {
-			c.Resets++
-		}
-	case core.EvCreate:
-		c.Created += int64(e.N1)
-	case core.EvDrop:
-		c.Dropped++
-	case core.EvTimeout:
-		c.Timeouts++
-	}
 }

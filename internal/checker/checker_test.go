@@ -103,7 +103,7 @@ func TestWaitingMetricCountsOtherEnters(t *testing.T) {
 	// positive and below the Theorem 2 bound.
 	tr := tree.Star(4)
 	s2 := fullSim(t, tr, 1, 1, 9)
-	w2 := checker.NewWaiting(s2)
+	w2 := checker.NewRun(s2)
 	for p := 1; p < tr.N(); p++ {
 		workload.Attach(s2, p, workload.Fixed(1, 0, 0, 0))
 	}
@@ -146,7 +146,7 @@ func TestBoundFormula(t *testing.T) {
 func TestGrantsCounter(t *testing.T) {
 	tr := tree.Chain(3)
 	s := fullSim(t, tr, 1, 1, 5)
-	g := checker.NewGrants(s)
+	g := checker.NewRun(s)
 	workload.Attach(s, 2, workload.Fixed(1, 2, 2, 3))
 	s.Run(200_000)
 	if g.Enters[2] != 3 {
@@ -203,7 +203,7 @@ func TestDFSOrderDetectsViolation(t *testing.T) {
 func TestCirculationsMonitor(t *testing.T) {
 	tr := tree.Chain(4)
 	s := fullSim(t, tr, 1, 2, 7)
-	c := checker.NewCirculations(s)
+	c := checker.NewRun(s)
 	s.Run(100_000)
 	if c.Completed == 0 {
 		t.Fatal("no circulations observed")
@@ -258,7 +258,7 @@ func TestWaitingFlattenedMatchesMapOracle(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		tr := tree.Balanced(2, 3)
 		s := fullSim(t, tr, 2, 3, seed)
-		flat := checker.NewWaiting(s)
+		flat := checker.NewRun(s)
 		legacy := attachMapWaiting(s)
 		for p := 0; p < tr.N(); p++ {
 			workload.Attach(s, p, workload.Fixed(1+p%2, 2, 3, 0))
@@ -279,7 +279,7 @@ func TestWaitingFlattenedMatchesMapOracle(t *testing.T) {
 }
 
 // TestWaitingDoesNotGrow: the monitor's state is per process, not per grant,
-// so a long-lived Waiting on a saturated system allocates nothing once the
+// so a long-lived Run on a saturated system allocates nothing once the
 // simulator is warm. The monitor attaches after the warm-up, so a per-grant
 // buffer would still be growing through the measured runs.
 func TestWaitingDoesNotGrow(t *testing.T) {
@@ -289,9 +289,9 @@ func TestWaitingDoesNotGrow(t *testing.T) {
 		workload.Attach(s, p, workload.Fixed(1+p%2, 0, 0, 0))
 	}
 	s.Run(100_000) // converge and reach steady-state capacities
-	w := checker.NewWaiting(s)
+	w := checker.NewRun(s)
 	if allocs := testing.AllocsPerRun(1, func() { s.Run(10_000) }); allocs != 0 {
-		t.Errorf("%.0f allocations per 10k saturated steps with Waiting attached, want 0", allocs)
+		t.Errorf("%.0f allocations per 10k saturated steps with Run attached, want 0", allocs)
 	}
 	if w.Max() == 0 {
 		t.Fatal("no waiting measured (vacuous test)")
@@ -301,7 +301,7 @@ func TestWaitingDoesNotGrow(t *testing.T) {
 func TestWaitingBoundRatio(t *testing.T) {
 	tr := tree.Chain(5)
 	s := fullSim(t, tr, 1, 2, 4)
-	w := checker.NewWaiting(s)
+	w := checker.NewRun(s)
 	for p := 0; p < tr.N(); p++ {
 		workload.Attach(s, p, workload.Fixed(1, 2, 3, 0))
 	}

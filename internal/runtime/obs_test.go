@@ -76,7 +76,7 @@ func TestRuntimeObservability(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	n.Register(reg, "kofl_runtime_")
+	n.Register(reg)
 	var sb strings.Builder
 	if err := reg.WriteProm(&sb); err != nil {
 		t.Fatal(err)

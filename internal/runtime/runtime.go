@@ -64,11 +64,6 @@ type Options struct {
 	// in the inbox.
 	Pace     time.Duration
 	IdlePace time.Duration
-	// OnDrop is called whenever a full link forces a frame drop (sender p,
-	// channel ch). It runs on process goroutines and must be safe for
-	// concurrent use (may be nil). The FramesDropped counter is
-	// maintained regardless.
-	OnDrop func(p, ch int)
 	// Journal, when non-nil, receives structured stabilization telemetry:
 	// stabilized/destabilized transitions observed at the root's census
 	// traversals, root timeout firings, and fault injections. Entries are
@@ -291,15 +286,7 @@ func (e *liveEnv) Send(ch int, m message.Message) {
 	select {
 	case out.inbox <- d:
 	default:
-		e.pr.net.drop(e.pr.id, ch)
-	}
-}
-
-// drop records one full-link frame drop by sender p on its channel ch.
-func (n *Net) drop(p, ch int) {
-	n.framesDropped.Add(1)
-	if n.opts.OnDrop != nil {
-		n.opts.OnDrop(p, ch)
+		e.pr.net.framesDropped.Add(1)
 	}
 }
 
@@ -529,28 +516,30 @@ func (n *Net) DemandWakes() int64 { return n.demandWakes.Load() }
 // (retransmission storms).
 func (n *Net) Timeouts() int64 { return n.timeouts.Load() }
 
-// Register exposes the network's counters on reg under the given series
-// prefix (e.g. "kofl_runtime_"). Every series is a CounterFunc/GaugeFunc
-// over the atomics the network maintains anyway, so registration costs the
-// message paths nothing.
-func (n *Net) Register(reg *obs.Registry, prefix string) {
-	reg.CounterFunc(prefix+"frames_delivered_total",
+// metricPrefix begins the name of every series Register exposes.
+const metricPrefix = "kofl_runtime_"
+
+// Register exposes the network's counters on reg as kofl_runtime_* series.
+// Every series is a CounterFunc/GaugeFunc over the atomics the network
+// maintains anyway, so registration costs the message paths nothing.
+func (n *Net) Register(reg *obs.Registry) {
+	reg.CounterFunc(metricPrefix+"frames_delivered_total",
 		"protocol frames decoded and handled", n.FramesDelivered)
-	reg.CounterFunc(prefix+"frames_rejected_total",
+	reg.CounterFunc(metricPrefix+"frames_rejected_total",
 		"frames rejected by the wire layer (checksum/decoding)", n.FramesRejected)
-	reg.CounterFunc(prefix+"frames_dropped_total",
+	reg.CounterFunc(metricPrefix+"frames_dropped_total",
 		"frames dropped by full links (backpressure)", n.FramesDropped)
-	reg.CounterFunc(prefix+"frames_paced_total",
+	reg.CounterFunc(metricPrefix+"frames_paced_total",
 		"holds taken (idle beats and busy rests)", n.FramesPaced)
-	reg.CounterFunc(prefix+"demand_wakes_total",
+	reg.CounterFunc(metricPrefix+"demand_wakes_total",
 		"idle holds cut short by a request", n.DemandWakes)
-	reg.CounterFunc(prefix+"timeout_retransmissions_total",
+	reg.CounterFunc(metricPrefix+"timeout_retransmissions_total",
 		"root retransmission timeout firings (the start-up firing counts as one)", n.Timeouts)
-	reg.CounterFunc(prefix+"grants_total",
+	reg.CounterFunc(metricPrefix+"grants_total",
 		"critical-section entries granted by the protocol", n.Grants)
-	reg.GaugeFunc(prefix+"demand",
+	reg.GaugeFunc(metricPrefix+"demand",
 		"application requests issued and not yet granted", n.Demand)
-	reg.GaugeFunc(prefix+"stabilized",
+	reg.GaugeFunc(metricPrefix+"stabilized",
 		"1 when the last root census traversal saw the legitimate token population",
 		func() int64 {
 			if n.Stabilized() {
@@ -567,7 +556,7 @@ func (n *Net) inject(p, ch int, frame [message.FrameSize]byte) {
 	select {
 	case n.procs[p].inbox <- delivery{ch, frame}:
 	default:
-		n.drop(p, ch)
+		n.framesDropped.Add(1)
 	}
 }
 

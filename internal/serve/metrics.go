@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"kofl/internal/obs"
-	"kofl/internal/runtime"
-)
+import "kofl/internal/obs"
 
 // LatencyBucketUS is the acquire-latency histogram resolution: quantiles
 // read from it are exact to one bucket (250µs), which is far below the
@@ -43,9 +40,9 @@ type metrics struct {
 }
 
 // newMetrics registers the serve series on reg in the historical exposition
-// order, bridging the frame counters straight off the live network (func
-// metrics: zero cost on the message paths).
-func newMetrics(reg *obs.Registry, net *runtime.Net) *metrics {
+// order. The frame counters are the runtime's own kofl_runtime_frames_*
+// series on the same registry.
+func newMetrics(reg *obs.Registry) *metrics {
 	m := &metrics{}
 	m.sessions = reg.Counter("kofl_serve_sessions_total", "accepted client connections")
 	m.sessionsActive = reg.Gauge("kofl_serve_sessions_active", "open client connections")
@@ -66,12 +63,6 @@ func newMetrics(reg *obs.Registry, net *runtime.Net) *metrics {
 	m.unitsHeld = reg.Gauge("kofl_serve_units_held", "resource units currently leased out")
 	m.maxUnitsHeld = reg.Gauge("kofl_serve_max_units_held",
 		"high-water mark of units_held — the ≤ ℓ safety watermark")
-	reg.CounterFunc("kofl_serve_frames_delivered_total",
-		"protocol frames decoded and handled", net.FramesDelivered)
-	reg.CounterFunc("kofl_serve_frames_rejected_total",
-		"protocol frames rejected by the wire layer", net.FramesRejected)
-	reg.CounterFunc("kofl_serve_frames_dropped_total",
-		"protocol frames dropped by full links (backpressure)", net.FramesDropped)
 	m.latency = reg.Histogram("kofl_serve_acquire_latency_us",
 		"acquire latency, enqueue to grant", LatencyBucketUS, LatencyBuckets)
 	reg.SummaryFunc("kofl_serve_acquire_latency_summary_us",

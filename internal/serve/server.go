@@ -63,9 +63,6 @@ type Options struct {
 	// DrainTimeout bounds how long Shutdown waits for clients to release
 	// outstanding leases before force-releasing them (default 5s).
 	DrainTimeout time.Duration
-	// MetricsAddr, when non-empty, serves Prometheus-style metrics over
-	// HTTP at /metrics on this address.
-	MetricsAddr string
 	// DebugAddr, when non-empty, serves the operational debug surface on
 	// this address: the unified /metrics (serve + runtime series),
 	// /debug/pprof/*, /debug/events (the recent event journal as JSON), and
@@ -117,8 +114,6 @@ type Server struct {
 	net  *runtime.Net
 
 	ln      net.Listener
-	metrics *http.Server
-	metLn   net.Listener
 	debug   *http.Server
 	debugLn net.Listener
 
@@ -207,12 +202,12 @@ func New(tr *tree.Tree, opts Options) (*Server, error) {
 		net:      n,
 		loadIdx:  newLoadIndex(tr.N()),
 		dedupe:   newDedupeStore(opts.DedupeTTL),
-		met:      newMetrics(reg, n),
+		met:      newMetrics(reg),
 		reg:      reg,
 		journal:  journal,
 		sessions: make(map[*session]struct{}),
 	}
-	n.Register(reg, "kofl_runtime_")
+	n.Register(reg)
 	for i := range s.leases {
 		s.leases[i].m = make(map[string]*lease)
 	}
@@ -239,7 +234,7 @@ func New(tr *tree.Tree, opts Options) (*Server, error) {
 }
 
 // Start launches the protocol network, the per-process workers, the TCP
-// accept loop and (if configured) the HTTP metrics endpoint.
+// accept loop and (if configured) the HTTP debug surface.
 func (s *Server) Start() error {
 	if !s.started.CompareAndSwap(false, true) {
 		return fmt.Errorf("serve: Start called twice")
@@ -249,28 +244,10 @@ func (s *Server) Start() error {
 		return err
 	}
 	s.ln = ln
-	if s.opts.MetricsAddr != "" {
-		mln, err := net.Listen("tcp", s.opts.MetricsAddr)
-		if err != nil {
-			ln.Close()
-			return err
-		}
-		s.metLn = mln
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			s.WriteMetrics(w)
-		})
-		s.metrics = &http.Server{Handler: mux}
-		go s.metrics.Serve(mln)
-	}
 	if s.opts.DebugAddr != "" {
 		dln, err := net.Listen("tcp", s.opts.DebugAddr)
 		if err != nil {
 			ln.Close()
-			if s.metLn != nil {
-				s.metrics.Close()
-			}
 			return err
 		}
 		s.debugLn = dln
@@ -290,14 +267,6 @@ func (s *Server) Start() error {
 
 // Addr returns the bound listen address (valid after Start).
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// MetricsAddr returns the bound metrics address ("" if disabled).
-func (s *Server) MetricsAddr() string {
-	if s.metLn == nil {
-		return ""
-	}
-	return s.metLn.Addr().String()
-}
 
 // DebugAddr returns the bound debug-surface address ("" if disabled).
 func (s *Server) DebugAddr() string {
@@ -439,9 +408,8 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// WriteMetrics renders the unified Prometheus-style exposition: every
-// kofl_serve_* series (the pre-registry names byte-compatibly preserved)
-// plus the runtime's kofl_runtime_* series.
+// WriteMetrics renders the unified Prometheus-style exposition: the
+// kofl_serve_* series plus the runtime's kofl_runtime_* series.
 func (s *Server) WriteMetrics(w io.Writer) error {
 	return s.reg.WriteProm(w)
 }
@@ -798,9 +766,6 @@ func (s *Server) Close() {
 		s.journal.Record(obs.KindDrain, -1, int64(s.leaseCount()), 0)
 	}
 	s.ln.Close()
-	if s.metrics != nil {
-		s.metrics.Close()
-	}
 	if s.debug != nil {
 		s.debug.Close()
 	}

@@ -48,7 +48,7 @@ func runFigure2(t *testing.T, feat core.Features, literalGuard bool) (deadlocked
 	if feat.Pusher && !feat.Controller {
 		s.Seed(r, 0, message.NewPush())
 	}
-	grants := checker.NewGrants(s)
+	grants := checker.NewRun(s)
 	// The figure starts with the requests already issued: release-only
 	// applications plus external requests, so the scenario does not depend
 	// on the schedule.
@@ -197,7 +197,7 @@ func TestLemma14Liveness(t *testing.T) {
 			tr := tree.Paper()
 			s := sim.MustNew(tr, core.Config{K: 3, L: 5, CMAX: 2, Features: core.Full()},
 				sim.Options{Seed: paperSeed})
-			grants := checker.NewGrants(s)
+			grants := checker.NewRun(s)
 			for _, name := range sc.holders {
 				workload.Attach(s, tree.PaperID(name), workload.Fixed(sc.units, forever, 0, 1))
 			}
@@ -244,7 +244,7 @@ func TestVariantLadder(t *testing.T) {
 			if !v.feat.Controller {
 				s.SeedLegitimate()
 			}
-			grants := checker.NewGrants(s)
+			grants := checker.NewRun(s)
 			// Every process needs ≥ 2 units so that partial reservations can
 			// cover all ℓ tokens — the precondition of the naive deadlock.
 			for p := 0; p < tr.N(); p++ {
@@ -281,7 +281,7 @@ func TestTheorem2WaitingBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
 	}
-	saturated := func(tr *tree.Tree, k, l int, sched sim.Scheduler, steps int64) *checker.Waiting {
+	saturated := func(tr *tree.Tree, k, l int, sched sim.Scheduler, steps int64) *checker.Run {
 		s := sim.MustNew(tr, core.Config{K: k, L: l, CMAX: 2, Features: core.Full()},
 			sim.Options{Seed: paperSeed, Scheduler: sched})
 		mon := checker.NewCensusMonitor(s)
@@ -291,7 +291,7 @@ func TestTheorem2WaitingBound(t *testing.T) {
 			_, ok := mon.ConvergedAt()
 			return ok
 		})
-		wait := checker.NewWaiting(s)
+		wait := checker.NewRun(s)
 		for p := 0; p < tr.N(); p++ {
 			need := 1
 			if p == tr.N()-1 {

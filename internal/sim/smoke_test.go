@@ -21,9 +21,7 @@ func TestSmokeFullProtocol(t *testing.T) {
 	cfg := core.Config{K: 3, L: 5, CMAX: 4, Features: core.Full()}
 	s := sim.MustNew(tr, cfg, sim.Options{Seed: 1})
 
-	mon := checker.NewCensusMonitor(s)
-	grants := checker.NewGrants(s)
-	circ := checker.NewCirculations(s)
+	mon := checker.NewRun(s)
 
 	for p := 0; p < tr.N(); p++ {
 		workload.Attach(s, p, workload.Fixed(1+p%cfg.K, 5, 10, 0))
@@ -33,17 +31,17 @@ func TestSmokeFullProtocol(t *testing.T) {
 
 	conv, ok := mon.ConvergedAt()
 	if !ok {
-		t.Fatalf("never converged: census=%v circ=%+v", s.Census(), circ)
+		t.Fatalf("never converged: census=%v circ=%d resets=%d", s.Census(), mon.Completed, mon.Resets)
 	}
 	t.Logf("converged at %d (timeout=%d), circulations=%d resets=%d timeouts=%d",
-		conv, s.TimeoutTicks(), circ.Completed, circ.Resets, circ.Timeouts)
+		conv, s.TimeoutTicks(), mon.Completed, mon.Resets, mon.Timeouts)
 	if n := mon.ViolationsAfter(conv); n > 0 {
 		t.Fatalf("%d safety violations after convergence at %d: %+v", n, conv, mon.Violations)
 	}
 	for p := 0; p < tr.N(); p++ {
-		if grants.Enters[p] == 0 {
+		if mon.Enters[p] == 0 {
 			t.Errorf("process %d (%s) never entered its critical section", p, tr.Name(p))
 		}
 	}
-	t.Logf("grants=%v total=%d", grants.Enters, grants.Total())
+	t.Logf("grants=%v total=%d", mon.Enters, mon.Total())
 }

@@ -33,8 +33,7 @@ func TestStabilizationProperty(t *testing.T) {
 		cfg := core.Config{K: k, L: l, CMAX: cmax, Features: core.Full()}
 		s := sim.MustNew(tr, cfg, sim.Options{Seed: seed})
 		adversary.ArbitraryConfiguration(s, rng)
-		mon := checker.NewCensusMonitor(s)
-		grants := checker.NewGrants(s)
+		mon := checker.NewRun(s)
 		for p := 0; p < n; p++ {
 			workload.Attach(s, p, workload.Fixed(1+rng.Intn(k), int64(rng.Intn(6)), int64(rng.Intn(12)), 0))
 		}
@@ -50,7 +49,7 @@ func TestStabilizationProperty(t *testing.T) {
 			t.Logf("seed=%d: %d safety violations after convergence at %d", seed, v, at)
 			return false
 		}
-		if grants.Total() == 0 {
+		if mon.Total() == 0 {
 			t.Logf("seed=%d: no grants at all", seed)
 			return false
 		}
@@ -108,18 +107,17 @@ var countOrderWorkloads = []struct {
 
 // runCountOrder plays one count-order workload under the corrected or the
 // paper's printed accumulation order.
-func runCountOrder(paperOrder bool, seed, steps int64, app func(int) *workload.Cycle) (*checker.Circulations, *checker.CensusMonitor) {
+func runCountOrder(paperOrder bool, seed, steps int64, app func(int) *workload.Cycle) *checker.Run {
 	tr := tree.Paper()
 	cfg := fullCfg(3, 5)
 	cfg.Errata.PaperCountOrder = paperOrder
 	s := sim.MustNew(tr, cfg, sim.Options{Seed: seed})
-	circ := checker.NewCirculations(s)
-	mon := checker.NewCensusMonitor(s)
+	mon := checker.NewRun(s)
 	for p := 0; p < tr.N(); p++ {
 		workload.Attach(s, p, app(p))
 	}
 	s.Run(steps)
-	return circ, mon
+	return mon
 }
 
 // TestClosureFullProtocol: once converged, the full protocol must never
@@ -128,18 +126,18 @@ func runCountOrder(paperOrder bool, seed, steps int64, app func(int) *workload.C
 func TestClosureFullProtocol(t *testing.T) {
 	for _, w := range countOrderWorkloads {
 		t.Run(w.name, func(t *testing.T) {
-			circ, mon := runCountOrder(false, w.seed, w.steps, w.app)
+			mon := runCountOrder(false, w.seed, w.steps, w.app)
 			if _, ok := mon.ConvergedAt(); !ok {
 				t.Fatal("did not converge")
 			}
-			if circ.Resets != 0 {
-				t.Errorf("%d resets in a fault-free run (closure violation)", circ.Resets)
+			if mon.Resets != 0 {
+				t.Errorf("%d resets in a fault-free run (closure violation)", mon.Resets)
 			}
-			if circ.Created != 5 {
-				t.Errorf("created %d resource tokens, want exactly the ℓ=5 of the bootstrap", circ.Created)
+			if mon.Created != 5 {
+				t.Errorf("created %d resource tokens, want exactly the ℓ=5 of the bootstrap", mon.Created)
 			}
-			if circ.Completed < 100 {
-				t.Errorf("only %d circulations completed", circ.Completed)
+			if mon.Completed < 100 {
+				t.Errorf("only %d circulations completed", mon.Completed)
 			}
 		})
 	}
@@ -152,12 +150,12 @@ func TestClosureFullProtocol(t *testing.T) {
 func TestPaperCountOrderBreaksClosure(t *testing.T) {
 	for _, w := range countOrderWorkloads {
 		t.Run(w.name, func(t *testing.T) {
-			circ, _ := runCountOrder(true, w.seed, w.steps, w.app)
-			if circ.Resets == 0 {
+			mon := runCountOrder(true, w.seed, w.steps, w.app)
+			if mon.Resets == 0 {
 				t.Error("expected spurious resets under the paper's count order (erratum E2)")
 			}
-			if circ.Created <= 5 {
-				t.Errorf("created %d resource tokens, want more than the ℓ=5 of the bootstrap", circ.Created)
+			if mon.Created <= 5 {
+				t.Errorf("created %d resource tokens, want more than the ℓ=5 of the bootstrap", mon.Created)
 			}
 		})
 	}
@@ -190,8 +188,7 @@ func TestRecoveryFromTokenLoss(t *testing.T) {
 func TestRecoveryFromTokenDuplication(t *testing.T) {
 	tr := tree.Star(6)
 	s := sim.MustNew(tr, fullCfg(2, 4), sim.Options{Seed: 4})
-	circ := checker.NewCirculations(s)
-	mon := checker.NewCensusMonitor(s)
+	mon := checker.NewRun(s)
 	if !s.RunUntil(500_000, func() bool { _, ok := mon.ConvergedAt(); return ok }) {
 		t.Fatal("bootstrap failed")
 	}
@@ -200,11 +197,11 @@ func TestRecoveryFromTokenDuplication(t *testing.T) {
 	if dup == 0 {
 		t.Skip("no free tokens to duplicate at this instant")
 	}
-	before := circ.Resets
+	before := mon.Resets
 	if !s.RunUntil(6*s.TimeoutTicks()+300_000, s.TokensCorrect) {
 		t.Fatalf("never recovered from %d duplicated tokens (census %v)", dup, s.Census())
 	}
-	if circ.Resets == before {
+	if mon.Resets == before {
 		t.Error("excess tokens repaired without a reset — the controller should have reset")
 	}
 }

@@ -641,3 +641,33 @@ func PaperID(name string) int {
 	}
 	return id
 }
+
+// Named builds the topology the command-line tools call topo: chain, star
+// and random (drawn from seed) with n processes, the smallest balanced
+// binary tree with at least n, a caterpillar of about n, or the paper's
+// tree (n ignored).
+func Named(topo string, n int, seed int64) (*Tree, error) {
+	if n < 2 && topo != "paper" {
+		return nil, fmt.Errorf("-n %d: need at least 2 processes", n)
+	}
+	switch topo {
+	case "chain":
+		return Chain(n), nil
+	case "star":
+		return Star(n), nil
+	case "paper":
+		return Paper(), nil
+	case "balanced":
+		d := 1
+		for size := 3; size < n; size = size*2 + 1 {
+			d++
+		}
+		return Balanced(2, d), nil
+	case "caterpillar":
+		return Caterpillar((n+3)/4, 3), nil
+	case "random":
+		return Random(n, rand.New(rand.NewSource(seed))), nil
+	default:
+		return nil, fmt.Errorf("unknown topology %q (chain|star|paper|balanced|caterpillar|random)", topo)
+	}
+}

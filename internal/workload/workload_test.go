@@ -106,7 +106,7 @@ func TestCycleSurvivesCorruptedNodeState(t *testing.T) {
 	s := newSim(t, 7)
 	c := workload.Attach(s, 1, workload.Fixed(1, 2, 2, 0))
 	s.RestoreNode(1, core.Snapshot{State: core.Req, Need: 2, Prio: core.NoPrio})
-	g := checker.NewGrants(s)
+	g := checker.NewRun(s)
 	s.Run(300_000)
 	if g.Enters[1] == 0 {
 		t.Error("no grants after state corruption")

@@ -93,6 +93,13 @@ grep -q 'type CensusMonitor struct' internal/checker/checker.go || err "checker.
 if grep -q 'Options.Hooks\|SlotHook' README.md docs/ARCHITECTURE.md internal/campaign/README.md; then
     err "a doc still advertises the removed campaign hook layer"
 fi
+# A run attaches one monitor, checker.Run, and the lease server serves its
+# metrics on the debug listener only: no doc may name the three monitors or
+# the second listener that were removed.
+grep -q 'type Run struct' internal/checker/checker.go || err "checker.Run gone but documented"
+if grep -q 'New\(Waiting\|Grants\|Circulations\)\|MetricsAddr' README.md docs/ARCHITECTURE.md internal/campaign/README.md; then
+    err "a doc still names a removed monitor constructor or serve.Options.MetricsAddr"
+fi
 
 # The adversary engine's documented surface must still exist: the section,
 # the scenario axis docs, the CLI listing, and the engine symbols.

@@ -12,16 +12,13 @@ import (
 	"math/rand"
 )
 
-// System is a simulated protocol instance with monitors attached: the main
+// System is a simulated protocol instance with a run monitor attached: the main
 // entry point for experiments, tests and programmatic exploration. All
 // behavior is deterministic in (topology, Options, seed).
 type System struct {
-	tr   *Tree
-	s    *sim.Sim
-	mon  *checker.CensusMonitor
-	wait *checker.Waiting
-	gr   *checker.Grants
-	circ *checker.Circulations
+	tr  *Tree
+	s   *sim.Sim
+	mon checker.Run
 
 	manual []*manualApp
 }
@@ -62,12 +59,9 @@ func New(t *Tree, opts Options) (*System, error) {
 	y := &System{
 		tr:     t,
 		s:      s,
-		mon:    checker.NewCensusMonitor(s),
-		wait:   checker.NewWaiting(s),
-		gr:     checker.NewGrants(s),
-		circ:   checker.NewCirculations(s),
 		manual: make([]*manualApp, t.N()),
 	}
+	y.mon.Attach(s)
 	for p := 0; p < t.N(); p++ {
 		y.manual[p] = &manualApp{}
 		s.AttachApp(p, y.manual[p])
@@ -206,13 +200,13 @@ func (y *System) Metrics() Metrics {
 	at, ok := y.mon.ConvergedAt()
 	m := Metrics{
 		Steps:        y.s.Steps,
-		Grants:       append([]int64(nil), y.gr.Enters...),
-		TotalGrants:  y.gr.Total(),
-		MaxWaiting:   y.wait.Max(),
+		Grants:       append([]int64(nil), y.mon.Enters...),
+		TotalGrants:  y.mon.Total(),
+		MaxWaiting:   y.mon.Max(),
 		WaitingBound: WaitingBound(y.tr.N(), y.s.Cfg.L),
-		Circulations: y.circ.Completed,
-		Resets:       y.circ.Resets,
-		Timeouts:     y.circ.Timeouts,
+		Circulations: y.mon.Completed,
+		Resets:       y.mon.Resets,
+		Timeouts:     y.mon.Timeouts,
 		Converged:    ok,
 		ConvergedAt:  at,
 		Census:       y.s.Census(),
