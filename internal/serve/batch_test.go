@@ -9,40 +9,6 @@ import (
 	"kofl/internal/tree"
 )
 
-// TestBatchAccounting pins the sub-lease accounting contract: however its
-// members resolve — in any order — the batch hands its units back to the
-// protocol exactly once, when the LAST member resolves, and only then
-// closes done.
-func TestBatchAccounting(t *testing.T) {
-	released := 0
-	b := newBatch(0, 3, 5, func() { released++ })
-
-	resolved := func() bool {
-		select {
-		case <-b.done:
-			return true
-		default:
-			return false
-		}
-	}
-
-	// Resolve members "out of order" (order is just call order here; the
-	// point is no member is privileged — not first, not last-granted).
-	b.memberDone()
-	if released != 0 || resolved() {
-		t.Fatalf("batch resolved after 1/3 members (released=%d)", released)
-	}
-	b.memberDone()
-	if released != 0 || resolved() {
-		t.Fatalf("batch resolved after 2/3 members (released=%d)", released)
-	}
-	b.memberDone()
-	if released != 1 || !resolved() {
-		t.Fatalf("batch not resolved exactly once after 3/3 members (released=%d, done=%v)",
-			released, resolved())
-	}
-}
-
 // unstartedServer builds a Server without Start: no goroutines run, so the
 // admission internals (collect, reject, loadIndex) can be driven directly.
 func unstartedServer(t *testing.T, k, l int) *Server {
@@ -240,3 +206,6 @@ func TestBatchedServeEndToEnd(t *testing.T) {
 	}
 	t.Logf("grants=%d batches=%d batch_units=%d", st.Grants, st.Batches, st.BatchUnits)
 }
+
+// load reads p's current load.
+func (li *loadIndex) load(p int) int64 { return li.loads[p].Load() }

@@ -137,9 +137,13 @@ func (c *Client) Do(req Request) (Response, error) {
 	return resp, nil
 }
 
-// Acquire leases units resource units, waiting up to deadline in the server
-// queue (0 = wait indefinitely). The error is one of the Err… sentinels for
-// protocol rejections (errors.Is(err, ErrOverload) etc.) or a transport error.
+// Acquire leases units resource units. A non-zero deadline bounds the wait
+// for the grant: once its process's worker has taken the acquire into a
+// cycle, ErrDeadline is answered at the deadline; while it is still queued
+// behind that process's previous cycle, the answer comes when that cycle
+// ends. Deadline 0 waits indefinitely. The error is one of the Err…
+// sentinels for protocol rejections (errors.Is(err, ErrOverload) etc.) or a
+// transport error.
 func (c *Client) Acquire(units int, deadline time.Duration) (*Lease, error) {
 	return c.AcquireID(c.nextID(), units, deadline.Milliseconds(), 0)
 }

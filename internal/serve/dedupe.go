@@ -1,25 +1,15 @@
 package serve
 
 import (
+	"hash/maphash"
 	"sync"
 	"time"
 )
 
-// dedupeShards is the lock-striping factor of the dedupe store (and the
-// lease registry, which reuses the same hash). Acquire admission takes the
-// dedupe lock once per frame; striping by request-id hash keeps concurrent
-// sessions off each other's locks.
+// dedupeShards is the lock-striping factor of the dedupe store. Acquire
+// admission takes the dedupe lock once per frame; striping by request-id
+// hash keeps concurrent sessions off each other's locks.
 const dedupeShards = 16
-
-// fnv1a is the string hash the sharded maps stripe by.
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
 
 // dedupeStore makes acquire idempotent: the first frame carrying a request
 // id claims it, the grant (or terminal answer) is cached under it, and any
@@ -29,6 +19,7 @@ func fnv1a(s string) uint32 {
 // expiry is swept lazily on access, amortized over inserts, per shard.
 type dedupeStore struct {
 	ttl    time.Duration
+	seed   maphash.Seed
 	shards [dedupeShards]dedupeShard
 }
 
@@ -44,7 +35,7 @@ type dedupeEntry struct {
 }
 
 func newDedupeStore(ttl time.Duration) *dedupeStore {
-	d := &dedupeStore{ttl: ttl}
+	d := &dedupeStore{ttl: ttl, seed: maphash.MakeSeed()}
 	for i := range d.shards {
 		d.shards[i].m = make(map[string]*dedupeEntry)
 	}
@@ -52,7 +43,7 @@ func newDedupeStore(ttl time.Duration) *dedupeStore {
 }
 
 func (d *dedupeStore) shard(id string) *dedupeShard {
-	return &d.shards[fnv1a(id)%dedupeShards]
+	return &d.shards[maphash.String(d.seed, id)%dedupeShards]
 }
 
 // begin claims id. fresh means the caller owns the request and must later
@@ -103,15 +94,4 @@ func (sh *dedupeShard) sweep(now time.Time, ttl time.Duration) {
 			delete(sh.m, id)
 		}
 	}
-}
-
-// size reports the live entry count (stats/tests).
-func (d *dedupeStore) size() int {
-	n := 0
-	for i := range d.shards {
-		d.shards[i].mu.Lock()
-		n += len(d.shards[i].m)
-		d.shards[i].mu.Unlock()
-	}
-	return n
 }

@@ -78,7 +78,7 @@ func TestDedupeSweep(t *testing.T) {
 	probe := ""
 	for i := 0; probe == ""; i++ {
 		cand := fmt.Sprintf("probe-%d", i)
-		if fnv1a(cand)%dedupeShards == fnv1a("done")%dedupeShards {
+		if d.shard(cand) == d.shard("done") {
 			probe = cand
 		}
 	}
@@ -115,4 +115,15 @@ func TestDedupeSweepThrottle(t *testing.T) {
 	if cached, fresh := d.begin("old", t0.Add(2*ttl)); !fresh || cached != nil {
 		t.Fatal("expired entry still answered from the store")
 	}
+}
+
+// size reports the live entry count.
+func (d *dedupeStore) size() int {
+	n := 0
+	for i := range d.shards {
+		d.shards[i].mu.Lock()
+		n += len(d.shards[i].m)
+		d.shards[i].mu.Unlock()
+	}
+	return n
 }

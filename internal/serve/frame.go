@@ -2,27 +2,16 @@
 // runtime: external clients lease up to k of the ℓ resource units of a
 // k-out-of-ℓ exclusion tree over a length-prefixed JSON TCP protocol.
 //
-// The serving model:
-//
-//   - Routed admission. Sessions carry no process affinity: every acquire is
-//     routed, at admission time, to the least-loaded tree process (sharded
-//     load index, power-of-two-choices on large trees), then queued there.
-//   - Batched cycles. Each process runs one protocol cycle at a time (the
-//     protocol's Out→Req→In interface), but a cycle is multi-unit: the
-//     worker drains its queue into a single Request(p, Σunits ≤ k) and fans
-//     the grant out as independent sub-leases, amortizing the token
-//     circulation over every member.
-//   - Backpressure. The per-process queue is bounded; an acquire finding its
-//     routed queue and the fallback queue both full is rejected with the
-//     "overload" code immediately — the server sheds load explicitly instead
-//     of buffering without bound or crashing (the runtime's full-link path
-//     likewise degrades into counted frame drops).
-//   - Idempotence. Acquire responses are cached in a TTL-keyed dedupe store
-//     under the client-chosen request id, so a client that retries after a
-//     lost response gets the original grant back instead of a second lease.
-//   - Leases expire. Every grant carries a TTL (request-chosen, clamped to
-//     the server maximum); an unreleased lease is auto-released when it
-//     expires, so client crashes cannot strand resource units.
+// Every acquire is routed at admission to the least-loaded tree process and
+// queued there (a full routed and fallback queue answers "overload" at
+// once). Each process's worker drains its queue into one multi-unit
+// protocol cycle, Request(p, Σunits ≤ k), and fans the grant out as
+// independent sub-leases. The worker is the single owner of its process's
+// ledger, which holds the cycle from its collected members to its last
+// resolution: deadlines are answered at the deadline, leases expire at
+// their TTL (request-chosen, clamped to the server maximum), and the
+// cycle's units go back to the protocol exactly once. Acquire is idempotent
+// through a TTL dedupe store keyed by the client-chosen request id.
 //
 // Wire format: each frame is a 4-byte big-endian length followed by one JSON
 // object (a Request from clients, a Response from the server). Responses are
@@ -38,8 +27,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"sync"
+	"time"
 )
 
 // MaxFrame bounds one frame body; a longer announced length is a protocol
@@ -111,9 +102,9 @@ type Request struct {
 	ID string `json:"id"`
 	// Units is the acquire size (1 ≤ units ≤ k).
 	Units int `json:"units,omitempty"`
-	// DeadlineMS bounds the queue wait of an acquire in milliseconds
-	// (0 = wait indefinitely). A request still queued when it passes is
-	// rejected with the deadline code.
+	// DeadlineMS bounds an acquire's wait for its grant in milliseconds
+	// (0 = wait indefinitely); past it the acquire is answered with the
+	// deadline code. See Client.Acquire for when that answer is sent.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// LeaseMS is the requested lease TTL in milliseconds (0 = server
 	// default; always clamped to the server maximum).
@@ -152,6 +143,25 @@ func (r *Request) Validate(k int) error {
 		return fmt.Errorf("unknown op %q", r.Op)
 	}
 	return nil
+}
+
+// deadlineAt is when an acquire received at now stops waiting for its grant
+// (zero: never). Client milliseconds are clamped before they are converted,
+// here and in leaseTTL, so no value wraps a Duration negative.
+func (r *Request) deadlineAt(now time.Time) time.Time {
+	if r.DeadlineMS <= 0 {
+		return time.Time{}
+	}
+	return now.Add(time.Duration(min(r.DeadlineMS, math.MaxInt64/int64(time.Millisecond))) * time.Millisecond)
+}
+
+// leaseTTL is the lease duration r asks for, clamped to the server maximum
+// (which is also the default).
+func (r *Request) leaseTTL(max time.Duration) time.Duration {
+	if r.LeaseMS <= 0 || r.LeaseMS > max.Milliseconds() {
+		return max
+	}
+	return time.Duration(r.LeaseMS) * time.Millisecond
 }
 
 // Response is one server frame, correlated to its request by ID.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -101,6 +102,8 @@ func TestRequestValidate(t *testing.T) {
 		{"acquire long id", Request{Op: OpAcquire, ID: strings.Repeat("i", 129), Units: 1}, 3, false},
 		{"acquire negative deadline", Request{Op: OpAcquire, ID: "a", Units: 1, DeadlineMS: -1}, 3, false},
 		{"acquire negative lease", Request{Op: OpAcquire, ID: "a", Units: 1, LeaseMS: -5}, 3, false},
+		{"acquire huge deadline", Request{Op: OpAcquire, ID: "a", Units: 1, DeadlineMS: 1e13}, 3, true},
+		{"acquire huge lease", Request{Op: OpAcquire, ID: "a", Units: 1, LeaseMS: 1e13}, 3, true},
 		{"acquire unchecked k", Request{Op: OpAcquire, ID: "a", Units: 99}, 0, true},
 		{"release ok", Request{Op: OpRelease, ID: "a", Lease: "L1"}, 3, true},
 		{"release no lease", Request{Op: OpRelease, ID: "a"}, 3, false},
@@ -116,6 +119,18 @@ func TestRequestValidate(t *testing.T) {
 			}
 			if !tc.ok && err == nil {
 				t.Fatal("accepted")
+			}
+			if !tc.ok || tc.req.Op != OpAcquire {
+				return
+			}
+			// An accepted acquire's milliseconds never wrap: its deadline is
+			// not already past, and its lease is positive and within the cap.
+			now := time.Now()
+			if d := tc.req.deadlineAt(now); !d.IsZero() && !d.After(now) {
+				t.Fatalf("deadline %v is not after receipt", d.Sub(now))
+			}
+			if ttl := tc.req.leaseTTL(DefaultLeaseTTL); ttl <= 0 || ttl > DefaultLeaseTTL {
+				t.Fatalf("lease TTL %v, want in (0, %v]", ttl, DefaultLeaseTTL)
 			}
 		})
 	}

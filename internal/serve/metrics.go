@@ -71,12 +71,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 	return m
 }
 
-// batch accounts one granted protocol cycle and its requested units.
-func (m *metrics) batch(units int) {
-	m.batches.Add(1)
-	m.batchUnits.Add(int64(units))
-}
-
 // grant accounts one granted lease and its acquire latency.
 func (m *metrics) grant(units int, latencyUS int64) {
 	m.grants.Add(1)
@@ -85,34 +79,16 @@ func (m *metrics) grant(units int, latencyUS int64) {
 	m.latency.Observe(latencyUS)
 }
 
-// release accounts one lease teardown; how is "client", "expired" or "drain".
-func (m *metrics) release(units int, how string) {
+// release accounts one lease teardown under its obs.Release… cause.
+func (m *metrics) release(units int, cause int64) {
 	m.leases.Add(-1)
 	m.unitsHeld.Add(int64(-units))
-	switch how {
-	case "expired":
+	switch cause {
+	case obs.ReleaseExpired:
 		m.expired.Add(1)
-	case "drain":
+	case obs.ReleaseDrain:
 		m.drained.Add(1)
 	default:
 		m.releases.Add(1)
 	}
-}
-
-// releaseCause maps a release "how" to its journal code.
-func releaseCause(how string) int64 {
-	switch how {
-	case "expired":
-		return obs.ReleaseExpired
-	case "drain":
-		return obs.ReleaseDrain
-	default:
-		return obs.ReleaseClient
-	}
-}
-
-// quantiles reads p50/p95/p99 acquire latency (µs) and the sample count.
-func (m *metrics) quantiles() (p50, p95, p99, count int64) {
-	return m.latency.Quantile(0.50), m.latency.Quantile(0.95),
-		m.latency.Quantile(0.99), m.latency.Count()
 }

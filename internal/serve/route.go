@@ -31,9 +31,6 @@ func newLoadIndex(n int) *loadIndex {
 // add moves p's load by delta units.
 func (li *loadIndex) add(p int, delta int) { li.loads[p].Add(int64(delta)) }
 
-// load reads p's current load (tests and stats).
-func (li *loadIndex) load(p int) int64 { return li.loads[p].Load() }
-
 // pick returns the least-loaded process among up to two shards (all
 // processes when the tree fits one shard). Reads are racy by design — a
 // slightly stale minimum routes to a slightly busier process, nothing more.

@@ -199,11 +199,17 @@ func TestDeadlineRejectsQueuedAcquire(t *testing.T) {
 		t.Fatalf("blocker acquire: %v", err)
 	}
 	c := dial(t, s)
-	// Both processes' queues are behind the single resource unit; a 30ms
-	// deadline passes long before the blocker releases.
+	// The acquire is routed to the idle process, whose cycle then waits on
+	// the single resource unit the blocker holds. The paper gives a request
+	// no way to be withdrawn, so the server answers it at its 30ms deadline
+	// while the protocol request stays outstanding.
+	start := time.Now()
 	_, err = c.Acquire(1, 30*time.Millisecond)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err=%v want ErrDeadline", err)
+	}
+	if el := time.Since(start); el > 250*time.Millisecond {
+		t.Fatalf("ErrDeadline after %v, want it at the 30ms deadline (≤ 250ms)", el)
 	}
 	blocker.Release(l.ID)
 }

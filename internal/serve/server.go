@@ -110,7 +110,6 @@ func (o Options) withDefaults() Options {
 // launch with Start, stop with Shutdown (graceful) or Close (immediate).
 type Server struct {
 	opts Options
-	tr   *tree.Tree
 	net  *runtime.Net
 
 	ln      net.Listener
@@ -124,54 +123,12 @@ type Server struct {
 	reg     *obs.Registry
 	journal *obs.Journal
 
-	leases   [dedupeShards]leaseShard
-	leaseSeq atomic.Int64
-	sessSeq  atomic.Int64
 	sessMu   sync.Mutex
-	sessions map[*session]struct{}
+	sessions map[*session]struct{} // open sessions, for Close to unblock
 
 	draining atomic.Bool
 	started  atomic.Bool
-	ctx      context.Context
-	cancel   context.CancelFunc
 	wg       sync.WaitGroup
-}
-
-// leaseShard is one stripe of the lease registry, hashed by lease id.
-type leaseShard struct {
-	mu sync.Mutex
-	m  map[string]*lease
-}
-
-// procServer is the per-tree-process serving state: a bounded acquire queue
-// drained by one worker goroutine into batched protocol cycles (the protocol
-// interface of one process is Out→Req→In→Out, one cycle at a time — but one
-// cycle may carry Σunits ≤ k across several client acquires).
-type procServer struct {
-	p     int
-	s     *Server
-	queue chan *pendingAcquire
-	enter chan struct{}
-	carry *pendingAcquire   // popped but did not fit the previous batch
-	batch []*pendingAcquire // collection scratch, capacity k
-	corks []corkedReply     // per-session reply coalescing scratch
-}
-
-// corkedReply accumulates the encoded grant frames bound for one session so
-// the batch fan-out writes each connection once.
-type corkedReply struct {
-	ss  *session
-	buf *[]byte
-}
-
-// lease is one outstanding grant: a sub-lease of its batch's cycle.
-type lease struct {
-	id    string
-	p     int
-	units int
-	timer *time.Timer
-	b     *batch
-	once  sync.Once
 }
 
 // New builds a lease server for the full self-stabilizing protocol over tr.
@@ -198,7 +155,6 @@ func New(tr *tree.Tree, opts Options) (*Server, error) {
 	reg := obs.NewRegistry()
 	s := &Server{
 		opts:     opts,
-		tr:       tr,
 		net:      n,
 		loadIdx:  newLoadIndex(tr.N()),
 		dedupe:   newDedupeStore(opts.DedupeTTL),
@@ -208,9 +164,6 @@ func New(tr *tree.Tree, opts Options) (*Server, error) {
 		sessions: make(map[*session]struct{}),
 	}
 	n.Register(reg)
-	for i := range s.leases {
-		s.leases[i].m = make(map[string]*lease)
-	}
 	s.procs = make([]*procServer, tr.N())
 	for p := 0; p < tr.N(); p++ {
 		ps := &procServer{
@@ -218,9 +171,12 @@ func New(tr *tree.Tree, opts Options) (*Server, error) {
 			s:     s,
 			queue: make(chan *pendingAcquire, opts.QueueDepth),
 			enter: make(chan struct{}, 4),
+			ctl:   make(chan ctlMsg),
+			done:  make(chan struct{}),
 			batch: make([]*pendingAcquire, 0, opts.K),
 			corks: make([]corkedReply, 0, opts.K),
 		}
+		ps.led = ledger{p: p, ttl: opts.LeaseTTL, env: ps}
 		// The grant signal runs on the process goroutine: never block it.
 		n.OnEnter(p, func(int) {
 			select {
@@ -254,10 +210,8 @@ func (s *Server) Start() error {
 		s.debug = &http.Server{Handler: s.debugMux()}
 		go s.debug.Serve(dln)
 	}
-	s.ctx, s.cancel = context.WithCancel(context.Background())
-	s.net.Start(s.ctx)
+	s.net.Start(context.Background())
 	for _, ps := range s.procs {
-		s.wg.Add(1)
 		go ps.run()
 	}
 	s.wg.Add(1)
@@ -307,7 +261,7 @@ func (s *Server) accept() {
 		if err != nil {
 			return // listener closed: shutdown
 		}
-		ss := &session{id: s.sessSeq.Add(1), conn: conn, s: s}
+		ss := &session{conn: conn, s: s}
 		s.met.sessions.Add(1)
 		s.met.sessionsActive.Add(1)
 		s.wg.Add(1)
@@ -323,7 +277,6 @@ func (s *Server) admit(pa *pendingAcquire) bool {
 	units := pa.req.Units
 	p := s.loadIdx.pick()
 	for attempt := 0; ; attempt++ {
-		pa.p = p
 		s.loadIdx.add(p, units)
 		select {
 		case s.procs[p].queue <- pa:
@@ -337,6 +290,22 @@ func (s *Server) admit(pa *pendingAcquire) bool {
 			p = s.loadIdx.next(p)
 		}
 	}
+}
+
+// reject answers pa with an error code, counts it, and releases its dedupe
+// claim so an honest retry is admitted fresh.
+func (s *Server) reject(pa *pendingAcquire, code, detail string) {
+	switch code {
+	case CodeOverload:
+		s.met.overloads.Add(1)
+	case CodeDeadline:
+		s.met.deadlineRejs.Add(1)
+	case CodeDraining:
+		s.met.drainingRejs.Add(1)
+	}
+	s.dedupe.forget(pa.req.ID)
+	pa.sess.reply(Response{ID: pa.req.ID, Err: code, Detail: detail})
+	putPending(pa)
 }
 
 // Stats is the live counter snapshot served to stats frames (and the base
@@ -377,9 +346,9 @@ type Stats struct {
 
 // Stats snapshots the server counters.
 func (s *Server) Stats() Stats {
-	p50, p95, p99, count := s.met.quantiles()
+	lat := s.met.latency
 	return Stats{
-		K: s.opts.K, L: s.opts.L, N: s.tr.N(),
+		K: s.opts.K, L: s.opts.L, N: len(s.procs),
 
 		Sessions:       s.met.sessions.Load(),
 		SessionsActive: s.met.sessionsActive.Load(),
@@ -404,7 +373,8 @@ func (s *Server) Stats() Stats {
 		FramesRejected:  s.net.FramesRejected(),
 		FramesDropped:   s.net.FramesDropped(),
 
-		LatencyP50us: p50, LatencyP95us: p95, LatencyP99us: p99, LatencyCount: count,
+		LatencyP50us: lat.Quantile(0.50), LatencyP95us: lat.Quantile(0.95),
+		LatencyP99us: lat.Quantile(0.99), LatencyCount: lat.Count(),
 	}
 }
 
@@ -428,294 +398,33 @@ func (s *Server) Ready() bool {
 	return s.net.Stabilized() && !s.draining.Load()
 }
 
-// trackSession / dropSession keep the open-session set so Close can unblock
-// every read loop by closing its connection.
-func (s *Server) trackSession(ss *session) {
-	s.sessMu.Lock()
-	s.sessions[ss] = struct{}{}
-	s.sessMu.Unlock()
-}
-
-func (s *Server) dropSession(ss *session) {
-	s.sessMu.Lock()
-	delete(s.sessions, ss)
-	s.sessMu.Unlock()
-}
-
-func (s *Server) leaseShard(id string) *leaseShard {
-	return &s.leases[fnv1a(id)%dedupeShards]
-}
-
-// newLease registers a sub-lease of batch b and arms its expiry timer.
-func (s *Server) newLease(b *batch, units int, ttl time.Duration) *lease {
-	l := &lease{
-		id:    fmt.Sprintf("L%d", s.leaseSeq.Add(1)),
-		p:     b.p,
-		units: units,
-		b:     b,
-	}
-	sh := s.leaseShard(l.id)
-	// Arm the timer under the shard lock: the expiry callback reads l.timer
-	// via releaseLease, which takes the same lock, so a near-instant expiry
-	// cannot race the assignment.
-	sh.mu.Lock()
-	sh.m[l.id] = l
-	l.timer = time.AfterFunc(ttl, func() { s.releaseLease(l, "expired") })
-	sh.mu.Unlock()
-	return l
-}
-
-// lookupLease resolves a lease id (nil if unknown or already released).
-func (s *Server) lookupLease(id string) *lease {
-	sh := s.leaseShard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.m[id]
-}
-
-// outstandingLeases snapshots every live lease (drain paths).
-func (s *Server) outstandingLeases() []*lease {
-	var out []*lease
-	for i := range s.leases {
-		sh := &s.leases[i]
-		sh.mu.Lock()
-		for _, l := range sh.m {
-			out = append(out, l)
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-func (s *Server) leaseCount() int {
-	n := 0
-	for i := range s.leases {
-		s.leases[i].mu.Lock()
-		n += len(s.leases[i].m)
-		s.leases[i].mu.Unlock()
-	}
-	return n
-}
-
-// releaseLease tears a lease down exactly once: resolves its batch member
-// (the batch hands the units back to the protocol when its last member
-// resolves), unloads the routing index, and accounts the teardown under
-// how ("client", "expired", "drain").
-func (s *Server) releaseLease(l *lease, how string) {
-	l.once.Do(func() {
-		sh := s.leaseShard(l.id)
-		sh.mu.Lock()
-		timer := l.timer
-		delete(sh.m, l.id)
-		sh.mu.Unlock()
-		if timer != nil {
-			timer.Stop()
-		}
-		s.met.release(l.units, how)
-		s.journal.Record(obs.KindLeaseRelease, int32(l.p), int64(l.units), releaseCause(how))
-		s.loadIdx.add(l.p, -l.units)
-		l.b.memberDone()
-	})
-}
-
-// leaseTTL clamps a requested lease duration to the server maximum.
-func (s *Server) leaseTTL(requestedMS int64) time.Duration {
-	ttl := s.opts.LeaseTTL
-	if requestedMS > 0 {
-		if r := time.Duration(requestedMS) * time.Millisecond; r < ttl {
-			ttl = r
-		}
-	}
-	return ttl
-}
-
-// run is the per-process worker: it drains the acquire queue into batched
-// protocol cycles, one cycle at a time (the protocol interface of a process
-// is strictly Out→Req→In→Out).
-func (ps *procServer) run() {
-	s := ps.s
-	defer s.wg.Done()
-	for {
-		var first *pendingAcquire
-		if ps.carry != nil {
-			first, ps.carry = ps.carry, nil
-		} else {
-			select {
-			case <-s.ctx.Done():
-				ps.drainQueue()
-				return
-			case first = <-ps.queue:
-				s.met.queueDepth.Add(-1)
-			}
-		}
-		members, sum := ps.collect(first)
-		if len(members) > 0 {
-			ps.serveBatch(members, sum)
-		}
-	}
-}
-
-// collect greedily drains the queue into one batch: members join while
-// Σunits stays ≤ k (so a batch has at most k members); draining/expired
-// acquires are rejected on the spot; the first acquire that does not fit is
-// carried into the next cycle. Collection never blocks — a lone acquire is
-// served as a batch of one rather than waiting for company.
-func (ps *procServer) collect(first *pendingAcquire) (members []*pendingAcquire, sum int) {
-	s := ps.s
-	members = ps.batch[:0]
-	pa := first
-	for {
-		switch {
-		case s.draining.Load():
-			ps.reject(pa, CodeDraining, "server shutting down")
-		case !pa.deadline.IsZero() && time.Now().After(pa.deadline):
-			ps.reject(pa, CodeDeadline, "deadline passed while queued")
-		case sum+pa.req.Units > s.opts.K:
-			ps.carry = pa
-			return members, sum
-		default:
-			members = append(members, pa)
-			sum += pa.req.Units
-		}
+// stopWorkers sends every worker the drain time at and waits, bounded by
+// ctx, for them to exit: each answers its waiting members at once and
+// force-releases the leases still held at `at`.
+func (s *Server) stopWorkers(ctx context.Context, at time.Time) {
+	for _, ps := range s.procs {
 		select {
-		case pa = <-ps.queue:
-			s.met.queueDepth.Add(-1)
-		default:
-			return members, sum
+		case ps.ctl <- ctlMsg{drain: at}:
+		case <-ps.done:
+		case <-ctx.Done():
+			return
 		}
 	}
-}
-
-// drainQueue rejects the carried acquire and everything still queued at
-// shutdown.
-func (ps *procServer) drainQueue() {
-	if ps.carry != nil {
-		ps.reject(ps.carry, CodeDraining, "server shutting down")
-		ps.carry = nil
-	}
-	for {
+	for _, ps := range s.procs {
 		select {
-		case pa := <-ps.queue:
-			ps.s.met.queueDepth.Add(-1)
-			ps.reject(pa, CodeDraining, "server shutting down")
-		default:
+		case <-ps.done:
+		case <-ctx.Done():
 			return
 		}
 	}
 }
 
-// reject answers pa with an error code, unloads its routing claim, and
-// releases its dedupe claim so an honest retry is admitted fresh.
-func (ps *procServer) reject(pa *pendingAcquire, code, detail string) {
-	s := ps.s
-	switch code {
-	case CodeOverload:
-		s.met.overloads.Add(1)
-	case CodeDeadline:
-		s.met.deadlineRejs.Add(1)
-	case CodeDraining:
-		s.met.drainingRejs.Add(1)
+// beginDrain flips the server to draining (once) and stops accepting.
+func (s *Server) beginDrain() {
+	if !s.draining.Swap(true) {
+		s.journal.Record(obs.KindDrain, -1, s.met.leases.Load(), 0)
 	}
-	s.loadIdx.add(pa.p, -pa.req.Units)
-	s.dedupe.forget(pa.req.ID)
-	pa.sess.reply(Response{ID: pa.req.ID, Err: code, Detail: detail})
-	putPending(pa)
-}
-
-// serveBatch runs one protocol cycle for the collected members: a single
-// multi-unit request, the grant fanned out as one sub-lease per member
-// (replies corked per connection), then the wait for the batch to resolve.
-// Client hold time still spans the cycle, but it is amortized over every
-// member instead of dedicating a full cycle to each lease.
-func (ps *procServer) serveBatch(members []*pendingAcquire, sum int) {
-	s := ps.s
-	// A stale enter signal (absorbed by the buffered channel during
-	// stabilization churn) must not masquerade as this cycle's grant.
-	for {
-		select {
-		case <-ps.enter:
-			continue
-		default:
-		}
-		break
-	}
-	if err := s.net.Request(ps.p, sum); err != nil {
-		// The worker serializes this process's interface, so a refusal is a
-		// server bug or a corrupted state mid-stabilization; shed the batch
-		// rather than wedge the queue.
-		detail := "protocol refused request: " + err.Error()
-		for _, pa := range members {
-			ps.reject(pa, CodeOverload, detail)
-		}
-		return
-	}
-	select {
-	case <-ps.enter:
-	case <-s.ctx.Done():
-		for _, pa := range members {
-			ps.reject(pa, CodeDraining, "server stopped before grant")
-		}
-		return
-	}
-
-	now := time.Now()
-	b := newBatch(ps.p, len(members), sum, func() { s.net.Release(ps.p) })
-	s.met.batch(sum)
-	leases := make([]*lease, 0, len(members))
-	corks := ps.corks[:0]
-	drainingNow := s.draining.Load()
-	for _, pa := range members {
-		if drainingNow || (!pa.deadline.IsZero() && now.After(pa.deadline)) {
-			// Granted too late: resolve the member straight away; its units
-			// ride out this cycle unused and return with the batch.
-			code, detail := CodeDeadline, "deadline passed before grant"
-			if drainingNow {
-				code, detail = CodeDraining, "server shutting down"
-			}
-			ps.reject(pa, code, detail)
-			b.memberDone()
-			continue
-		}
-		l := s.newLease(b, pa.req.Units, s.leaseTTL(pa.req.LeaseMS))
-		leases = append(leases, l)
-		resp := Response{ID: pa.req.ID, OK: true, Lease: l.id, Units: pa.req.Units, Process: ps.p}
-		s.dedupe.complete(pa.req.ID, &resp, now)
-		latencyUS := now.Sub(pa.enqueued).Microseconds()
-		s.met.grant(pa.req.Units, latencyUS)
-		s.journal.Record(obs.KindLeaseGrant, int32(ps.p), int64(pa.req.Units), latencyUS)
-		corks = corkReply(corks, pa.sess, &resp)
-		putPending(pa)
-	}
-	for i := range corks {
-		corks[i].ss.writeRaw(*corks[i].buf)
-		putFrameBuf(corks[i].buf)
-		corks[i] = corkedReply{}
-	}
-	select {
-	case <-b.done:
-	case <-s.ctx.Done():
-		// Immediate Close may have swept the lease registry before this
-		// batch's leases registered; resolve them ourselves rather than
-		// park until their TTLs.
-		for _, l := range leases {
-			s.releaseLease(l, "drain")
-		}
-		<-b.done
-	}
-}
-
-// corkReply appends resp's frame to the buffer bound for ss, opening a new
-// one on ss's first reply of this batch.
-func corkReply(corks []corkedReply, ss *session, resp *Response) []corkedReply {
-	for i := range corks {
-		if corks[i].ss == ss {
-			*corks[i].buf = appendResponseFrame(*corks[i].buf, resp)
-			return corks
-		}
-	}
-	buf := getFrameBuf()
-	*buf = appendResponseFrame(*buf, resp)
-	return append(corks, corkedReply{ss: ss, buf: buf})
+	s.ln.Close()
 }
 
 // Shutdown drains gracefully: stop accepting, reject queued and new
@@ -725,66 +434,33 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.started.Load() {
 		return fmt.Errorf("serve: Shutdown before Start")
 	}
-	if !s.draining.Swap(true) {
-		s.journal.Record(obs.KindDrain, -1, int64(s.leaseCount()), 0)
-	}
-	s.ln.Close()
-	// Nudge the workers: anything queued is rejected by the workers' drain
-	// checks as it surfaces; now wait for lease teardown.
-	deadline := time.After(s.opts.DrainTimeout)
-	tick := time.NewTicker(2 * time.Millisecond)
-	defer tick.Stop()
-wait:
-	for {
-		if s.leaseCount() == 0 {
-			break
-		}
-		select {
-		case <-tick.C:
-		case <-deadline:
-			break wait
-		case <-ctx.Done():
-			break wait
-		}
-	}
-	// Force-release whatever clients did not return in time.
-	for _, l := range s.outstandingLeases() {
-		s.releaseLease(l, "drain")
-	}
+	s.beginDrain()
+	s.stopWorkers(ctx, time.Now().Add(s.opts.DrainTimeout))
 	s.Close()
 	return ctx.Err()
 }
 
-// Close stops the server immediately: listener, leases, sessions, workers,
+// Close stops the server immediately: listener, sessions, leases, workers,
 // network. Shutdown calls it after draining; calling it directly skips the
-// drain (outstanding leases are force-released so no worker stays parked).
+// drain (outstanding leases are force-released at once).
 func (s *Server) Close() {
 	if !s.started.Load() {
 		return
 	}
-	if !s.draining.Swap(true) {
-		s.journal.Record(obs.KindDrain, -1, int64(s.leaseCount()), 0)
-	}
-	s.ln.Close()
+	s.beginDrain()
 	if s.debug != nil {
 		s.debug.Close()
 	}
-	// Force-release outstanding leases while the process goroutines still
-	// run (the batch teardown talks to them), unblocking parked workers.
-	for _, l := range s.outstandingLeases() {
-		s.releaseLease(l, "drain")
-	}
-	s.cancel()
-	s.net.Stop()
-	// Unblock every session read loop.
+	// Unblock every session read loop, and any worker write to a slow
+	// reader, before the workers are asked to stop.
 	s.sessMu.Lock()
-	open := make([]*session, 0, len(s.sessions))
 	for ss := range s.sessions {
-		open = append(open, ss)
-	}
-	s.sessMu.Unlock()
-	for _, ss := range open {
 		ss.conn.Close()
 	}
+	s.sessMu.Unlock()
+	// The workers force-release while the process goroutines still run (a
+	// cycle's release talks to them).
+	s.stopWorkers(context.Background(), time.Now())
+	s.net.Stop()
 	s.wg.Wait()
 }

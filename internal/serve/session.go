@@ -6,13 +6,10 @@ import (
 	"time"
 )
 
-// session is one accepted connection. Sessions carry no process affinity:
-// every acquire is routed at admission time to the least-loaded process. The
-// read loop dispatches frames; replies may come from this goroutine
-// (release, stats, rejects) or from any process worker (grants), serialized
-// by wmu.
+// session is one accepted connection, with no process affinity: every
+// acquire is routed at admission. Replies come from the read loop or from a
+// process worker (grants, its rejects, release acks), serialized by wmu.
 type session struct {
-	id   int64
 	conn net.Conn
 	s    *Server
 	wmu  sync.Mutex
@@ -42,10 +39,14 @@ func (ss *session) run() {
 	defer func() {
 		ss.conn.Close()
 		s.met.sessionsActive.Add(-1)
-		s.dropSession(ss)
+		s.sessMu.Lock()
+		delete(s.sessions, ss)
+		s.sessMu.Unlock()
 		s.wg.Done()
 	}()
-	s.trackSession(ss)
+	s.sessMu.Lock()
+	s.sessions[ss] = struct{}{}
+	s.sessMu.Unlock()
 	if s.draining.Load() {
 		return // raced with Close: the conn may have missed its close
 	}
@@ -94,33 +95,31 @@ func (ss *session) acquire(req *Request) {
 		return
 	}
 	s.met.acquires.Add(1)
-	if s.draining.Load() {
-		s.met.drainingRejs.Add(1)
-		s.dedupe.forget(req.ID)
-		ss.reply(Response{ID: req.ID, Err: CodeDraining, Detail: "server shutting down"})
-		return
-	}
 	pa := getPending()
 	pa.req = *req
 	pa.sess = ss
 	pa.enqueued = now
-	if req.DeadlineMS > 0 {
-		pa.deadline = now.Add(time.Duration(req.DeadlineMS) * time.Millisecond)
-	}
-	if !s.admit(pa) {
-		s.met.overloads.Add(1)
-		s.dedupe.forget(req.ID)
-		ss.reply(Response{ID: req.ID, Err: CodeOverload, Detail: "process queues full"})
-		putPending(pa)
+	pa.deadline = req.deadlineAt(now)
+	switch {
+	case s.draining.Load():
+		s.reject(pa, CodeDraining, "server shutting down")
+	case !s.admit(pa):
+		s.reject(pa, CodeOverload, "process queues full")
 	}
 }
 
-// release hands a lease back. Unknown lease ids answer OK — a retried
-// release whose first attempt won is indistinguishable from one that
-// already expired, and both are successfully-released outcomes.
+// release hands a lease to the worker its id names, which answers once the
+// lease is accounted back. An id naming no process, or a stopped worker, is
+// answered OK here: a retried release whose first attempt won cannot be told
+// from one that expired, and both are successfully-released outcomes.
 func (ss *session) release(req *Request) {
-	if l := ss.s.lookupLease(req.Lease); l != nil {
-		ss.s.releaseLease(l, "client")
+	if p, ok := leaseProcess(req.Lease, len(ss.s.procs)); ok {
+		ps := ss.s.procs[p]
+		select {
+		case ps.ctl <- ctlMsg{lease: req.Lease, id: req.ID, sess: ss}:
+			return
+		case <-ps.done:
+		}
 	}
 	ss.reply(Response{ID: req.ID, OK: true})
 }

@@ -129,14 +129,25 @@ grep -q 'FramesDropped' internal/runtime/runtime.go || err "runtime frame-drop c
 # symbols and CLI flags it describes must still exist; and the README must
 # document the -timeout knob.
 grep -q 'Cycles are batched, multi-unit' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the batched-cycles section"
-grep -q 'Sub-lease accounting is refcounted' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the sub-lease accounting section"
+grep -q 'One owner per lease' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the lease-ledger section"
+grep -q 'A deadline answers at the deadline' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the deadline outcome"
 grep -q 'Routing is per-acquire' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the per-acquire routing section"
 grep -q 'Delivery is paced' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the delivery pacing section"
 grep -q 'batching is protocol-legal' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the batching-legality argument"
 # The start-up firing: the sentence naming it and the test that pins it.
 grep -q 'The root fires its timeout once' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the sentence naming the start-up firing"
 grep -q 'func TestFirstLapAtStart' internal/runtime/bootstrap_test.go || err "TestFirstLapAtStart gone but documented"
-grep -q 'func newBatch(' internal/serve/batch.go || err "serve batch type gone but documented"
+# One owner per lease: the per-process ledger and its virtual-time tests
+# are pinned by name, and no doc may describe what the ledger replaced — a
+# refcounted batch, a sync.Once lease or a lock-striped lease map.
+grep -q 'type ledger struct' internal/serve/ledger.go || err "serve ledger gone but documented"
+for t in TestLedgerDeadlineBeforeGrant TestLedgerDeadlineAtGrant TestLedgerLeaseTTLClamp \
+    TestLedgerDrainTimeout TestLedgerUnitsReturnOnce TestReleaseHostileLeaseIDs; do
+    grep -q "func $t(" internal/serve/ledger_test.go || err "$t gone but documented"
+done
+if grep -qi 'refcount\|sync\.Once\|lease map\|lease and dedupe maps\|lease registry' README.md docs/ARCHITECTURE.md; then
+    err "a doc still describes a refcounted batch, a sync.Once lease or a lock-striped lease map"
+fi
 grep -q 'func newLoadIndex(' internal/serve/route.go || err "serve load index gone but documented"
 grep -q 'IdlePace' internal/runtime/runtime.go || err "runtime delivery pacing gone but documented"
 # Demand-driven delivery: the doc names the wake counter, the 1ms rest and
