@@ -280,13 +280,13 @@ func TestTargets(t *testing.T) {
 		t.Fatalf("channel target resolved %d channels, want 2", len(sel.chans))
 	}
 	for _, c := range sel.chans {
-		if !(c.From == 0 && c.To == 2 || c.From == 2 && c.To == 0) {
+		if e := c.Ends(); !(e.From == 0 && e.To == 2 || e.From == 2 && e.To == 0) {
 			t.Fatalf("channel target picked %v", c)
 		}
 	}
 	sel, _ = Target{Kind: "subtree", Proc: 2}.resolveStatic(s)
 	for _, c := range sel.chans {
-		if c.From == 0 || c.To == 0 || c.From == 1 || c.To == 1 {
+		if e := c.Ends(); e.From == 0 || e.To == 0 || e.From == 1 || e.To == 1 {
 			t.Fatalf("subtree(d) channels leak outside the subtree: %v", c)
 		}
 	}

@@ -36,8 +36,8 @@ type Executor struct {
 	sched *Schedule
 	rng   *rand.Rand
 
-	all  []*channel.Channel // canonical whole-system channel enumeration
-	sels map[int]selection  // static selection per eventKey; random = unresolved
+	all  []channel.Ref     // canonical whole-system channel enumeration
+	sels map[int]selection // static selection per eventKey; random = unresolved
 
 	next       int   // next trigger index
 	fired      int64 // events actually applied

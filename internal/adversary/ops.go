@@ -20,9 +20,9 @@ import (
 
 // allChannels enumerates every directed channel in canonical order (sender
 // ascending, then the sender's channel labels).
-func allChannels(s *sim.Sim) []*channel.Channel {
-	var chans []*channel.Channel
-	s.Channels(func(c *channel.Channel) { chans = append(chans, c) })
+func allChannels(s *sim.Sim) []channel.Ref {
+	var chans []channel.Ref
+	s.Channels(func(c channel.Ref) { chans = append(chans, c) })
 	return chans
 }
 
@@ -72,7 +72,7 @@ func CorruptStates(s *sim.Sim, rng *rand.Rand, procs []int) {
 // GarbageChannels seeds each channel in chans (nil = all) with a uniform
 // number of arbitrary messages in [0..perChannel], capped at the
 // configuration's CMAX — the paper's bound on transient channel garbage.
-func GarbageChannels(s *sim.Sim, rng *rand.Rand, perChannel int, chans []*channel.Channel) {
+func GarbageChannels(s *sim.Sim, rng *rand.Rand, perChannel int, chans []channel.Ref) {
 	if perChannel > s.Cfg.CMAX {
 		perChannel = s.Cfg.CMAX
 	}
@@ -85,7 +85,7 @@ func GarbageChannels(s *sim.Sim, rng *rand.Rand, perChannel int, chans []*channe
 // from the BOUNDED domain even when the configuration uses unbounded
 // counters — adversarial garbage must collide with values the root will
 // actually use.
-func ForceGarbageChannels(s *sim.Sim, rng *rand.Rand, perChannel int, chans []*channel.Channel) {
+func ForceGarbageChannels(s *sim.Sim, rng *rand.Rand, perChannel int, chans []channel.Ref) {
 	if perChannel < 0 {
 		perChannel = 0
 	}
@@ -103,12 +103,12 @@ func ForceGarbageChannels(s *sim.Sim, rng *rand.Rand, perChannel int, chans []*c
 // DropTokens removes up to count in-flight messages of the given kind,
 // chosen uniformly over the channels in chans (nil = all); it returns how
 // many were removed. Modelling token loss (e.g. a crashed link buffer).
-func DropTokens(s *sim.Sim, rng *rand.Rand, kind message.Kind, count int, chans []*channel.Channel) int {
+func DropTokens(s *sim.Sim, rng *rand.Rand, kind message.Kind, count int, chans []channel.Ref) int {
 	if chans == nil {
 		chans = allChannels(s)
 	}
 	type pos struct {
-		c *channel.Channel
+		c channel.Ref
 		i int
 	}
 	var candidates []pos
@@ -128,7 +128,7 @@ func DropTokens(s *sim.Sim, rng *rand.Rand, kind message.Kind, count int, chans 
 	// Delete by channel, highest index first so indices stay valid. Map
 	// iteration order varies, but per-channel deletions are independent, so
 	// the outcome is deterministic.
-	byChan := map[*channel.Channel][]int{}
+	byChan := map[channel.Ref][]int{}
 	for _, p := range candidates[:count] {
 		byChan[p.c] = append(byChan[p.c], p.i)
 	}
@@ -156,7 +156,7 @@ func DropTokens(s *sim.Sim, rng *rand.Rand, kind message.Kind, count int, chans 
 // kind on the channels in chans (nil = all); the duplicate is appended
 // right behind the original. It returns how many were duplicated.
 // Modelling retransmission faults.
-func DuplicateTokens(s *sim.Sim, rng *rand.Rand, kind message.Kind, count int, chans []*channel.Channel) int {
+func DuplicateTokens(s *sim.Sim, rng *rand.Rand, kind message.Kind, count int, chans []channel.Ref) int {
 	if chans == nil {
 		chans = allChannels(s)
 	}
@@ -183,7 +183,7 @@ func DuplicateTokens(s *sim.Sim, rng *rand.Rand, kind message.Kind, count int, c
 
 // InjectTokens seeds count extra tokens of the given kind, each on a
 // channel drawn uniformly from chans (nil = all).
-func InjectTokens(s *sim.Sim, rng *rand.Rand, kind message.Kind, count int, chans []*channel.Channel) {
+func InjectTokens(s *sim.Sim, rng *rand.Rand, kind message.Kind, count int, chans []channel.Ref) {
 	if chans == nil {
 		chans = allChannels(s)
 	}
@@ -200,11 +200,11 @@ func InjectTokens(s *sim.Sim, rng *rand.Rand, kind message.Kind, count int, chan
 // it returns how many channels were shuffled. Reordering models FIFO
 // violations during the transient-fault window; it never changes a
 // channel's population, so it stays within CMAX by construction.
-func ReorderChannels(s *sim.Sim, rng *rand.Rand, count int, chans []*channel.Channel) int {
+func ReorderChannels(s *sim.Sim, rng *rand.Rand, count int, chans []channel.Ref) int {
 	if chans == nil {
 		chans = allChannels(s)
 	}
-	var candidates []*channel.Channel
+	var candidates []channel.Ref
 	for _, c := range chans {
 		if c.Len() >= 2 {
 			candidates = append(candidates, c)

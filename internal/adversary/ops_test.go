@@ -23,7 +23,7 @@ func TestGarbageChannelsRespectsCMAX(t *testing.T) {
 	s := newSim(t, cmax)
 	adversary.GarbageChannels(s, rand.New(rand.NewSource(2)), 100, nil) // asks for more than CMAX
 	total := 0
-	s.Channels(func(c *channel.Channel) {
+	s.Channels(func(c channel.Ref) {
 		if c.Len() > cmax {
 			t.Errorf("channel %v holds %d > CMAX=%d", c, c.Len(), cmax)
 		}
@@ -37,7 +37,7 @@ func TestGarbageChannelsRespectsCMAX(t *testing.T) {
 func TestGarbageChannelsZeroAndNegative(t *testing.T) {
 	s := newSim(t, 4)
 	adversary.GarbageChannels(s, rand.New(rand.NewSource(3)), -5, nil)
-	s.Channels(func(c *channel.Channel) {
+	s.Channels(func(c channel.Ref) {
 		if c.Len() != 0 {
 			t.Errorf("negative budget injected garbage: %v", c)
 		}
@@ -48,7 +48,7 @@ func TestGarbageCtrlFlagsStayInDomain(t *testing.T) {
 	s := newSim(t, 6)
 	adversary.GarbageChannels(s, rand.New(rand.NewSource(4)), 6, nil)
 	mod := s.Cfg.CounterMod()
-	s.Channels(func(c *channel.Channel) {
+	s.Channels(func(c channel.Ref) {
 		for _, m := range c.Snapshot() {
 			if m.Kind == message.Ctrl && (m.C < 0 || m.C >= mod) {
 				t.Errorf("garbage ctrl flag %d outside [0,%d)", m.C, mod)
@@ -171,7 +171,7 @@ func TestArbitraryConfigurationTouchesEverything(t *testing.T) {
 		}
 	}
 	garbage := 0
-	s.Channels(func(c *channel.Channel) { garbage += c.Len() })
+	s.Channels(func(c channel.Ref) { garbage += c.Len() })
 	if !stateTouched || garbage == 0 {
 		t.Errorf("arbitrary configuration too tame: stateTouched=%v garbage=%d", stateTouched, garbage)
 	}

@@ -78,7 +78,7 @@ func adjacent(t *tree.Tree, p, q int) bool {
 // the random kind re-resolves from the RNG at every firing.
 type selection struct {
 	procs []int
-	chans []*channel.Channel
+	chans []channel.Ref
 }
 
 // resolveStatic resolves every target kind except "random" (for which it
@@ -96,9 +96,9 @@ func (tg Target) resolveStatic(s *sim.Sim) (sel selection, ok bool) {
 		for _, p := range procs {
 			member[p] = true
 		}
-		var chans []*channel.Channel
-		s.Channels(func(c *channel.Channel) {
-			if member[int(c.From)] && member[int(c.To)] {
+		var chans []channel.Ref
+		s.Channels(func(c channel.Ref) {
+			if e := c.Ends(); member[e.From] && member[e.To] {
 				chans = append(chans, c)
 			}
 		})
@@ -106,7 +106,7 @@ func (tg Target) resolveStatic(s *sim.Sim) (sel selection, ok bool) {
 	case "ring":
 		ring := t.EulerTour()
 		var procs []int
-		var chans []*channel.Channel
+		var chans []channel.Ref
 		seen := make(map[int]bool)
 		for i := 0; i < tg.Len; i++ {
 			v := ring[(tg.From+i)%len(ring)]
@@ -120,7 +120,7 @@ func (tg Target) resolveStatic(s *sim.Sim) (sel selection, ok bool) {
 	case "channel":
 		return selection{
 			procs: []int{tg.Proc, tg.Peer},
-			chans: []*channel.Channel{
+			chans: []channel.Ref{
 				s.Out(tg.Proc, t.ChannelTo(tg.Proc, tg.Peer)),
 				s.Out(tg.Peer, t.ChannelTo(tg.Peer, tg.Proc)),
 			},
@@ -134,7 +134,7 @@ func (tg Target) resolveStatic(s *sim.Sim) (sel selection, ok bool) {
 // Count process picks and Count channel picks (default 1), drawn with
 // replacement so the draw count — and therefore the RNG stream — does not
 // depend on the system size.
-func (tg Target) resolveRandom(s *sim.Sim, rng *rand.Rand, all []*channel.Channel) selection {
+func (tg Target) resolveRandom(s *sim.Sim, rng *rand.Rand, all []channel.Ref) selection {
 	count := tg.Count
 	if count <= 0 {
 		count = 1
@@ -151,10 +151,10 @@ func (tg Target) resolveRandom(s *sim.Sim, rng *rand.Rand, all []*channel.Channe
 
 // incidentChannels returns every directed channel touching p, in canonical
 // enumeration order.
-func incidentChannels(s *sim.Sim, p int) []*channel.Channel {
-	var chans []*channel.Channel
-	s.Channels(func(c *channel.Channel) {
-		if int(c.From) == p || int(c.To) == p {
+func incidentChannels(s *sim.Sim, p int) []channel.Ref {
+	var chans []channel.Ref
+	s.Channels(func(c channel.Ref) {
+		if e := c.Ends(); e.From == p || e.To == p {
 			chans = append(chans, c)
 		}
 	})

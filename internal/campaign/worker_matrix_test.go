@@ -115,8 +115,12 @@ func TestRunSlotPanicAnnotation(t *testing.T) {
 // construction — ≈ 210 allocations on this 64-cell grid (chain/star ×
 // n ∈ {8,12,16,24} × four (k,ℓ) pairs × storm periods {0, 4000}, 10k steps
 // per run). A per-step allocation regression multiplies by those 10k steps,
-// so a ceiling generous enough never to flake still catches it at once. One
-// worker, so the Mallocs delta is the slots' own.
+// so a ceiling generous enough never to flake still catches it at once. The
+// bytes are bounded too: a slot's simulator is a few KiB of tables and a
+// message store sized by what is in flight, so 64 KiB catches any
+// allocation sized by a constant instead (a fixed slab per simulation cost
+// 512 KiB). One worker, so the Mallocs and TotalAlloc deltas are the slots'
+// own.
 func TestSlotAllocCeiling(t *testing.T) {
 	var topos []TopologySpec
 	for _, n := range []int{8, 12, 16, 24} {
@@ -138,13 +142,17 @@ func TestSlotAllocCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const slots, ceiling = 64, 4000
+	const slots, ceiling, bytesCeiling = 64, 4000, 64 << 10
 	if rep.TotalRuns != slots {
 		t.Fatalf("grid has %d slots, want %d", rep.TotalRuns, slots)
 	}
 	perSlot := float64(after.Mallocs-before.Mallocs) / slots
-	t.Logf("%.0f allocs/slot", perSlot)
+	bytesPerSlot := float64(after.TotalAlloc-before.TotalAlloc) / slots
+	t.Logf("%.0f allocs/slot, %.0f bytes/slot", perSlot, bytesPerSlot)
 	if perSlot > ceiling {
 		t.Errorf("allocs/slot exceeds the ceiling of %d (per-step allocation regression?)", ceiling)
+	}
+	if bytesPerSlot > bytesCeiling {
+		t.Errorf("%.0f bytes allocated per slot exceed the ceiling of %d (a per-simulation slab?)", bytesPerSlot, bytesCeiling)
 	}
 }

@@ -3,6 +3,7 @@ package checker_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"kofl/internal/adversary"
@@ -72,12 +73,38 @@ func TestCensusMonitorMatchesSeparateMonitors(t *testing.T) {
 	if len(violations) == 0 {
 		t.Fatal("the corruption produced no safety violation (vacuous test)")
 	}
-	if len(mon.Violations) != len(violations) {
-		t.Fatalf("violations: monitor %d vs reference %d", len(mon.Violations), len(violations))
+	checkRecord(t, &mon.Violations, violations, at)
+}
+
+// checkRecord compares a monitor's bounded violation record with the full
+// reference list: the kept texts are the list's first ones, the total and
+// the latest clock agree, and ViolationsAfter is exact at the convergence
+// point and at the ends.
+func checkRecord(t *testing.T, got *checker.ViolationRecord, want []checker.SafetyViolation, convergedAt int64) {
+	t.Helper()
+	if got.Total != len(want) {
+		t.Fatalf("violations: record %d vs reference %d", got.Total, len(want))
 	}
-	for i := range violations {
-		if mon.Violations[i] != violations[i] {
-			t.Errorf("violation %d: monitor %+v vs reference %+v", i, mon.Violations[i], violations[i])
+	if n := min(len(want), checker.MaxViolationTexts); len(got.First) != n {
+		t.Fatalf("record keeps %d texts, want the first %d", len(got.First), n)
+	}
+	for i := range got.First {
+		if got.First[i] != want[i] {
+			t.Errorf("violation %d: record %+v vs reference %+v", i, got.First[i], want[i])
+		}
+	}
+	if len(want) > 0 && got.Last != want[len(want)-1].Clock {
+		t.Errorf("latest violation at %d, reference %d", got.Last, want[len(want)-1].Clock)
+	}
+	for _, c := range []int64{-1, convergedAt, got.Last} {
+		n := 0
+		for _, v := range want {
+			if v.Clock > c {
+				n++
+			}
+		}
+		if a := got.After(c); a != n {
+			t.Errorf("After(%d) = %d, reference %d", c, a, n)
 		}
 	}
 }
@@ -116,13 +143,8 @@ func TestCensusMonitorOracleEquivalence(t *testing.T) {
 	if incr.LegitSteps != scan.LegitSteps {
 		t.Errorf("LegitSteps: incremental %d vs scan oracle %d", incr.LegitSteps, scan.LegitSteps)
 	}
-	if len(incr.Violations) != len(scan.Violations) {
-		t.Fatalf("violations: incremental %d vs scan oracle %d", len(incr.Violations), len(scan.Violations))
-	}
-	for i := range incr.Violations {
-		if incr.Violations[i] != scan.Violations[i] {
-			t.Errorf("violation %d: incremental %+v vs scan oracle %+v", i, incr.Violations[i], scan.Violations[i])
-		}
+	if !reflect.DeepEqual(incr.Violations, scan.Violations) {
+		t.Errorf("violation records differ:\nincremental %+v\nscan oracle %+v", incr.Violations, scan.Violations)
 	}
 }
 

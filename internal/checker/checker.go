@@ -27,6 +27,87 @@ type SafetyViolation struct {
 	What  string
 }
 
+// MaxViolationTexts is how many breaches a ViolationRecord keeps with their
+// texts: the first ones.
+const MaxViolationTexts = 64
+
+// ViolationRecord is what a monitor retains of the safety breaches it saw,
+// in memory that does not grow with their number. Before convergence the
+// paper expects a breach at every step for as long as the arbitrary start
+// lasts, so the record keeps the first MaxViolationTexts breaches with
+// their texts, the total, and where the breaches were in time only as far
+// as convergence questions need it: a breach at a step whose census was
+// illegitimate can never be after a convergence point (ConvergedAt is past
+// the last illegitimate census), so those are one settled count; the
+// breaches since — at legitimate steps, which a correct protocol never
+// has — are counted apart, with the clock of the first of them and how
+// many it had. ViolationsAfter is therefore exact at the convergence point
+// ConvergedAt reports, and for any clock before the first breach or at or
+// after the latest one.
+type ViolationRecord struct {
+	// First holds the first MaxViolationTexts breaches, in clock order.
+	First []SafetyViolation
+	// Total counts every breach; Last is the clock of the latest one.
+	Total int
+	Last  int64
+
+	settled     int   // breaches at or before the last illegitimate census
+	settledLast int64 // clock of the latest settled breach
+	recent      int   // breaches since the last illegitimate census
+	recentFirst int64 // clock of the first recent breach
+	atFirst     int   // recent breaches at recentFirst
+}
+
+// reset empties the record, keeping the capacity of First.
+func (r *ViolationRecord) reset() { *r = ViolationRecord{First: r.First[:0]} }
+
+// wantsText reports whether the next breach is kept with its text.
+func (r *ViolationRecord) wantsText() bool { return len(r.First) < MaxViolationTexts }
+
+// add records n > 0 breaches at clock, one step's.
+func (r *ViolationRecord) add(clock int64, n int) {
+	r.Total += n
+	r.Last = clock
+	if r.recent == 0 {
+		r.recentFirst, r.atFirst = clock, n
+	}
+	r.recent += n
+}
+
+// settle moves every breach so far into the settled count: called at an
+// illegitimate census, which no convergence point precedes.
+func (r *ViolationRecord) settle() {
+	if r.recent > 0 {
+		r.settled += r.recent
+		r.settledLast = r.Last
+		r.recent = 0
+	}
+}
+
+// After counts the breaches strictly after clock. It is exact where the
+// record can place breaches — see ViolationRecord — and otherwise counts
+// those it cannot place before clock as after it: it may overcount there,
+// never undercount.
+func (r *ViolationRecord) After(clock int64) int {
+	if r.Total == 0 || clock >= r.Last {
+		return 0
+	}
+	if clock < r.First[0].Clock {
+		return r.Total
+	}
+	n := 0
+	if clock < r.settledLast {
+		n = r.settled
+	}
+	if r.recent > 0 {
+		n += r.recent
+		if clock >= r.recentFirst {
+			n -= r.atFirst
+		}
+	}
+	return n
+}
+
 // CensusMonitor is the one monitor that reads the global token census. After
 // every step it tracks legitimacy (for convergence), counts legitimate steps
 // (for availability) and checks the paper's safety predicate: at most ℓ
@@ -53,8 +134,8 @@ type CensusMonitor struct {
 	// initial configuration is not a step and is not counted).
 	LegitSteps int64
 
-	// Violations records every safety breach, in clock order.
-	Violations []SafetyViolation
+	// Violations records the safety breaches, in bounded memory.
+	Violations ViolationRecord
 }
 
 // NewCensusMonitor attaches a census monitor to s. It accounts for the
@@ -67,8 +148,8 @@ func NewCensusMonitor(s *sim.Sim) *CensusMonitor {
 }
 
 // Attach (re)binds m to s, first resetting it to the just-constructed state
-// while keeping the violation slice's capacity: campaign workers recycle one
-// monitor across slots, so steady-state runs record violations without
+// while keeping the violation record's capacity: campaign workers recycle
+// one monitor across slots, so steady-state runs record violations without
 // allocating. Like NewCensusMonitor, it accounts for the initial
 // configuration immediately.
 func (m *CensusMonitor) Attach(s *sim.Sim) {
@@ -76,38 +157,52 @@ func (m *CensusMonitor) Attach(s *sim.Sim) {
 	m.lastViolation = -1
 	m.everCorrect = false
 	m.LegitSteps = 0
-	m.Violations = m.Violations[:0]
+	m.Violations.reset()
 	s.AddStepHook(func(s *sim.Sim) { m.observe(s, true) })
 	m.observe(s, false) // initial configuration: no step to count
 }
 
 func (m *CensusMonitor) observe(s *sim.Sim, isStep bool) {
 	legit, unitsInUse, overK := s.Health()
+	now, v := s.Now(), &m.Violations
 	if legit {
 		m.everCorrect = true
 		if isStep {
 			m.LegitSteps++
 		}
 	} else {
-		m.lastViolation = s.Now()
+		m.lastViolation = now
 	}
+	breaches := 0
 	if unitsInUse > m.l {
-		m.Violations = append(m.Violations, SafetyViolation{
-			Clock: s.Now(),
-			What:  fmt.Sprintf("%d units in use > ℓ=%d", unitsInUse, m.l),
-		})
+		breaches++
+		if v.wantsText() {
+			v.First = append(v.First, SafetyViolation{
+				Clock: now,
+				What:  fmt.Sprintf("%d units in use > ℓ=%d", unitsInUse, m.l),
+			})
+		}
 	}
 	if overK > 0 {
 		// Rare: some process is in its critical section holding more than k
 		// units. Only now is the O(n) scan paid, to name the offenders.
 		for p, n := range s.Nodes {
 			if n.State() == core.In && n.Reserved() > m.k {
-				m.Violations = append(m.Violations, SafetyViolation{
-					Clock: s.Now(),
-					What:  fmt.Sprintf("process %d uses %d units > k=%d", p, n.Reserved(), m.k),
-				})
+				breaches++
+				if v.wantsText() {
+					v.First = append(v.First, SafetyViolation{
+						Clock: now,
+						What:  fmt.Sprintf("process %d uses %d units > k=%d", p, n.Reserved(), m.k),
+					})
+				}
 			}
 		}
+	}
+	if breaches > 0 {
+		v.add(now, breaches)
+	}
+	if !legit {
+		v.settle()
 	}
 }
 
@@ -120,16 +215,9 @@ func (m *CensusMonitor) ConvergedAt() (int64, bool) {
 	return m.lastViolation + 1, true
 }
 
-// ViolationsAfter counts safety violations strictly after the given clock.
-func (m *CensusMonitor) ViolationsAfter(clock int64) int {
-	n := 0
-	for _, v := range m.Violations {
-		if v.Clock > clock {
-			n++
-		}
-	}
-	return n
-}
+// ViolationsAfter counts safety violations strictly after the given clock,
+// exactly at the clock ConvergedAt reports (see ViolationRecord).
+func (m *CensusMonitor) ViolationsAfter(clock int64) int { return m.Violations.After(clock) }
 
 // Run is the monitor one run of the protocol carries: the census monitor
 // (convergence, safety, availability) and, from a single protocol-event

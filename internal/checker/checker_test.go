@@ -1,6 +1,7 @@
 package checker_test
 
 import (
+	"runtime"
 	"testing"
 
 	"kofl/internal/checker"
@@ -82,17 +83,17 @@ func TestSafetyFlagsOverCommitment(t *testing.T) {
 	s.RestoreNode(2, core.Snapshot{State: core.In, Need: 2, RSet: []int{0, 0}, Prio: core.NoPrio})
 	s.Seed(0, 0, message.NewRes())
 	s.Run(1)
-	if len(mon.Violations) == 0 {
+	if mon.Violations.Total == 0 {
 		t.Fatal("4 units in use with ℓ=2 not flagged")
 	}
-	last := mon.Violations[len(mon.Violations)-1].Clock
+	last := mon.Violations.Last
 	if last != s.Now() {
 		t.Errorf("last violation at clock %d, want the step just run (%d)", last, s.Now())
 	}
 	if mon.ViolationsAfter(last) != 0 {
 		t.Error("ViolationsAfter(last) should be 0")
 	}
-	if mon.ViolationsAfter(-1) != len(mon.Violations) {
+	if mon.ViolationsAfter(-1) != mon.Violations.Total {
 		t.Error("ViolationsAfter(-1) should count everything")
 	}
 }
@@ -312,5 +313,85 @@ func TestWaitingBoundRatio(t *testing.T) {
 	}
 	if w.BoundRatio(1, 0) != 0 {
 		t.Error("degenerate bound should give ratio 0")
+	}
+}
+
+// TestViolationRecordBounded holds a system in breach for a million steps —
+// two processes inside their critical sections with ℓ+2 units between them,
+// restored whenever a reset clears them, the shape of a long arbitrary
+// start — and requires the monitor's retained memory not to grow with the
+// breaches. It then stops the corruption and requires the count after
+// convergence to be exact against a full reference list.
+func TestViolationRecordBounded(t *testing.T) {
+	const held = 1_000_000
+	tr := tree.Chain(3)
+	cfg := core.Config{K: 2, L: 2, CMAX: 2, Features: core.Full()}
+	s := sim.MustNew(tr, cfg, sim.Options{Seed: 3})
+	mon := checker.NewCensusMonitor(s)
+	breaches := make([]int64, 0, 2*held) // every breach's clock; filled without allocating
+	s.AddStepHook(func(s *sim.Sim) {
+		c := s.CensusScan()
+		if c.UnitsInUse > cfg.L {
+			breaches = append(breaches, s.Now())
+		}
+		if c.OverK > 0 {
+			for _, n := range s.Nodes {
+				if n.State() == core.In && n.Reserved() > cfg.K {
+					breaches = append(breaches, s.Now())
+				}
+			}
+		}
+	})
+	holding := true
+	hold := func(s *sim.Sim) {
+		for p := 1; p <= 2 && holding; p++ {
+			if s.Nodes[p].State() != core.In || s.Nodes[p].Reserved() < 2 {
+				s.RestoreNode(p, core.Snapshot{State: core.In, Need: 2, RSet: []int{0, 0}, Prio: core.NoPrio})
+			}
+		}
+	}
+	s.AttachApp(1, stuckApp{})
+	s.AttachApp(2, stuckApp{})
+	hold(s)
+	s.AddStepHook(hold)
+
+	var before, after runtime.MemStats
+	s.Run(1_000)
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s.RunUntil(2*held, func() bool { return len(breaches) >= held })
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if len(breaches) < held {
+		t.Fatalf("%d breaches in %d steps, want %d", len(breaches), s.Steps, held)
+	}
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 64<<10 {
+		t.Errorf("the heap grew %d bytes over %d breaches, want the record bounded", grew, len(breaches))
+	}
+
+	holding = false
+	for p := 1; p <= 2; p++ {
+		workload.Attach(s, p, workload.Fixed(1, 2, 4, 0))
+	}
+	converged := func() bool { _, ok := mon.ConvergedAt(); return ok }
+	if !s.RunUntil(500_000, converged) {
+		t.Fatal("never converged after the corruption stopped")
+	}
+	s.Run(10_000)
+	at, ok := mon.ConvergedAt()
+	if !ok {
+		t.Fatal("relapsed after converging")
+	}
+	want := 0
+	for _, c := range breaches {
+		if c > at {
+			want++
+		}
+	}
+	if got := mon.ViolationsAfter(at); got != want {
+		t.Errorf("ViolationsAfter(ConvergedAt=%d) = %d, reference %d", at, got, want)
+	}
+	if mon.Violations.Total != len(breaches) || len(mon.Violations.First) != checker.MaxViolationTexts {
+		t.Errorf("record: %d breaches, %d texts; reference %d breaches", mon.Violations.Total, len(mon.Violations.First), len(breaches))
 	}
 }

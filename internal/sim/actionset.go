@@ -54,17 +54,21 @@ type ActionSet struct {
 	tree *tree.Tree // deliver ordinal of (p, ch): tree.ChannelOffset(p) + ch
 
 	// The second numbering: slotOf[p] is process p's slot, its position in
-	// DFS preorder (ring order), and tbase[s] the table index of the first
-	// channel into the process at slot s (tbase[n] = e).
+	// DFS preorder (ring order), ids[s] the process at slot s, and tbase[s]
+	// the table index of the first channel into the process at slot s
+	// (tbase[n] = e).
 	slotOf []int32
+	ids    []int32
 	tbase  []int32
 
-	// chans is the channel table, CSR by receiver slot: chans[tbase[s]+ch] is
-	// the channel INTO the process at slot s with label ch. Its header names
-	// the receiver (To, ToCh, ToSlot) on the line a delivery touches anyway,
-	// its Rev is the table index of the channel OUT of (receiver, label), and
-	// its tag is its deliver ordinal.
+	// chans is the hub's channel table, CSR by receiver slot:
+	// chans[tbase[s]+ch] is the channel INTO the process at slot s with
+	// label ch. Its header names the receiver's slot (ToSlot) on the line a
+	// delivery touches anyway — the receiver's id and label follow from ids
+	// and tbase — and its Rev is the table index of the channel OUT of
+	// (receiver, label). ords[i] is the deliver ordinal of chans[i].
 	chans []channel.Channel
+	ords  []int32
 
 	size   int             // enabled ordinals, in either form
 	dense  bool            // the bitmaps hold the set, small is unused
@@ -95,8 +99,7 @@ func (v entry) ord() int  { return int(v >> 32) }
 func (v entry) at() int32 { return int32(v) }
 
 // newActionSet sizes an empty set for topology t, numbers its processes in
-// ring order and lays out its channel table, attaching every channel to hub
-// (nil: none) under its deliver ordinal.
+// ring order and lays out hub's channel table (t.RingLen() channels).
 func newActionSet(t *tree.Tree, hub *channel.Hub) *ActionSet {
 	n := t.N()
 	as := &ActionSet{
@@ -104,7 +107,9 @@ func newActionSet(t *tree.Tree, hub *channel.Hub) *ActionSet {
 		e:      t.RingLen(),
 		tree:   t,
 		slotOf: make([]int32, n),
+		ids:    make([]int32, n),
 		tbase:  make([]int32, n+1),
+		chans:  hub.Table(),
 	}
 	as.m = as.e + 1 + n
 	// Slots: DFS preorder with children in label order — the order in which
@@ -113,19 +118,19 @@ func newActionSet(t *tree.Tree, hub *channel.Hub) *ActionSet {
 	// Each process's channels take the next stretch of the table as the walk
 	// reaches it, and each tree edge is laid out, both directions, when the
 	// walk first crosses it.
-	as.chans = make([]channel.Channel, as.e)
+	as.ords = make([]int32, as.e)
 	off := int32(t.Degree(0)) // the root: slot 0, table indices from 0
 	for p, next, s := 0, 0, int32(1); ; {
 		if kids := t.Children(p); next < len(kids) {
 			c := kids[next]
-			as.slotOf[c], as.tbase[s] = s, off
+			as.slotOf[c], as.ids[s], as.tbase[s] = s, int32(c), off
 			off += int32(t.Degree(c))
 			s++
 			pch := next // c's label at p: children follow the parent's label 0
 			if p != 0 {
 				pch++
 			}
-			as.link(hub, p, pch, c, 0)
+			as.link(p, pch, c, 0)
 			p, next = c, 0
 			continue
 		}
@@ -148,15 +153,28 @@ func newActionSet(t *tree.Tree, hub *channel.Hub) *ActionSet {
 
 // link lays out both directions of the tree edge between p, where it has
 // label pch, and q, where it has label qch; both processes have slots.
-func (as *ActionSet) link(hub *channel.Hub, p, pch, q, qch int) {
+func (as *ActionSet) link(p, pch, q, qch int) {
 	sp, sq := as.slotOf[p], as.slotOf[q]
 	intoP, intoQ := as.tbase[sp]+int32(pch), as.tbase[sq]+int32(qch)
-	c := &as.chans[intoP]
-	c.From, c.FromCh, c.To, c.ToCh, c.ToSlot, c.Rev = int32(q), int32(qch), int32(p), int32(pch), sp, intoQ
-	c.Attach(hub, int32(as.ordDeliver(p, pch)))
-	c = &as.chans[intoQ]
-	c.From, c.FromCh, c.To, c.ToCh, c.ToSlot, c.Rev = int32(p), int32(pch), int32(q), int32(qch), sq, intoP
-	c.Attach(hub, int32(as.ordDeliver(q, qch)))
+	as.chans[intoP].ToSlot, as.chans[intoP].Rev = sp, intoQ
+	as.chans[intoQ].ToSlot, as.chans[intoQ].Rev = sq, intoP
+	as.ords[intoP], as.ords[intoQ] = int32(as.ordDeliver(p, pch)), int32(as.ordDeliver(q, qch))
+}
+
+// ends names the endpoints of the channel at table index i from the slot
+// tables: its receiver's, and those of its reverse, which leaves the sender.
+func (as *ActionSet) ends(i int32) channel.Ends {
+	to, from := as.chans[i].ToSlot, as.chans[as.chans[i].Rev].ToSlot
+	return channel.Ends{
+		From: int(as.ids[from]), FromCh: int(as.chans[i].Rev - as.tbase[from]),
+		To: int(as.ids[to]), ToCh: int(i - as.tbase[to]),
+	}
+}
+
+// deliver decodes the delivery that pops the channel at table index at.
+func (as *ActionSet) deliver(at int32) Action {
+	slot := as.chans[at].ToSlot
+	return Action{Kind: ActDeliver, Proc: int(as.ids[slot]), Ch: int(at - as.tbase[slot])}
 }
 
 // ordDeliver returns the ordinal of delivering into (p, ch).
@@ -197,7 +215,7 @@ func (as *ActionSet) locate(ord int) int32 {
 func (as *ActionSet) procOf(ord int, at int32) int {
 	switch {
 	case ord < as.e:
-		return int(as.chans[at].To)
+		return int(as.ids[as.chans[at].ToSlot])
 	case ord == as.e:
 		return 0 // the timeout belongs to the root
 	default:
@@ -205,13 +223,12 @@ func (as *ActionSet) procOf(ord int, at int32) int {
 	}
 }
 
-// action decodes an entry; a delivery's process and label are read from the
+// action decodes an entry; a delivery's process and label follow from the
 // header of the channel it pops.
 func (as *ActionSet) action(v entry) Action {
 	switch ord := v.ord(); {
 	case ord < as.e:
-		c := &as.chans[v.at()]
-		return Action{Kind: ActDeliver, Proc: int(c.To), Ch: int(c.ToCh)}
+		return as.deliver(v.at())
 	case ord == as.e:
 		return Action{Kind: ActTimeout, Proc: 0}
 	default:

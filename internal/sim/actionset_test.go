@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"kofl/internal/channel"
 	"kofl/internal/core"
 	"kofl/internal/message"
 	"kofl/internal/tree"
@@ -19,7 +20,7 @@ func testCfg(k, l int) core.Config {
 // ordinal space of an irregular topology.
 func TestActionSetOrdinalRoundTrip(t *testing.T) {
 	tr := tree.Caterpillar(4, 2)
-	as := newActionSet(tr, nil)
+	as := newActionSet(tr, channel.NewHub(tr.RingLen(), nil, nil))
 	if as.e != tr.RingLen() {
 		t.Fatalf("e = %d, want %d", as.e, tr.RingLen())
 	}
@@ -48,7 +49,7 @@ func TestActionSetOrdinalRoundTrip(t *testing.T) {
 // order regardless of insertion order.
 func TestActionSetCanonicalOrder(t *testing.T) {
 	tr := tree.Paper()
-	as := newActionSet(tr, nil)
+	as := newActionSet(tr, channel.NewHub(tr.RingLen(), nil, nil))
 	ords := rand.New(rand.NewSource(3)).Perm(as.m)
 	for _, ord := range ords {
 		addOrd(as, ord)
@@ -72,7 +73,7 @@ func TestActionSetCanonicalOrder(t *testing.T) {
 // name dates from the swap-remove index the bitmap replaced).
 func TestActionSetSwapRemove(t *testing.T) {
 	tr := tree.Star(6)
-	as := newActionSet(tr, nil)
+	as := newActionSet(tr, channel.NewHub(tr.RingLen(), nil, nil))
 	model := map[int]bool{}
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 10_000; i++ {
@@ -124,7 +125,7 @@ func TestActionSetSwapRemove(t *testing.T) {
 // TestActionSetProcQueries pins NextProc/MinDeliver/EachDeliver semantics.
 func TestActionSetProcQueries(t *testing.T) {
 	tr := tree.Paper() // r(a(b c) d(e f g)): degrees r=2 a=3 d=4 leaves=1
-	as := newActionSet(tr, nil)
+	as := newActionSet(tr, channel.NewHub(tr.RingLen(), nil, nil))
 	if as.NextProc(0) != -1 {
 		t.Error("NextProc on empty set != -1")
 	}
@@ -271,7 +272,7 @@ func bitmapsZero(as *ActionSet) bool {
 // every mutation.
 func TestActionSetForms(t *testing.T) {
 	tr := tree.Caterpillar(6, 2) // 18 processes, 34 channels, 53 ordinals
-	as := newActionSet(tr, nil)
+	as := newActionSet(tr, channel.NewHub(tr.RingLen(), nil, nil))
 	rng := rand.New(rand.NewSource(5))
 	var model []int
 	for _, leg := range []struct {
@@ -472,7 +473,7 @@ func stormThenResync(s *Sim, rng *rand.Rand, depth int) {
 		for i := range msgs {
 			msgs[i] = message.Random(rng, 11, 3)
 		}
-		s.chans[c].Replace(msgs)
+		s.hub.Chan(int32(c)).Replace(msgs)
 	}
 	s.actions.clear()
 	s.ResyncActions()
@@ -524,13 +525,13 @@ func FuzzActionSet(f *testing.F) {
 			default:
 				if arg%2 == 0 { // bulk add: a message into every empty channel
 					for c := range s.chans {
-						if s.chans[c].Len() == 0 {
-							s.chans[c].Seed(message.Random(rng, 11, 3))
+						if s.hub.Chan(int32(c)).Len() == 0 {
+							s.hub.Chan(int32(c)).Seed(message.Random(rng, 11, 3))
 						}
 					}
 				} else { // bulk remove: empty all but the first arg/2 < smallCap/2 channels
 					for c := arg / 2; c < len(s.chans); c++ {
-						s.chans[c].Replace(nil)
+						s.hub.Chan(int32(c)).Replace(nil)
 					}
 				}
 			}

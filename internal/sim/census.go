@@ -60,8 +60,8 @@ func (s *Sim) Census() Census {
 // as the rebuild primitive behind ResyncCensus.
 func (s *Sim) CensusScan() Census {
 	var c Census
-	for i := range s.chans {
-		for _, m := range s.chans[i].Snapshot() {
+	for i := range int32(len(s.chans)) {
+		for _, m := range s.hub.Chan(i).Snapshot() {
 			switch m.Kind {
 			case message.Res:
 				c.FreeRes++

@@ -203,7 +203,7 @@ func TestDifferentialKernels(t *testing.T) {
 
 // TestDifferentialModerateN repeats the kernel differential at n = 257 —
 // big enough that the struct-of-arrays state, the flattened rset backing
-// array, the count-hierarchy select and the arena-backed rings all run past
+// array, the count-hierarchy select and the shared message store all run past
 // their small-n fast paths — across topologies, with and without fault
 // storms (whose Replace/Seed mutations exercise the out-of-band resync).
 func TestDifferentialModerateN(t *testing.T) {

@@ -52,23 +52,25 @@
 //
 // # Memory model
 //
-// A delivery reads one 64-byte line for the process (node view,
-// application, wake time), its 32-byte protocol slot in core.Vars and its
-// 16-byte port, and one 64-byte header per channel end — the one it pops and
-// the one it pushes to, with the head message inline; what the channels
-// share lives once in a channel.Hub. Tokens only move along the virtual
-// ring, so what a step costs at big n is the ORDER of those lines: the
-// simulator keeps two numberings apart. Ids are tree labels — every API,
-// event, trace and scheduler, and the canonical enumeration order above,
-// speak ids. Slots are DFS-preorder positions, the order in which a token
-// lap first reaches each process; every table a step touches (procs, ports,
-// the core.Vars slots, the wake heap, the census bracket) is indexed by
-// slot, and the channel table is CSR by receiver slot, so a lap walks memory
-// forward instead of landing on a random label's line. The mapping is the
-// identity on chains, stars and any tree already labelled in preorder; the
-// id→slot table is read only at the API boundary and by the dense action
-// set's decode. Steady-state stepping performs zero heap allocations; see
-// docs/ARCHITECTURE.md ("Memory model").
+// A delivery reads one 64-byte line for the process (node view, application,
+// wake time), its 32-byte protocol slot in core.Vars and its 16-byte port,
+// and one 16-byte, pointer-free header per channel end — the one it pops and
+// the one it pushes to, four to a line. The messages in flight live in the
+// channel.Hub's one store, a few dozen nodes in steady state whatever n is,
+// together with what else the channels share; a channel's receiver id and
+// label are read off two slot tables (ids, tbase) and its ordinal off one
+// channel table (ords). Tokens only move along the virtual ring, so what a
+// step costs at big n is the ORDER of those lines: the simulator keeps two
+// numberings apart. Ids are tree labels — every API, event, trace and
+// scheduler, and the canonical enumeration order above, speak ids. Slots are
+// DFS-preorder positions, the order in which a token lap first reaches each
+// process; every table a step touches (procs, ports, the core.Vars slots, the
+// wake heap, the census bracket) is indexed by slot, and the channel table is
+// CSR by receiver slot, so a lap walks memory forward instead of landing on a
+// random label's line. The mapping is the identity on chains, stars and any
+// tree already labelled in preorder; the id→slot table is read only at the
+// API boundary and by the dense action set's decode. Steady-state stepping
+// performs zero heap allocations; see docs/ARCHITECTURE.md ("Memory model").
 //
 // # Fault-injection resync rule
 //
@@ -250,13 +252,15 @@ type Sim struct {
 	Cfg   core.Config
 	Nodes []*core.Node // Nodes[p] points into process p's line
 
-	// Channel storage in CSR form by receiver slot: chans is the ActionSet's
-	// table — chans[tbase[s]+ch] is the channel INTO the process at slot s
-	// with label ch, and its Rev the index of the channel OUT of it with
-	// label ch. One dense slice for all 2(n-1) channels, no side tables.
+	// Channel storage in CSR form by receiver slot: chans is the hub's
+	// header table, laid out by the ActionSet — chans[tbase[s]+ch] is the
+	// channel INTO the process at slot s with label ch, and its Rev the
+	// index of the channel OUT of it with label ch. One dense slice of
+	// 16-byte headers for all 2(n-1) channels; their messages live in the
+	// hub's store.
 	chans []channel.Channel
 
-	hub *channel.Hub // what all channels share: counts, ring arena, emptiness hook
+	hub *channel.Hub // owns the channels: table, message store, counts, emptiness hook
 
 	procs []proc     // one line per process, by slot
 	ports []port     // per-process core.Env + Handle (pointed into, no boxing), by slot
@@ -333,15 +337,15 @@ func New(t *tree.Tree, cfg core.Config, opts Options) (*Sim, error) {
 	if s.timeoutTicks <= 0 {
 		s.timeoutTicks = DefaultTimeoutTicks(t.RingLen(), cfg.L)
 	}
-	// Channels: the action set's table, joined to one hub. The scan kernel
-	// rebuilds the set every step and takes no emptiness reports.
-	var onEmptiness func(c *channel.Channel, nonempty bool)
+	// Channels: one hub, its table laid out by the action set. The scan
+	// kernel rebuilds the set every step and takes no emptiness reports.
+	var onEmptiness func(i int32, nonempty bool)
 	if !s.rescan {
 		onEmptiness = s.chanEmptiness
 	}
-	s.hub = channel.NewHub(onEmptiness)
+	s.hub = channel.NewHub(t.RingLen(), onEmptiness, s.chanEnds)
 	s.actions = newActionSet(t, s.hub)
-	s.chans = s.actions.chans
+	s.chans = s.hub.Table()
 	// Nodes: views over one shared slot store, each bound at its process's
 	// slot under its id, in slot order. Every process has a channel, and the
 	// first one into it names it.
@@ -354,7 +358,7 @@ func New(t *tree.Tree, cfg core.Config, opts Options) (*Sim, error) {
 	s.ports = make([]port, n)
 	for slot := range int32(n) {
 		ob := s.actions.tbase[slot]
-		p := int(s.chans[ob].To)
+		p := int(s.actions.ids[slot])
 		node, err := vars.Bind(int(slot), p, t.Degree(p), t.IsRoot(p), nopApp{})
 		if err != nil {
 			return nil, err
@@ -378,12 +382,14 @@ func MustNew(t *tree.Tree, cfg core.Config, opts Options) *Sim {
 	return s
 }
 
-// chanEmptiness is the shared channel emptiness hook: the tag is the
-// channel's deliver ordinal, and its table index follows from the receiver's
-// slot.
-func (s *Sim) chanEmptiness(c *channel.Channel, nonempty bool) {
-	s.actions.set(int(c.Tag()), s.actions.tbase[c.ToSlot]+c.ToCh, nonempty)
+// chanEmptiness is the hub's emptiness hook: the channel at table index i
+// holds the deliver ordinal ords[i].
+func (s *Sim) chanEmptiness(i int32, nonempty bool) {
+	s.actions.set(int(s.actions.ords[i]), i, nonempty)
 }
+
+// chanEnds names the endpoints of the channel at table index i for the hub.
+func (s *Sim) chanEnds(i int32) channel.Ends { return s.actions.ends(i) }
 
 // nopApp is the default application: never requests, never acts.
 type nopApp struct{ core.NopApp }
@@ -434,7 +440,7 @@ type port struct {
 
 func (e *port) Send(ch int, m message.Message) {
 	s := e.s
-	s.chans[s.chans[int(e.ob)+ch].Rev].Push(m)
+	s.hub.Chan(s.chans[int(e.ob)+ch].Rev).Push(m)
 }
 
 func (e *port) RestartTimer() {
@@ -480,25 +486,25 @@ func (s *Sim) TimeoutTicks() int64 { return s.timeoutTicks }
 
 // In returns the incoming channel of p with label ch. It panics unless p is
 // a process and 0 ≤ ch < Degree(p).
-func (s *Sim) In(p, ch int) *channel.Channel {
+func (s *Sim) In(p, ch int) channel.Ref {
 	if p < 0 || p >= s.Tree.N() {
 		panic(fmt.Sprintf("sim: no process %d (n=%d)", p, s.Tree.N()))
 	}
 	if deg := s.Tree.Degree(p); ch < 0 || ch >= deg {
 		panic(fmt.Sprintf("sim: process %d has no channel %d (degree %d)", p, ch, deg))
 	}
-	return &s.chans[s.actions.where(Action{Kind: ActDeliver, Proc: p, Ch: ch})]
+	return s.hub.Chan(s.actions.where(Action{Kind: ActDeliver, Proc: p, Ch: ch}))
 }
 
 // Out returns the outgoing channel of p with label ch, under In's checks.
-func (s *Sim) Out(p, ch int) *channel.Channel {
-	return &s.chans[s.In(p, ch).Rev]
+func (s *Sim) Out(p, ch int) channel.Ref {
+	return s.hub.Chan(s.chans[s.In(p, ch).Index()].Rev)
 }
 
 // Channels calls f on every directed channel, in sender-lexicographic
 // (From, FromCh) order — the historical iteration order fault injectors'
 // target resolution depends on.
-func (s *Sim) Channels(f func(*channel.Channel)) {
+func (s *Sim) Channels(f func(channel.Ref)) {
 	for p := 0; p < s.Tree.N(); p++ {
 		for ch := 0; ch < s.Tree.Degree(p); ch++ {
 			f(s.Out(p, ch))
@@ -598,9 +604,9 @@ func (s *Sim) syncActions() {
 // deliver half of a full rebuild, shared by the scan oracle and the resync
 // path so their enablement criterion cannot drift apart.
 func (s *Sim) scanDelivers() {
-	for i := range s.chans {
-		if c := &s.chans[i]; c.Len() > 0 {
-			s.actions.add(int(c.Tag()), int32(i))
+	for i := range int32(len(s.chans)) {
+		if s.hub.Chan(i).Len() > 0 {
+			s.actions.add(int(s.actions.ords[i]), i)
 		}
 	}
 }
@@ -700,10 +706,9 @@ func (s *Sim) Step() bool {
 	var poll bool
 	switch a.Kind {
 	case ActDeliver:
-		c := &s.chans[at]
-		slot = c.ToSlot
+		slot = s.chans[at].ToSlot
 		d := s.beginTrack(int(slot))
-		m := c.Pop()
+		m := s.hub.Chan(at).Pop()
 		if m.Kind.Valid() {
 			s.Delivered[m.Kind&7]++
 		}

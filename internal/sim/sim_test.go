@@ -54,7 +54,7 @@ func TestChannelWiring(t *testing.T) {
 		}
 	}
 	// Count distinct channels: 2(n-1).
-	seen := map[*channel.Channel]bool{}
+	seen := map[channel.Ref]bool{}
 	for p := 0; p < tr.N(); p++ {
 		for ch := 0; ch < tr.Degree(p); ch++ {
 			seen[s.Out(p, ch)] = true

@@ -75,24 +75,24 @@ func TestSlotsAreRingOrder(t *testing.T) {
 					t.Fatalf("Handle(%d).ID() = %d", p, got)
 				}
 				for ch := 0; ch < tr.Degree(p); ch++ {
-					in, out := s.In(p, ch), s.Out(p, ch)
-					if int(in.To) != p || int(in.ToCh) != ch {
+					in, out := s.In(p, ch).Ends(), s.Out(p, ch).Ends()
+					if in.To != p || in.ToCh != ch {
 						t.Fatalf("In(%d, %d) = %v", p, ch, in)
 					}
-					if int(out.From) != p || int(out.FromCh) != ch {
+					if out.From != p || out.FromCh != ch {
 						t.Fatalf("Out(%d, %d) = %v", p, ch, out)
 					}
-					if q := tr.Neighbor(p, ch); int(out.To) != q || int(in.From) != q {
+					if q := tr.Neighbor(p, ch); out.To != q || in.From != q {
 						t.Fatalf("channel %d of %d does not lead to %d: in %v, out %v", ch, p, q, in, out)
 					}
 				}
 			}
 
 			// Channels visits in sender-lexicographic order, every channel once.
-			var prev *[2]int32
+			var prev *[2]int
 			count := 0
-			s.Channels(func(c *channel.Channel) {
-				cur := [2]int32{c.From, c.FromCh}
+			s.Channels(func(c channel.Ref) {
+				cur := [2]int{c.Ends().From, c.Ends().FromCh}
 				if prev != nil && (cur[0] < prev[0] || cur[0] == prev[0] && cur[1] <= prev[1]) {
 					t.Fatalf("Channels visited %v after %v", cur, *prev)
 				}

@@ -108,7 +108,7 @@ func Snapshot(s *sim.Sim) string {
 	return b.String()
 }
 
-func channelGlyphs(c *channel.Channel) string {
+func channelGlyphs(c channel.Ref) string {
 	var b strings.Builder
 	for _, m := range c.Snapshot() {
 		b.WriteString(tokenGlyph(m.Kind))

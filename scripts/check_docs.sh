@@ -46,7 +46,7 @@ grep -q 'func TestLayoutGuard' internal/channel/channel_test.go || err "channel 
 grep -q 'func TestLayoutGuard' internal/core/node_test.go || err "core TestLayoutGuard gone but documented"
 grep -q 'type Hub struct' internal/channel/channel.go || err "channel.Hub gone but documented"
 grep -q 'channel.Hub' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the channel hub"
-grep -q 'bigNBytesCeiling = 540' bench_test.go || err "BenchmarkBigNScale lost the bytes/process ceiling README.md cites"
+grep -q 'bigNBytesCeiling = 330' bench_test.go || err "BenchmarkBigNScale lost the bytes/process ceiling README.md cites"
 # The action set's two forms: the cap the doc quotes, the test that walks
 # both crossings, and the sentence naming the forms.
 grep -q 'smallCap = 32' internal/sim/actionset.go || err "actionset.go lost smallCap = 32, which ARCHITECTURE.md quotes"
