@@ -93,7 +93,7 @@ func flags() (*flag.FlagSet, *options) {
 	fs.DurationVar(&o.timeout, "timeout", serve.DefaultTimeout, "root retransmission timeout (tightening below a few ms causes retransmission storms)")
 	fs.DurationVar(&o.pace, "pace", serve.DefaultPace, "average protocol delivery delay per frame while acquires wait, slept off in 1ms rests (negative = full speed)")
 	fs.DurationVar(&o.idlePace, "idle-pace", serve.DefaultIdlePace, "beat a frame is held for while no acquire waits; a request cuts it short (negative = full speed)")
-	fs.IntVar(&o.queue, "queue", serve.DefaultQueueDepth, "per-process acquire queue depth (full queue rejects with overload)")
+	fs.IntVar(&o.queue, "queue", serve.DefaultQueueDepth, "acquires waiting per process, queued or awaiting the grant (a full process rejects with overload)")
 	fs.DurationVar(&o.leaseTTL, "lease-ttl", serve.DefaultLeaseTTL, "maximum (and default) lease duration")
 	fs.DurationVar(&o.dedupeTTL, "dedupe-ttl", serve.DefaultDedupeTTL, "how long acquire responses replay to request-id retries")
 	fs.DurationVar(&o.drain, "drain", serve.DefaultDrainTimeout, "graceful-shutdown lease drain timeout")

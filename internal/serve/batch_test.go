@@ -10,7 +10,8 @@ import (
 )
 
 // unstartedServer builds a Server without Start: no goroutines run, so the
-// admission internals (collect, reject, loadIndex) can be driven directly.
+// admission internals (admit, the ledger, reject, loadIndex) can be driven
+// directly.
 func unstartedServer(t *testing.T, k, l int) *Server {
 	t.Helper()
 	s, err := New(tree.Chain(2), Options{K: k, L: l})
@@ -35,76 +36,6 @@ func queuedAcquire(ss *session, id string, units int) *pendingAcquire {
 	pa.sess = ss
 	pa.enqueued = time.Now()
 	return pa
-}
-
-// TestCollectGreedyFIFO pins the batch-formation rules: members join in FIFO
-// order while Σunits stays ≤ k; the first acquire that does not fit is
-// carried (not skipped over) into the next cycle; collection never blocks.
-func TestCollectGreedyFIFO(t *testing.T) {
-	s := unstartedServer(t, 3, 3)
-	ss := pipeSession(t, s)
-	ps := s.procs[0]
-
-	first := queuedAcquire(ss, "a", 1)
-	ps.queue <- queuedAcquire(ss, "b", 1)
-	ps.queue <- queuedAcquire(ss, "c", 2) // 1+1+2 > k=3: must be carried
-	ps.queue <- queuedAcquire(ss, "d", 2)
-
-	members, sum := ps.collect(first)
-	if len(members) != 2 || sum != 2 {
-		t.Fatalf("batch 1: %d members Σ%d, want 2 members Σ2", len(members), sum)
-	}
-	if members[0].req.ID != "a" || members[1].req.ID != "b" {
-		t.Fatalf("batch 1 members %q,%q want a,b", members[0].req.ID, members[1].req.ID)
-	}
-	if ps.carry == nil || ps.carry.req.ID != "c" {
-		t.Fatalf("carry = %+v, want acquire c", ps.carry)
-	}
-
-	// Next cycle starts from the carried acquire; d (2 units) does not fit
-	// next to it and is carried in turn.
-	next := ps.carry
-	ps.carry = nil
-	members, sum = ps.collect(next)
-	if len(members) != 1 || sum != 2 || members[0].req.ID != "c" {
-		t.Fatalf("batch 2: %d members Σ%d (%q), want just c", len(members), sum, members[0].req.ID)
-	}
-	if ps.carry == nil || ps.carry.req.ID != "d" {
-		t.Fatalf("carry after batch 2 = %+v, want acquire d", ps.carry)
-	}
-
-	// A lone acquire is served immediately as a batch of one.
-	next = ps.carry
-	ps.carry = nil
-	members, sum = ps.collect(next)
-	if len(members) != 1 || sum != 2 || ps.carry != nil {
-		t.Fatalf("batch 3: %d members Σ%d carry=%v, want just d", len(members), sum, ps.carry)
-	}
-}
-
-// TestCollectRejectsExpired: a queued acquire whose deadline passed is
-// rejected during collection (counted, unloaded, dedupe-released) instead of
-// wasting batch capacity.
-func TestCollectRejectsExpired(t *testing.T) {
-	s := unstartedServer(t, 3, 3)
-	ss := pipeSession(t, s)
-	ps := s.procs[0]
-
-	expired := queuedAcquire(ss, "late", 2)
-	expired.deadline = time.Now().Add(-time.Millisecond)
-	s.loadIdx.add(0, 2) // the routing claim admit() would have taken
-	ps.queue <- queuedAcquire(ss, "ok", 1)
-
-	members, sum := ps.collect(expired)
-	if len(members) != 1 || sum != 1 || members[0].req.ID != "ok" {
-		t.Fatalf("collect kept expired acquire: %d members Σ%d", len(members), sum)
-	}
-	if got := s.met.deadlineRejs.Load(); got != 1 {
-		t.Fatalf("deadline rejects = %d, want 1", got)
-	}
-	if got := s.loadIdx.load(0); got != 0 {
-		t.Fatalf("load after reject = %d, want 0", got)
-	}
 }
 
 // TestRejectCountsEveryCode is the regression test for the dropped-counter

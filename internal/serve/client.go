@@ -138,12 +138,11 @@ func (c *Client) Do(req Request) (Response, error) {
 }
 
 // Acquire leases units resource units. A non-zero deadline bounds the wait
-// for the grant: once its process's worker has taken the acquire into a
-// cycle, ErrDeadline is answered at the deadline; while it is still queued
-// behind that process's previous cycle, the answer comes when that cycle
-// ends. Deadline 0 waits indefinitely. The error is one of the Err…
-// sentinels for protocol rejections (errors.Is(err, ErrOverload) etc.) or a
-// transport error.
+// for the grant: ErrDeadline is answered at the deadline, whether the
+// acquire is still queued behind its process's open cycle or already waits
+// on the protocol in one. Deadline 0 waits indefinitely. The error is one
+// of the Err… sentinels for protocol rejections (errors.Is(err,
+// ErrOverload) etc.) or a transport error.
 func (c *Client) Acquire(units int, deadline time.Duration) (*Lease, error) {
 	return c.AcquireID(c.nextID(), units, deadline.Milliseconds(), 0)
 }

@@ -3,14 +3,14 @@
 // k-out-of-ℓ exclusion tree over a length-prefixed JSON TCP protocol.
 //
 // Every acquire is routed at admission to the least-loaded tree process and
-// queued there (a full routed and fallback queue answers "overload" at
-// once). Each process's worker drains its queue into one multi-unit
-// protocol cycle, Request(p, Σunits ≤ k), and fans the grant out as
-// independent sub-leases. The worker is the single owner of its process's
-// ledger, which holds the cycle from its collected members to its last
-// resolution: deadlines are answered at the deadline, leases expire at
-// their TTL (request-chosen, clamped to the server maximum), and the
-// cycle's units go back to the protocol exactly once. Acquire is idempotent
+// waits there (a full routed and fallback process answers "overload" at
+// once). Each process's worker is the single owner of its ledger, whose one
+// FIFO waiting line opens one multi-unit protocol cycle at a time,
+// Request(p, Σunits ≤ k), and fans the grant out as independent
+// sub-leases. Wherever an acquire waits, its deadline is answered at the
+// deadline; leases expire at their TTL (request-chosen, clamped to the
+// server maximum), and the cycle's units go back to the protocol exactly
+// once. Acquire is idempotent
 // through a TTL dedupe store keyed by the client-chosen request id.
 //
 // Wire format: each frame is a 4-byte big-endian length followed by one JSON

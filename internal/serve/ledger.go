@@ -28,49 +28,64 @@ type lease struct {
 	expires time.Time
 }
 
-// ledger is one process's lease book, from the collected members of a
-// protocol cycle to its last resolution. It has no goroutines, locks, timers
-// or clock: methods take now, and wake says when tick next has work. Before
-// the grant, a member whose deadline comes is answered at once and its units
-// ride out the cycle (the paper gives a request no way to be withdrawn); the
+// ledger is one process's lease book: its one waiting line and the leases
+// of its protocol cycle. It has no goroutines, locks, timers or clock:
+// methods take now, and wake says when tick next has work. The line is
+// FIFO, and its first `members` entries are the open cycle's members. An
+// entry is answered at its deadline, or at once while draining, wherever it
+// waits: a queued entry's units were never requested, and a member's ride
+// out the cycle (the paper gives a request no way to be withdrawn). The
 // grant turns every member still waiting into a sub-lease with an expiry.
 // The cycle goes back to the protocol exactly once, when it is granted and
 // its last member has resolved (client release, expiry, drain, or reject).
 type ledger struct {
-	p   int
-	ttl time.Duration // LeaseTTL: the default and the cap of a lease
-	env ledgerEnv
+	p, k int
+	ttl  time.Duration // LeaseTTL: the default and the cap of a lease
+	env  ledgerEnv
 
 	seq     uint64            // lease ids minted
 	units   int               // Σunits of the open cycle; 0 = no cycle
 	granted bool              // the open cycle's grant has come
-	members []*pendingAcquire // awaiting the grant, FIFO
+	members int               // line[:members] await the open cycle's grant
+	line    []*pendingAcquire // every acquire waiting here, FIFO
 	leases  []lease           // granted, not yet resolved
 	drainAt time.Time         // force-release time; zero while serving
 }
 
-// begin opens a cycle for the members collected by an idle ledger, if any.
-// A protocol refusal (a server bug, or a state corrupted mid-stabilization)
-// sheds the batch rather than wedge the queue.
-func (l *ledger) begin(members []*pendingAcquire, units int) {
-	if len(members) == 0 {
-		return
-	}
-	if err := l.env.request(units); err != nil {
-		for _, pa := range members {
-			l.env.reject(pa, CodeOverload, "protocol refused request: "+err.Error())
+// enqueue puts an acquire handed off by admission at the end of the line.
+func (l *ledger) enqueue(pa *pendingAcquire) { l.line = append(l.line, pa) }
+
+// begin opens a cycle from the head of an idle ledger's line: members join
+// in FIFO order while Σunits ≤ k, and the head that does not fit waits for
+// the next cycle. What is due is answered first, so it takes no place in
+// the cycle. A protocol refusal (a server bug, or a state corrupted
+// mid-stabilization) sheds those members rather than wedge the line.
+func (l *ledger) begin(now time.Time) {
+	for l.units == 0 && len(l.line) > 0 {
+		l.tick(now)
+		m, units := 0, 0
+		for ; m < len(l.line) && units+l.line[m].req.Units <= l.k; m++ {
+			units += l.line[m].req.Units
 		}
-		return
+		if m == 0 {
+			return
+		}
+		if err := l.env.request(units); err != nil {
+			for _, pa := range l.line[:m] {
+				l.env.reject(pa, CodeOverload, "protocol refused request: "+err.Error())
+			}
+			l.line = append(l.line[:0], l.line[m:]...)
+			continue
+		}
+		l.units, l.members = units, m
 	}
-	l.units = units
-	l.members = append(l.members[:0], members...)
 }
 
 // grant fans the protocol's grant out to the members still waiting. (A
 // draining ledger has none: drain answered them.)
 func (l *ledger) grant(now time.Time) {
 	l.granted = true
-	for _, pa := range l.members {
+	for _, pa := range l.line[:l.members] {
 		if passed(pa.deadline, now) {
 			l.env.reject(pa, CodeDeadline, "deadline passed before grant")
 			continue
@@ -80,7 +95,8 @@ func (l *ledger) grant(now time.Time) {
 		l.leases = append(l.leases, ls)
 		l.env.grant(pa, ls.id, now)
 	}
-	l.members = l.members[:0]
+	l.line = append(l.line[:0], l.line[l.members:]...)
+	l.members = 0
 	l.settle()
 }
 
@@ -94,7 +110,7 @@ func (l *ledger) release(id string) {
 	}
 }
 
-// drain answers the waiting members at once and force-releases the leases
+// drain answers the waiting line at once and force-releases the leases
 // still held at `at`. The earliest drain time wins (Shutdown's, then Close's).
 func (l *ledger) drain(at, now time.Time) {
 	if l.drainAt.IsZero() || at.Before(l.drainAt) {
@@ -105,18 +121,22 @@ func (l *ledger) drain(at, now time.Time) {
 
 // tick resolves what is due at now: deadlines, expiries, the drain time.
 func (l *ledger) tick(now time.Time) {
-	kept := l.members[:0]
-	for _, pa := range l.members {
+	kept, members := l.line[:0], l.members
+	for i, pa := range l.line {
 		switch {
-		case !l.drainAt.IsZero():
-			l.env.reject(pa, CodeDraining, "server shutting down")
-		case passed(pa.deadline, now):
-			l.env.reject(pa, CodeDeadline, "deadline passed while waiting for the protocol")
-		default:
+		case !passed(l.due(pa), now):
 			kept = append(kept, pa)
+			continue
+		case l.drainAt.IsZero():
+			l.env.reject(pa, CodeDeadline, "deadline passed while waiting")
+		default:
+			l.env.reject(pa, CodeDraining, "server shutting down")
+		}
+		if i < members {
+			l.members--
 		}
 	}
-	l.members = kept
+	l.line = kept
 	force := passed(l.drainAt, now)
 	for i := 0; i < len(l.leases); {
 		switch {
@@ -130,11 +150,20 @@ func (l *ledger) tick(now time.Time) {
 	}
 }
 
+// due is when tick answers a waiting acquire: at its deadline, or at once
+// (its admission, already past) once the ledger is draining.
+func (l *ledger) due(pa *pendingAcquire) time.Time {
+	if l.drainAt.IsZero() {
+		return pa.deadline
+	}
+	return pa.enqueued
+}
+
 // wake is the earliest time tick has work (zero: none).
 func (l *ledger) wake() time.Time {
 	w := l.drainAt
-	for _, pa := range l.members {
-		w = earliest(w, pa.deadline)
+	for _, pa := range l.line {
+		w = earliest(w, l.due(pa))
 	}
 	for i := range l.leases {
 		w = earliest(w, l.leases[i].expires)
@@ -142,10 +171,10 @@ func (l *ledger) wake() time.Time {
 	return w
 }
 
-// done reports a drained ledger: no member waits and no lease is held. A
+// done reports a drained ledger: nothing waits and no lease is held. A
 // requested cycle that no member waits on any more is abandoned.
 func (l *ledger) done() bool {
-	return !l.drainAt.IsZero() && len(l.members) == 0 && len(l.leases) == 0
+	return !l.drainAt.IsZero() && len(l.line) == 0 && len(l.leases) == 0
 }
 
 // end resolves lease i, and the cycle with it if it was the last.

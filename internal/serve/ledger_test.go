@@ -77,7 +77,15 @@ func member(id string, units int, deadlineMS, leaseMS int64) *pendingAcquire {
 
 func newTestLedger() (*ledger, *fakeEnv) {
 	env := newFakeEnv()
-	return &ledger{p: 1, ttl: 10 * time.Second, env: env}, env
+	return &ledger{p: 1, k: 5, ttl: 10 * time.Second, env: env}, env
+}
+
+// open hands an idle ledger its members and opens their cycle at t0.
+func open(l *ledger, members ...*pendingAcquire) {
+	for _, pa := range members {
+		l.enqueue(pa)
+	}
+	l.begin(t0)
 }
 
 // TestLedgerDeadlineBeforeGrant: a member whose deadline passes while its
@@ -85,7 +93,7 @@ func newTestLedger() (*ledger, *fakeEnv) {
 // the request stays outstanding and its units ride out the cycle.
 func TestLedgerDeadlineBeforeGrant(t *testing.T) {
 	led, env := newTestLedger()
-	led.begin([]*pendingAcquire{member("a", 1, 30, 0), member("b", 1, 0, 0)}, 2)
+	open(led, member("a", 1, 30, 0), member("b", 1, 0, 0))
 	if len(env.requests) != 1 || env.requests[0] != 2 {
 		t.Fatalf("requests %v, want one of 2 units", env.requests)
 	}
@@ -116,7 +124,7 @@ func TestLedgerDeadlineBeforeGrant(t *testing.T) {
 
 	// A cycle whose only member gave up still waits for its grant, then goes
 	// straight back to the protocol.
-	led.begin([]*pendingAcquire{member("c", 2, 5, 0)}, 2)
+	open(led, member("c", 2, 5, 0))
 	led.tick(t0.Add(ms(5)))
 	if env.answers["c"] != CodeDeadline || env.releases != 1 {
 		t.Fatalf("c: answer %q releases %d", env.answers["c"], env.releases)
@@ -131,7 +139,7 @@ func TestLedgerDeadlineBeforeGrant(t *testing.T) {
 // that member (its units ride out the cycle); a grant before it leases.
 func TestLedgerDeadlineAtGrant(t *testing.T) {
 	led, env := newTestLedger()
-	led.begin([]*pendingAcquire{member("at", 1, 20, 0), member("after", 1, 21, 0)}, 2)
+	open(led, member("at", 1, 20, 0), member("after", 1, 21, 0))
 	led.grant(t0.Add(ms(20)))
 	if env.answers["at"] != CodeDeadline {
 		t.Fatalf("member with deadline == grant time: %q, want deadline", env.answers["at"])
@@ -169,7 +177,7 @@ func TestLedgerLeaseTTLClamp(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(fmt.Sprint(tc.leaseMS), func(t *testing.T) {
 			led, env := newTestLedger()
-			led.begin([]*pendingAcquire{member("a", 2, 0, tc.leaseMS)}, 2)
+			open(led, member("a", 2, 0, tc.leaseMS))
 			led.grant(t0)
 			if w := led.wake(); !w.Equal(t0.Add(tc.want)) {
 				t.Fatalf("expiry after %v, want %v", w.Sub(t0), tc.want)
@@ -191,7 +199,7 @@ func TestLedgerLeaseTTLClamp(t *testing.T) {
 // the ledger is done once nothing is held.
 func TestLedgerDrainTimeout(t *testing.T) {
 	led, env := newTestLedger()
-	led.begin([]*pendingAcquire{member("a", 1, 0, 0), member("b", 1, 0, 0)}, 2)
+	open(led, member("a", 1, 0, 0), member("b", 1, 0, 0))
 	led.grant(t0)
 	drainAt := t0.Add(5 * time.Second)
 	led.drain(drainAt, t0.Add(time.Second))
@@ -218,7 +226,7 @@ func TestLedgerDrainTimeout(t *testing.T) {
 	// A cycle still waiting on the protocol: its members are answered
 	// draining at once and the ledger is done without the grant.
 	led, env = newTestLedger()
-	led.begin([]*pendingAcquire{member("w", 1, 0, 0)}, 1)
+	open(led, member("w", 1, 0, 0))
 	led.drain(t0.Add(time.Hour), t0)
 	if env.answers["w"] != CodeDraining || !led.done() || env.releases != 0 {
 		t.Fatalf("waiting cycle: answers %v done %v releases %d", env.answers, led.done(), env.releases)
@@ -230,7 +238,7 @@ func TestLedgerDrainTimeout(t *testing.T) {
 func TestLedgerRefusedRequestSheds(t *testing.T) {
 	led, env := newTestLedger()
 	env.refuse = errors.New("not in Out")
-	led.begin([]*pendingAcquire{member("a", 1, 0, 0), member("b", 2, 0, 0)}, 3)
+	open(led, member("a", 1, 0, 0), member("b", 2, 0, 0))
 	if env.answers["a"] != CodeOverload || env.answers["b"] != CodeOverload || led.units != 0 {
 		t.Fatalf("answers %v open %v", env.answers, led.units != 0)
 	}
@@ -318,7 +326,7 @@ func runOrder(t *testing.T, order []string) {
 		members = append(members, pa)
 		units++
 	}
-	led.begin(members, units)
+	open(led, members...)
 	granted := false
 	grant := func() {
 		if granted {
@@ -488,4 +496,306 @@ func TestLeaseIDRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLedgerGreedyFIFO pins batch formation: an idle ledger opens a cycle
+// from the head of its line, members joining in FIFO order while Σunits
+// stays ≤ k; the head that does not fit waits for the next cycle and is
+// never skipped, not even by a later acquire that would fit; a lone
+// acquire is a batch of one.
+func TestLedgerGreedyFIFO(t *testing.T) {
+	led, env := newTestLedger()
+	led.k = 3
+	for _, pa := range []*pendingAcquire{member("a", 1, 0, 0), member("b", 1, 0, 0),
+		member("c", 2, 0, 0), member("d", 2, 0, 0), member("e", 1, 0, 0)} {
+		led.enqueue(pa)
+	}
+	cycle := func(units int, ids ...string) {
+		t.Helper()
+		led.begin(t0)
+		if n := len(env.requests); n == 0 || env.requests[n-1] != units || led.members != len(ids) {
+			t.Fatalf("requests %v with %d members, want the last of %d units for %v", env.requests, led.members, units, ids)
+		}
+		for i, id := range ids {
+			if got := led.line[i].req.ID; got != id {
+				t.Fatalf("member %d is %s, want %s", i, got, id)
+			}
+		}
+		led.grant(t0)
+		for _, id := range ids {
+			led.release(env.leaseOf(id))
+		}
+		if led.units != 0 {
+			t.Fatalf("cycle of %v still open after its releases", ids)
+		}
+	}
+	cycle(2, "a", "b") // c does not fit, and e (which would) does not pass it
+	cycle(2, "c")      // d does not fit next to c
+	cycle(3, "d", "e")
+	led.enqueue(member("f", 1, 0, 0))
+	cycle(1, "f")
+	if len(env.requests) != 4 || env.releases != 4 {
+		t.Fatalf("requests %v releases %d, want 4 cycles", env.requests, env.releases)
+	}
+}
+
+// TestLedgerRejectsExpired: an acquire whose deadline passed while queued is
+// answered before the next cycle opens, so it takes no place in it. Through
+// the worker's own env, that answer returns the acquire's waiting slot, its
+// routing load and its dedupe claim.
+func TestLedgerRejectsExpired(t *testing.T) {
+	led, env := newTestLedger()
+	led.k = 3
+	for _, pa := range []*pendingAcquire{member("late", 2, 10, 0), member("ok", 1, 0, 0), member("ok2", 2, 0, 0)} {
+		led.enqueue(pa)
+	}
+	led.begin(t0.Add(ms(10)))
+	if env.answers["late"] != CodeDeadline || len(env.requests) != 1 || env.requests[0] != 3 || led.members != 2 {
+		t.Fatalf("answers %v requests %v members %d, want late rejected and ok+ok2 requested",
+			env.answers, env.requests, led.members)
+	}
+
+	s := unstartedServer(t, 3, 3)
+	pa := queuedAcquire(pipeSession(t, s), "late", 2)
+	due := pa.enqueued.Add(ms(10))
+	pa.deadline = due
+	if _, fresh := s.dedupe.begin(pa.req.ID, pa.enqueued); !fresh {
+		t.Fatal("dedupe claim failed")
+	}
+	if !s.admit(pa) {
+		t.Fatal("admit refused an idle server")
+	}
+	ps := s.procs[0]
+	if len(ps.handoff) == 0 {
+		ps = s.procs[1]
+	}
+	if got := s.Stats().QueueDepth; got != 1 {
+		t.Fatalf("QueueDepth %d after admission, want 1", got)
+	}
+	ps.led.enqueue(<-ps.handoff)
+	ps.led.begin(due)
+	if got := s.met.deadlineRejs.Load(); got != 1 {
+		t.Fatalf("deadline rejects = %d, want 1", got)
+	}
+	if got, depth := s.loadIdx.load(ps.p), s.Stats().QueueDepth; got != 0 || depth != 0 {
+		t.Fatalf("load %d QueueDepth %d after the reject, want 0 and 0", got, depth)
+	}
+	if _, fresh := s.dedupe.begin("late", due); !fresh {
+		t.Fatal("dedupe claim not released: retry after reject is not fresh")
+	}
+}
+
+// TestLedgerDeadlineWhileQueued: an acquire queued behind an open cycle is
+// answered at its own deadline, not when that cycle ends, and its units
+// never reach the protocol.
+func TestLedgerDeadlineWhileQueued(t *testing.T) {
+	led, env := newTestLedger()
+	led.k = 1
+	open(led, member("member", 1, 0, 0))
+	led.enqueue(member("queued", 1, 30, 0))
+	led.begin(t0) // the worker's every turn: no effect while a cycle is open
+	if w := led.wake(); !w.Equal(t0.Add(ms(30))) {
+		t.Fatalf("wake %v, want the queued acquire's 30ms deadline", w.Sub(t0))
+	}
+	led.tick(t0.Add(ms(30)))
+	if env.answers["queued"] != CodeDeadline || len(env.requests) != 1 || led.members != 1 {
+		t.Fatalf("at the deadline: answers %v requests %v members %d, want queued=deadline, one request",
+			env.answers, env.requests, led.members)
+	}
+	led.grant(t0.Add(time.Second))
+	led.release(env.leaseOf("member"))
+	led.begin(t0.Add(time.Second))
+	if env.releases != 1 || len(env.requests) != 1 || len(led.line) != 0 {
+		t.Fatalf("releases %d requests %v line %d, want the cycle back and no second request",
+			env.releases, env.requests, len(led.line))
+	}
+}
+
+// TestLedgerDrainAnswersQueued: drain answers an acquire queued behind an
+// open cycle at once, long before the drain time; one handed to the ledger
+// after the drain began is due at once too.
+func TestLedgerDrainAnswersQueued(t *testing.T) {
+	led, env := newTestLedger()
+	led.k = 1
+	open(led, member("held", 1, 0, 0))
+	led.grant(t0)
+	led.enqueue(member("queued", 1, 0, 0))
+	drainAt := t0.Add(2 * time.Second)
+	led.drain(drainAt, t0.Add(ms(1)))
+	if env.answers["queued"] != CodeDraining || len(env.ended) != 0 || led.done() {
+		t.Fatalf("at the drain: answers %v ended %v done %v, want queued=draining and the lease held",
+			env.answers, env.ended, led.done())
+	}
+	led.enqueue(member("late", 1, 0, 0))
+	if w := led.wake(); w.After(t0.Add(ms(1))) {
+		t.Fatalf("wake %v for an acquire handed over while draining, want at once", w.Sub(t0))
+	}
+	led.tick(t0.Add(ms(1)))
+	if env.answers["late"] != CodeDraining || len(env.requests) != 1 {
+		t.Fatalf("answers %v requests %v, want late=draining and no request", env.answers, env.requests)
+	}
+	led.release(env.leaseOf("held"))
+	if !led.done() || env.releases != 1 {
+		t.Fatalf("done %v releases %d after the last release", led.done(), env.releases)
+	}
+}
+
+// fuzzEnv is fakeEnv plus the checks FuzzLedger makes as the ledger acts:
+// a cycle requests a greedy FIFO prefix of unanswered entries worth ≤ k
+// units, grants come out in FIFO order and only to requested entries, a
+// reject has its cause, and a cycle is released once, after its grant and
+// its last lease.
+type fuzzEnv struct {
+	*fakeEnv
+	t         *testing.T
+	led       *ledger
+	now       *time.Time
+	seq       map[string]int // acquire id → its place in the line
+	requested map[string]bool
+	open      bool // a cycle is requested and not yet released
+	granted   bool // the open cycle's grant has come
+	lastGrant int  // place of the last acquire granted
+}
+
+func (e *fuzzEnv) request(units int) error {
+	if e.open || units < 1 || units > e.led.k {
+		e.t.Fatalf("request of %d units (k %d) with a cycle open %v", units, e.led.k, e.open)
+	}
+	sum, m := 0, 0
+	for ; sum < units && m < len(e.led.line); m++ {
+		pa := e.led.line[m]
+		if _, answered := e.answers[pa.req.ID]; answered || e.requested[pa.req.ID] {
+			e.t.Fatalf("request covers %s, already answered or requested", pa.req.ID)
+		}
+		sum += pa.req.Units
+	}
+	if sum != units || (m < len(e.led.line) && sum+e.led.line[m].req.Units <= e.led.k) {
+		e.t.Fatalf("request of %d units is not the greedy prefix of the line (%d over %d entries)", units, sum, m)
+	}
+	if e.refuse != nil {
+		return e.fakeEnv.request(units)
+	}
+	for _, pa := range e.led.line[:m] {
+		e.requested[pa.req.ID] = true
+	}
+	e.open = true
+	return e.fakeEnv.request(units)
+}
+
+func (e *fuzzEnv) release() {
+	if !e.open || !e.granted || len(e.led.leases) != 0 || e.led.members != 0 {
+		e.t.Fatalf("release: open %v granted %v leases %d members %d", e.open, e.granted, len(e.led.leases), e.led.members)
+	}
+	e.open, e.granted = false, false
+	e.fakeEnv.release()
+}
+
+func (e *fuzzEnv) reject(pa *pendingAcquire, code, detail string) {
+	switch {
+	case code == CodeDeadline && !passed(pa.deadline, *e.now),
+		code == CodeDraining && e.led.drainAt.IsZero(),
+		code == CodeOverload && e.refuse == nil:
+		e.t.Fatalf("%s rejected %s at %v", pa.req.ID, code, e.now.Sub(t0))
+	}
+	e.fakeEnv.reject(pa, code, detail)
+}
+
+func (e *fuzzEnv) grant(pa *pendingAcquire, id string, now time.Time) {
+	if !e.requested[pa.req.ID] || e.seq[pa.req.ID] <= e.lastGrant || !e.granted {
+		e.t.Fatalf("grant to %s (place %d, requested %v) after place %d", pa.req.ID, e.seq[pa.req.ID],
+			e.requested[pa.req.ID], e.lastGrant)
+	}
+	e.lastGrant = e.seq[pa.req.ID]
+	e.fakeEnv.grant(pa, id, now)
+}
+
+// FuzzLedger runs random interleavings of enqueue, grant, release, tick,
+// drain and protocol refusal against one ledger on a virtual clock, turning
+// it as the worker does (begin after every event), and checks after every
+// step that the line is FIFO, that wake is never later than a waiting
+// deadline and that nothing due is left after a tick. At the end a drain answers the rest: every
+// acquire is answered exactly once (fakeEnv panics on a second answer).
+func FuzzLedger(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		now := t0
+		env := &fuzzEnv{fakeEnv: newFakeEnv(), t: t, now: &now, seq: map[string]int{}, requested: map[string]bool{}}
+		led := &ledger{p: 1, k: 3, ttl: ms(500), env: env}
+		env.led = led
+		next := func() int {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := int(ops[0])
+			ops = ops[1:]
+			return b
+		}
+		acquires := 0
+		for len(ops) > 0 {
+			switch next() % 6 {
+			case 0: // 1–3 acquires handed off together
+				for n := next()%3 + 1; n > 0; n-- {
+					acquires++
+					id := fmt.Sprint("q", acquires)
+					pa := &pendingAcquire{req: Request{Op: OpAcquire, ID: id, Units: next()%3 + 1,
+						DeadlineMS: int64(next() % 128), LeaseMS: int64(next())}}
+					if pa.req.DeadlineMS >= 64 {
+						pa.req.DeadlineMS = 0 // half wait indefinitely
+					}
+					pa.enqueued, pa.deadline = now, pa.req.deadlineAt(now)
+					env.seq[id] = acquires
+					led.enqueue(pa)
+				}
+			case 1:
+				if env.open && !env.granted {
+					env.granted = true
+					led.grant(now)
+				}
+			case 2:
+				if n := len(led.leases); n > 0 {
+					led.release(led.leases[next()%n].id)
+				}
+			case 3: // the timer: never past wake
+				to := now.Add(ms(next()))
+				if w := led.wake(); !w.IsZero() && w.Before(to) {
+					to = w
+				}
+				if to.After(now) {
+					now = to
+				}
+				led.tick(now)
+				for _, pa := range led.line {
+					if passed(led.due(pa), now) {
+						t.Fatalf("%s due at %v still waits after a tick at %v", pa.req.ID, led.due(pa).Sub(t0), now.Sub(t0))
+					}
+				}
+				for _, ls := range led.leases {
+					if passed(ls.expires, now) {
+						t.Fatalf("lease %s expired at %v still held", ls.id, ls.expires.Sub(t0))
+					}
+				}
+			case 4:
+				led.drain(now.Add(ms(next())), now)
+			case 5:
+				if env.refuse == nil {
+					env.refuse = errors.New("refused")
+				} else {
+					env.refuse = nil
+				}
+			}
+			led.begin(now)
+			w := led.wake()
+			for i, pa := range led.line {
+				if !pa.deadline.IsZero() && (w.IsZero() || w.After(pa.deadline)) {
+					t.Fatalf("wake %v later than %s's deadline %v", w.Sub(t0), pa.req.ID, pa.deadline.Sub(t0))
+				}
+				if i > 0 && env.seq[pa.req.ID] < env.seq[led.line[i-1].req.ID] {
+					t.Fatalf("line out of FIFO order: %s after %s", pa.req.ID, led.line[i-1].req.ID)
+				}
+			}
+		}
+		led.drain(now, now)
+		if !led.done() || len(env.answers) != acquires {
+			t.Fatalf("after the final drain: done %v, %d of %d acquires answered", led.done(), len(env.answers), acquires)
+		}
+	})
 }

@@ -27,12 +27,11 @@ type metrics struct {
 	releases       *obs.Counter // client-initiated releases
 	expired        *obs.Counter // TTL auto-releases
 	drained        *obs.Counter // force-releases at shutdown
-	overloads      *obs.Counter // full-queue rejects
+	overloads      *obs.Counter // full-process rejects
 	deadlineRejs   *obs.Counter
 	drainingRejs   *obs.Counter
 	malformed      *obs.Counter
 	dedupeHits     *obs.Counter // retries answered from the store
-	queueDepth     *obs.Gauge   // acquires currently queued, all processes
 	leases         *obs.Gauge   // leases outstanding
 	unitsHeld      *obs.Gauge   // resource units currently leased out
 	maxUnitsHeld   *obs.Gauge   // high-water mark of unitsHeld
@@ -40,9 +39,10 @@ type metrics struct {
 }
 
 // newMetrics registers the serve series on reg in the historical exposition
-// order. The frame counters are the runtime's own kofl_runtime_frames_*
-// series on the same registry.
-func newMetrics(reg *obs.Registry) *metrics {
+// order; queueDepth reads the acquires waiting across all processes. The
+// frame counters are the runtime's own kofl_runtime_frames_* series on the
+// same registry.
+func newMetrics(reg *obs.Registry, queueDepth func() int64) *metrics {
 	m := &metrics{}
 	m.sessions = reg.Counter("kofl_serve_sessions_total", "accepted client connections")
 	m.sessionsActive = reg.Gauge("kofl_serve_sessions_active", "open client connections")
@@ -58,7 +58,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 	m.drainingRejs = reg.Counter("kofl_serve_rejects_draining_total", "acquires rejected during drain")
 	m.malformed = reg.Counter("kofl_serve_malformed_total", "frames that failed to parse or validate")
 	m.dedupeHits = reg.Counter("kofl_serve_dedupe_hits_total", "acquire retries answered from the dedupe store")
-	m.queueDepth = reg.Gauge("kofl_serve_queue_depth", "acquires queued across all processes")
+	reg.GaugeFunc("kofl_serve_queue_depth", "acquires waiting across all processes", queueDepth)
 	m.leases = reg.Gauge("kofl_serve_leases_outstanding", "leases currently held")
 	m.unitsHeld = reg.Gauge("kofl_serve_units_held", "resource units currently leased out")
 	m.maxUnitsHeld = reg.Gauge("kofl_serve_max_units_held",

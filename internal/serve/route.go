@@ -70,6 +70,6 @@ func (li *loadIndex) scan(lo, hi int) int {
 	return best
 }
 
-// next returns the process after p (wrapping), the fallback target when p's
-// queue is full at enqueue time.
+// next returns the process after p (wrapping), the fallback target when p
+// is full at admission.
 func (li *loadIndex) next(p int) int { return (p + 1) % len(li.loads) }

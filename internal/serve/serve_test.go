@@ -146,11 +146,11 @@ func TestLeaseExpiryAutoReleases(t *testing.T) {
 }
 
 func TestOverloadRejectsExplicitly(t *testing.T) {
-	// One serving process (star(2) leaf count... chain(2): root+1 child,
-	// 2 processes), QueueDepth 2, and a held lease so the queue cannot
-	// drain. 10× the queue capacity in concurrent acquires must produce
-	// ErrOverload rejections and zero panics/hangs — the acceptance
-	// criterion for saturation behavior.
+	// Two processes (chain(2): the root and one child), QueueDepth 2, and
+	// a held lease on the one unit so nothing waiting can be granted. 10×
+	// the per-process bound in concurrent acquires must produce ErrOverload
+	// rejections and zero panics/hangs — the acceptance criterion for
+	// saturation behavior — and leave nothing counted as waiting.
 	s := startServer(t, tree.Chain(2), Options{K: 1, L: 1, QueueDepth: 2})
 	blocker := dial(t, s)
 	l, err := blocker.Acquire(1, 5*time.Second)
@@ -189,6 +189,9 @@ func TestOverloadRejectsExplicitly(t *testing.T) {
 	if overloads.Load()+grants.Load() == 0 {
 		t.Fatal("flood produced neither grants nor rejections")
 	}
+	if st.QueueDepth != 0 {
+		t.Fatalf("QueueDepth=%d after every acquire was answered, want 0", st.QueueDepth)
+	}
 }
 
 func TestDeadlineRejectsQueuedAcquire(t *testing.T) {
@@ -212,6 +215,82 @@ func TestDeadlineRejectsQueuedAcquire(t *testing.T) {
 		t.Fatalf("ErrDeadline after %v, want it at the 30ms deadline (≤ 250ms)", el)
 	}
 	blocker.Release(l.ID)
+}
+
+// queueBehindCycle sets up one unit on chain(2): a blocker holds it at one
+// process and a second acquire waits on the protocol at the other, so any
+// further acquire queues behind an open cycle. It returns the blocker's
+// lease and the waiting acquire's outcome.
+func queueBehindCycle(t *testing.T, s *Server) (*Client, *Lease, <-chan error) {
+	t.Helper()
+	blocker := dial(t, s)
+	l, err := blocker.Acquire(1, 5*time.Second)
+	if err != nil {
+		t.Fatalf("blocker acquire: %v", err)
+	}
+	waiter := dial(t, s)
+	waited := make(chan error, 1)
+	go func() {
+		lw, err := waiter.Acquire(1, 0)
+		if err == nil {
+			err = waiter.Release(lw.ID)
+		}
+		waited <- err
+	}()
+	waitFor(t, time.Second, func() bool { return s.Stats().QueueDepth == 1 })
+	return blocker, l, waited
+}
+
+// TestDeadlineAnswersQueuedBehindCycle: an acquire queued behind an open
+// cycle is answered at its 30ms deadline, not when a cycle ends (up to
+// LeaseTTL).
+func TestDeadlineAnswersQueuedBehindCycle(t *testing.T) {
+	s := startServer(t, tree.Chain(2), Options{K: 1, L: 1})
+	blocker, l, waited := queueBehindCycle(t, s)
+	c := dial(t, s)
+	start := time.Now()
+	_, err := c.Acquire(1, 30*time.Millisecond)
+	if !errors.Is(err, ErrDeadline) {
+		t.Fatalf("err=%v want ErrDeadline", err)
+	}
+	if el := time.Since(start); el > 250*time.Millisecond {
+		t.Fatalf("ErrDeadline after %v, want it at the 30ms deadline (≤ 250ms)", el)
+	}
+	blocker.Release(l.ID)
+	if err := <-waited; err != nil {
+		t.Fatalf("waiting acquire: %v", err)
+	}
+}
+
+// TestShutdownAnswersQueuedAcquire: Shutdown answers an acquire queued
+// behind an open cycle ErrDraining at once, not at DrainTimeout.
+func TestShutdownAnswersQueuedAcquire(t *testing.T) {
+	s := startServer(t, tree.Chain(2), Options{K: 1, L: 1, DrainTimeout: 2 * time.Second})
+	blocker, l, waited := queueBehindCycle(t, s)
+	c := dial(t, s)
+	queued := make(chan error, 1)
+	go func() {
+		_, err := c.Acquire(1, 0)
+		queued <- err
+	}()
+	waitFor(t, time.Second, func() bool { return s.Stats().QueueDepth == 2 })
+	start := time.Now()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Shutdown(context.Background())
+	}()
+	if err := <-queued; !errors.Is(err, ErrDraining) {
+		t.Fatalf("queued acquire: err=%v want ErrDraining", err)
+	}
+	if el := time.Since(start); el > 250*time.Millisecond {
+		t.Fatalf("ErrDraining after %v, want it at once (≤ 250ms, DrainTimeout 2s)", el)
+	}
+	if err := <-waited; !errors.Is(err, ErrDraining) {
+		t.Fatalf("acquire waiting on the protocol: err=%v want ErrDraining", err)
+	}
+	blocker.Release(l.ID)
+	<-done
 }
 
 func TestGracefulDrain(t *testing.T) {

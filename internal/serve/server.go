@@ -50,9 +50,9 @@ type Options struct {
 	// cost of the serve path. See runtime.Options.
 	Pace     time.Duration
 	IdlePace time.Duration
-	// QueueDepth bounds each process's pending-acquire queue (default 64);
-	// an acquire finding its routed queue AND the fallback queue full is
-	// rejected with ErrOverload.
+	// QueueDepth bounds the acquires waiting at each process, queued or in
+	// a cycle awaiting its grant (default 64); an acquire finding its routed
+	// process AND the fallback process full is rejected with ErrOverload.
 	QueueDepth int
 	// DedupeTTL is how long a completed acquire response is replayed to
 	// retries of the same request id (default 30s).
@@ -158,25 +158,24 @@ func New(tr *tree.Tree, opts Options) (*Server, error) {
 		net:      n,
 		loadIdx:  newLoadIndex(tr.N()),
 		dedupe:   newDedupeStore(opts.DedupeTTL),
-		met:      newMetrics(reg),
 		reg:      reg,
 		journal:  journal,
 		sessions: make(map[*session]struct{}),
 	}
+	s.met = newMetrics(reg, s.queueDepth)
 	n.Register(reg)
 	s.procs = make([]*procServer, tr.N())
 	for p := 0; p < tr.N(); p++ {
 		ps := &procServer{
-			p:     p,
-			s:     s,
-			queue: make(chan *pendingAcquire, opts.QueueDepth),
-			enter: make(chan struct{}, 4),
-			ctl:   make(chan ctlMsg),
-			done:  make(chan struct{}),
-			batch: make([]*pendingAcquire, 0, opts.K),
-			corks: make([]corkedReply, 0, opts.K),
+			p:       p,
+			s:       s,
+			handoff: make(chan *pendingAcquire, opts.QueueDepth),
+			enter:   make(chan struct{}, 4),
+			ctl:     make(chan ctlMsg),
+			done:    make(chan struct{}),
+			corks:   make([]corkedReply, 0, opts.K),
 		}
-		ps.led = ledger{p: p, ttl: opts.LeaseTTL, env: ps}
+		ps.led = ledger{p: p, k: opts.K, ttl: opts.LeaseTTL, env: ps}
 		// The grant signal runs on the process goroutine: never block it.
 		n.OnEnter(p, func(int) {
 			select {
@@ -269,27 +268,34 @@ func (s *Server) accept() {
 	}
 }
 
-// admit routes one acquire to the least-loaded process and enqueues it.
-// The overload check sits BEHIND routing: only when the routed queue and
-// the wrap-around fallback queue are both full is the acquire shed, so one
-// hot queue no longer rejects work that an idle process could take.
+// admit routes one acquire to the least-loaded process and hands it off.
+// The overload check sits BEHIND routing: only when the routed process and
+// the wrap-around fallback both have QueueDepth acquires waiting is the
+// acquire shed, so one hot process no longer rejects work that an idle one
+// could take. The reservation bounds the handoff too: it is never full.
 func (s *Server) admit(pa *pendingAcquire) bool {
-	units := pa.req.Units
 	p := s.loadIdx.pick()
 	for attempt := 0; ; attempt++ {
-		s.loadIdx.add(p, units)
-		select {
-		case s.procs[p].queue <- pa:
-			s.met.queueDepth.Add(1)
+		ps := s.procs[p]
+		if ps.waiting.Add(1) <= int64(s.opts.QueueDepth) {
+			s.loadIdx.add(p, pa.req.Units)
+			ps.handoff <- pa
 			return true
-		default:
-			s.loadIdx.add(p, -units)
-			if attempt == 1 {
-				return false
-			}
-			p = s.loadIdx.next(p)
 		}
+		ps.waiting.Add(-1)
+		if attempt == 1 {
+			return false
+		}
+		p = s.loadIdx.next(p)
 	}
+}
+
+// queueDepth is the number of acquires waiting across all processes.
+func (s *Server) queueDepth() (n int64) {
+	for _, ps := range s.procs {
+		n += ps.waiting.Load()
+	}
+	return n
 }
 
 // reject answers pa with an error code, counts it, and releases its dedupe
@@ -352,7 +358,7 @@ func (s *Server) Stats() Stats {
 
 		Sessions:       s.met.sessions.Load(),
 		SessionsActive: s.met.sessionsActive.Load(),
-		QueueDepth:     s.met.queueDepth.Load(),
+		QueueDepth:     s.queueDepth(),
 		Leases:         s.met.leases.Load(),
 		UnitsHeld:      s.met.unitsHeld.Load(),
 		MaxUnitsHeld:   s.met.maxUnitsHeld.Load(),
@@ -427,9 +433,10 @@ func (s *Server) beginDrain() {
 	s.ln.Close()
 }
 
-// Shutdown drains gracefully: stop accepting, reject queued and new
-// acquires, give clients up to DrainTimeout (bounded further by ctx) to
-// release outstanding leases, force-release the rest, then stop everything.
+// Shutdown drains gracefully: stop accepting, answer every waiting and new
+// acquire ErrDraining at once (queued or in a cycle awaiting its grant),
+// give clients up to DrainTimeout (bounded further by ctx) to release
+// outstanding leases, force-release the rest, then stop everything.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.started.Load() {
 		return fmt.Errorf("serve: Shutdown before Start")

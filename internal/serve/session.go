@@ -79,9 +79,9 @@ func (ss *session) run() {
 }
 
 // acquire admits one acquire frame: dedupe first (a retry is answered from
-// the store without touching any queue), then routed admission through the
-// load index, with explicit overload rejection only when both candidate
-// queues are full.
+// the store without reaching any process), then routed admission through
+// the load index, with explicit overload rejection only when both candidate
+// processes are full.
 func (ss *session) acquire(req *Request) {
 	s := ss.s
 	now := time.Now()

@@ -1,25 +1,25 @@
 package serve
 
 import (
+	"sync/atomic"
 	"time"
 
 	"kofl/internal/obs"
 )
 
-// procServer is one tree process's serving state: a bounded acquire queue
-// drained by one worker goroutine into batched protocol cycles, and the
-// ledger that goroutine alone owns (procServer is the ledger's env).
+// procServer is one tree process's serving state: the handoff from
+// admission, the count of acquires waiting here, and the ledger its one
+// worker goroutine alone owns (procServer is the ledger's env).
 type procServer struct {
-	p     int
-	s     *Server
-	queue chan *pendingAcquire
-	enter chan struct{}
-	ctl   chan ctlMsg   // releases and drain times; unbuffered
-	done  chan struct{} // closed when the worker exits
-	led   ledger
-	carry *pendingAcquire   // popped but did not fit the previous batch
-	batch []*pendingAcquire // collection scratch, capacity k
-	corks []corkedReply     // per-session reply coalescing scratch
+	p       int
+	s       *Server
+	handoff chan *pendingAcquire // from admission to the worker; never full
+	waiting atomic.Int64         // admitted here and not yet answered
+	enter   chan struct{}
+	ctl     chan ctlMsg   // releases and drain times; unbuffered
+	done    chan struct{} // closed when the worker exits
+	led     ledger
+	corks   []corkedReply // per-session reply coalescing scratch
 }
 
 // ctlMsg is a client release of lease, answered to sess under request id,
@@ -38,36 +38,35 @@ type corkedReply struct {
 }
 
 // run is the per-process worker, its ledger's only caller: one select over
-// the queue, the grant, the control channel and a timer at the ledger's
-// wake. It exits once the ledger has drained.
+// the handoff, the grant, the control channel and a timer at the ledger's
+// wake. Before a cycle opens it hands the ledger every acquire already
+// handed off, so a cycle takes all that fits; a lone acquire is a batch of
+// one. It exits once the ledger has drained.
 func (ps *procServer) run() {
 	defer close(ps.done)
 	led := &ps.led
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
-	for !led.done() {
-		if led.units == 0 && ps.carry != nil {
-			first := ps.carry
-			ps.carry = nil
-			led.begin(ps.collect(first))
-			continue
+	for {
+		for len(ps.handoff) > 0 {
+			led.enqueue(<-ps.handoff)
+		}
+		led.begin(time.Now())
+		if led.done() {
+			return
 		}
 		if w := led.wake(); w.IsZero() {
 			timer.Stop()
 		} else {
 			timer.Reset(time.Until(w))
 		}
-		var queue <-chan *pendingAcquire // read only with no cycle open
-		var enter <-chan struct{}        // read only while one is requested
-		if led.units == 0 {
-			queue = ps.queue
-		} else if !led.granted {
+		var enter <-chan struct{} // read only while a cycle is requested
+		if led.units > 0 && !led.granted {
 			enter = ps.enter
 		}
 		select {
-		case pa := <-queue:
-			ps.s.met.queueDepth.Add(-1)
-			led.begin(ps.collect(pa))
+		case pa := <-ps.handoff:
+			led.enqueue(pa)
 		case <-enter:
 			ps.s.met.batches.Add(1)
 			ps.s.met.batchUnits.Add(int64(led.units))
@@ -84,56 +83,12 @@ func (ps *procServer) run() {
 			led.tick(time.Now())
 		}
 	}
-	ps.drainQueue()
 }
 
-// collect greedily drains the queue into one batch: members join while
-// Σunits stays ≤ k (so a batch has at most k members); draining/expired
-// acquires are rejected on the spot; the first acquire that does not fit is
-// carried into the next cycle. Collection never blocks — a lone acquire is
-// served as a batch of one rather than waiting for company.
-func (ps *procServer) collect(first *pendingAcquire) (members []*pendingAcquire, sum int) {
-	s := ps.s
-	members = ps.batch[:0]
-	pa := first
-	now := time.Now()
-	for {
-		switch {
-		case s.draining.Load():
-			ps.reject(pa, CodeDraining, "server shutting down")
-		case passed(pa.deadline, now):
-			ps.reject(pa, CodeDeadline, "deadline passed while queued")
-		case sum+pa.req.Units > s.opts.K:
-			ps.carry = pa
-			return members, sum
-		default:
-			members = append(members, pa)
-			sum += pa.req.Units
-		}
-		select {
-		case pa = <-ps.queue:
-			s.met.queueDepth.Add(-1)
-		default:
-			return members, sum
-		}
-	}
-}
-
-// drainQueue rejects the carried acquire and everything still queued at
-// shutdown. Only the worker receives from its queue.
-func (ps *procServer) drainQueue() {
-	if ps.carry != nil {
-		ps.reject(ps.carry, CodeDraining, "server shutting down")
-	}
-	for len(ps.queue) > 0 {
-		ps.s.met.queueDepth.Add(-1)
-		ps.reject(<-ps.queue, CodeDraining, "server shutting down")
-	}
-}
-
-// reject answers an acquire routed here with an error code and unloads its
+// reject answers an acquire waiting here with an error code and unloads its
 // routing claim.
 func (ps *procServer) reject(pa *pendingAcquire, code, detail string) {
+	ps.waiting.Add(-1)
 	ps.s.loadIdx.add(ps.p, -pa.req.Units)
 	ps.s.reject(pa, code, detail)
 }
@@ -156,6 +111,7 @@ func (ps *procServer) release() { ps.s.net.Release(ps.p) }
 // flush, so a batch fan-out writes each connection once.
 func (ps *procServer) grant(pa *pendingAcquire, id string, now time.Time) {
 	s := ps.s
+	ps.waiting.Add(-1)
 	resp := Response{ID: pa.req.ID, OK: true, Lease: id, Units: pa.req.Units, Process: ps.p}
 	s.dedupe.complete(pa.req.ID, &resp, now)
 	latencyUS := now.Sub(pa.enqueued).Microseconds()

@@ -142,9 +142,19 @@ grep -q 'func TestFirstLapAtStart' internal/runtime/bootstrap_test.go || err "Te
 # refcounted batch, a sync.Once lease or a lock-striped lease map.
 grep -q 'type ledger struct' internal/serve/ledger.go || err "serve ledger gone but documented"
 for t in TestLedgerDeadlineBeforeGrant TestLedgerDeadlineAtGrant TestLedgerLeaseTTLClamp \
-    TestLedgerDrainTimeout TestLedgerUnitsReturnOnce TestReleaseHostileLeaseIDs; do
+    TestLedgerDrainTimeout TestLedgerUnitsReturnOnce TestReleaseHostileLeaseIDs \
+    TestLedgerGreedyFIFO TestLedgerRejectsExpired TestLedgerDeadlineWhileQueued \
+    TestLedgerDrainAnswersQueued FuzzLedger; do
     grep -q "func $t(" internal/serve/ledger_test.go || err "$t gone but documented"
 done
+# One waiting line: the deadline table's wire tests exist, and no doc still
+# describes an acquire carried between cycles or answered when a cycle ends.
+for t in TestDeadlineRejectsQueuedAcquire TestDeadlineAnswersQueuedBehindCycle TestShutdownAnswersQueuedAcquire; do
+    grep -q "func $t(" internal/serve/serve_test.go || err "$t gone but documented"
+done
+if grep -qi 'acquire carried into\|answered when that cycle ends' README.md docs/ARCHITECTURE.md; then
+    err "a doc still describes a carried acquire or a queued deadline answered at the cycle's end"
+fi
 if grep -qi 'refcount\|sync\.Once\|lease map\|lease and dedupe maps\|lease registry' README.md docs/ARCHITECTURE.md; then
     err "a doc still describes a refcounted batch, a sync.Once lease or a lock-striped lease map"
 fi
