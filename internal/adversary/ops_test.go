@@ -87,13 +87,13 @@ func TestRandomSnapshotDomains(t *testing.T) {
 func TestCorruptStatesTargeted(t *testing.T) {
 	s := newSim(t, 4)
 	before := make([]core.Snapshot, s.Tree.N())
-	for p := range s.Nodes {
-		before[p] = s.Nodes[p].Snapshot()
+	for p := range s.Tree.N() {
+		before[p] = s.Node(p).Snapshot()
 	}
 	adversary.CorruptStates(s, rand.New(rand.NewSource(6)), []int{2, 3})
 	// Only processes 2 and 3 may differ.
-	for p := range s.Nodes {
-		after := s.Nodes[p].Snapshot()
+	for p := range s.Tree.N() {
+		after := s.Node(p).Snapshot()
 		same := after.State == before[p].State && after.MyC == before[p].MyC &&
 			after.Succ == before[p].Succ && after.Need == before[p].Need
 		if p != 2 && p != 3 && !same {
@@ -164,8 +164,8 @@ func TestArbitraryConfigurationTouchesEverything(t *testing.T) {
 	// At least one process should be off the zero state and at least one
 	// channel non-empty (overwhelmingly likely under this seed).
 	stateTouched := false
-	for _, n := range s.Nodes {
-		sn := n.Snapshot()
+	for p := range s.Tree.N() {
+		sn := s.Node(p).Snapshot()
 		if sn.State != core.Out || sn.MyC != 0 || len(sn.RSet) > 0 {
 			stateTouched = true
 		}

@@ -33,7 +33,7 @@ func TestCensusMonitorMatchesSeparateMonitors(t *testing.T) {
 	var violations []checker.SafetyViolation
 	reference := func(s *sim.Sim, isStep bool) {
 		c := s.CensusScan()
-		if c.LegitimateFor(s.Cfg, s.Nodes[s.Tree.Root()].ResetFlag()) {
+		if c.LegitimateFor(s.Cfg, s.Node(s.Tree.Root()).ResetFlag()) {
 			everLegit = true
 			if isStep {
 				legitSteps++
@@ -45,8 +45,8 @@ func TestCensusMonitorMatchesSeparateMonitors(t *testing.T) {
 			violations = append(violations, checker.SafetyViolation{
 				Clock: s.Now(), What: fmt.Sprintf("%d units in use > ℓ=%d", c.UnitsInUse, cfg.L)})
 		}
-		for p, n := range s.Nodes {
-			if n.State() == core.In && n.Reserved() > cfg.K {
+		for p := range tr.N() {
+			if n := s.Node(p); n.State() == core.In && n.Reserved() > cfg.K {
 				violations = append(violations, checker.SafetyViolation{
 					Clock: s.Now(), What: fmt.Sprintf("process %d uses %d units > k=%d", p, n.Reserved(), cfg.K)})
 			}
@@ -172,7 +172,7 @@ func TestHealthMatchesCensusLegitimacy(t *testing.T) {
 		s.AddStepHook(func(s *sim.Sim) {
 			legit, unitsInUse, overK := s.Health()
 			c := s.Census()
-			want := c.LegitimateFor(s.Cfg, s.Nodes[s.Tree.Root()].ResetFlag())
+			want := c.LegitimateFor(s.Cfg, s.Node(s.Tree.Root()).ResetFlag())
 			if legit != want || unitsInUse != c.UnitsInUse || overK != c.OverK {
 				t.Fatalf("scan=%v clock %d: Health = (%v, %d, %d), census says (%v, %d, %d): %v",
 					scan, s.Now(), legit, unitsInUse, overK, want, c.UnitsInUse, c.OverK, c)

@@ -186,8 +186,8 @@ func (m *CensusMonitor) observe(s *sim.Sim, isStep bool) {
 	if overK > 0 {
 		// Rare: some process is in its critical section holding more than k
 		// units. Only now is the O(n) scan paid, to name the offenders.
-		for p, n := range s.Nodes {
-			if n.State() == core.In && n.Reserved() > m.k {
+		for p := range s.Tree.N() {
+			if n := s.Node(p); n.State() == core.In && n.Reserved() > m.k {
 				breaches++
 				if v.wantsText() {
 					v.First = append(v.First, SafetyViolation{

@@ -335,8 +335,8 @@ func TestViolationRecordBounded(t *testing.T) {
 			breaches = append(breaches, s.Now())
 		}
 		if c.OverK > 0 {
-			for _, n := range s.Nodes {
-				if n.State() == core.In && n.Reserved() > cfg.K {
+			for p := range s.Tree.N() {
+				if n := s.Node(p); n.State() == core.In && n.Reserved() > cfg.K {
 					breaches = append(breaches, s.Now())
 				}
 			}
@@ -345,7 +345,7 @@ func TestViolationRecordBounded(t *testing.T) {
 	holding := true
 	hold := func(s *sim.Sim) {
 		for p := 1; p <= 2 && holding; p++ {
-			if s.Nodes[p].State() != core.In || s.Nodes[p].Reserved() < 2 {
+			if s.Node(p).State() != core.In || s.Node(p).Reserved() < 2 {
 				s.RestoreNode(p, core.Snapshot{State: core.In, Need: 2, RSet: []int{0, 0}, Prio: core.NoPrio})
 			}
 		}

@@ -156,6 +156,10 @@ func (n *Node) SetApp(app App) {
 	n.app = app
 }
 
+// App returns the application the node calls back into: the one bound at
+// Bind time, or the last SetApp.
+func (n *Node) App() App { return n.app }
+
 func (n *Node) emit(e Event) {
 	if obs := n.vars.obs; obs != nil {
 		e.P = int(n.id)

@@ -349,7 +349,7 @@ func checkKnownState(t *testing.T, s *Sim) {
 	checkAgainstScan(t, s)
 	for p := 0; p < s.Tree.N(); p++ {
 		pr := &s.procs[s.actions.slotOf[p]]
-		on := pr.app.Enabled(s.clock)
+		on := pr.app().Enabled(s.clock)
 		if got := s.actions.HasApp(p); got != on || (pr.wakeAt == appOn) != on {
 			t.Fatalf("process %d: application enabled = %v, HasApp = %v, wakeAt = %d", p, on, got, pr.wakeAt)
 		}

@@ -112,18 +112,18 @@ func TestBigNSmoke(t *testing.T) {
 // repository's benchmark reports as bytes_per_process, measured by the same
 // recipe (buildSim in benchmark/simphase.go): the GC-fenced HeapAlloc delta
 // around sim.New, one Fixed cycle attached per process and the census
-// monitor. The layout lands near 300 B/process (two 16-byte channel headers
-// and their deliver ordinals, a 64-byte process line, a 32-byte protocol
-// slot, a 16-byte port, a 96-byte Cycle and a few words of tables: the node
-// pointer, the wake heap, the id→slot and slot→id maps, the per-slot
-// channel offsets and the dense action set's per-process counts); the
+// monitor. The layout lands near 249 B/process (two 16-byte channel headers
+// and their deliver ordinals, a 64-byte process line holding the node view,
+// the wake time and the port, a 32-byte protocol slot, a 64-byte Cycle and a
+// few words of tables: the wake heap, the id→slot and slot→id maps, the
+// per-slot channel offsets and the dense action set's per-process counts); the
 // ceiling leaves room for the allocator's rounding at small n, not for
 // another per-process table. The live heap is measured again after 8n
 // steps, so that no cost hides past the construction fence: the message
 // store, the action set and the monitor's violation record grow only with
 // what is in flight, never with the steps run.
 func TestBytesPerProcessCeiling(t *testing.T) {
-	const n, ceiling = 4096, 330
+	const n, ceiling = 4096, 270
 	tr := tree.Prufer(n, rand.New(rand.NewSource(7)))
 	var before, built, warm runtime.MemStats
 	runtime.GC()

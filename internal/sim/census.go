@@ -77,7 +77,8 @@ func (s *Sim) CensusScan() Census {
 			}
 		}
 	}
-	for _, n := range s.Nodes {
+	for i := range s.procs {
+		n := &s.procs[i].node
 		c.ReservedRes += n.Reserved()
 		if n.HoldsPrio() {
 			c.HeldPrio++
@@ -208,7 +209,8 @@ func (s *Sim) ResyncCensus() {
 // state. State corruption cannot change action enablement, so no action-set
 // resync is needed.
 func (s *Sim) RestoreNode(p int, snap core.Snapshot) {
-	s.trackNode(int(s.actions.slotOf[p]), func() { s.Nodes[p].Restore(snap) })
+	slot := int(s.slot(p))
+	s.trackNode(slot, func() { s.procs[slot].node.Restore(snap) })
 }
 
 // Health is the copy-free per-step read of the maintained census: whether

@@ -66,7 +66,7 @@ func runFigure2(t *testing.T, feat core.Features, literalGuard bool) (deadlocked
 		if grants.Enters[p] > 0 {
 			satisfied++
 		}
-		sets = append(sets, fmt.Sprint(s.Nodes[p].Reserved()))
+		sets = append(sets, fmt.Sprint(s.Node(p).Reserved()))
 	}
 	return s.Quiescent() && !feat.Controller, satisfied, strings.Join(sets, "/")
 }
@@ -211,7 +211,7 @@ func TestLemma14Liveness(t *testing.T) {
 				}
 			}
 			for _, name := range sc.holders {
-				if st := s.Nodes[tree.PaperID(name)].State(); st != core.In {
+				if st := s.Node(tree.PaperID(name)).State(); st != core.In {
 					t.Errorf("perpetual holder %s left its critical section (state %v)", name, st)
 				}
 			}

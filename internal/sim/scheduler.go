@@ -268,7 +268,7 @@ func NewAntiTargetScheduler(target int) *AntiTargetScheduler {
 func (at *AntiTargetScheduler) Next(s *Sim, as *ActionSet) Action {
 	at.buf = as.AppendAll(at.buf[:0])
 	actions := at.buf
-	node := s.Nodes[at.Target]
+	node := s.Node(at.Target)
 	starving := node.State().String() == "Req" && node.Reserved() < node.Need()
 	preferred, neutral := at.preferredBuf[:0], at.neutralBuf[:0]
 	for i, a := range actions {

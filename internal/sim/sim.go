@@ -52,25 +52,26 @@
 //
 // # Memory model
 //
-// A delivery reads one 64-byte line for the process (node view, application,
-// wake time), its 32-byte protocol slot in core.Vars and its 16-byte port,
-// and one 16-byte, pointer-free header per channel end — the one it pops and
-// the one it pushes to, four to a line. The messages in flight live in the
-// channel.Hub's one store, a few dozen nodes in steady state whatever n is,
-// together with what else the channels share; a channel's receiver id and
-// label are read off two slot tables (ids, tbase) and its ordinal off one
-// channel table (ords). Tokens only move along the virtual ring, so what a
-// step costs at big n is the ORDER of those lines: the simulator keeps two
-// numberings apart. Ids are tree labels — every API, event, trace and
-// scheduler, and the canonical enumeration order above, speak ids. Slots are
-// DFS-preorder positions, the order in which a token lap first reaches each
-// process; every table a step touches (procs, ports, the core.Vars slots, the
-// wake heap, the census bracket) is indexed by slot, and the channel table is
-// CSR by receiver slot, so a lap walks memory forward instead of landing on a
-// random label's line. The mapping is the identity on chains, stars and any
-// tree already labelled in preorder; the id→slot table is read only at the
-// API boundary and by the dense action set's decode. Steady-state stepping
-// performs zero heap allocations; see docs/ARCHITECTURE.md ("Memory model").
+// A delivery reads one 64-byte line for the process (node view, which holds
+// the process's one copy of its application; wake time; port) and its
+// 32-byte protocol slot in core.Vars, and one 16-byte, pointer-free header
+// per channel end — the one it pops and the one it pushes to, four to a
+// line. The messages in flight live in the channel.Hub's one store, a few
+// dozen nodes in steady state whatever n is, together with what else the
+// channels share; a channel's receiver id and label are read off two slot
+// tables (ids, tbase) and its ordinal off one channel table (ords). Tokens
+// only move along the virtual ring, so what a step costs at big n is the
+// ORDER of those lines: the simulator keeps two numberings apart. Ids are
+// tree labels — every API, event, trace and scheduler, and the canonical
+// enumeration order above, speak ids. Slots are DFS-preorder positions, the
+// order in which a token lap first reaches each process; every table a step
+// touches (procs, the core.Vars slots, the wake heap, the census bracket) is
+// indexed by slot, and the channel table is CSR by receiver slot, so a lap
+// walks memory forward instead of landing on a random label's line. The
+// mapping is the identity on chains, stars and any tree already labelled in
+// preorder; the id→slot table is read only at the API boundary and by the
+// dense action set's decode. Steady-state stepping performs zero heap
+// allocations; see docs/ARCHITECTURE.md ("Memory model").
 //
 // # Fault-injection resync rule
 //
@@ -231,14 +232,19 @@ type wake struct {
 }
 
 // proc is what a step reads about one process besides its protocol slot in
-// core.Vars — the node view, the application, the registered wake time — on
-// one 64-byte line instead of one cold line per table. Sim.procs holds them
-// by slot.
+// core.Vars — the node view, the registered wake time, the port — on one
+// 64-byte line instead of one cold line per table (TestProcIsOneLine pins the
+// size). Sim.procs holds them by slot. The application is stored once, as the
+// node's: app reads it back.
 type proc struct {
 	node   core.Node
-	app    App
 	wakeAt int64 // registered wake time (NoWake = none), or appOn
+	port   port
 }
+
+// app returns the process's application: the node's, which is always a
+// sim.App (New binds nopApp, AttachApp an App).
+func (pr *proc) app() App { return pr.node.App().(App) }
 
 // appOn is the proc.wakeAt value of a process whose application ordinal is in
 // the ActionSet: an enabled application has no wake time to register, and the
@@ -248,9 +254,8 @@ const appOn int64 = math.MinInt64
 
 // Sim is one simulated system.
 type Sim struct {
-	Tree  *tree.Tree
-	Cfg   core.Config
-	Nodes []*core.Node // Nodes[p] points into process p's line
+	Tree *tree.Tree
+	Cfg  core.Config
 
 	// Channel storage in CSR form by receiver slot: chans is the hub's
 	// header table, laid out by the ActionSet — chans[tbase[s]+ch] is the
@@ -263,7 +268,6 @@ type Sim struct {
 	hub *channel.Hub // owns the channels: table, message store, counts, emptiness hook
 
 	procs []proc     // one line per process, by slot
-	ports []port     // per-process core.Env + Handle (pointed into, no boxing), by slot
 	vars  *core.Vars // the protocol slots the node views index, by slot
 
 	clock        int64
@@ -321,7 +325,6 @@ func New(t *tree.Tree, cfg core.Config, opts Options) (*Sim, error) {
 	s := &Sim{
 		Tree:         t,
 		Cfg:          cfg,
-		Nodes:        make([]*core.Node, n),
 		rng:          rand.New(rand.NewSource(opts.Seed)),
 		sched:        opts.Scheduler,
 		timeoutTicks: opts.TimeoutTicks,
@@ -346,26 +349,22 @@ func New(t *tree.Tree, cfg core.Config, opts Options) (*Sim, error) {
 	s.hub = channel.NewHub(t.RingLen(), onEmptiness, s.chanEnds)
 	s.actions = newActionSet(t, s.hub)
 	s.chans = s.hub.Table()
-	// Nodes: views over one shared slot store, each bound at its process's
-	// slot under its id, in slot order. Every process has a channel, and the
-	// first one into it names it.
+	// Processes: node views over one shared slot store, each bound at its
+	// process's slot under its id, in slot order. Every process has a
+	// channel, and the first one into it names it.
 	vars, err := core.NewVars(cfg, n)
 	if err != nil {
 		return nil, err
 	}
 	s.vars = vars
 	s.procs = make([]proc, n)
-	s.ports = make([]port, n)
 	for slot := range int32(n) {
-		ob := s.actions.tbase[slot]
 		p := int(s.actions.ids[slot])
 		node, err := vars.Bind(int(slot), p, t.Degree(p), t.IsRoot(p), nopApp{})
 		if err != nil {
 			return nil, err
 		}
-		s.procs[slot] = proc{node: node, app: nopApp{}, wakeAt: NoWake}
-		s.ports[slot] = port{s: s, slot: slot, ob: ob}
-		s.Nodes[p] = &s.procs[slot].node
+		s.procs[slot] = proc{node: node, wakeAt: NoWake, port: port{s: s, slot: slot, ob: s.actions.tbase[slot]}}
 	}
 	if opts.Obs != nil || opts.Journal != nil {
 		s.initObs(opts.Obs, opts.Journal)
@@ -400,11 +399,10 @@ func (nopApp) WakeAt(int64) int64 { return NoWake }
 
 // AttachApp installs the application driving process p. The node's EnterCS/
 // ReleaseCS callbacks are rebound directly to the application — no shim layer
-// on that hot path.
+// on that hot path — and the kernel reads the same copy back.
 func (s *Sim) AttachApp(p int, app App) {
-	slot := int(s.actions.slotOf[p])
+	slot := int(s.slot(p))
 	pr := &s.procs[slot]
-	pr.app = app
 	pr.node.SetApp(app)
 	if pr.wakeAt != appOn {
 		pr.wakeAt = NoWake // the old application's wake time; appOn is pollApp's to clear
@@ -430,7 +428,8 @@ func (s *Sim) fanout(e core.Event) {
 
 // port is one process's side of the kernel: the core.Env its node sends
 // through and the Handle its application acts through, one value serving
-// both. ob caches the process's first table index: the outgoing channel
+// both, on the process's line (the kernel passes a pointer to it, so nothing
+// is boxed). ob caches the process's first table index: the outgoing channel
 // with label ch is the reverse of the incoming one at ob+ch.
 type port struct {
 	s    *Sim
@@ -475,7 +474,20 @@ func (e *port) Poll() {
 // model admits transitions in which "an external application modifies an
 // input variable", so driving requests through a Handle from outside the
 // scheduler is a legal execution.
-func (s *Sim) Handle(p int) Handle { return &s.ports[s.actions.slotOf[p]] }
+func (s *Sim) Handle(p int) Handle { return &s.procs[s.slot(p)].port }
+
+// Node returns process p's node, a view over its line. It panics unless p is
+// a process.
+func (s *Sim) Node(p int) *core.Node { return &s.procs[s.slot(p)].node }
+
+// slot returns process p's slot. It panics unless p is a process, naming p
+// and n.
+func (s *Sim) slot(p int) int32 {
+	if p < 0 || p >= len(s.procs) {
+		panic(fmt.Sprintf("sim: no process %d (n=%d)", p, len(s.procs)))
+	}
+	return s.actions.slotOf[p]
+}
 
 // Now returns the simulation clock (number of executed steps, plus timeout
 // fast-forwards).
@@ -487,13 +499,11 @@ func (s *Sim) TimeoutTicks() int64 { return s.timeoutTicks }
 // In returns the incoming channel of p with label ch. It panics unless p is
 // a process and 0 ≤ ch < Degree(p).
 func (s *Sim) In(p, ch int) channel.Ref {
-	if p < 0 || p >= s.Tree.N() {
-		panic(fmt.Sprintf("sim: no process %d (n=%d)", p, s.Tree.N()))
-	}
+	slot := s.slot(p)
 	if deg := s.Tree.Degree(p); ch < 0 || ch >= deg {
 		panic(fmt.Sprintf("sim: process %d has no channel %d (degree %d)", p, ch, deg))
 	}
-	return s.hub.Chan(s.actions.where(Action{Kind: ActDeliver, Proc: p, Ch: ch}))
+	return s.hub.Chan(s.actions.tbase[slot] + int32(ch))
 }
 
 // Out returns the outgoing channel of p with label ch, under In's checks.
@@ -531,7 +541,7 @@ func (s *Sim) scanEnabled(dst []Action) []Action {
 		dst = append(dst, Action{Kind: ActTimeout, Proc: s.Tree.Root()})
 	}
 	for p := 0; p < n; p++ {
-		if s.procs[s.actions.slotOf[p]].app.Enabled(s.clock) {
+		if s.procs[s.actions.slotOf[p]].app().Enabled(s.clock) {
 			dst = append(dst, Action{Kind: ActApp, Proc: p})
 		}
 	}
@@ -552,7 +562,8 @@ func (s *Sim) pollApp(slot int) {
 		return
 	}
 	pr := &s.procs[slot]
-	if pr.app.Enabled(s.clock) {
+	app := pr.app()
+	if app.Enabled(s.clock) {
 		if pr.wakeAt != appOn {
 			pr.wakeAt = appOn
 			s.actions.add(s.actions.ordApp(pr.node.ID()), int32(slot))
@@ -563,7 +574,7 @@ func (s *Sim) pollApp(slot int) {
 		pr.wakeAt = NoWake
 		s.actions.remove(s.actions.ordApp(pr.node.ID()), int32(slot))
 	}
-	t := pr.app.WakeAt(s.clock)
+	t := app.WakeAt(s.clock)
 	if t == NoWake {
 		pr.wakeAt = NoWake // stale heap entries are skipped on pop
 		return
@@ -619,7 +630,7 @@ func (s *Sim) rebuildFromScan() {
 		s.actions.add(s.actions.ordTimeout(), 0)
 	}
 	for slot := range s.procs {
-		if pr := &s.procs[slot]; pr.app.Enabled(s.clock) {
+		if pr := &s.procs[slot]; pr.app().Enabled(s.clock) {
 			s.actions.add(s.actions.ordApp(pr.node.ID()), int32(slot))
 		}
 	}
@@ -713,19 +724,22 @@ func (s *Sim) Step() bool {
 			s.Delivered[m.Kind&7]++
 		}
 		s.LastMsg = m
-		s.procs[slot].node.HandleMessage(a.Ch, m, &s.ports[slot])
+		pr := &s.procs[slot]
+		pr.node.HandleMessage(a.Ch, m, &pr.port)
 		poll = s.endTrack(d)
 	case ActTimeout:
 		s.Timeouts++
 		d := s.beginTrack(0) // slot stays 0, the root's
-		s.procs[0].node.HandleTimeout(&s.ports[0])
+		pr := &s.procs[0]
+		pr.node.HandleTimeout(&pr.port)
 		poll = s.endTrack(d)
 	case ActApp:
 		slot = at
 		s.AppActions++
 		// Step polls after Act, so the Handle calls Act makes need not.
 		s.acting = slot
-		s.procs[slot].app.Act(&s.ports[slot])
+		pr := &s.procs[slot]
+		pr.app().Act(&pr.port)
 		s.acting = -1
 		poll = true
 	}

@@ -101,6 +101,35 @@ func TestChannelLabelOutOfRange(t *testing.T) {
 	}
 }
 
+// TestNodeOutOfRange: the id-speaking accessors of one process panic for an
+// id that names no process, naming it and n, as In and Out do.
+func TestNodeOutOfRange(t *testing.T) {
+	s := sim.MustNew(tree.Chain(3), fullCfg(1, 1), sim.Options{})
+	for _, tc := range []struct {
+		name string
+		call func()
+		want string
+	}{
+		{"Node past n", func() { s.Node(3) }, "no process 3 (n=3)"},
+		{"Node below zero", func() { s.Node(-1) }, "no process -1 (n=3)"},
+		{"Handle past n", func() { s.Handle(4) }, "no process 4 (n=3)"},
+		{"RestoreNode below zero", func() { s.RestoreNode(-2, core.Snapshot{}) }, "no process -2 (n=3)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if msg := fmt.Sprint(r); r == nil || !strings.Contains(msg, tc.want) {
+					t.Errorf("panic %v, want one naming %q", r, tc.want)
+				}
+			}()
+			tc.call()
+		})
+	}
+	if got := s.Node(2).ID(); got != 2 {
+		t.Errorf("Node(2).ID() = %d", got)
+	}
+}
+
 // pollCounter wraps a Fixed cycle and counts how often the kernel reads its
 // Enabled, against the events that may change it: Act, EnterCS, and the
 // first read at or after the wake time it last returned.
@@ -323,7 +352,7 @@ func TestHandleRequestIsExternalTransition(t *testing.T) {
 	if err := h.Request(1); err != nil {
 		t.Fatalf("Request: %v", err)
 	}
-	if s.Nodes[2].State() != core.Req {
+	if s.Node(2).State() != core.Req {
 		t.Error("external request did not transition the node")
 	}
 	if err := h.Request(1); err == nil {

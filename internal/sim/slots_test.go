@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"kofl/internal/channel"
 	"kofl/internal/message"
@@ -68,8 +69,8 @@ func TestSlotsAreRingOrder(t *testing.T) {
 
 			// Every accessor answers in ids.
 			for p := 0; p < tr.N(); p++ {
-				if got := s.Nodes[p].ID(); got != p {
-					t.Fatalf("Nodes[%d].ID() = %d", p, got)
+				if got := s.Node(p).ID(); got != p {
+					t.Fatalf("Node(%d).ID() = %d", p, got)
 				}
 				if got := s.Handle(p).ID(); got != p {
 					t.Fatalf("Handle(%d).ID() = %d", p, got)
@@ -145,5 +146,16 @@ func checkAt(t *testing.T, as *ActionSet) {
 		if got := as.At(i); got != a {
 			t.Fatalf("At(%d) = %v, AppendAll[%d] = %v (dense %v)", i, got, i, a, as.dense)
 		}
+	}
+}
+
+// TestProcIsOneLine pins the process line: the node view (which holds the
+// application), the wake time and the port fill exactly one 64-byte cache
+// line, so a delivery touches one process-side line besides its protocol
+// slot. If it grows, the bytes/process ceiling (TestBytesPerProcessCeiling)
+// goes with it.
+func TestProcIsOneLine(t *testing.T) {
+	if got := unsafe.Sizeof(proc{}); got != 64 {
+		t.Fatalf("proc is %d bytes, want 64", got)
 	}
 }

@@ -97,7 +97,7 @@ func Snapshot(s *sim.Sim) string {
 	}
 	b.WriteString("processes:\n")
 	for p := 0; p < t.N(); p++ {
-		n := s.Nodes[p]
+		n := s.Node(p)
 		extra := ""
 		if n.HoldsPrio() {
 			extra = " ★"

@@ -30,25 +30,23 @@ const retryBackoff = 64
 // Cycle is a request loop: think, request need units, hold the critical
 // section for hold steps, release, repeat (up to maxRequests grants).
 // Durations are measured on the simulation clock. The whole application is
-// one allocation, and Reset recycles it for a different configuration.
+// one allocation in the 64-byte size class (TestCycleSizeClass), and Reset
+// recycles it for a different configuration.
 type Cycle struct {
-	need        int
+	sim         *sim.Sim // the clock (nil until Attach)
 	hold, think int64
-	maxRequests int
-
-	sim       *sim.Sim // the clock (nil until Attach)
-	holdUntil int64
-	readyAt   int64
+	// due is the phase's one deadline: when an idle cycle may request again,
+	// or when a critical one releases. A waiting cycle has none.
+	due         int64
+	need        int32
+	maxRequests int32
 
 	// Stats.
-	Grants    int   // completed critical sections
-	Issued    int   // requests issued (and not refused)
-	Enters    int   // critical sections entered
-	LastEnter int64 // clock of the most recent entry
+	Grants int32 // completed critical sections
+	Issued int32 // requests issued (and not refused)
+	Enters int32 // critical sections entered
 
-	phase  Phase
-	inCS   bool
-	csOver bool
+	phase Phase
 }
 
 // Fixed returns a Cycle that always requests need units, holds for hold
@@ -67,7 +65,7 @@ func Fixed(need int, hold, think int64, maxRequests int) *Cycle {
 // reusing the allocation — the campaign engine's workers recycle one Cycle
 // per process across slots.
 func (c *Cycle) Reset(need int, hold, think int64, maxRequests int) {
-	*c = Cycle{need: need, hold: hold, think: think, maxRequests: maxRequests}
+	*c = Cycle{need: int32(need), hold: hold, think: think, maxRequests: int32(maxRequests)}
 }
 
 // CurrentPhase returns where the application currently stands.
@@ -75,54 +73,46 @@ func (c *Cycle) CurrentPhase() Phase { return c.phase }
 
 // EnterCS implements core.App: the protocol granted the request. The
 // release time is fixed here, once per grant, so the kernel can register it
-// as a wake-up instead of polling.
+// as a wake-up instead of polling. A Cycle not attached to a simulation
+// reads the clock as 0.
 func (c *Cycle) EnterCS() {
-	c.inCS = true
-	c.csOver = false
 	c.phase = Critical
 	c.Enters++
+	var now int64
 	if c.sim != nil {
-		c.LastEnter = c.sim.Now()
+		now = c.sim.Now()
 	}
-	c.holdUntil = c.LastEnter + c.hold
+	c.due = now + c.hold
 }
 
 // ReleaseCS implements core.App.
-func (c *Cycle) ReleaseCS() bool { return !c.inCS || c.csOver }
+func (c *Cycle) ReleaseCS() bool { return c.phase != Critical }
 
 // Enabled implements sim.App.
 func (c *Cycle) Enabled(now int64) bool {
 	switch c.phase {
 	case Idle:
-		if c.maxRequests < 0 {
-			return false // release-only: requests are issued externally
-		}
-		if c.maxRequests > 0 && c.Issued >= c.maxRequests {
-			return false
-		}
-		return now >= c.readyAt
+		return !c.done() && now >= c.due
 	case Critical:
-		return now >= c.holdUntil
+		return now >= c.due
 	default:
 		return false
 	}
 }
 
-// WakeAt implements sim.App: enablement is a pure deadline per phase
-// (readyAt while idle, holdUntil while critical), so idle generators cost
-// the kernel nothing until their deadline arrives.
+// WakeAt implements sim.App: enablement is a pure deadline per phase (due),
+// so idle generators cost the kernel nothing until their deadline arrives.
 func (c *Cycle) WakeAt(now int64) int64 {
-	switch c.phase {
-	case Idle:
-		if c.maxRequests < 0 || (c.maxRequests > 0 && c.Issued >= c.maxRequests) {
-			return sim.NoWake
-		}
-		return c.readyAt
-	case Critical:
-		return c.holdUntil
-	default:
-		return sim.NoWake // Waiting: only the protocol's grant enables us
+	if c.phase == Waiting || (c.phase == Idle && c.done()) {
+		return sim.NoWake // waiting: only the protocol's grant enables us
 	}
+	return c.due
+}
+
+// done reports whether an idle cycle issues no more requests: it is
+// release-only (requests are issued externally), or its budget is spent.
+func (c *Cycle) done() bool {
+	return c.maxRequests < 0 || (c.maxRequests > 0 && c.Issued >= c.maxRequests)
 }
 
 // Act implements sim.App.
@@ -131,19 +121,17 @@ func (c *Cycle) Act(h Handle) {
 	case Idle:
 		c.Issued++
 		c.phase = Waiting
-		if err := h.Request(c.need); err != nil {
+		if err := h.Request(int(c.need)); err != nil {
 			// Only possible while a transient fault has the process outside
 			// Out; back off and let the protocol converge.
 			c.phase = Idle
 			c.Issued--
-			c.readyAt = h.Now() + retryBackoff
+			c.due = h.Now() + retryBackoff
 		}
 	case Critical:
-		c.csOver = true
-		c.inCS = false
 		c.Grants++
 		c.phase = Idle
-		c.readyAt = h.Now() + c.think
+		c.due = h.Now() + c.think
 		h.Poll()
 	}
 }

@@ -26,11 +26,8 @@ func TestFixedCycleLifecycle(t *testing.T) {
 	if c.CurrentPhase() != workload.Idle {
 		t.Errorf("phase = %v, want Idle after completion", c.CurrentPhase())
 	}
-	if s.Nodes[1].State() != core.Out {
-		t.Errorf("node state = %v, want Out", s.Nodes[1].State())
-	}
-	if c.LastEnter == 0 {
-		t.Error("LastEnter not stamped")
+	if s.Node(1).State() != core.Out {
+		t.Errorf("node state = %v, want Out", s.Node(1).State())
 	}
 }
 

@@ -40,13 +40,15 @@ grep -q 'Memory model' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the mem
 grep -q 'func BenchmarkBigNScale' bench_test.go || err "BenchmarkBigNScale gone but documented"
 grep -q 'func TestZeroAllocSteadyState' internal/sim/bign_test.go || err "TestZeroAllocSteadyState gone but documented"
 # The layout it documents is pinned by name: the bytes/process ceiling, the
-# two layout guards, and the hub the channels share.
+# four layout guards, and the hub the channels share.
 grep -q 'func TestBytesPerProcessCeiling' internal/sim/bign_test.go || err "TestBytesPerProcessCeiling gone but documented"
 grep -q 'func TestLayoutGuard' internal/channel/channel_test.go || err "channel TestLayoutGuard gone but documented"
 grep -q 'func TestLayoutGuard' internal/core/node_test.go || err "core TestLayoutGuard gone but documented"
+grep -q 'func TestProcIsOneLine' internal/sim/slots_test.go || err "TestProcIsOneLine gone but documented"
+grep -q 'func TestCycleSizeClass' internal/workload/cycle_test.go || err "TestCycleSizeClass gone but documented"
 grep -q 'type Hub struct' internal/channel/channel.go || err "channel.Hub gone but documented"
 grep -q 'channel.Hub' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the channel hub"
-grep -q 'bigNBytesCeiling = 330' bench_test.go || err "BenchmarkBigNScale lost the bytes/process ceiling README.md cites"
+grep -q 'bigNBytesCeiling = 270' bench_test.go || err "BenchmarkBigNScale lost the bytes/process ceiling README.md cites"
 # The action set's two forms: the cap the doc quotes, the test that walks
 # both crossings, and the sentence naming the forms.
 grep -q 'smallCap = 32' internal/sim/actionset.go || err "actionset.go lost smallCap = 32, which ARCHITECTURE.md quotes"
