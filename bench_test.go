@@ -108,7 +108,7 @@ func BenchmarkServe(b *testing.B) {
 // over millions of steps) is < 1e-5, so the 0.001 threshold separates them
 // with orders of magnitude to spare. The memory layout is guarded where it
 // matters: at n ≥ 2¹⁶ more than bigNBytesCeiling bytes/process fails the
-// benchmark (the layout lands near 241; sim.TestBytesPerProcessCeiling pins
+// benchmark (the layout lands near 237; sim.TestBytesPerProcessCeiling pins
 // the same number at n = 4096 in tier-1). The curve should be nearly flat:
 // the simulator's tables are in ring order (internal/sim, "Memory model"),
 // so a token lap walks memory forward at any n, and a step at n = 2²⁰ costs

@@ -38,15 +38,14 @@ import (
 // a few cache lines, and no bitmap is read or written (they are all zero).
 // The insertion that would exceed smallCap spills the array into the dense
 // form — an ordinal bitmap under a two-level population-count hierarchy
-// (counts per 512 and 32768 ordinals), paired with a per-process bitmap
-// under a one-level summary — which bounds At and NextProc by the hierarchy
+// (counts per 512 and 32768 ordinals), which bounds At by the hierarchy
 // height when the set is large: the first ~n steps after New while every
 // application drains its first request, arbitrary-start garbage, fault
-// storms on big trees. The bitmaps hold ordinals only, so the dense form
-// finds where a member lives when it decodes it (locate). A removal that
-// brings a dense set down to smallCap/2 extracts it back into the array; the
-// gap between the two thresholds keeps a set hovering at the cap from
-// thrashing.
+// storms on big trees. The dense form is that bitmap and its counts and
+// nothing else: it holds ordinals only, so it finds where a member lives
+// when it decodes it (locate). A removal that brings a dense set down to smallCap/2 extracts it back into
+// the array; the gap between the two thresholds keeps a set hovering at the
+// cap from thrashing.
 type ActionSet struct {
 	n    int        // processes
 	e    int        // deliver ordinals (directed channels)
@@ -76,12 +75,9 @@ type ActionSet struct {
 	spills int64           // small → dense transitions so far
 
 	// The dense form; all zero while !dense.
-	words     []uint64 // membership bitmap over ordinals
-	cnt1      []int16  // enabled ordinals per 8 words (512 ordinals)
-	cnt2      []int32  // enabled ordinals per 64 cnt1 groups (32768 ordinals)
-	perProc   []int32  // enabled actions per process (timeout counts for the root)
-	procWords []uint64 // bitmap of processes with perProc > 0
-	procSum   []uint64 // bitmap of nonzero procWords words
+	words []uint64 // membership bitmap over ordinals
+	cnt1  []int16  // enabled ordinals per 8 words (512 ordinals)
+	cnt2  []int32  // enabled ordinals per 64 cnt1 groups (32768 ordinals)
 }
 
 // smallCap is the largest set kept as a sorted array; see ActionSet.
@@ -145,9 +141,6 @@ func newActionSet(t *tree.Tree, hub *channel.Hub) *ActionSet {
 	as.words = make([]uint64, (as.m+63)/64)
 	as.cnt1 = make([]int16, (len(as.words)+7)/8)
 	as.cnt2 = make([]int32, (len(as.cnt1)+63)/64)
-	as.perProc = make([]int32, n)
-	as.procWords = make([]uint64, (n+63)/64)
-	as.procSum = make([]uint64, (len(as.procWords)+63)/64)
 	return as
 }
 
@@ -210,19 +203,6 @@ func (as *ActionSet) locate(ord int) int32 {
 	return as.where(as.action(pack(ord, 0)))
 }
 
-// procOf returns the process an ordinal living at at belongs to (the root
-// for the timeout).
-func (as *ActionSet) procOf(ord int, at int32) int {
-	switch {
-	case ord < as.e:
-		return int(as.ids[as.chans[at].ToSlot])
-	case ord == as.e:
-		return 0 // the timeout belongs to the root
-	default:
-		return ord - as.e - 1
-	}
-}
-
 // action decodes an entry; a delivery's process and label follow from the
 // header of the channel it pops.
 func (as *ActionSet) action(v entry) Action {
@@ -283,14 +263,14 @@ func (as *ActionSet) has(ord int) bool {
 // always lives at the same place, so entries compare as their ordinals do.
 func (as *ActionSet) add(ord int, at int32) {
 	if as.dense {
-		as.denseAdd(ord, as.procOf(ord, at))
+		as.denseAdd(ord)
 		return
 	}
 	n := as.size
 	if n == smallCap {
 		if !as.has(ord) {
 			as.spill()
-			as.denseAdd(ord, as.procOf(ord, at))
+			as.denseAdd(ord)
 		}
 		return
 	}
@@ -319,7 +299,7 @@ func ne(a, b entry) int { return int((uint64(a-b) | uint64(b-a)) >> 63) }
 // branch.
 func (as *ActionSet) remove(ord int, at int32) {
 	if as.dense {
-		as.denseRemove(ord, as.procOf(ord, at))
+		as.denseRemove(ord)
 		if as.size == smallCap/2 {
 			as.unspill()
 		}
@@ -338,7 +318,7 @@ func (as *ActionSet) remove(ord int, at int32) {
 func (as *ActionSet) spill() {
 	as.size = 0
 	for _, v := range as.small {
-		as.denseAdd(v.ord(), as.procOf(v.ord(), v.at()))
+		as.denseAdd(v.ord())
 	}
 	as.dense = true
 	as.spills++
@@ -350,9 +330,8 @@ func (as *ActionSet) unspill() {
 	n := as.size
 	for i := 0; i < n; i++ {
 		ord := as.denseSelect(0)
-		at := as.locate(ord)
-		as.denseRemove(ord, as.procOf(ord, at))
-		as.small[i] = pack(ord, at)
+		as.denseRemove(ord)
+		as.small[i] = pack(ord, as.locate(ord))
 	}
 	as.size = n
 	as.dense = false
@@ -362,27 +341,8 @@ func (as *ActionSet) denseHas(ord int) bool {
 	return as.words[ord>>6]&(1<<(uint(ord)&63)) != 0
 }
 
-// procMark records that process p gained its first enabled action,
-// propagating a 0→nonzero word transition up to the summary bitmap.
-func (as *ActionSet) procMark(p int) {
-	w := p >> 6
-	if as.procWords[w] == 0 {
-		as.procSum[w>>6] |= 1 << (uint(w) & 63)
-	}
-	as.procWords[w] |= 1 << (uint(p) & 63)
-}
-
-// procUnmark records that process p lost its last enabled action.
-func (as *ActionSet) procUnmark(p int) {
-	w := p >> 6
-	as.procWords[w] &^= 1 << (uint(p) & 63)
-	if as.procWords[w] == 0 {
-		as.procSum[w>>6] &^= 1 << (uint(w) & 63)
-	}
-}
-
-// denseAdd sets ordinal ord, an action of process p.
-func (as *ActionSet) denseAdd(ord, p int) {
+// denseAdd sets ordinal ord.
+func (as *ActionSet) denseAdd(ord int) {
 	if as.denseHas(ord) {
 		return
 	}
@@ -390,13 +350,10 @@ func (as *ActionSet) denseAdd(ord, p int) {
 	as.size++
 	as.cnt1[ord>>9]++
 	as.cnt2[ord>>15]++
-	if as.perProc[p]++; as.perProc[p] == 1 {
-		as.procMark(p)
-	}
 }
 
-// denseRemove clears ordinal ord, an action of process p.
-func (as *ActionSet) denseRemove(ord, p int) {
+// denseRemove clears ordinal ord.
+func (as *ActionSet) denseRemove(ord int) {
 	if !as.denseHas(ord) {
 		return
 	}
@@ -404,9 +361,6 @@ func (as *ActionSet) denseRemove(ord, p int) {
 	as.size--
 	as.cnt1[ord>>9]--
 	as.cnt2[ord>>15]--
-	if as.perProc[p]--; as.perProc[p] == 0 {
-		as.procUnmark(p)
-	}
 }
 
 // set forces membership of ord, which lives at at, to enabled.
@@ -430,9 +384,6 @@ func (as *ActionSet) clear() {
 	clear(as.words)
 	clear(as.cnt1)
 	clear(as.cnt2)
-	clear(as.perProc)
-	clear(as.procWords)
-	clear(as.procSum)
 }
 
 // Len returns the number of enabled actions.
@@ -544,124 +495,3 @@ func (as *ActionSet) AppendAll(dst []Action) []Action {
 	}
 	return dst
 }
-
-// NextProc returns the first process, scanning cyclically from `from`, that
-// has at least one enabled action (the root timeout counts as the root's),
-// or -1 when the set is empty.
-func (as *ActionSet) NextProc(from int) int {
-	if as.size == 0 {
-		return -1
-	}
-	if from >= as.n || from < 0 {
-		from = 0
-	}
-	if !as.dense {
-		// The lowest process at or after from, else the lowest of all.
-		first, next := as.n, as.n
-		for _, v := range as.small[:as.size] {
-			p := as.procOf(v.ord(), v.at())
-			first = min(first, p)
-			if p >= from {
-				next = min(next, p)
-			}
-		}
-		if next < as.n {
-			return next
-		}
-		return first
-	}
-	// [from, n) then the wrap-around [0, from).
-	if p := as.scanProcs(from, as.n); p >= 0 {
-		return p
-	}
-	return as.scanProcs(0, from)
-}
-
-// scanProcs returns the first process in [lo, hi) with an enabled action.
-// Runs of all-zero procWords words are skipped through the summary bitmap
-// (one bit per 4096 processes), so a sparse dense set does not pay a linear
-// word scan.
-func (as *ActionSet) scanProcs(lo, hi int) int {
-	if lo >= hi {
-		return -1
-	}
-	w := lo >> 6
-	word := as.procWords[w] &^ ((1 << (uint(lo) & 63)) - 1)
-	for {
-		if word != 0 {
-			p := w<<6 + bits.TrailingZeros64(word)
-			if p < hi {
-				return p
-			}
-			return -1
-		}
-		w = as.nextProcWord(w + 1)
-		if w < 0 || w<<6 >= hi {
-			return -1
-		}
-		word = as.procWords[w]
-	}
-}
-
-// nextProcWord returns the first index ≥ w with a nonzero procWords word, or
-// -1, via the summary bitmap.
-func (as *ActionSet) nextProcWord(w int) int {
-	if w >= len(as.procWords) {
-		return -1
-	}
-	sw := w >> 6
-	word := as.procSum[sw] &^ ((1 << (uint(w) & 63)) - 1)
-	for word == 0 {
-		if sw++; sw >= len(as.procSum) {
-			return -1
-		}
-		word = as.procSum[sw]
-	}
-	return sw<<6 + bits.TrailingZeros64(word)
-}
-
-// MinDeliver returns the lowest enabled deliver channel of process p, or -1.
-func (as *ActionSet) MinDeliver(p int) int {
-	ch := -1
-	as.EachDeliver(p, func(c int) bool { ch = c; return false })
-	return ch
-}
-
-// EachDeliver calls f with every enabled deliver channel of process p in
-// ascending order, stopping early when f returns false.
-func (as *ActionSet) EachDeliver(p int, f func(ch int) bool) {
-	lo, hi := as.tree.ChannelOffset(p), as.tree.ChannelOffset(p+1)
-	if !as.dense {
-		for _, v := range as.small[:as.size] {
-			ord := v.ord()
-			if ord >= hi {
-				return
-			}
-			if ord >= lo && !f(ord-lo) {
-				return
-			}
-		}
-		return
-	}
-	for w := lo >> 6; hi > 0 && w <= (hi-1)>>6; w++ {
-		word := as.words[w]
-		if w == lo>>6 {
-			word &^= (1 << (uint(lo) & 63)) - 1
-		}
-		for ; word != 0; word &= word - 1 {
-			ord := w<<6 + bits.TrailingZeros64(word)
-			if ord >= hi {
-				return
-			}
-			if !f(ord - lo) {
-				return
-			}
-		}
-	}
-}
-
-// HasApp reports whether process p's application action is enabled.
-func (as *ActionSet) HasApp(p int) bool { return as.has(as.ordApp(p)) }
-
-// TimeoutEnabled reports whether the root timeout is enabled.
-func (as *ActionSet) TimeoutEnabled() bool { return as.has(as.ordTimeout()) }

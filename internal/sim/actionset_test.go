@@ -107,9 +107,6 @@ func TestActionSetSwapRemove(t *testing.T) {
 	if !bitmapsZero(as) {
 		t.Error("clear left a bit or a count behind")
 	}
-	if as.NextProc(0) != -1 {
-		t.Error("clear left a process marked")
-	}
 	// The cleared set is as good as new: refill it and it must select
 	// exactly as before.
 	for _, ord := range want {
@@ -119,46 +116,6 @@ func TestActionSetSwapRemove(t *testing.T) {
 		if got := as.ordinal(as.At(i)); got != ord {
 			t.Fatalf("after clear and refill: At(%d) = ordinal %d, want %d", i, got, ord)
 		}
-	}
-}
-
-// TestActionSetProcQueries pins NextProc/MinDeliver/EachDeliver semantics.
-func TestActionSetProcQueries(t *testing.T) {
-	tr := tree.Paper() // r(a(b c) d(e f g)): degrees r=2 a=3 d=4 leaves=1
-	as := newActionSet(tr, channel.NewHub(tr.RingLen(), nil, nil))
-	if as.NextProc(0) != -1 {
-		t.Error("NextProc on empty set != -1")
-	}
-	addOrd(as, as.ordDeliver(2, 3)) // d's channel 3
-	addOrd(as, as.ordDeliver(2, 1))
-	addOrd(as, as.ordApp(5))
-	addOrd(as, as.ordTimeout()) // counts for the root
-	if got := as.NextProc(3); got != 5 {
-		t.Errorf("NextProc(3) = %d, want 5", got)
-	}
-	if got := as.NextProc(6); got != 0 {
-		t.Errorf("NextProc(6) = %d, want 0 (wrap to the root's timeout)", got)
-	}
-	if got := as.NextProc(1); got != 2 {
-		t.Errorf("NextProc(1) = %d, want 2", got)
-	}
-	if got := as.MinDeliver(2); got != 1 {
-		t.Errorf("MinDeliver(2) = %d, want 1", got)
-	}
-	if got := as.MinDeliver(1); got != -1 {
-		t.Errorf("MinDeliver(1) = %d, want -1", got)
-	}
-	var chans []int
-	as.EachDeliver(2, func(ch int) bool { chans = append(chans, ch); return true })
-	if !reflect.DeepEqual(chans, []int{1, 3}) {
-		t.Errorf("EachDeliver(2) = %v, want [1 3]", chans)
-	}
-	if !as.TimeoutEnabled() || !as.HasApp(5) || as.HasApp(4) {
-		t.Error("membership predicates wrong")
-	}
-	removeOrd(as, as.ordTimeout())
-	if got := as.NextProc(6); got != 2 {
-		t.Errorf("NextProc(6) after timeout removal = %d, want 2", got)
 	}
 }
 
@@ -176,11 +133,9 @@ func checkForms(t *testing.T, as *ActionSet, model []int, dense bool) {
 		t.Fatalf("Len = %d, want %d", as.Len(), len(model))
 	}
 	in := make([]bool, as.m)
-	procs := make([]bool, as.n)
 	want := make([]Action, 0, len(model))
 	for i, ord := range model {
 		in[ord] = true
-		procs[as.procOf(ord, as.locate(ord))] = true
 		want = append(want, as.actionOf(ord))
 		if got := as.At(i); got != want[i] {
 			t.Fatalf("At(%d) = %v, want %v", i, got, want[i])
@@ -193,45 +148,6 @@ func checkForms(t *testing.T, as *ActionSet, model []int, dense bool) {
 		if got := as.Contains(as.actionOf(ord)); got != in[ord] {
 			t.Fatalf("Contains(%v) = %v, want %v", as.actionOf(ord), got, in[ord])
 		}
-	}
-	for from := -1; from <= as.n; from++ {
-		want := -1
-		for i := 0; i < as.n && len(model) > 0; i++ {
-			if p := (max(from, 0)%as.n + i) % as.n; procs[p] {
-				want = p
-				break
-			}
-		}
-		if got := as.NextProc(from); got != want {
-			t.Fatalf("NextProc(%d) = %d, want %d", from, got, want)
-		}
-	}
-	for p := 0; p < as.n; p++ {
-		var chans []int
-		lo := as.tree.ChannelOffset(p)
-		for ord := lo; ord < as.tree.ChannelOffset(p+1); ord++ {
-			if in[ord] {
-				chans = append(chans, ord-lo)
-			}
-		}
-		var got []int
-		as.EachDeliver(p, func(ch int) bool { got = append(got, ch); return true })
-		if !reflect.DeepEqual(got, chans) {
-			t.Fatalf("EachDeliver(%d) = %v, want %v", p, got, chans)
-		}
-		lowest := -1
-		if len(chans) > 0 {
-			lowest = chans[0]
-		}
-		if got := as.MinDeliver(p); got != lowest {
-			t.Fatalf("MinDeliver(%d) = %d, want %d", p, got, lowest)
-		}
-		if got := as.HasApp(p); got != in[as.ordApp(p)] {
-			t.Fatalf("HasApp(%d) = %v", p, got)
-		}
-	}
-	if got := as.TimeoutEnabled(); got != in[as.ordTimeout()] {
-		t.Fatalf("TimeoutEnabled = %v", got)
 	}
 }
 
@@ -252,15 +168,6 @@ func bitmapsZero(as *ActionSet) bool {
 	}
 	for _, c := range as.cnt2 {
 		zero = zero && c == 0
-	}
-	for _, c := range as.perProc {
-		zero = zero && c == 0
-	}
-	for _, w := range as.procWords {
-		zero = zero && w == 0
-	}
-	for _, w := range as.procSum {
-		zero = zero && w == 0
 	}
 	return zero
 }
@@ -350,12 +257,13 @@ func checkKnownState(t *testing.T, s *Sim) {
 	for p := 0; p < s.Tree.N(); p++ {
 		pr := &s.procs[s.actions.slotOf[p]]
 		on := pr.app().Enabled(s.clock)
-		if got := s.actions.HasApp(p); got != on || (pr.wakeAt == appOn) != on {
-			t.Fatalf("process %d: application enabled = %v, HasApp = %v, wakeAt = %d", p, on, got, pr.wakeAt)
+		if got := s.actions.Contains(Action{Kind: ActApp, Proc: p}); got != on || (pr.wakeAt == appOn) != on {
+			t.Fatalf("process %d: application enabled = %v, in the set = %v, wakeAt = %d", p, on, got, pr.wakeAt)
 		}
 	}
-	if on := s.timerExpired(); s.actions.TimeoutEnabled() != on || s.timeoutOn != on {
-		t.Fatalf("timer expired = %v, TimeoutEnabled = %v, timeoutOn = %v", on, s.actions.TimeoutEnabled(), s.timeoutOn)
+	timeout := s.actions.Contains(Action{Kind: ActTimeout})
+	if on := s.timerExpired(); timeout != on || s.timeoutOn != on {
+		t.Fatalf("timer expired = %v, timeout in the set = %v, timeoutOn = %v", on, timeout, s.timeoutOn)
 	}
 }
 
@@ -386,7 +294,7 @@ func TestCallerKnownState(t *testing.T) {
 		s.Step()
 	}
 	checkKnownState(t, s)
-	if !s.actions.HasApp(4) {
+	if !s.actions.Contains(Action{Kind: ActApp, Proc: 4}) {
 		t.Error("the application attached over an enabled one never woke")
 	}
 

@@ -112,11 +112,11 @@ func TestBigNSmoke(t *testing.T) {
 // repository's benchmark reports as bytes_per_process, measured by the same
 // recipe (buildSim in benchmark/simphase.go): the GC-fenced HeapAlloc delta
 // around sim.New, one Fixed cycle attached per process and the census
-// monitor. The layout lands near 249 B/process (two 16-byte channel headers
+// monitor. The layout lands near 245 B/process (two 16-byte channel headers
 // and their deliver ordinals, a 64-byte process line holding the node view,
 // the wake time and the port, a 32-byte protocol slot, a 64-byte Cycle and a
 // few words of tables: the wake heap, the id→slot and slot→id maps, the
-// per-slot channel offsets and the dense action set's per-process counts); the
+// per-slot channel offsets and the dense action set's bitmap); the
 // ceiling leaves room for the allocator's rounding at small n, not for
 // another per-process table. The live heap is measured again after 8n
 // steps, so that no cost hides past the construction fence: the message

@@ -57,7 +57,7 @@ func (s *Sim) Census() Census {
 // CensusScan computes the census from scratch by walking every channel and
 // every process: the historical snapshot implementation, kept as the oracle
 // the differential and fuzz tests compare the maintained census against, and
-// as the rebuild primitive behind ResyncCensus.
+// as the rebuild primitive behind resyncCensus.
 func (s *Sim) CensusScan() Census {
 	var c Census
 	for i := range int32(len(s.chans)) {
@@ -182,14 +182,12 @@ func (s *Sim) trackNode(slot int, fn func()) {
 	s.endTrack(d)
 }
 
-// ResyncCensus rebuilds the maintained census — the node-side fold and the
-// shared channel population counter — from a full snapshot scan. Mutations
-// through the channel API and node transitions driven through the kernel
-// (Step, Handles, RestoreNode) keep the census in sync automatically; call
-// this after any OTHER out-of-band state change — the census side of the
-// fault-injection resync rule. ResyncActions calls it, so code following
-// the action-set resync rule is covered without further ceremony.
-func (s *Sim) ResyncCensus() {
+// resyncCensus rebuilds the maintained census — the node-side fold and the
+// shared channel population counter — from a full snapshot scan: the census
+// half of ResyncActions. Mutations through the channel API and node
+// transitions driven through the kernel (Step, Handles, RestoreNode) keep
+// the census in sync without it.
+func (s *Sim) resyncCensus() {
 	if s.scanCensus {
 		return
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"kofl/internal/message"
+	"kofl/internal/obs"
 	"kofl/internal/sim"
 	"kofl/internal/tree"
 	"kofl/internal/workload"
@@ -21,16 +22,30 @@ var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
 // enough that a diff is readable.
 const goldenSteps = 200
 
+// goldenCase is one golden trace: a scheduler, and the topology the golden
+// scenario runs on.
+type goldenCase struct {
+	tree  func() *tree.Tree
+	dense bool // the enabled set spills into its dense form during the trace
+	sched func() sim.Scheduler
+}
+
 // goldenSchedulers enumerates one representative configuration per scheduler
-// implementation. Every entry runs the same topology/workload under seed 7 so
-// the traces differ only by scheduling policy.
-func goldenSchedulers() map[string]func() sim.Scheduler {
-	return map[string]func() sim.Scheduler{
-		"random":     func() sim.Scheduler { return sim.NewRandomScheduler() },
-		"roundrobin": func() sim.Scheduler { return sim.NewRoundRobinScheduler() },
-		"slowprio":   func() sim.Scheduler { return sim.NewSlowPrioScheduler(3, 1.0/8) },
-		"antitarget": func() sim.Scheduler { return sim.NewAntiTargetScheduler(1) },
-		"script": func() sim.Scheduler {
+// implementation. Every entry runs the same workload under seed 7 so the
+// traces differ only by scheduling policy and topology. The paper's tree
+// never fills the enabled set's sorted array; the dense_ entries run the
+// schedulers that pick by process on tree.Balanced(2, 5), whose 63
+// applications are all enabled at step 1, so their picks are made while the
+// set is in its dense form.
+func goldenSchedulers() map[string]goldenCase {
+	paper := func(sched func() sim.Scheduler) goldenCase { return goldenCase{tree.Paper, false, sched} }
+	balanced := func() *tree.Tree { return tree.Balanced(2, 5) }
+	return map[string]goldenCase{
+		"random":     paper(func() sim.Scheduler { return sim.NewRandomScheduler() }),
+		"roundrobin": paper(func() sim.Scheduler { return sim.NewRoundRobinScheduler() }),
+		"slowprio":   paper(func() sim.Scheduler { return sim.NewSlowPrioScheduler(3, 1.0/8) }),
+		"antitarget": paper(func() sim.Scheduler { return sim.NewAntiTargetScheduler(1) }),
+		"script": paper(func() sim.Scheduler {
 			// A plausible opening that breaks quickly and falls back to the
 			// seeded random scheduler — exercising both the matching and the
 			// fallback paths deterministically.
@@ -42,7 +57,36 @@ func goldenSchedulers() map[string]func() sim.Scheduler {
 			}, false)
 			ss.Fallback = sim.NewRandomScheduler()
 			return ss
-		},
+		}),
+		"dense_roundrobin": {balanced, true, func() sim.Scheduler { return sim.NewRoundRobinScheduler() }},
+		"dense_script": {balanced, true, func() sim.Scheduler {
+			// Walk the five resource tokens, the pusher and the priority
+			// token from p1 down to p15 (channels: 0 from p7, 1 from its
+			// leaf p31, 2 from p32), send all but the priority token round
+			// p31 and back, then pick at p15: the first AnyCh pick skips
+			// channel 0's priority token for channel 1's resource token by
+			// kind, the second takes the lower of two enabled channels, the
+			// third skips the emptied channel 0.
+			var script []sim.Pick
+			hops := func(p, times int) {
+				for range times {
+					script = append(script, sim.Deliver(p, AnyChPick, 0))
+				}
+			}
+			hops(1, 7)
+			hops(3, 7)
+			hops(7, 7)
+			hops(15, 6)
+			hops(31, 6)
+			script = append(script,
+				sim.Deliver(15, AnyChPick, message.Res),
+				sim.Deliver(15, AnyChPick, 0),
+				sim.Deliver(15, AnyChPick, message.Res),
+				sim.AppAct(15))
+			ss := sim.NewScriptScheduler(script, false)
+			ss.Fallback = sim.NewRoundRobinScheduler()
+			return ss
+		}},
 	}
 }
 
@@ -50,11 +94,11 @@ func goldenSchedulers() map[string]func() sim.Scheduler {
 // above readable.
 const AnyChPick = sim.AnyCh
 
-// goldenTrace runs the standard golden scenario under the given scheduler and
-// returns one line per executed action: "<step> <action> <delivered-kind>".
-func goldenTrace(newSched func() sim.Scheduler) []string {
-	tr := tree.Paper()
-	s := sim.MustNew(tr, fullCfg(3, 5), sim.Options{Seed: 7, Scheduler: newSched()})
+// goldenTrace runs the golden scenario on tr under sched and returns one
+// line per executed action: "<step> <action> <delivered-kind>". reg
+// receives the simulation's instrumentation series.
+func goldenTrace(tr *tree.Tree, sched sim.Scheduler, reg *obs.Registry) []string {
+	s := sim.MustNew(tr, fullCfg(3, 5), sim.Options{Seed: 7, Scheduler: sched, Obs: reg})
 	s.SeedLegitimate() // tokens from step 0: every scheduler sees real choices
 	for p := 0; p < tr.N(); p++ {
 		workload.Attach(s, p, workload.Fixed(1+p%3, 2, 3, 0))
@@ -72,14 +116,21 @@ func goldenTrace(newSched func() sim.Scheduler) []string {
 }
 
 // TestGoldenSchedulerTraces pins the first 200 actions of a seeded run per
-// scheduler. The traces were generated by the pre-refactor full-rescan kernel
-// and are the enumeration-order determinism contract in checked-in form: any
-// kernel change that silently alters schedules fails this test loudly.
+// scheduler. The paper-tree traces were generated by the pre-refactor
+// full-rescan kernel, the dense_ ones by the kernel that still kept a
+// per-process index beside the dense set; they are the enumeration-order
+// determinism contract in checked-in form: any kernel change that silently
+// alters schedules fails this test loudly. Each case also checks that the
+// set spilled exactly when the case says it does.
 // Regenerate (deliberately!) with: go test ./internal/sim -run Golden -update
 func TestGoldenSchedulerTraces(t *testing.T) {
-	for name, newSched := range goldenSchedulers() {
+	for name, c := range goldenSchedulers() {
 		t.Run(name, func(t *testing.T) {
-			got := strings.Join(goldenTrace(newSched), "\n") + "\n"
+			reg := obs.NewRegistry()
+			got := strings.Join(goldenTrace(c.tree(), c.sched(), reg), "\n") + "\n"
+			if spills := promValue(t, reg, "kofl_sim_actionset_spills_total"); (spills > 0) != c.dense {
+				t.Fatalf("%d spills, want dense = %v", spills, c.dense)
+			}
 			path := filepath.Join("testdata", "golden", name+".trace")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"kofl/internal/core"
 	"kofl/internal/message"
 )
 
@@ -23,33 +24,34 @@ func (*RandomScheduler) Next(s *Sim, actions *ActionSet) Action {
 // RoundRobinScheduler rotates deterministically through processes: at each
 // step it picks the enabled action whose process id follows the previously
 // scheduled one (cyclically), breaking ties among a process's actions by
-// kind then channel. It is fair and fully deterministic. The per-process
-// bitmap answers "next process with an enabled action" directly, replacing
-// the historical scan over every enabled action.
+// kind then channel. It is fair and fully deterministic. It enumerates the
+// enabled set, whose canonical order lists a process's deliveries by
+// ascending channel before the timeout and its application action, so the
+// first action of the nearest process is the tie-break.
 type RoundRobinScheduler struct {
 	last int
+	buf  []Action // reused enumeration scratch
 }
 
 // NewRoundRobinScheduler returns the deterministic rotating scheduler.
 func NewRoundRobinScheduler() *RoundRobinScheduler { return &RoundRobinScheduler{} }
 
 // Next implements Scheduler.
-func (r *RoundRobinScheduler) Next(s *Sim, actions *ActionSet) Action {
-	n := s.Tree.N()
-	p := actions.NextProc((r.last + 1) % n)
-	if p < 0 {
+func (r *RoundRobinScheduler) Next(s *Sim, as *ActionSet) Action {
+	r.buf = as.AppendAll(r.buf[:0])
+	if len(r.buf) == 0 {
 		panic("sim: round-robin scheduler invoked with no enabled actions")
 	}
-	r.last = p
-	// Within a process: deliveries by ascending channel, then the timeout,
-	// then the application action — the historical tie-break order.
-	if ch := actions.MinDeliver(p); ch >= 0 {
-		return Action{Kind: ActDeliver, Proc: p, Ch: ch}
+	n := s.Tree.N()
+	from := (r.last + 1) % n
+	best, dist := 0, n
+	for i, a := range r.buf {
+		if d := (a.Proc - from + n) % n; d < dist {
+			best, dist = i, d
+		}
 	}
-	if p == s.Tree.Root() && actions.TimeoutEnabled() {
-		return Action{Kind: ActTimeout, Proc: p}
-	}
-	return Action{Kind: ActApp, Proc: p}
+	r.last = r.buf[best].Proc
+	return r.buf[best]
 }
 
 // Pick is one entry of a scripted schedule: it selects an enabled action by
@@ -79,32 +81,27 @@ func Deliver(p, ch int, k message.Kind) Pick {
 // AppAct returns a Pick matching an application action at process p.
 func AppAct(p int) Pick { return Pick{Kind: ActApp, Proc: p, Ch: AnyCh} }
 
-// match resolves the pick against the enabled set: O(1) membership tests
-// instead of a scan (an AnyCh delivery walks only the process's enabled
-// channels in ascending order — the historical first-match order).
+// match resolves the pick against the enabled set by membership tests
+// instead of a scan: a delivery tries the named channel, or for AnyCh every
+// channel of the process in ascending order — the historical first-match
+// order.
 func (p Pick) match(s *Sim, actions *ActionSet) (Action, bool) {
 	switch p.Kind {
 	case ActDeliver:
-		if p.Ch != AnyCh {
-			a := Action{Kind: ActDeliver, Proc: p.Proc, Ch: p.Ch}
+		if p.Proc < 0 || p.Proc >= s.Tree.N() {
+			return Action{}, false
+		}
+		lo, hi := p.Ch, p.Ch+1
+		if p.Ch == AnyCh {
+			lo, hi = 0, s.Tree.Degree(p.Proc)
+		}
+		for ch := lo; ch < hi; ch++ {
+			a := Action{Kind: ActDeliver, Proc: p.Proc, Ch: ch}
 			if actions.Contains(a) && (p.Msg == 0 || s.Peek(a).Kind == p.Msg) {
 				return a, true
 			}
-			return Action{}, false
 		}
-		var found Action
-		ok := false
-		if p.Proc >= 0 && p.Proc < s.Tree.N() {
-			actions.EachDeliver(p.Proc, func(ch int) bool {
-				a := Action{Kind: ActDeliver, Proc: p.Proc, Ch: ch}
-				if p.Msg == 0 || s.Peek(a).Kind == p.Msg {
-					found, ok = a, true
-					return false
-				}
-				return true
-			})
-		}
-		return found, ok
+		return Action{}, false
 	case ActTimeout:
 		a := Action{Kind: ActTimeout, Proc: p.Proc}
 		return a, actions.Contains(a)
@@ -269,7 +266,7 @@ func (at *AntiTargetScheduler) Next(s *Sim, as *ActionSet) Action {
 	at.buf = as.AppendAll(at.buf[:0])
 	actions := at.buf
 	node := s.Node(at.Target)
-	starving := node.State().String() == "Req" && node.Reserved() < node.Need()
+	starving := node.State() == core.Req && node.Reserved() < node.Need()
 	preferred, neutral := at.preferredBuf[:0], at.neutralBuf[:0]
 	for i, a := range actions {
 		switch {

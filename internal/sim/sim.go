@@ -79,9 +79,8 @@
 // Mutating channel contents through the channel API (Push/Pop/Seed/Replace)
 // is always safe — the hub's emptiness hook and population counter fire.
 // Corrupting process state through Sim.RestoreNode is likewise tracked. Any
-// other out-of-band change must be followed by a call to Sim.ResyncActions
-// (which also resyncs the census) or Sim.ResyncCensus, both of which rebuild
-// from a full scan.
+// other out-of-band change must be followed by a call to Sim.ResyncActions,
+// which rebuilds the set and the census from a full scan.
 //
 // See docs/ARCHITECTURE.md at the repository root for how the two kernels,
 // the determinism contract and the differential oracles fit together.
@@ -132,10 +131,10 @@ func (a Action) String() string {
 
 // Scheduler picks the next action among the enabled ones; it is the
 // asynchrony adversary. It draws from the persistent ActionSet — by
-// canonical index (At), full enumeration (AppendAll), or the structured
-// queries (NextProc, MinDeliver, ...) — and returns the chosen action, which
-// must be enabled. Sim.Peek lets rule-based adversaries match on the message
-// a deliver action would deliver.
+// canonical index (Len, At), full enumeration (AppendAll) or a membership
+// test (Contains) — and returns the chosen action, which must be enabled.
+// Sim.Peek lets rule-based adversaries match on the message a deliver action
+// would deliver.
 type Scheduler interface {
 	Next(s *Sim, actions *ActionSet) Action
 }
@@ -642,7 +641,7 @@ func (s *Sim) rebuildFromScan() {
 // this after any OTHER out-of-band change that could affect enablement (the
 // fault-injection resync rule).
 func (s *Sim) ResyncActions() {
-	s.ResyncCensus()
+	s.resyncCensus()
 	if s.rescan {
 		s.rebuildFromScan()
 		return

@@ -122,11 +122,6 @@ const (
 // Census is a snapshot of the global token population.
 type Census = sim.Census
 
-// Scheduler is the simulation's asynchrony adversary; see the sim package's
-// RandomScheduler, RoundRobinScheduler, ScriptScheduler and
-// AntiTargetScheduler.
-type Scheduler = sim.Scheduler
-
 // Options configures a System or a Live network.
 type Options struct {
 	// K is the per-request cap, L the number of resource units (1 ≤ K ≤ L).
@@ -143,9 +138,6 @@ type Options struct {
 	// TimeoutTicks overrides the root's retransmission timeout in scheduler
 	// steps (System only; 0 = topology-derived default).
 	TimeoutTicks int64
-	// Scheduler overrides the asynchrony adversary (System only;
-	// nil = seeded uniform random).
-	Scheduler Scheduler
 }
 
 func (o Options) config(t *Tree) core.Config {

@@ -54,6 +54,12 @@ grep -q 'bigNBytesCeiling = 270' bench_test.go || err "BenchmarkBigNScale lost t
 grep -q 'smallCap = 32' internal/sim/actionset.go || err "actionset.go lost smallCap = 32, which ARCHITECTURE.md quotes"
 grep -q 'func TestActionSetForms' internal/sim/actionset_test.go || err "TestActionSetForms gone but documented"
 grep -q 'The action set has two forms' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the sentence naming the action set's two forms"
+# Schedulers draw through Len, At, Contains and AppendAll, and the census
+# is rebuilt through ResyncActions alone: no doc may name the per-process
+# index or the queries and the second resync entry point that went with it.
+if grep -q 'NextProc\|MinDeliver\|EachDeliver\|perProc\|ResyncCensus\|per-process bitmap' README.md docs/ARCHITECTURE.md; then
+    err "a doc still names the removed per-process index, its queries or Sim.ResyncCensus"
+fi
 
 # The paper's sweeps are spec files the README runs, and the paper's
 # figures and sweeps are held by two named tests.

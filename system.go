@@ -50,7 +50,6 @@ func (a *manualApp) WakeAt(int64) int64 { return sim.NoWake } // event-driven on
 func New(t *Tree, opts Options) (*System, error) {
 	s, err := sim.New(t, opts.config(t), sim.Options{
 		Seed:         opts.Seed,
-		Scheduler:    opts.Scheduler,
 		TimeoutTicks: opts.TimeoutTicks,
 	})
 	if err != nil {
@@ -85,7 +84,7 @@ func MustNew(t *Tree, opts Options) *System {
 func (y *System) Tree() *Tree { return y.tr }
 
 // Sim exposes the underlying simulation for advanced use (custom monitors,
-// schedulers, seeding).
+// seeding).
 func (y *System) Sim() *sim.Sim { return y.s }
 
 // Step executes one scheduler step; it reports false when the system is
