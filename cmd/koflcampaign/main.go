@@ -253,13 +253,10 @@ func cmdRun(args []string) error {
 	}
 
 	opts := kofl.CampaignOptions{Workers: *workers, TraceDir: *traceDir}
-	if *progress {
-		eo := campaign.NewExecObs(nil)
-		opts.Obs = eo
-		stop := startProgressTicker(eo)
-		defer stop()
-	} else if !*quiet {
-		opts.Progress = progressLine()
+	stop := func() {}
+	if *progress || !*quiet {
+		opts.Obs = campaign.NewExecObs(nil)
+		stop = startProgress(opts.Obs, *progress)
 	}
 
 	if *shard != "" {
@@ -275,6 +272,7 @@ func cmdRun(args []string) error {
 				plan.Name, plan.Round, i, m, len(plan.Slots))
 		}
 		part, err := campaign.ExecuteShard(plan, i, m, opts)
+		stop()
 		if err != nil {
 			return err
 		}
@@ -291,6 +289,7 @@ func cmdRun(args []string) error {
 	}
 	start := time.Now()
 	esc, err := runEscalated(plan, opts)
+	stop()
 	if err != nil {
 		return err
 	}
@@ -351,10 +350,14 @@ func cmdMerge(args []string) error {
 	esc := &kofl.CampaignEscalated{Name: rep.Name, Base: rep}
 	if *escalate {
 		opts := kofl.CampaignOptions{Workers: *workers, TraceDir: *traceDir}
+		stop := func() {}
 		if !*quiet {
-			opts.Progress = progressLine()
+			opts.Obs = campaign.NewExecObs(nil)
+			stop = startProgress(opts.Obs, false)
 		}
-		if esc, err = campaign.ContinueEscalation(plan, rep, opts); err != nil {
+		esc, err = campaign.ContinueEscalation(plan, rep, opts)
+		stop()
+		if err != nil {
 			return err
 		}
 	}
@@ -421,12 +424,13 @@ func emit(esc *kofl.CampaignEscalated, jsonOut, csvOut string) error {
 	return nil
 }
 
-// startProgressTicker prints a per-worker progress line to stderr every
-// second — slots done/total, the last second's completion rate, and each
-// worker's completion count — until the returned stop function is called
-// (which prints one final line). The data comes from the engine's ExecObs
-// counters, so the line costs the workers one sharded counter bump per slot.
-func startProgressTicker(eo *campaign.ExecObs) (stop func()) {
+// startProgress prints campaign progress to stderr from the engine's ExecObs
+// counters once a second until the returned stop function is called, which
+// prints one final line. The default form rewrites one "N runs done" line in
+// place; perWorker (-progress) prints a line per tick with slots done/total,
+// the last second's completion rate and each worker's completion count. The
+// workers pay one sharded counter bump per slot either way.
+func startProgress(eo *campaign.ExecObs, perWorker bool) (stop func()) {
 	done := make(chan struct{})
 	stopped := make(chan struct{})
 	go func() {
@@ -440,8 +444,12 @@ func startProgressTicker(eo *campaign.ExecObs) (stop func()) {
 				return
 			case <-t.C:
 				cur := eo.Done()
-				fmt.Fprintf(os.Stderr, "progress: %d/%d slots (%d slots/s) workers %v\n",
-					cur, eo.Total(), cur-last, eo.WorkerSlots())
+				if perWorker {
+					fmt.Fprintf(os.Stderr, "progress: %d/%d slots (%d slots/s) workers %v\n",
+						cur, eo.Total(), cur-last, eo.WorkerSlots())
+				} else {
+					fmt.Fprintf(os.Stderr, "\r%d runs done", cur)
+				}
 				last = cur
 			}
 		}
@@ -451,18 +459,11 @@ func startProgressTicker(eo *campaign.ExecObs) (stop func()) {
 	return func() {
 		close(done)
 		<-stopped
-		fmt.Fprintf(os.Stderr, "progress: %d slots done, workers %v\n",
-			eo.Done(), eo.WorkerSlots())
-	}
-}
-
-func progressLine() func(done, total int) {
-	return func(done, total int) {
-		if done == total || done%50 == 0 {
-			fmt.Fprintf(os.Stderr, "\r%d/%d runs", done, total)
-		}
-		if done == total {
-			fmt.Fprintln(os.Stderr)
+		if perWorker {
+			fmt.Fprintf(os.Stderr, "progress: %d slots done, workers %v\n",
+				eo.Done(), eo.WorkerSlots())
+		} else {
+			fmt.Fprintf(os.Stderr, "\r%d runs done\n", eo.Done())
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -219,37 +218,30 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	}
 }
 
-// TestProgressCallback verifies every run reports exactly once and that the
-// callback is safe under concurrent workers (the -race CI pass leans on
-// this).
+// TestProgressCallback verifies the progress counters koflcampaign reads:
+// every run is counted exactly once in ExecObs, and the per-worker counts
+// sum to the slot count. The -race CI pass leans on this for concurrent
+// workers.
 func TestProgressCallback(t *testing.T) {
 	spec := testSpec()
 	spec.Steps = 2_000
-	var mu sync.Mutex
-	calls := 0
-	last := 0
-	rep, err := Run(spec, Options{
-		Workers: 6,
-		Progress: func(done, total int) {
-			mu.Lock()
-			defer mu.Unlock()
-			calls++
-			if total != 16 {
-				t.Errorf("total = %d, want 16", total)
-			}
-			if done > last {
-				last = done
-			}
-		},
-	})
+	eo := NewExecObs(nil)
+	rep, err := Run(spec, Options{Workers: 6, Obs: eo})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != rep.TotalRuns {
-		t.Fatalf("progress called %d times, want %d", calls, rep.TotalRuns)
+	if got := eo.Done(); got != int64(rep.TotalRuns) {
+		t.Fatalf("Done = %d, want %d", got, rep.TotalRuns)
 	}
-	if last != rep.TotalRuns {
-		t.Fatalf("max done = %d, want %d", last, rep.TotalRuns)
+	if got := eo.Total(); got != 16 {
+		t.Fatalf("Total = %d, want 16", got)
+	}
+	var sum int64
+	for _, n := range eo.WorkerSlots() {
+		sum += n
+	}
+	if sum != int64(rep.TotalRuns) {
+		t.Fatalf("worker slots sum to %d, want %d", sum, rep.TotalRuns)
 	}
 }
 

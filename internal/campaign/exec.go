@@ -20,11 +20,9 @@ import (
 )
 
 // Options configures an engine invocation. Workers ≤ 0 selects one worker
-// per logical CPU. Progress, when non-nil, is called after every completed
-// run with (done, total); it may be called concurrently from workers.
+// per logical CPU.
 type Options struct {
-	Workers  int
-	Progress func(done, total int)
+	Workers int
 	// TraceDir is where the outlier trace capture writes per-slot trace
 	// files when the spec's TraceSpec is configured. Empty disables capture
 	// even when the spec asks for it — but note the capture predicate
@@ -32,8 +30,8 @@ type Options struct {
 	// must agree on whether TraceDir is set.
 	TraceDir string
 	// Obs, when non-nil, receives per-worker slot-completion counters and
-	// shard totals (see ExecObs) — the data behind koflcampaign's -progress
-	// line. It never affects report bytes.
+	// shard totals (see ExecObs) — the data behind koflcampaign's progress
+	// lines. It never affects report bytes.
 	Obs *ExecObs
 }
 
@@ -258,7 +256,7 @@ func ExecuteShard(plan *Plan, i, m int, opts Options) (*Partial, error) {
 	}
 	results := make([]SlotResult, len(slots))
 	chunk := int64(chunkSize(len(slots), workers))
-	var cursor, done atomic.Int64
+	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -289,9 +287,6 @@ func ExecuteShard(plan *Plan, i, m int, opts Options) (*Partial, error) {
 					if wc != nil {
 						wc.Add(1)
 						opts.Obs.slotsDone.Add(1)
-					}
-					if opts.Progress != nil {
-						opts.Progress(int(done.Add(1)), len(slots))
 					}
 				}
 			}

@@ -11,9 +11,10 @@ import (
 // TestWorkerCountDeterminismMatrix pins the engine's worker-count contract
 // under the chunked work-stealing dispatcher: with outlier trace capture and
 // adaptive seed escalation both active, every worker count must produce
-// byte-identical partials and byte-identical escalated reports. The CI race
-// pass runs this under -race, so the concurrent Progress and capture-replay
-// paths are exercised with the race detector watching.
+// byte-identical partials and byte-identical escalated reports, and the
+// progress counters (ExecObs) must count every executed slot once. The CI
+// race pass runs this under -race, so the concurrent counters and the
+// capture-replay paths are exercised with the race detector watching.
 func TestWorkerCountDeterminismMatrix(t *testing.T) {
 	spec := matrixSpec()
 	spec.Name = "worker-matrix"
@@ -29,11 +30,8 @@ func TestWorkerCountDeterminismMatrix(t *testing.T) {
 	wantShard := make([][]byte, 2)
 	var wantEsc []byte
 	for _, w := range workerCounts {
-		opts := Options{
-			Workers:  w,
-			TraceDir: t.TempDir(),
-			Progress: func(done, total int) {},
-		}
+		eo := NewExecObs(nil)
+		opts := Options{Workers: w, TraceDir: t.TempDir(), Obs: eo}
 		traced := 0
 		for sh := 0; sh < 2; sh++ {
 			pt, err := ExecuteShard(plan, sh, 2, opts)
@@ -59,12 +57,18 @@ func TestWorkerCountDeterminismMatrix(t *testing.T) {
 		if traced == 0 {
 			t.Fatalf("workers=%d: no slot was captured, so no replay ran", w)
 		}
+		checkProgress(t, w, eo, int64(len(plan.Slots)))
 
 		opts.TraceDir = t.TempDir()
 		esc, err := RunEscalated(spec, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: RunEscalated: %v", w, err)
 		}
+		runs := int64(len(plan.Slots) + esc.Base.TotalRuns)
+		for _, r := range esc.Rounds {
+			runs += int64(r.TotalRuns)
+		}
+		checkProgress(t, w, eo, runs)
 		j, err := esc.JSON()
 		if err != nil {
 			t.Fatal(err)
@@ -74,6 +78,19 @@ func TestWorkerCountDeterminismMatrix(t *testing.T) {
 		} else if !bytes.Equal(wantEsc, j) {
 			t.Fatalf("workers=%d: escalated report differs from workers=%d", w, workerCounts[0])
 		}
+	}
+}
+
+// checkProgress requires eo to have counted want slots in all, both in its
+// total and across its per-worker counters.
+func checkProgress(t *testing.T, workers int, eo *ExecObs, want int64) {
+	t.Helper()
+	var sum int64
+	for _, n := range eo.WorkerSlots() {
+		sum += n
+	}
+	if eo.Done() != want || sum != want {
+		t.Fatalf("workers=%d: Done = %d, worker slots sum to %d, want %d", workers, eo.Done(), sum, want)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // a separate reference reading to the same simulation and requires
 // identical results. The reference reads nothing the monitor reads: it
 // rebuilds the census by a full scan every step, applies the predicate's
-// reference form (Census.LegitimateFor) and names over-k processes by a node
+// population rule (legitimate, below) and names over-k processes by a node
 // scan, where the monitor reads the maintained census through sim.Health
 // and scans nodes only when the maintained OverK counter says so.
 func TestCensusMonitorMatchesSeparateMonitors(t *testing.T) {
@@ -33,7 +33,7 @@ func TestCensusMonitorMatchesSeparateMonitors(t *testing.T) {
 	var violations []checker.SafetyViolation
 	reference := func(s *sim.Sim, isStep bool) {
 		c := s.CensusScan()
-		if c.LegitimateFor(s.Cfg, s.Node(s.Tree.Root()).ResetFlag()) {
+		if legitimate(s, c) {
 			everLegit = true
 			if isStep {
 				legitSteps++
@@ -148,45 +148,63 @@ func TestCensusMonitorOracleEquivalence(t *testing.T) {
 	}
 }
 
+// legitimate applies the one population rule, core.Config.LegitimatePopulation,
+// to an assembled census: the reference Sim.Health must agree with.
+func legitimate(s *sim.Sim, c sim.Census) bool {
+	return s.Cfg.LegitimatePopulation(c.Res(), c.Prio(), c.FreePush,
+		c.ResetCtrl > 0 || s.Node(s.Tree.Root()).ResetFlag())
+}
+
 // TestHealthMatchesCensusLegitimacy steps a run under the paper's fault storm
 // and requires, after every step, that sim.Health — the copy-free read the
-// monitors and the kernel's instrumentation consume — equals the reference
-// form of the predicate on the assembled census: Census().LegitimateFor with
-// the root's reset flag, plus the census's UnitsInUse and OverK. Under both
-// census kernels, since Health reads the maintained fields in one and the
-// snapshot oracle in the other.
+// monitors consume — equals the population rule applied to the assembled
+// census, plus the census's UnitsInUse and OverK. Under both census kernels,
+// since Health reads the maintained fields in one and the snapshot oracle in
+// the other, and for every variant, since the rule's pusher and priority
+// guards depend on the features: the non-controller variants start from a
+// seeded legitimate population, which the storm breaks for good.
 func TestHealthMatchesCensusLegitimacy(t *testing.T) {
-	for _, scan := range []bool{false, true} {
-		tr := tree.Paper()
-		cfg := core.Config{K: 3, L: 5, N: tr.N(), CMAX: 4, Features: core.Full()}
-		s := sim.MustNew(tr, cfg, sim.Options{Seed: 23, ScanCensus: scan})
-		for p := 0; p < tr.N(); p++ {
-			workload.Attach(s, p, workload.Fixed(1+p%3, 2, 4, 0))
-		}
-		const steps = 40_000
-		sched, err := adversary.Compile(adversary.LegacyStorm(1_500), steps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var legitSteps, illegitSteps int
-		s.AddStepHook(func(s *sim.Sim) {
-			legit, unitsInUse, overK := s.Health()
-			c := s.Census()
-			want := c.LegitimateFor(s.Cfg, s.Node(s.Tree.Root()).ResetFlag())
-			if legit != want || unitsInUse != c.UnitsInUse || overK != c.OverK {
-				t.Fatalf("scan=%v clock %d: Health = (%v, %d, %d), census says (%v, %d, %d): %v",
-					scan, s.Now(), legit, unitsInUse, overK, want, c.UnitsInUse, c.OverK, c)
+	for _, feat := range []core.Features{core.Full(), core.NonStabilizing(), core.PusherOnly(), core.Naive()} {
+		for _, scan := range []bool{false, true} {
+			name := fmt.Sprintf("%+v/scan=%v", feat, scan)
+			tr := tree.Paper()
+			cfg := core.Config{K: 3, L: 5, N: tr.N(), CMAX: 4, Features: feat}
+			s := sim.MustNew(tr, cfg, sim.Options{Seed: 23, ScanCensus: scan})
+			if !feat.Controller {
+				s.SeedLegitimate()
 			}
-			if legit {
-				legitSteps++
-			} else {
-				illegitSteps++
+			for p := 0; p < tr.N(); p++ {
+				need := 1 + p%3
+				if feat == core.Naive() {
+					need = 1 // multi-unit requests deadlock the naive rung (Figure 2)
+				}
+				workload.Attach(s, p, workload.Fixed(need, 2, 4, 0))
 			}
-		})
-		adversary.MustNewExecutor(s, sched, 23).Run(steps)
-		if legitSteps == 0 || illegitSteps == 0 {
-			t.Errorf("scan=%v: %d legitimate and %d illegitimate steps; the storm run must visit both",
-				scan, legitSteps, illegitSteps)
+			const steps = 40_000
+			sched, err := adversary.Compile(adversary.LegacyStorm(1_500), steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var legitSteps, illegitSteps int
+			s.AddStepHook(func(s *sim.Sim) {
+				legit, unitsInUse, overK := s.Health()
+				c := s.Census()
+				want := legitimate(s, c)
+				if legit != want || unitsInUse != c.UnitsInUse || overK != c.OverK {
+					t.Fatalf("%s clock %d: Health = (%v, %d, %d), census says (%v, %d, %d): %v",
+						name, s.Now(), legit, unitsInUse, overK, want, c.UnitsInUse, c.OverK, c)
+				}
+				if legit {
+					legitSteps++
+				} else {
+					illegitSteps++
+				}
+			})
+			adversary.MustNewExecutor(s, sched, 23).Run(steps)
+			if legitSteps == 0 || illegitSteps == 0 {
+				t.Errorf("%s: %d legitimate and %d illegitimate steps; the storm run must visit both",
+					name, legitSteps, illegitSteps)
+			}
 		}
 	}
 }

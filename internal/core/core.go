@@ -147,6 +147,18 @@ func (c Config) CounterMod() int {
 	return 2*(c.N-1)*(c.CMAX+1) + 1
 }
 
+// LegitimatePopulation is the one rule for a legitimate token population:
+// exactly ℓ resource tokens, exactly one priority token and one pusher when
+// those features are on, and no reset pending. The simulator applies it to
+// its global census, the live runtime to the root's census of a controller
+// traversal — which saturates, so an over-full population reads ℓ+1 or 2.
+func (c Config) LegitimatePopulation(res, prio, push int, resetPending bool) bool {
+	return res == c.L &&
+		(!c.Features.Priority || prio == 1) &&
+		(!c.Features.Pusher || push == 1) &&
+		!resetPending
+}
+
 // Env is the protocol's view of its process's communication substrate.
 type Env interface {
 	// Send enqueues m on the process's outgoing channel with label ch.

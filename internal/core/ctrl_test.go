@@ -465,3 +465,47 @@ func TestCirculationEventCensus(t *testing.T) {
 		t.Errorf("EvCirculation = %+v, want res=3 prio=1 push=1 reset=false", circ)
 	}
 }
+
+// TestLegitimatePopulation is the population rule's table, over the counts
+// both callers produce: the simulator's exact global census and the root's
+// saturating one, which reads an over-full population as ℓ+1 resource tokens
+// or 2 priority/pusher tokens and raises the reset flag with it. A feature
+// that is off leaves its count unread.
+func TestLegitimatePopulation(t *testing.T) {
+	const l = 3
+	full := Config{K: 2, L: l, Features: Full()}
+	nonstab := Config{K: 2, L: l, Features: NonStabilizing()}
+	pusher := Config{K: 2, L: l, Features: PusherOnly()}
+	naive := Config{K: 2, L: l, Features: Naive()}
+	for _, tc := range []struct {
+		name            string
+		cfg             Config
+		res, prio, push int
+		reset           bool
+		want            bool
+	}{
+		{"exact", full, l, 1, 1, false, true},
+		{"reset pending", full, l, 1, 1, true, false},
+		{"resource short", full, l - 1, 1, 1, false, false},
+		{"resource saturated", full, l + 1, 1, 1, true, false},
+		{"resource saturated, no flag", full, l + 1, 1, 1, false, false},
+		{"priority missing", full, l, 0, 1, false, false},
+		{"priority saturated", full, l, 2, 1, true, false},
+		{"priority saturated, no flag", full, l, 2, 1, false, false},
+		{"pusher missing", full, l, 1, 0, false, false},
+		{"pusher saturated", full, l, 1, 2, false, false},
+		{"nonstab exact", nonstab, l, 1, 1, false, true},
+		{"nonstab priority duplicated", nonstab, l, 2, 1, false, false},
+		{"pusher-only ignores priority", pusher, l, 0, 1, false, true},
+		{"pusher-only ignores two priority", pusher, l, 2, 1, false, true},
+		{"pusher-only pusher missing", pusher, l, 0, 0, false, false},
+		{"naive ignores both", naive, l, 2, 0, false, true},
+		{"naive resource saturated", naive, l + 1, 0, 0, false, false},
+		{"naive reset pending", naive, l, 0, 0, true, false},
+	} {
+		if got := tc.cfg.LegitimatePopulation(tc.res, tc.prio, tc.push, tc.reset); got != tc.want {
+			t.Errorf("%s: LegitimatePopulation(%d, %d, %d, %v) = %v, want %v",
+				tc.name, tc.res, tc.prio, tc.push, tc.reset, got, tc.want)
+		}
+	}
+}

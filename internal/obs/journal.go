@@ -6,22 +6,19 @@ import (
 	"sync"
 )
 
-// Kind tags one journal entry with the stabilization-telemetry event it
-// records.
+// Kind tags one journal entry with the event it records. Journal JSON
+// carries the kind's name, never its number.
 type Kind uint8
 
 const (
-	// KindStabilized: the system reached a legitimate token population
-	// (convergence detection). A/B carry layer-specific detail (e.g. the
-	// sim's step count, the runtime's observed resource-token count).
+	// KindStabilized: a controller traversal completed at the live root
+	// found a legitimate token population after one that did not
+	// (core.Config.LegitimatePopulation); A/B = the resource and priority
+	// tokens it counted.
 	KindStabilized Kind = iota
-	// KindDestabilized: the token population left the legitimate set.
+	// KindDestabilized: a traversal found the population left the
+	// legitimate set; A/B as for KindStabilized.
 	KindDestabilized
-	// KindOverKOpen: an OverK safety-violation window opened (some process
-	// entered its critical section holding more than k units).
-	KindOverKOpen
-	// KindOverKClose: the OverK violation window closed.
-	KindOverKClose
 	// KindLeaseGrant: the serve layer granted a lease (Proc = tree process,
 	// A = units, B = acquire latency µs).
 	KindLeaseGrant
@@ -40,8 +37,8 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	"stabilized", "destabilized", "overk_open", "overk_close",
-	"lease_grant", "lease_release", "fault_injected", "timeout", "drain",
+	"stabilized", "destabilized", "lease_grant", "lease_release",
+	"fault_injected", "timeout", "drain",
 }
 
 // String returns the wire name of the kind.
@@ -60,9 +57,9 @@ const (
 )
 
 // Entry is one fixed-size journal record. Time is whatever clock the journal
-// was built with (wall ns for live layers, the simulation clock for sim);
-// Proc is the tree process concerned (-1 when not process-scoped); A and B
-// are kind-specific details.
+// was built with (wall ns for the live runtime and the lease server); Proc
+// is the tree process concerned (-1 when not process-scoped); A and B are
+// kind-specific details.
 type Entry struct {
 	Seq  uint64
 	Time int64
@@ -97,12 +94,6 @@ func (j *Journal) Record(k Kind, proc int32, a, b int64) {
 	if j.now != nil {
 		t = j.now()
 	}
-	j.RecordAt(t, k, proc, a, b)
-}
-
-// RecordAt appends one entry with an explicit timestamp (layers with their
-// own clock, e.g. the simulator, stamp entries themselves).
-func (j *Journal) RecordAt(t int64, k Kind, proc int32, a, b int64) {
 	j.mu.Lock()
 	j.ring[j.next%uint64(len(j.ring))] = Entry{
 		Seq: j.next, Time: t, Kind: k, Proc: proc, A: a, B: b,

@@ -101,9 +101,11 @@ func TestZeroAllocPrimitives(t *testing.T) {
 }
 
 func TestJournalRingOverwrite(t *testing.T) {
-	j := NewJournal(4, nil)
+	var clock int64
+	j := NewJournal(4, func() int64 { return clock })
 	for i := int64(0); i < 10; i++ {
-		j.RecordAt(i, KindOverKOpen, int32(i), i, -i)
+		clock = i
+		j.Record(KindFaultInjected, int32(i), i, -i)
 	}
 	snap := j.Snapshot()
 	if len(snap) != 4 {
@@ -121,9 +123,10 @@ func TestJournalRingOverwrite(t *testing.T) {
 }
 
 func TestJournalWriteJSON(t *testing.T) {
-	j := NewJournal(8, nil)
-	j.RecordAt(42, KindLeaseGrant, 3, 2, 1500)
-	j.RecordAt(43, KindLeaseRelease, 3, 2, ReleaseExpired)
+	clock := int64(41)
+	j := NewJournal(8, func() int64 { clock++; return clock })
+	j.Record(KindLeaseGrant, 3, 2, 1500)
+	j.Record(KindLeaseRelease, 3, 2, ReleaseExpired)
 	var sb strings.Builder
 	if err := j.WriteJSON(&sb); err != nil {
 		t.Fatal(err)

@@ -1,15 +1,15 @@
 // Package obs is the repo's dependency-free instrumentation core: a metric
 // registry of sharded atomic counters, gauges and lock-free fixed-bucket
 // histograms with a single Prometheus-text exposition writer, plus a bounded
-// ring-buffer event journal for structured stabilization telemetry (see
-// journal.go).
+// ring-buffer event journal for the live layers' stabilization and lease
+// events (see journal.go).
 //
 // Design rules, in order:
 //
 //  1. Zero steady-state allocation. Counter.Add, Gauge ops, Histogram.Observe
 //     and Journal.Record never allocate; the sim kernel's zero-allocation
-//     stepping contract (TestZeroAllocSteadyState) holds with instrumentation
-//     enabled.
+//     stepping contract (TestZeroAllocSteadyState) holds with its registry
+//     attached.
 //  2. Hot-path writes are wait-free. Counters are padded shards picked off
 //     the calling goroutine's stack address, so concurrent serve/runtime
 //     writers do not bounce one cache line; histograms are plain atomic

@@ -198,12 +198,8 @@ func (n *Net) observe(e core.Event) {
 	if e.Kind == core.EvCirculation {
 		// One controller traversal completed at the root; its census
 		// (N1 = resource, N2 = priority, N3 = pusher token counts, Flag =
-		// reset pending) is legitimate iff the populations are exact and no
-		// reset traversal is in flight — the paper's legitimate-configuration
-		// predicate restricted to what the root can see.
-		legit := e.N1 == n.cfg.L && !e.Flag &&
-			(!n.cfg.Features.Priority || e.N2 == 1) &&
-			(!n.cfg.Features.Pusher || e.N3 == 1)
+		// reset pending) is read by the one population rule.
+		legit := n.cfg.LegitimatePopulation(e.N1, e.N2, e.N3, e.Flag)
 		if n.stabilized.Swap(legit) != legit {
 			if n.opts.Journal != nil {
 				k := obs.KindStabilized
@@ -217,7 +213,8 @@ func (n *Net) observe(e core.Event) {
 }
 
 // Stabilized reports whether the most recent census traversal completed at
-// the root observed the legitimate token population. It is false until the
+// the root observed the legitimate token population, by
+// core.Config.LegitimatePopulation. It is false until the
 // first legitimate traversal completes (the bootstrap from the empty
 // configuration), and flips back on mid-run destabilization (e.g. injected
 // garbage) until the controller repairs the population.

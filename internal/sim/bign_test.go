@@ -33,12 +33,12 @@ func saturatedSim(tb testing.TB, tr *tree.Tree) *sim.Sim {
 // boxes, no interface conversions, no store growth. Message nodes recycle
 // through the hub's free list, the wake heap and action set are
 // preallocated, and every hot-path callback is a method value bound at
-// construction. The contract
-// holds with full instrumentation enabled (Options.Obs + Options.Journal):
-// per-step observation is field compares and ring writes, never allocation.
-// And it holds across the action set's two forms: a burst of 40 garbage
-// frames spills the sorted array into the bitmaps, draining them extracts it
-// back, and both forms were sized at construction.
+// construction. The contract holds with Options.Obs and a
+// checker.CensusMonitor attached: the registry does no per-step work, and
+// the monitor's one Health read per step is field compares, never
+// allocation. And it holds across the action set's two forms: a burst of 40
+// garbage frames spills the sorted array into the bitmaps, draining them
+// extracts it back, and both forms were sized at construction.
 func TestZeroAllocSteadyState(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -52,15 +52,15 @@ func TestZeroAllocSteadyState(t *testing.T) {
 			tr := tc.tr
 			cfg := core.Config{K: 2, L: 8, N: tr.N(), CMAX: 4, Features: core.Full()}
 			reg := obs.NewRegistry()
-			s := sim.MustNew(tr, cfg, sim.Options{
-				Seed:    1,
-				Obs:     reg,
-				Journal: obs.NewJournal(1024, nil),
-			})
+			s := sim.MustNew(tr, cfg, sim.Options{Seed: 1, Obs: reg})
+			mon := checker.NewCensusMonitor(s)
 			for p := 0; p < tr.N(); p++ {
 				workload.Attach(s, p, workload.Fixed(1+p%2, 2, 4, 0))
 			}
 			s.Run(100_000) // converge and reach steady-state capacities
+			if _, ok := mon.ConvergedAt(); !ok {
+				t.Fatal("the monitor saw no convergence in the warm-up")
+			}
 			allocs := testing.AllocsPerRun(10, func() {
 				s.Run(2_000)
 			})

@@ -212,51 +212,28 @@ func (s *Sim) RestoreNode(p int, snap core.Snapshot) {
 }
 
 // Health is the copy-free per-step read of the maintained census: whether
-// the token populations are legitimate (Census().LegitimateFor with the
-// root's reset flag), the units in use and the number of processes over
-// their k cap. It is what Step's instrumentation and the per-step monitors
-// consume, so a step assembles no Census value; under Options.ScanCensus it
-// reads the snapshot oracle instead.
+// the token populations are legitimate (core.Config.LegitimatePopulation,
+// with a reset pending while a ctrl message carries R or the root's reset
+// flag is set), the units in use and the number of processes over their k
+// cap. It is what the per-step monitors consume, so a step assembles no
+// Census value; under Options.ScanCensus it reads the snapshot oracle
+// instead.
 func (s *Sim) Health() (legit bool, unitsInUse, overK int) {
 	rootReset := s.procs[0].node.ResetFlag() // the root's slot is 0
 	if s.scanCensus {
 		c := s.CensusScan()
-		return c.LegitimateFor(s.Cfg, rootReset), c.UnitsInUse, c.OverK
+		return s.Cfg.LegitimatePopulation(c.Res(), c.Prio(), c.FreePush, c.ResetCtrl > 0 || rootReset),
+			c.UnitsInUse, c.OverK
 	}
-	ct, c, f := &s.hub.Counts, &s.census, s.Cfg.Features
-	legit = ct.Kinds[message.Res]+int64(c.ReservedRes) == int64(s.Cfg.L) &&
-		(!f.Pusher || ct.Kinds[message.Push] == 1) &&
-		(!f.Priority || ct.Kinds[message.Prio]+int64(c.HeldPrio) == 1) &&
-		ct.ResetCtrl == 0 && !rootReset
+	ct, c := &s.hub.Counts, &s.census
+	legit = s.Cfg.LegitimatePopulation(int(ct.Kinds[message.Res])+c.ReservedRes,
+		int(ct.Kinds[message.Prio])+c.HeldPrio, int(ct.Kinds[message.Push]),
+		ct.ResetCtrl > 0 || rootReset)
 	return legit, c.UnitsInUse, c.OverK
 }
 
-// LegitimateFor reports whether this census matches the legitimate token
-// populations for cfg: exactly ℓ resource tokens, and — per enabled feature
-// — exactly one pusher and one priority token, with no reset traversal
-// pending (rootReset is the root's reset flag). It is the reference form of
-// the predicate; Sim.Health evaluates it on the maintained census in place.
-func (c Census) LegitimateFor(cfg core.Config, rootReset bool) bool {
-	if c.Res() != cfg.L {
-		return false
-	}
-	if cfg.Features.Pusher && c.FreePush != 1 {
-		return false
-	}
-	if cfg.Features.Priority && c.Prio() != 1 {
-		return false
-	}
-	if c.ResetCtrl > 0 {
-		return false
-	}
-	if rootReset {
-		return false
-	}
-	return true
-}
-
 // TokensCorrect reports whether the current token populations are
-// legitimate (see Census.LegitimateFor).
+// legitimate (see Health).
 func (s *Sim) TokensCorrect() bool {
 	legit, _, _ := s.Health()
 	return legit

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"kofl/internal/core"
 	"kofl/internal/obs"
@@ -15,16 +14,14 @@ import (
 )
 
 // TestSimObservability runs the full protocol from an arbitrary (empty)
-// configuration with instrumentation enabled and checks the whole opt-in
-// surface: the journal's stabilization telemetry stamped at the simulation
-// clock, the kofl_sim_* func metrics agreeing with the kernel counters, and
-// a strict-format exposition.
+// configuration with instrumentation enabled and checks the opt-in surface:
+// the kofl_sim_* func metrics agreeing with the kernel state, in a
+// strict-format exposition.
 func TestSimObservability(t *testing.T) {
 	tr := tree.Paper()
 	cfg := core.Config{K: 3, L: 5, N: tr.N(), CMAX: 4, Features: core.Full()}
 	reg := obs.NewRegistry()
-	j := obs.NewJournal(512, func() int64 { return time.Now().UnixNano() })
-	s := sim.MustNew(tr, cfg, sim.Options{Seed: 42, Obs: reg, Journal: j})
+	s := sim.MustNew(tr, cfg, sim.Options{Seed: 42, Obs: reg})
 	for p := 0; p < tr.N(); p++ {
 		workload.Attach(s, p, workload.Fixed(1+p%3, 3, 5, 0))
 	}
@@ -33,22 +30,6 @@ func TestSimObservability(t *testing.T) {
 		t.Fatal("system never reached a legitimate token population")
 	}
 	s.Run(50_000) // steady-state churn on top
-
-	var stabClock int64 = -1
-	for _, e := range j.Snapshot() {
-		if e.Kind == obs.KindStabilized {
-			stabClock = e.Time
-			if e.A != int64(cfg.L) {
-				t.Errorf("stabilized entry carries res=%d, want %d", e.A, cfg.L)
-			}
-		}
-	}
-	if stabClock < 0 {
-		t.Fatal("journal has no stabilized entry")
-	}
-	if stabClock > s.Steps {
-		t.Errorf("stabilized entry stamped at clock %d, beyond %d executed steps", stabClock, s.Steps)
-	}
 
 	var sb strings.Builder
 	if err := reg.WriteProm(&sb); err != nil {
@@ -60,8 +41,6 @@ func TestSimObservability(t *testing.T) {
 		"kofl_sim_enabled_actions",
 		"kofl_sim_actionset_spills_total",
 		"kofl_sim_census_legitimate 1",
-		"kofl_sim_overk_violations_total",
-		"kofl_sim_stabilizations_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("sim exposition missing %q in:\n%s", want, out)
@@ -69,6 +48,9 @@ func TestSimObservability(t *testing.T) {
 	}
 	if err := obs.CheckExposition([]byte(out)); err != nil {
 		t.Fatalf("sim exposition fails strict format check: %v\n%s", err, out)
+	}
+	if got := promValue(t, reg, "kofl_sim_steps_total"); got != s.Steps {
+		t.Errorf("kofl_sim_steps_total = %d, the kernel ran %d steps", got, s.Steps)
 	}
 
 	// The token-population invariant as a metric: with 64 applications
@@ -122,32 +104,4 @@ func promValue(t *testing.T, reg *obs.Registry, name string) int64 {
 	}
 	t.Fatalf("series %s not exposed", name)
 	return 0
-}
-
-// TestSimObsMatchesScanOracle steps the instrumented maintained-census kernel
-// and the instrumented ScanCensus oracle kernel over the same seed and
-// checks they journal identical stabilization telemetry — the differential
-// test that the per-step fast-path legitimacy check (direct field compares)
-// agrees with the full Census().LegitimateFor.
-func TestSimObsMatchesScanOracle(t *testing.T) {
-	run := func(scan bool) []obs.Entry {
-		tr := tree.Paper()
-		cfg := core.Config{K: 3, L: 5, N: tr.N(), CMAX: 4, Features: core.Full()}
-		j := obs.NewJournal(4096, nil)
-		s := sim.MustNew(tr, cfg, sim.Options{Seed: 7, Journal: j, ScanCensus: scan})
-		for p := 0; p < tr.N(); p++ {
-			workload.Attach(s, p, workload.Fixed(1+p%3, 3, 5, 0))
-		}
-		s.Run(300_000)
-		return j.Snapshot()
-	}
-	fast, oracle := run(false), run(true)
-	if len(fast) != len(oracle) {
-		t.Fatalf("journals diverge: %d entries (maintained) vs %d (scan oracle)", len(fast), len(oracle))
-	}
-	for i := range fast {
-		if fast[i] != oracle[i] {
-			t.Fatalf("journal entry %d diverges:\n  maintained: %+v\n  oracle:     %+v", i, fast[i], oracle[i])
-		}
-	}
 }

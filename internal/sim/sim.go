@@ -45,8 +45,10 @@
 // point into a node (delivery, timeout, Handle calls, RestoreNode) folds the
 // node-state delta into the persistent census — so reading the census each
 // step is O(1) instead of O(n + channels). Monitors in internal/checker
-// consume the maintained value through Health, the one per-step read, which
-// copies nothing. Options.ScanCensus selects the legacy
+// consume the maintained value through Health, which copies nothing and
+// applies the one population rule, core.Config.LegitimatePopulation; the
+// kernel itself reads no census per step (Options.Obs is scrape-time func
+// metrics only). Options.ScanCensus selects the legacy
 // recompute-on-read snapshot as the differential oracle, exactly as
 // Options.FullRescan does for scheduling.
 //
@@ -204,16 +206,11 @@ type Options struct {
 	// differential-testing oracle; the maintained census is value-identical.
 	ScanCensus bool
 	// Obs, when non-nil, registers the kofl_sim_* instrumentation series on
-	// it: the kernel counters and the maintained census bridged as func
-	// metrics (zero per-step cost) plus OverK-violation and stabilization
-	// window counters. The per-step cost is a few field compares; the
-	// zero-allocation stepping contract holds with Obs enabled.
+	// it: the kernel counters, the action set and the maintained census
+	// bridged as func metrics, read at scrape time. It does no per-step
+	// work; legitimacy and safety over a run are the checker monitors' to
+	// read.
 	Obs *obs.Registry
-	// Journal, when non-nil, receives structured stabilization telemetry
-	// stamped at the simulation clock: legitimacy transitions
-	// (stabilized/destabilized) and OverK violation open/close windows.
-	// Usable with or without Obs.
-	Journal *obs.Journal
 }
 
 // DefaultTimeoutTicks returns the default retransmission timeout for a tree
@@ -305,7 +302,6 @@ type Sim struct {
 	LastMsg    message.Message
 
 	stepHooks []func(*Sim)
-	obsSt     *obsState // Options.Obs/Journal instrumentation (nil: off)
 }
 
 // AddStepHook registers f to run after every executed step.
@@ -365,8 +361,8 @@ func New(t *tree.Tree, cfg core.Config, opts Options) (*Sim, error) {
 		}
 		s.procs[slot] = proc{node: node, wakeAt: NoWake, port: port{s: s, slot: slot, ob: s.actions.tbase[slot]}}
 	}
-	if opts.Obs != nil || opts.Journal != nil {
-		s.initObs(opts.Obs, opts.Journal)
+	if opts.Obs != nil {
+		s.initObs(opts.Obs)
 	}
 	return s, nil
 }
@@ -744,16 +740,6 @@ func (s *Sim) Step() bool {
 	}
 	if poll {
 		s.pollApp(int(slot))
-	}
-	if o := s.obsSt; o != nil {
-		// In steady state neither predicate changes, so instrumentation costs
-		// one Health read and two compares. Whether that stays inside the 2%
-		// overhead budget is unverified: see docs/ARCHITECTURE.md
-		// "Observability".
-		legit, units, overK := s.Health()
-		if legit != o.prevLegit || (overK > 0) != o.prevOverK {
-			s.obsTransition(legit, units, overK)
-		}
 	}
 	for _, f := range s.stepHooks {
 		f(s)

@@ -194,8 +194,8 @@ func ParseAdversaryScript(b []byte) (*AdversaryScript, error) { return adversary
 // CampaignReport is the order-independent aggregate a campaign produces.
 type CampaignReport = campaign.Report
 
-// CampaignOptions tunes the engine (worker count, progress callback,
-// trace capture directory, execution counters).
+// CampaignOptions tunes the engine (worker count, trace capture directory,
+// execution counters).
 type CampaignOptions = campaign.Options
 
 // CampaignPlan is the serializable execution plan of a campaign — the

@@ -198,6 +198,14 @@ grep -q 'func (s \*Server) Ready(' internal/serve/server.go || err "serve readin
 grep -q '"debug-addr"' cmd/koflserve/main.go || err "koflserve -debug-addr gone but documented"
 grep -q '"progress"' cmd/koflcampaign/main.go || err "koflcampaign -progress gone but documented"
 grep -q 'Obs \*obs.Registry' internal/sim/sim.go || err "sim.Options.Obs gone but documented"
+# "Stabilized" has one emitter and one rule: the population rule lives in
+# internal/core, and no doc may name the simulator's removed journal and
+# stabilization counters, the OverK journal kinds, the census's second copy
+# of the rule or the journal's explicit-timestamp entry point.
+grep -qr 'func (c Config) LegitimatePopulation' internal/core || err "core.Config.LegitimatePopulation gone but documented"
+if grep -q 'Options\.Journal\|overk_open\|kofl_sim_stabilizations_total\|kofl_sim_overk_violations_total\|LegitimateFor\|RecordAt' README.md docs/ARCHITECTURE.md; then
+    err "a doc still names the simulator's removed journal or counters, the OverK kinds, Census.LegitimateFor or Journal.RecordAt"
+fi
 
 [ "$fail" -eq 0 ] && echo "check_docs: OK"
 exit "$fail"

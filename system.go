@@ -60,13 +60,16 @@ func New(t *Tree, opts Options) (*System, error) {
 		s:      s,
 		manual: make([]*manualApp, t.N()),
 	}
+	// Seed before attaching the monitor, as the campaign engine does: its
+	// construction-time observation must see the configuration the run
+	// starts from.
+	if !s.Cfg.Features.Controller {
+		s.SeedLegitimate()
+	}
 	y.mon.Attach(s)
 	for p := 0; p < t.N(); p++ {
 		y.manual[p] = &manualApp{}
 		s.AttachApp(p, y.manual[p])
-	}
-	if !s.Cfg.Features.Controller {
-		s.SeedLegitimate()
 	}
 	return y, nil
 }

@@ -283,7 +283,8 @@ func TestRunCampaignPublicAPI(t *testing.T) {
 }
 
 // TestSystemMetricsMatchCampaignRun runs one (tree, k, ℓ, seed, workload)
-// through kofl.System and through the campaign engine, from the empty start
+// through kofl.System and through the campaign engine, for every variant,
+// from the variant's own start (empty, or a seeded legitimate population)
 // and from an arbitrary one, and requires both to report the same grants,
 // worst waiting time, controller laps, resets, timeouts, convergence point
 // and safety violations after it.
@@ -291,59 +292,72 @@ func TestSystemMetricsMatchCampaignRun(t *testing.T) {
 	const k, l, seed, steps = 2, 3, 5, 60_000
 	for _, arbitrary := range []bool{false, true} {
 		t.Run(fmt.Sprintf("arbitrary=%v", arbitrary), func(t *testing.T) {
-			plan, err := kofl.PlanCampaign(kofl.CampaignSpec{
-				Name:       "agreement",
-				Topologies: []kofl.CampaignTopology{{Kind: "star", N: 6}},
-				KL:         []kofl.CampaignKL{{K: k, L: l}},
-				Seeds:      kofl.CampaignSeeds{First: seed, Count: 1},
-				Steps:      steps,
-				Workload:   kofl.CampaignWorkload{Hold: 2, Think: 4},
-				Faults:     kofl.CampaignFaults{ArbitraryStart: arbitrary},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			part, err := kofl.ExecuteCampaignShard(plan, 0, 1, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rr := part.Results[0].Result
-
-			tr := kofl.Star(6)
-			sys := kofl.MustNew(tr, kofl.Options{K: k, L: l, Seed: seed})
-			if arbitrary {
-				// The campaign draws an arbitrary start from seed+1000.
-				sys.InjectArbitraryFaults(seed + 1000)
-			}
-			for p := 0; p < tr.N(); p++ {
-				sys.Saturate(p, 1+p%k, 2, 4, 0) // the campaign's Need 0 spread
-			}
-			sys.Run(steps)
-			m := sys.Metrics()
-
-			if !rr.Converged || rr.Grants == 0 {
-				t.Fatalf("campaign run converged=%v with %d grants (vacuous test)", rr.Converged, rr.Grants)
-			}
-			for _, f := range []struct {
-				name          string
-				system, campa int64
-			}{
-				{"steps", m.Steps, rr.Steps},
-				{"grants", m.TotalGrants, rr.Grants},
-				{"max waiting", m.MaxWaiting, rr.MaxWaiting},
-				{"circulations", m.Circulations, rr.Circulations},
-				{"resets", m.Resets, rr.Resets},
-				{"timeouts", m.Timeouts, rr.Timeouts},
-				{"converged at", m.ConvergedAt, rr.ConvergedAt},
-				{"safety after", int64(m.SafetyViolationsAfterConvergence), int64(rr.SafetyAfter)},
-			} {
-				if f.system != f.campa {
-					t.Errorf("%s: System %d, campaign %d", f.name, f.system, f.campa)
-				}
-			}
-			if m.Converged != rr.Converged {
-				t.Errorf("converged: System %v, campaign %v", m.Converged, rr.Converged)
+			for _, variant := range []kofl.Variant{kofl.FullProtocol, kofl.NonStabilizingVariant, kofl.PusherVariant, kofl.NaiveVariant} {
+				t.Run(variant.String(), func(t *testing.T) {
+					agreeWithCampaign(t, variant, arbitrary, k, l, seed, steps)
+				})
 			}
 		})
+	}
+}
+
+// agreeWithCampaign runs one campaign slot and the equivalent System and
+// requires every metric both report to agree.
+func agreeWithCampaign(t *testing.T, variant kofl.Variant, arbitrary bool, k, l int, seed, steps int64) {
+	plan, err := kofl.PlanCampaign(kofl.CampaignSpec{
+		Name:       "agreement",
+		Topologies: []kofl.CampaignTopology{{Kind: "star", N: 6}},
+		KL:         []kofl.CampaignKL{{K: k, L: l}},
+		Variants:   []string{variant.String()},
+		Seeds:      kofl.CampaignSeeds{First: seed, Count: 1},
+		Steps:      steps,
+		Workload:   kofl.CampaignWorkload{Hold: 2, Think: 4},
+		Faults:     kofl.CampaignFaults{ArbitraryStart: arbitrary},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := kofl.ExecuteCampaignShard(plan, 0, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := part.Results[0].Result
+
+	tr := kofl.Star(6)
+	sys := kofl.MustNew(tr, kofl.Options{K: k, L: l, Seed: seed, Variant: variant})
+	if arbitrary {
+		// The campaign draws an arbitrary start from seed+1000.
+		sys.InjectArbitraryFaults(seed + 1000)
+	}
+	for p := 0; p < tr.N(); p++ {
+		sys.Saturate(p, 1+p%k, 2, 4, 0) // the campaign's Need 0 spread
+	}
+	sys.Run(steps)
+	m := sys.Metrics()
+
+	// Only the controller repairs an arbitrary start; a seeded variant
+	// converges from its legitimate one.
+	if canConverge := variant == kofl.FullProtocol || !arbitrary; rr.Converged != canConverge || rr.Grants == 0 {
+		t.Fatalf("campaign run converged=%v with %d grants (vacuous test)", rr.Converged, rr.Grants)
+	}
+	for _, f := range []struct {
+		name          string
+		system, campa int64
+	}{
+		{"steps", m.Steps, rr.Steps},
+		{"grants", m.TotalGrants, rr.Grants},
+		{"max waiting", m.MaxWaiting, rr.MaxWaiting},
+		{"circulations", m.Circulations, rr.Circulations},
+		{"resets", m.Resets, rr.Resets},
+		{"timeouts", m.Timeouts, rr.Timeouts},
+		{"converged at", m.ConvergedAt, rr.ConvergedAt},
+		{"safety after", int64(m.SafetyViolationsAfterConvergence), int64(rr.SafetyAfter)},
+	} {
+		if f.system != f.campa {
+			t.Errorf("%s: System %d, campaign %d", f.name, f.system, f.campa)
+		}
+	}
+	if m.Converged != rr.Converged {
+		t.Errorf("converged: System %v, campaign %v", m.Converged, rr.Converged)
 	}
 }
