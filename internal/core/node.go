@@ -8,14 +8,15 @@ import (
 
 // slot is the per-process protocol state, one array-of-structs entry per
 // process: a delivery reads and writes most of these together, so they share
-// half a cache line (the layout test pins ≤ 32 bytes) instead of one cold
-// line per variable.
+// 24 bytes (the layout test pins them) instead of one cold line per variable.
+// need and rlen are at most k ≤ ℓ ≤ MaxL, which Validate enforces, so they
+// take 16 bits each.
 type slot struct {
-	myC   int   // counter-flushing flag (domain up to 2⁴⁰)
-	need  int32 // units requested
-	succ  int32 // channel the controller is expected from / forwarded to
-	prio  int32 // channel label, NoPrio = ⊥
-	rlen  int32 // |RSet|
+	myC   int    // counter-flushing flag (domain up to 2⁴⁰)
+	succ  int32  // channel the controller is expected from / forwarded to
+	prio  int32  // channel label, NoPrio = ⊥
+	need  uint16 // units requested
+	rlen  uint16 // |RSet|
 	state State
 }
 
@@ -191,7 +192,7 @@ func (n *Node) Reserved() int { return int(n.slot().rlen) }
 // pair of probes; one fused accessor keeps that bracket to two calls.
 func (v *Vars) Probe(idx int) (res int32, prio bool, state State) {
 	sl := &v.slots[idx]
-	return sl.rlen, sl.prio != NoPrio, sl.state
+	return int32(sl.rlen), sl.prio != NoPrio, sl.state
 }
 
 // rsetAll returns the live flattened reservation multiset of this process.
@@ -272,7 +273,7 @@ func (n *Node) Snapshot() Snapshot {
 func (n *Node) Restore(s Snapshot) {
 	v, sl := n.vars, n.slot()
 	sl.state = State(clamp(int(s.State), 0, int(In)))
-	sl.need = int32(clamp(s.Need, 0, v.cfg.K))
+	sl.need = uint16(clamp(s.Need, 0, v.cfg.K))
 	sl.myC = clamp(s.MyC, 0, v.cmod-1)
 	sl.succ = int32(clamp(s.Succ, 0, int(n.deg)-1))
 	n.rsetClear()
@@ -317,7 +318,7 @@ func (n *Node) Request(env Env, need int) error {
 	if k := n.vars.cfg.K; need < 0 || need > k {
 		return fmt.Errorf("core: process %d: need %d outside [0..k=%d]", n.id, need, k)
 	}
-	sl.need = int32(need)
+	sl.need = uint16(need)
 	sl.state = Req
 	n.emit(Event{Kind: EvRequest, N1: need})
 	n.bottomHalf(env)

@@ -100,13 +100,44 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestLayoutGuard pins the per-process slot to half a cache line. If it
-// grows, a delivery's protocol state no longer sits on one line and the
+// TestLayoutGuard pins the per-process slot to 24 bytes. If it grows, the
 // simulator's bytes/process ceiling (sim.TestBytesPerProcessCeiling) goes
 // with it.
 func TestLayoutGuard(t *testing.T) {
-	if got := unsafe.Sizeof(slot{}); got > 32 {
-		t.Fatalf("slot is %d bytes, want ≤ 32", got)
+	if got := unsafe.Sizeof(slot{}); got > 24 {
+		t.Fatalf("slot is %d bytes, want ≤ 24", got)
+	}
+}
+
+// TestSlotAtMaxL drives the 16-bit need and |RSet| fields to the top of
+// their domain, k = ℓ = MaxL: a request for every unit, one reservation per
+// unit, and a Restore past k, which must clamp rather than wrap.
+func TestSlotAtMaxL(t *testing.T) {
+	c := Config{K: MaxL, L: MaxL, N: 8, CMAX: 4, Features: Full()}
+	n, _ := newLeaf(t, c, 2)
+	env := &mockEnv{}
+	if err := n.Request(env, MaxL); err != nil {
+		t.Fatal(err)
+	}
+	if n.Need() != MaxL {
+		t.Fatalf("Need() = %d after Request(MaxL), want %d", n.Need(), MaxL)
+	}
+	for i := 0; i < MaxL; i++ {
+		n.HandleMessage(1, message.NewRes(), env)
+	}
+	if res, _, state := n.vars.Probe(0); n.Reserved() != MaxL || res != MaxL || state != In {
+		t.Fatalf("after %d reservations: Reserved() = %d, Probe = %d in %v, want %d in In",
+			MaxL, n.Reserved(), res, state, MaxL)
+	}
+	if len(env.sends) != 0 {
+		t.Fatalf("%d tokens forwarded while the request was short", len(env.sends))
+	}
+	for _, over := range []int{MaxL + 1, 1 << 16, 1<<17 + 3} {
+		n.Restore(Snapshot{State: Req, Need: over, RSet: make([]int, over), Prio: NoPrio})
+		if res, _, _ := n.vars.Probe(0); n.Need() != MaxL || n.Reserved() != MaxL || res != MaxL {
+			t.Fatalf("Restore(Need, |RSet| = %d): Need() = %d, Reserved() = %d, Probe = %d, want all %d",
+				over, n.Need(), n.Reserved(), res, MaxL)
+		}
 	}
 }
 

@@ -28,7 +28,10 @@ import (
 // touches are in slot order (see the package comment), so each member also
 // carries where its action lives — the channel's table index for a delivery,
 // the process's slot otherwise — and a draw reaches the channel header and
-// the process line without a lookup.
+// the process line without a lookup. The set keeps no copy of what those
+// lines hold: a delivery's receiver id and label are read off the receiver's
+// process line (its node's id, its port's first table index), and a
+// channel's ordinal is one per-slot offset plus its table index.
 //
 // The set has two forms, selected by its size. The protocol's legitimate
 // configuration holds ℓ resource tokens, one pusher, one priority token and
@@ -53,21 +56,21 @@ type ActionSet struct {
 	tree *tree.Tree // deliver ordinal of (p, ch): tree.ChannelOffset(p) + ch
 
 	// The second numbering: slotOf[p] is process p's slot, its position in
-	// DFS preorder (ring order), ids[s] the process at slot s, and tbase[s]
-	// the table index of the first channel into the process at slot s
-	// (tbase[n] = e).
+	// DFS preorder (ring order). procs are the simulator's process lines by
+	// slot: the line at slot s names its process (node.ID()) and the table
+	// index of the first channel into it (port.ob).
 	slotOf []int32
-	ids    []int32
-	tbase  []int32
+	procs  []proc
 
 	// chans is the hub's channel table, CSR by receiver slot:
-	// chans[tbase[s]+ch] is the channel INTO the process at slot s with
-	// label ch. Its header names the receiver's slot (ToSlot) on the line a
-	// delivery touches anyway — the receiver's id and label follow from ids
-	// and tbase — and its Rev is the table index of the channel OUT of
-	// (receiver, label). ords[i] is the deliver ordinal of chans[i].
-	chans []channel.Channel
-	ords  []int32
+	// chans[procs[s].port.ob+ch] is the channel INTO the process at slot s
+	// with label ch. Its header names the receiver's slot (ToSlot), whose
+	// line a delivery touches anyway and which gives the receiver's id and
+	// label, and its Rev is the table index of the channel OUT of (receiver,
+	// label). odelta[s] is the deliver ordinal of a channel into slot s minus
+	// its table index, one offset for all of the slot's channels.
+	chans  []channel.Channel
+	odelta []int32
 
 	size   int             // enabled ordinals, in either form
 	dense  bool            // the bitmaps hold the set, small is unused
@@ -95,17 +98,20 @@ func (v entry) ord() int  { return int(v >> 32) }
 func (v entry) at() int32 { return int32(v) }
 
 // newActionSet sizes an empty set for topology t, numbers its processes in
-// ring order and lays out hub's channel table (t.RingLen() channels).
-func newActionSet(t *tree.Tree, hub *channel.Hub) *ActionSet {
+// ring order and lays out hub's channel table (t.RingLen() channels). It
+// gives each of the process lines procs (one per process, by slot) its
+// port's slot and first table index, and then hands process p's line to
+// bind, in slot order, so the caller fills the lines front to back.
+func newActionSet(t *tree.Tree, hub *channel.Hub, procs []proc, bind func(p int, pr *proc) error) (*ActionSet, error) {
 	n := t.N()
 	as := &ActionSet{
 		n:      n,
 		e:      t.RingLen(),
 		tree:   t,
 		slotOf: make([]int32, n),
-		ids:    make([]int32, n),
-		tbase:  make([]int32, n+1),
+		procs:  procs,
 		chans:  hub.Table(),
+		odelta: make([]int32, n),
 	}
 	as.m = as.e + 1 + n
 	// Slots: DFS preorder with children in label order — the order in which
@@ -114,12 +120,16 @@ func newActionSet(t *tree.Tree, hub *channel.Hub) *ActionSet {
 	// Each process's channels take the next stretch of the table as the walk
 	// reaches it, and each tree edge is laid out, both directions, when the
 	// walk first crosses it.
-	as.ords = make([]int32, as.e)
-	off := int32(t.Degree(0)) // the root: slot 0, table indices from 0
+	if err := as.place(0, 0, 0, bind); err != nil { // the root: slot 0, table indices from 0
+		return nil, err
+	}
+	off := int32(t.Degree(0))
 	for p, next, s := 0, 0, int32(1); ; {
 		if kids := t.Children(p); next < len(kids) {
 			c := kids[next]
-			as.slotOf[c], as.ids[s], as.tbase[s] = s, int32(c), off
+			if err := as.place(c, s, off, bind); err != nil {
+				return nil, err
+			}
 			off += int32(t.Degree(c))
 			s++
 			pch := next // c's label at p: children follow the parent's label 0
@@ -137,37 +147,45 @@ func newActionSet(t *tree.Tree, hub *channel.Hub) *ActionSet {
 		next = sort.SearchInts(t.Children(q), p) + 1
 		p = q
 	}
-	as.tbase[n] = off
 	as.words = make([]uint64, (as.m+63)/64)
 	as.cnt1 = make([]int16, (len(as.words)+7)/8)
 	as.cnt2 = make([]int32, (len(as.cnt1)+63)/64)
-	return as
+	return as, nil
+}
+
+// place gives process p slot s, whose channels start at table index ob, and
+// hands its line to bind.
+func (as *ActionSet) place(p int, s, ob int32, bind func(p int, pr *proc) error) error {
+	as.slotOf[p] = s
+	as.procs[s].port = port{slot: s, ob: ob}
+	as.odelta[s] = int32(as.ordDeliver(p, 0)) - ob
+	return bind(p, &as.procs[s])
 }
 
 // link lays out both directions of the tree edge between p, where it has
 // label pch, and q, where it has label qch; both processes have slots.
 func (as *ActionSet) link(p, pch, q, qch int) {
 	sp, sq := as.slotOf[p], as.slotOf[q]
-	intoP, intoQ := as.tbase[sp]+int32(pch), as.tbase[sq]+int32(qch)
+	intoP, intoQ := as.procs[sp].port.ob+int32(pch), as.procs[sq].port.ob+int32(qch)
 	as.chans[intoP].ToSlot, as.chans[intoP].Rev = sp, intoQ
 	as.chans[intoQ].ToSlot, as.chans[intoQ].Rev = sq, intoP
-	as.ords[intoP], as.ords[intoQ] = int32(as.ordDeliver(p, pch)), int32(as.ordDeliver(q, qch))
 }
 
-// ends names the endpoints of the channel at table index i from the slot
-// tables: its receiver's, and those of its reverse, which leaves the sender.
+// ordAt returns the deliver ordinal of the channel at table index i.
+func (as *ActionSet) ordAt(i int32) int { return int(as.odelta[as.chans[i].ToSlot] + i) }
+
+// ends names the endpoints of the channel at table index i: its receiver's,
+// and those of its reverse, which leaves the sender.
 func (as *ActionSet) ends(i int32) channel.Ends {
-	to, from := as.chans[i].ToSlot, as.chans[as.chans[i].Rev].ToSlot
-	return channel.Ends{
-		From: int(as.ids[from]), FromCh: int(as.chans[i].Rev - as.tbase[from]),
-		To: int(as.ids[to]), ToCh: int(i - as.tbase[to]),
-	}
+	to, from := as.deliver(i), as.deliver(as.chans[i].Rev)
+	return channel.Ends{From: from.Proc, FromCh: from.Ch, To: to.Proc, ToCh: to.Ch}
 }
 
-// deliver decodes the delivery that pops the channel at table index at.
+// deliver decodes the delivery that pops the channel at table index at: the
+// receiver's process line names the process and its first table index.
 func (as *ActionSet) deliver(at int32) Action {
-	slot := as.chans[at].ToSlot
-	return Action{Kind: ActDeliver, Proc: int(as.ids[slot]), Ch: int(at - as.tbase[slot])}
+	pr := &as.procs[as.chans[at].ToSlot]
+	return Action{Kind: ActDeliver, Proc: pr.node.ID(), Ch: int(at - pr.port.ob)}
 }
 
 // ordDeliver returns the ordinal of delivering into (p, ch).
@@ -185,7 +203,7 @@ func (as *ActionSet) ordApp(p int) int { return as.e + 1 + p }
 func (as *ActionSet) where(a Action) int32 {
 	switch a.Kind {
 	case ActDeliver:
-		return as.tbase[as.slotOf[a.Proc]] + int32(a.Ch)
+		return as.procs[as.slotOf[a.Proc]].port.ob + int32(a.Ch)
 	case ActTimeout:
 		return 0
 	default:

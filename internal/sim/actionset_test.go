@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"kofl/internal/channel"
 	"kofl/internal/core"
 	"kofl/internal/message"
 	"kofl/internal/tree"
@@ -16,11 +15,19 @@ func testCfg(k, l int) core.Config {
 	return core.Config{K: k, L: l, CMAX: 4, Features: core.Full()}
 }
 
+// emptySet returns the action set of a fresh simulation over tr, which is
+// empty: nothing is in flight, no application is attached and the clock has
+// not reached the timeout. The set decodes deliveries through the
+// simulation's process lines, so it is built the way New builds it.
+func emptySet(tr *tree.Tree) *ActionSet {
+	return MustNew(tr, testCfg(1, 1), Options{}).actions
+}
+
 // TestActionSetOrdinalRoundTrip checks encode/decode agree over the whole
 // ordinal space of an irregular topology.
 func TestActionSetOrdinalRoundTrip(t *testing.T) {
 	tr := tree.Caterpillar(4, 2)
-	as := newActionSet(tr, channel.NewHub(tr.RingLen(), nil, nil))
+	as := emptySet(tr)
 	if as.e != tr.RingLen() {
 		t.Fatalf("e = %d, want %d", as.e, tr.RingLen())
 	}
@@ -49,7 +56,7 @@ func TestActionSetOrdinalRoundTrip(t *testing.T) {
 // order regardless of insertion order.
 func TestActionSetCanonicalOrder(t *testing.T) {
 	tr := tree.Paper()
-	as := newActionSet(tr, channel.NewHub(tr.RingLen(), nil, nil))
+	as := emptySet(tr)
 	ords := rand.New(rand.NewSource(3)).Perm(as.m)
 	for _, ord := range ords {
 		addOrd(as, ord)
@@ -73,7 +80,7 @@ func TestActionSetCanonicalOrder(t *testing.T) {
 // name dates from the swap-remove index the bitmap replaced).
 func TestActionSetSwapRemove(t *testing.T) {
 	tr := tree.Star(6)
-	as := newActionSet(tr, channel.NewHub(tr.RingLen(), nil, nil))
+	as := emptySet(tr)
 	model := map[int]bool{}
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 10_000; i++ {
@@ -179,7 +186,7 @@ func bitmapsZero(as *ActionSet) bool {
 // every mutation.
 func TestActionSetForms(t *testing.T) {
 	tr := tree.Caterpillar(6, 2) // 18 processes, 34 channels, 53 ordinals
-	as := newActionSet(tr, channel.NewHub(tr.RingLen(), nil, nil))
+	as := emptySet(tr)
 	rng := rand.New(rand.NewSource(5))
 	var model []int
 	for _, leg := range []struct {

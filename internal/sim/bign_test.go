@@ -31,12 +31,12 @@ func saturatedSim(tb testing.TB, tr *tree.Tree) *sim.Sim {
 // saturated run has warmed past convergence into steady churn, stepping the
 // simulator performs ZERO heap allocations — no message frames, no closure
 // boxes, no interface conversions, no store growth. Message nodes recycle
-// through the hub's free list, the wake heap and action set are
-// preallocated, and every hot-path callback is a method value bound at
-// construction. The contract holds with Options.Obs and a
-// checker.CensusMonitor attached: the registry does no per-step work, and
-// the monitor's one Health read per step is field compares, never
-// allocation. And it holds across the action set's two forms: a burst of 40
+// through the hub's free list, the action set is preallocated, the wake
+// heap reaches its peak in the warm-up (TestWakeHeapOccupancy), and every
+// hot-path callback is a method value bound at construction. The contract
+// holds with Options.Obs and a checker.CensusMonitor attached: the registry
+// does no per-step work, and the monitor's one Health read per step is
+// field compares, never allocation. And it holds across the action set's two forms: a burst of 40
 // garbage frames spills the sorted array into the bitmaps, draining them
 // extracts it back, and both forms were sized at construction.
 func TestZeroAllocSteadyState(t *testing.T) {
@@ -112,18 +112,19 @@ func TestBigNSmoke(t *testing.T) {
 // repository's benchmark reports as bytes_per_process, measured by the same
 // recipe (buildSim in benchmark/simphase.go): the GC-fenced HeapAlloc delta
 // around sim.New, one Fixed cycle attached per process and the census
-// monitor. The layout lands near 245 B/process (two 16-byte channel headers
-// and their deliver ordinals, a 64-byte process line holding the node view,
-// the wake time and the port, a 32-byte protocol slot, a 64-byte Cycle and a
-// few words of tables: the wake heap, the id→slot and slot→id maps, the
-// per-slot channel offsets and the dense action set's bitmap); the
-// ceiling leaves room for the allocator's rounding at small n, not for
-// another per-process table. The live heap is measured again after 8n
-// steps, so that no cost hides past the construction fence: the message
-// store, the action set and the monitor's violation record grow only with
-// what is in flight, never with the steps run.
+// monitor. The layout lands near 209 B/process (two 16-byte channel headers,
+// a 64-byte process line holding the node view, the wake time and the port,
+// a 24-byte protocol slot, a 64-byte Cycle and a few words of tables: the
+// id→slot map, the per-slot ordinal offsets and the dense action set's
+// bitmap; the wake heap is a few dozen entries whatever n is); the ceiling
+// leaves room for the allocator's rounding at small n, not for another
+// per-process table. The live heap is measured again after 8n steps, and
+// must be within 1 B/process of the first reading, so that no cost hides
+// past the construction fence: the message store, the wake heap, the action
+// set and the monitor's violation record grow only with what is in flight
+// or asleep, never with the steps run.
 func TestBytesPerProcessCeiling(t *testing.T) {
-	const n, ceiling = 4096, 270
+	const n, ceiling = 4096, 215
 	tr := tree.Prufer(n, rand.New(rand.NewSource(7)))
 	var before, built, warm runtime.MemStats
 	runtime.GC()
@@ -136,16 +137,43 @@ func TestBytesPerProcessCeiling(t *testing.T) {
 	s.Run(8 * n)
 	runtime.GC()
 	runtime.ReadMemStats(&warm)
+	perProc := func(after *runtime.MemStats) float64 {
+		return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	}
 	for _, m := range []struct {
 		when  string
 		after *runtime.MemStats
 	}{{"after construction", &built}, {"after 8n steps", &warm}} {
-		perProc := float64(int64(m.after.HeapAlloc)-int64(before.HeapAlloc)) / n
-		if perProc > ceiling {
-			t.Errorf("%.1f B/process at n=%d %s, want ≤ %d", perProc, n, m.when, ceiling)
+		if got := perProc(m.after); got > ceiling {
+			t.Errorf("%.1f B/process at n=%d %s, want ≤ %d", got, n, m.when, ceiling)
 		}
-		t.Logf("%.1f B/process at n=%d %s", perProc, n, m.when)
+		t.Logf("%.1f B/process at n=%d %s", perProc(m.after), n, m.when)
+	}
+	if grew := perProc(&warm) - perProc(&built); grew > 1 {
+		t.Errorf("the live heap grew by %.1f B/process over 8n steps, want ≤ 1", grew)
 	}
 	runtime.KeepAlive(s)
 	runtime.KeepAlive(mon)
+}
+
+// TestWakeHeapOccupancy pins what the wake heap holds under the benchmark's
+// recipe (buildSim in benchmark/simphase.go, here with the scheduler seeded
+// 1) at n = 4096: converged under the census monitor, warmed for
+// max(8n, 50 000) steps, then stepped as long again. New gives the heap a small fixed capacity rather than one
+// entry per process, and in this saturated run only a handful of
+// applications sleep at once, so the heap never grows past it.
+func TestWakeHeapOccupancy(t *testing.T) {
+	const n = 4096
+	s := saturatedSim(t, tree.Prufer(n, rand.New(rand.NewSource(7))))
+	mon := checker.NewCensusMonitor(s)
+	if !s.RunUntil(n*10_000, func() bool { _, ok := mon.ConvergedAt(); return ok }) {
+		t.Fatalf("not converged after %d steps", s.Steps)
+	}
+	warm := int64(max(8*n, 50_000))
+	for _, phase := range []string{"warm-up", "steady stepping"} {
+		s.Run(warm)
+		if now, initial := sim.WakeHeapCap(s); now != initial {
+			t.Fatalf("wake heap capacity %d after the %s, want the starting %d", now, phase, initial)
+		}
+	}
 }

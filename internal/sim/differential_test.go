@@ -268,3 +268,42 @@ func TestDifferentialTimeoutFastForward(t *testing.T) {
 		t.Errorf("fast-forward paths diverged:\nincremental: %.300s\nrescan:      %.300s", inc, scan)
 	}
 }
+
+// TestDifferentialWakeHeapGrowth runs the kernels side by side while more
+// applications sleep at once than the wake heap's starting capacity: every
+// leaf of a star takes one unit, holds it briefly and releases into a think
+// longer than the run, so the sleepers pile up in the heap and append grows
+// it mid-run. The scan kernel keeps no heap, so it is the oracle for every
+// wake-up the grown heap delivers.
+func TestDifferentialWakeHeapGrowth(t *testing.T) {
+	tr := tree.Star(97)
+	cfg := core.Config{K: 1, L: 4, N: tr.N(), CMAX: 4, Features: core.Full()}
+	const steps, think = 30_000, 1 << 40
+	run := func(rescan bool) (trace []string, summary string, asleep, heapCap, heapInit int) {
+		drive := func(s *sim.Sim) {
+			cycles := make([]*workload.Cycle, tr.N())
+			for p := range cycles {
+				cycles[p] = workload.Attach(s, p, workload.Fixed(1, 3, think, 0))
+			}
+			s.Run(steps)
+			for _, c := range cycles {
+				if c.Grants > 0 {
+					asleep++
+				}
+			}
+			heapCap, heapInit = sim.WakeHeapCap(s)
+		}
+		trace, summary = diffDrive(t, tr, cfg, 9, sim.NewRandomScheduler(), drive, rescan)
+		return trace, summary, asleep, heapCap, heapInit
+	}
+	gotTrace, gotSum, asleep, heapCap, heapInit := run(false)
+	wantTrace, wantSum, _, _, _ := run(true)
+	sameRun(t, gotTrace, wantTrace, gotSum, wantSum)
+	if asleep <= heapInit {
+		t.Errorf("%d applications asleep at the end, want more than the heap's starting capacity %d", asleep, heapInit)
+	}
+	if heapCap <= heapInit {
+		t.Errorf("wake heap capacity %d after the run, want it grown past %d", heapCap, heapInit)
+	}
+	t.Logf("%d of %d applications asleep; wake heap capacity %d (started at %d)", asleep, tr.N(), heapCap, heapInit)
+}

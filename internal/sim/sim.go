@@ -56,23 +56,27 @@
 //
 // A delivery reads one 64-byte line for the process (node view, which holds
 // the process's one copy of its application; wake time; port) and its
-// 32-byte protocol slot in core.Vars, and one 16-byte, pointer-free header
+// 24-byte protocol slot in core.Vars, and one 16-byte, pointer-free header
 // per channel end — the one it pops and the one it pushes to, four to a
 // line. The messages in flight live in the channel.Hub's one store, a few
 // dozen nodes in steady state whatever n is, together with what else the
-// channels share; a channel's receiver id and label are read off two slot
-// tables (ids, tbase) and its ordinal off one channel table (ords). Tokens
-// only move along the virtual ring, so what a step costs at big n is the
-// ORDER of those lines: the simulator keeps two numberings apart. Ids are
-// tree labels — every API, event, trace and scheduler, and the canonical
-// enumeration order above, speak ids. Slots are DFS-preorder positions, the
-// order in which a token lap first reaches each process; every table a step
-// touches (procs, the core.Vars slots, the wake heap, the census bracket) is
-// indexed by slot, and the channel table is CSR by receiver slot, so a lap
-// walks memory forward instead of landing on a random label's line. The
-// mapping is the identity on chains, stars and any tree already labelled in
-// preorder; the id→slot table is read only at the API boundary and by the
-// dense action set's decode. Steady-state stepping performs zero heap
+// channels share. A channel's receiver id and label are read off the
+// receiver's process line (the node's id, the port's first table index),
+// and its ordinal is one per-slot offset plus its table index; no table
+// copies what the line holds. The wake heap starts at smallCap entries and
+// grows to the most applications asleep at once, a handful in steady state
+// whatever n is. Tokens only move along the virtual ring, so what a step
+// costs at big n is the ORDER of those lines: the simulator keeps two
+// numberings apart. Ids are tree labels — every API, event, trace and
+// scheduler, and the canonical enumeration order above, speak ids. Slots are
+// DFS-preorder positions, the order in which a token lap first reaches each
+// process; every table a step touches (procs, the core.Vars slots, the
+// per-slot ordinal offsets, the wake heap, the census bracket) is indexed by
+// slot, and the channel table is CSR by receiver slot, so a lap walks memory
+// forward instead of landing on a random label's line. The mapping is the
+// identity on chains, stars and any tree already labelled in preorder; the
+// id→slot table is read only at the API boundary and by the dense action
+// set's decode. Steady-state stepping performs zero heap
 // allocations; see docs/ARCHITECTURE.md ("Memory model").
 //
 // # Fault-injection resync rule
@@ -254,8 +258,8 @@ type Sim struct {
 	Cfg  core.Config
 
 	// Channel storage in CSR form by receiver slot: chans is the hub's
-	// header table, laid out by the ActionSet — chans[tbase[s]+ch] is the
-	// channel INTO the process at slot s with label ch, and its Rev the
+	// header table, laid out by the ActionSet — chans[procs[s].port.ob+ch] is
+	// the channel INTO the process at slot s with label ch, and its Rev the
 	// index of the channel OUT of it with label ch. One dense slice of
 	// 16-byte headers for all 2(n-1) channels; their messages live in the
 	// hub's store.
@@ -323,7 +327,7 @@ func New(t *tree.Tree, cfg core.Config, opts Options) (*Sim, error) {
 		rng:          rand.New(rand.NewSource(opts.Seed)),
 		sched:        opts.Scheduler,
 		timeoutTicks: opts.TimeoutTicks,
-		wakes:        make([]wake, 0, n),
+		wakes:        make([]wake, 0, smallCap), // grows by append to the run's peak
 		rescan:       opts.FullRescan,
 		acting:       -1,
 		scanCensus:   opts.ScanCensus,
@@ -342,25 +346,24 @@ func New(t *tree.Tree, cfg core.Config, opts Options) (*Sim, error) {
 		onEmptiness = s.chanEmptiness
 	}
 	s.hub = channel.NewHub(t.RingLen(), onEmptiness, s.chanEnds)
-	s.actions = newActionSet(t, s.hub)
-	s.chans = s.hub.Table()
 	// Processes: node views over one shared slot store, each bound at its
-	// process's slot under its id, in slot order. Every process has a
-	// channel, and the first one into it names it.
+	// process's slot under its id, in slot order as the action set lays
+	// them out; it gives each line its port's slot and first table index.
 	vars, err := core.NewVars(cfg, n)
 	if err != nil {
 		return nil, err
 	}
 	s.vars = vars
 	s.procs = make([]proc, n)
-	for slot := range int32(n) {
-		p := int(s.actions.ids[slot])
-		node, err := vars.Bind(int(slot), p, t.Degree(p), t.IsRoot(p), nopApp{})
-		if err != nil {
-			return nil, err
-		}
-		s.procs[slot] = proc{node: node, wakeAt: NoWake, port: port{s: s, slot: slot, ob: s.actions.tbase[slot]}}
+	s.actions, err = newActionSet(t, s.hub, s.procs, func(p int, pr *proc) error {
+		node, err := vars.Bind(int(pr.port.slot), p, t.Degree(p), t.IsRoot(p), nopApp{})
+		pr.node, pr.wakeAt, pr.port.s = node, NoWake, s
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
+	s.chans = s.hub.Table()
 	if opts.Obs != nil {
 		s.initObs(opts.Obs)
 	}
@@ -376,10 +379,9 @@ func MustNew(t *tree.Tree, cfg core.Config, opts Options) *Sim {
 	return s
 }
 
-// chanEmptiness is the hub's emptiness hook: the channel at table index i
-// holds the deliver ordinal ords[i].
+// chanEmptiness is the hub's emptiness hook for the channel at table index i.
 func (s *Sim) chanEmptiness(i int32, nonempty bool) {
-	s.actions.set(int(s.actions.ords[i]), i, nonempty)
+	s.actions.set(s.actions.ordAt(i), i, nonempty)
 }
 
 // chanEnds names the endpoints of the channel at table index i for the hub.
@@ -429,7 +431,7 @@ func (s *Sim) fanout(e core.Event) {
 type port struct {
 	s    *Sim
 	slot int32
-	ob   int32 // tbase[slot]: table index of the first channel into the process
+	ob   int32 // table index of the first channel into the process
 }
 
 func (e *port) Send(ch int, m message.Message) {
@@ -498,7 +500,7 @@ func (s *Sim) In(p, ch int) channel.Ref {
 	if deg := s.Tree.Degree(p); ch < 0 || ch >= deg {
 		panic(fmt.Sprintf("sim: process %d has no channel %d (degree %d)", p, ch, deg))
 	}
-	return s.hub.Chan(s.actions.tbase[slot] + int32(ch))
+	return s.hub.Chan(s.procs[slot].port.ob + int32(ch))
 }
 
 // Out returns the outgoing channel of p with label ch, under In's checks.
@@ -612,7 +614,7 @@ func (s *Sim) syncActions() {
 func (s *Sim) scanDelivers() {
 	for i := range int32(len(s.chans)) {
 		if s.hub.Chan(i).Len() > 0 {
-			s.actions.add(int(s.actions.ords[i]), i)
+			s.actions.add(s.actions.ordAt(i), i)
 		}
 	}
 }

@@ -48,7 +48,16 @@ grep -q 'func TestProcIsOneLine' internal/sim/slots_test.go || err "TestProcIsOn
 grep -q 'func TestCycleSizeClass' internal/workload/cycle_test.go || err "TestCycleSizeClass gone but documented"
 grep -q 'type Hub struct' internal/channel/channel.go || err "channel.Hub gone but documented"
 grep -q 'channel.Hub' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the channel hub"
-grep -q 'bigNBytesCeiling = 270' bench_test.go || err "BenchmarkBigNScale lost the bytes/process ceiling README.md cites"
+grep -q 'bigNBytesCeiling = 215' bench_test.go || err "BenchmarkBigNScale lost the bytes/process ceiling README.md cites"
+# Per-process memory holds only what a process needs: the wake heap grows
+# to what it holds, and no table copies the process line. The tests that
+# pin the heap are named by the doc, and no doc may describe the slot
+# tables or the capacity-n heap that went.
+grep -q 'func TestWakeHeapOccupancy(' internal/sim/bign_test.go || err "TestWakeHeapOccupancy gone but documented"
+grep -q 'func TestDifferentialWakeHeapGrowth(' internal/sim/differential_test.go || err "TestDifferentialWakeHeapGrowth gone but documented"
+if grep -q 'ords\[\|tbase\|wake heap (capacity n)' README.md docs/ARCHITECTURE.md; then
+    err "a doc still names the removed ords/tbase slot tables or the capacity-n wake heap"
+fi
 # The action set's two forms: the cap the doc quotes, the test that walks
 # both crossings, and the sentence naming the forms.
 grep -q 'smallCap = 32' internal/sim/actionset.go || err "actionset.go lost smallCap = 32, which ARCHITECTURE.md quotes"
