@@ -36,7 +36,7 @@ const serveThroughputFloor = 226
 
 // bigNBytesCeiling is what a process may cost the simulator at big n, in
 // bytes resident after construction with a Fixed cycle attached.
-const bigNBytesCeiling = 215
+const bigNBytesCeiling = 165
 
 // BenchmarkServe sweeps the lease server's open-loop offered load from
 // 100/s to 12800/s — past the knee, until overload rejects appear — against
@@ -108,7 +108,7 @@ func BenchmarkServe(b *testing.B) {
 // over millions of steps) is < 1e-5, so the 0.001 threshold separates them
 // with orders of magnitude to spare. The memory layout is guarded where it
 // matters: at n ≥ 2¹⁶ more than bigNBytesCeiling bytes/process fails the
-// benchmark (the layout lands near 201; sim.TestBytesPerProcessCeiling pins
+// benchmark (the layout lands near 153; sim.TestBytesPerProcessCeiling pins
 // the same number at n = 4096 in tier-1). The curve should be nearly flat:
 // the simulator's tables are in ring order (internal/sim, "Memory model"),
 // so a token lap walks memory forward at any n, and a step at n = 2²⁰ costs

@@ -88,12 +88,14 @@ func TestCorruptStatesTargeted(t *testing.T) {
 	s := newSim(t, 4)
 	before := make([]core.Snapshot, s.Tree.N())
 	for p := range s.Tree.N() {
-		before[p] = s.Node(p).Snapshot()
+		n := s.Node(p)
+		before[p] = n.Snapshot()
 	}
 	adversary.CorruptStates(s, rand.New(rand.NewSource(6)), []int{2, 3})
 	// Only processes 2 and 3 may differ.
 	for p := range s.Tree.N() {
-		after := s.Node(p).Snapshot()
+		n := s.Node(p)
+		after := n.Snapshot()
 		same := after.State == before[p].State && after.MyC == before[p].MyC &&
 			after.Succ == before[p].Succ && after.Need == before[p].Need
 		if p != 2 && p != 3 && !same {
@@ -165,7 +167,8 @@ func TestArbitraryConfigurationTouchesEverything(t *testing.T) {
 	// channel non-empty (overwhelmingly likely under this seed).
 	stateTouched := false
 	for p := range s.Tree.N() {
-		sn := s.Node(p).Snapshot()
+		n := s.Node(p)
+		sn := n.Snapshot()
 		if sn.State != core.Out || sn.MyC != 0 || len(sn.RSet) > 0 {
 			stateTouched = true
 		}

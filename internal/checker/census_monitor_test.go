@@ -151,8 +151,9 @@ func TestCensusMonitorOracleEquivalence(t *testing.T) {
 // legitimate applies the one population rule, core.Config.LegitimatePopulation,
 // to an assembled census: the reference Sim.Health must agree with.
 func legitimate(s *sim.Sim, c sim.Census) bool {
+	root := s.Node(s.Tree.Root())
 	return s.Cfg.LegitimatePopulation(c.Res(), c.Prio(), c.FreePush,
-		c.ResetCtrl > 0 || s.Node(s.Tree.Root()).ResetFlag())
+		c.ResetCtrl > 0 || root.ResetFlag())
 }
 
 // TestHealthMatchesCensusLegitimacy steps a run under the paper's fault storm

@@ -345,7 +345,7 @@ func TestViolationRecordBounded(t *testing.T) {
 	holding := true
 	hold := func(s *sim.Sim) {
 		for p := 1; p <= 2 && holding; p++ {
-			if s.Node(p).State() != core.In || s.Node(p).Reserved() < 2 {
+			if n := s.Node(p); n.State() != core.In || n.Reserved() < 2 {
 				s.RestoreNode(p, core.Snapshot{State: core.In, Need: 2, RSet: []int{0, 0}, Prio: core.NoPrio})
 			}
 		}

@@ -39,13 +39,14 @@ type Vars struct {
 
 	obs Observer // event monitor shared by every slot (may be nil)
 
-	// Root-only variables (Algorithm 1). Exactly one slot of a Vars may be
-	// bound as the root, so these are scalars, not per-slot.
-	rootBound bool
-	reset     bool
-	stoken    int32 // resource tokens across ring START this traversal (≤ ℓ+1)
-	sprio     int32 // priority tokens likewise (≤ 2)
-	spush     int32 // pusher tokens likewise (≤ 2)
+	// Root-only variables (Algorithm 1). At most one slot of a Vars may be
+	// bound as the root (root, -1 while none is), so these are scalars, not
+	// per-slot.
+	root   int32
+	reset  bool
+	stoken int32 // resource tokens across ring START this traversal (≤ ℓ+1)
+	sprio  int32 // priority tokens likewise (≤ 2)
+	spush  int32 // pusher tokens likewise (≤ 2)
 }
 
 // NewVars returns a store for n process slots under cfg.
@@ -62,6 +63,7 @@ func NewVars(cfg Config, n int) (*Vars, error) {
 		k:     int32(cfg.K),
 		slots: make([]slot, n),
 		rset:  make([]int32, n*cfg.K),
+		root:  -1,
 	}
 	for i := range v.slots {
 		v.slots[i].prio = NoPrio
@@ -91,13 +93,27 @@ func (v *Vars) Bind(idx, id, deg int, isRoot bool, app App) (Node, error) {
 		return Node{}, fmt.Errorf("core: process %d needs an App", id)
 	}
 	if isRoot {
-		if v.rootBound {
+		if v.root >= 0 {
 			return Node{}, fmt.Errorf("core: process %d: store already has a root slot", id)
 		}
-		v.rootBound = true
+		v.root = int32(idx)
 	}
-	return Node{vars: v, id: int32(id), idx: int32(idx), deg: int32(deg), isRoot: isRoot, app: app}, nil
+	var n Node
+	v.View(&n, int32(idx), int32(id), int32(deg), app)
+	return n, nil
 }
+
+// View sets n to the view of slot idx that Bind returned, without Bind's
+// checks: for a host that keeps no Node per process and builds the view per
+// call from what it keeps anyway (the simulator's process line). id and deg
+// must be those slot idx was bound with. It writes n field by field, so a
+// view built on the caller's stack is read back without a copy.
+func (v *Vars) View(n *Node, idx, id, deg int32, app App) {
+	n.vars, n.app, n.id, n.idx, n.deg, n.isRoot = v, app, id, idx, deg, idx == v.root
+}
+
+// ResetFlag returns the root's Reset variable (false while no root is bound).
+func (v *Vars) ResetFlag() bool { return v.reset }
 
 // Node is one process of the protocol: the root runs Algorithm 1, every
 // other process Algorithm 2. A Node is driven from outside by
@@ -106,7 +122,7 @@ func (v *Vars) Bind(idx, id, deg int, isRoot bool, app App) (Node, error) {
 // Poll (the application's state may have changed). A Node is not safe for
 // concurrent use; each runtime serializes calls per node. Its protocol
 // variables live in a Vars store (see above); the Node itself is a small
-// copyable view.
+// copyable view, which a host may keep or build per call (Vars.View).
 type Node struct {
 	vars   *Vars
 	app    App
@@ -146,20 +162,6 @@ func MustNewNode(cfg Config, id, deg int, isRoot bool, app App) *Node {
 // SetObserver installs the event monitor of the node's store (see
 // Vars.SetObserver): every process bound into the same Vars reports to it.
 func (n *Node) SetObserver(o Observer) { n.vars.SetObserver(o) }
-
-// SetApp replaces the application callback adapter bound at Bind time, so a
-// host can rebind a process to a live application without an extra
-// indirection layer on the EnterCS/ReleaseCS hot path.
-func (n *Node) SetApp(app App) {
-	if app == nil {
-		panic("core: SetApp with nil app")
-	}
-	n.app = app
-}
-
-// App returns the application the node calls back into: the one bound at
-// Bind time, or the last SetApp.
-func (n *Node) App() App { return n.app }
 
 func (n *Node) emit(e Event) {
 	if obs := n.vars.obs; obs != nil {

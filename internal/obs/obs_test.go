@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -83,6 +86,61 @@ func TestHistogramQuantileMatchesStatsConvention(t *testing.T) {
 	}
 }
 
+// refQuantile is the q-quantile as Quantile computed it before the count was
+// kept: the count summed over the buckets, then a walk to the nearest-rank
+// sample, whose bucket's inclusive upper bound it returns.
+func refQuantile(h *Histogram, q float64) int64 {
+	var total int64
+	for k := range h.buckets {
+		total += h.buckets[k].Load()
+	}
+	if total == 0 {
+		return 0
+	}
+	rank := int64(math.Ceil(q * float64(total)))
+	rank = min(max(rank, 1), total)
+	var cum int64
+	for k := range h.buckets {
+		if cum += h.buckets[k].Load(); cum >= rank {
+			return (int64(k)+1)*h.width - 1
+		}
+	}
+	return int64(len(h.buckets))*h.width - 1
+}
+
+// TestQuantilesMatchQuantile fills random histograms — widths, bucket
+// counts, samples past the overflow bucket and below 0, empty ones — and
+// holds the one-walk Quantiles, and Quantile and Count through it, to the
+// bucket-summing reference for ascending quantile sets that include the
+// clamped ends.
+func TestQuantilesMatchQuantile(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := range 500 {
+		h := NewRegistry().Histogram("h", "t", 1+rng.Int63n(300), 1+rng.Intn(200))
+		samples := rng.Intn(3) * rng.Intn(400) // a third empty
+		for range samples {
+			h.Observe(rng.Int63n(h.width*int64(len(h.buckets))*5/4) - h.width/2)
+		}
+		qs := []float64{-0.5, 0, 1, 1.5}
+		for range rng.Intn(6) {
+			qs = append(qs, rng.Float64())
+		}
+		qs = append(qs, 0.5, 0.95, 0.99)
+		slices.Sort(qs)
+		got := make([]int64, len(qs))
+		if n := h.Quantiles(qs, got); n != int64(samples) || h.Count() != int64(samples) {
+			t.Fatalf("trial %d: Quantiles counted %d, Count %d, want %d", trial, n, h.Count(), samples)
+		}
+		for i, q := range qs {
+			want := refQuantile(h, q)
+			if got[i] != want || h.Quantile(q) != want {
+				t.Fatalf("trial %d (%d samples, width %d, %d buckets): quantile %v = %d by Quantiles, %d by Quantile, want %d",
+					trial, samples, h.width, len(h.buckets), q, got[i], h.Quantile(q), want)
+			}
+		}
+	}
+}
+
 func TestZeroAllocPrimitives(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "t")
@@ -148,8 +206,7 @@ func TestWritePromAndCheckExposition(t *testing.T) {
 	g := r.Gauge("kofl_test_depth", "queue depth")
 	h := r.Histogram("kofl_test_latency_us", "latency", 250, 32)
 	r.CounterFunc("kofl_test_steps_total", "steps", func() int64 { return 7 })
-	r.SummaryFunc("kofl_test_latency_summary_us", "latency quantiles",
-		[]float64{0.5, 0.99}, h.Quantile, h.Sum, h.Count)
+	r.Summary("kofl_test_latency_summary_us", "latency quantiles", []float64{0.5, 0.99}, h)
 	v := r.CounterVec("kofl_test_worker_slots_total", "slots by worker", "worker")
 	v.With("0").Add(3)
 	v.With("1").Add(4)

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -104,11 +105,13 @@ func (g *Gauge) SetMax(v int64) {
 // in [k*Width, (k+1)*Width); the last bucket additionally absorbs overflow.
 // Quantile is the inclusive upper bound of the bucket holding the
 // nearest-rank sample: it never underestimates, and its error is at most one
-// bucket width.
+// bucket width. The sample count is kept beside the buckets, so a reader
+// walks them once, and only as far as its highest quantile (Quantiles).
 type Histogram struct {
 	width   int64
 	buckets []atomic.Int64
 	sum     atomic.Int64
+	count   atomic.Int64 // added after the bucket: a reader never counts a sample its walk misses
 }
 
 // Observe records one sample (negative samples clamp to 0).
@@ -122,16 +125,11 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.buckets[k].Add(1)
 	h.sum.Add(v)
+	h.count.Add(1)
 }
 
 // Count returns the number of recorded samples.
-func (h *Histogram) Count() int64 {
-	var t int64
-	for i := range h.buckets {
-		t += h.buckets[i].Load()
-	}
-	return t
-}
+func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of recorded samples.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
@@ -139,25 +137,39 @@ func (h *Histogram) Sum() int64 { return h.sum.Load() }
 // Quantile returns the q-quantile (clamped to [0, 1]) as the inclusive upper
 // bound of the bucket holding the nearest-rank sample; 0 when empty.
 func (h *Histogram) Quantile(q float64) int64 {
+	var v [1]int64
+	h.Quantiles([]float64{q}, v[:])
+	return v[0]
+}
+
+// Quantiles sets dst[i] to the qs[i]-quantile, as Quantile computes it, in
+// one walk over the buckets that stops at the highest one, and returns the
+// sample count the ranks were taken from. qs must be ascending and dst as
+// long as qs; all quantiles of an empty histogram are 0.
+func (h *Histogram) Quantiles(qs []float64, dst []int64) (count int64) {
 	total := h.Count()
-	if total == 0 {
-		return 0
+	clear(dst)
+	if total == 0 || len(qs) == 0 {
+		return total
 	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var cum int64
+	// The walk reaches total: every counted sample is in its bucket.
+	i, cum, r := 0, int64(0), rank(qs[0], total)
 	for k := range h.buckets {
 		cum += h.buckets[k].Load()
-		if cum >= rank {
-			return (int64(k)+1)*h.width - 1
+		for ; cum >= r; r = rank(qs[i], total) {
+			dst[i] = (int64(k)+1)*h.width - 1
+			if i++; i == len(qs) {
+				return total
+			}
 		}
 	}
-	return int64(len(h.buckets))*h.width - 1
+	return total
+}
+
+// rank is the nearest rank of the q-quantile among total samples, in
+// [1, total].
+func rank(q float64, total int64) int64 {
+	return min(max(int64(math.Ceil(q*float64(total))), 1), total)
 }
 
 // CounterVec is a family of counters distinguished by one label (e.g. one
@@ -296,23 +308,27 @@ func (r *Registry) Histogram(name, help string, width int64, buckets int) *Histo
 	return h
 }
 
-// SummaryFunc registers a summary family whose quantile values, sum and
-// count are read at exposition time — e.g. p50/p95/p99 over an existing
-// histogram.
-func (r *Registry) SummaryFunc(name, help string, quantiles []float64,
-	q func(float64) int64, sum, count func() int64) {
-	qs := append([]float64(nil), quantiles...)
+// Summary registers a summary family over an existing histogram: its
+// quantiles (ascending; one Quantiles walk per scrape), sum and count, read
+// at exposition time — e.g. p50/p95/p99.
+func (r *Registry) Summary(name, help string, quantiles []float64, h *Histogram) {
+	if !slices.IsSorted(quantiles) {
+		panic("obs: summary quantiles must be ascending")
+	}
+	qs := slices.Clone(quantiles)
 	r.register(family{name: name, help: help, typ: "summary",
 		write: func(w io.Writer, name string) error {
-			for _, p := range qs {
-				if _, err := fmt.Fprintf(w, "%s{quantile=\"%g\"} %d\n", name, p, q(p)); err != nil {
+			vals := make([]int64, len(qs))
+			h.Quantiles(qs, vals)
+			for i, p := range qs {
+				if _, err := fmt.Fprintf(w, "%s{quantile=\"%g\"} %d\n", name, p, vals[i]); err != nil {
 					return err
 				}
 			}
-			if _, err := fmt.Fprintf(w, "%s_sum %d\n", name, sum()); err != nil {
+			if _, err := fmt.Fprintf(w, "%s_sum %d\n", name, h.Sum()); err != nil {
 				return err
 			}
-			_, err := fmt.Fprintf(w, "%s_count %d\n", name, count())
+			_, err := fmt.Fprintf(w, "%s_count %d\n", name, h.Count())
 			return err
 		}})
 }

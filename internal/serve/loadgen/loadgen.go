@@ -185,6 +185,8 @@ func Run(cfg Config) (Result, error) {
 	wg.Wait()
 	wall := time.Since(start)
 
+	var lat [3]int64
+	count := hist.Quantiles([]float64{0.50, 0.95, 0.99}, lat[:])
 	res = Result{
 		OfferedRate:      cfg.Rate,
 		Offered:          int64(total),
@@ -195,10 +197,10 @@ func Run(cfg Config) (Result, error) {
 		Violations:       viols.Load(),
 		ThroughputPerSec: float64(grants.Load()) / wall.Seconds(),
 		WallSeconds:      wall.Seconds(),
-		LatencyP50us:     hist.Quantile(0.50),
-		LatencyP95us:     hist.Quantile(0.95),
-		LatencyP99us:     hist.Quantile(0.99),
-		LatencyCount:     hist.Count(),
+		LatencyP50us:     lat[0],
+		LatencyP95us:     lat[1],
+		LatencyP99us:     lat[2],
+		LatencyCount:     count,
 	}
 	return res, nil
 }

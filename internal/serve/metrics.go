@@ -7,6 +7,10 @@ import "kofl/internal/obs"
 // protocol's token-circulation timescale.
 const LatencyBucketUS = 250
 
+// latencyQuantiles are the acquire-latency quantiles Stats and the
+// kofl_serve_acquire_latency_summary_us scrape report: p50, p95, p99.
+var latencyQuantiles = [...]float64{0.50, 0.95, 0.99}
+
 // LatencyBuckets spans the histogram to ~4s of queue wait before the
 // overflow bucket absorbs the tail — comfortably past any deadline a client
 // would set, and past the pre-overhaul pathological p50 of ~2.2s.
@@ -65,9 +69,8 @@ func newMetrics(reg *obs.Registry, queueDepth func() int64) *metrics {
 		"high-water mark of units_held — the ≤ ℓ safety watermark")
 	m.latency = reg.Histogram("kofl_serve_acquire_latency_us",
 		"acquire latency, enqueue to grant", LatencyBucketUS, LatencyBuckets)
-	reg.SummaryFunc("kofl_serve_acquire_latency_summary_us",
-		"acquire latency p50/p95/p99, enqueue to grant",
-		[]float64{0.5, 0.95, 0.99}, m.latency.Quantile, m.latency.Sum, m.latency.Count)
+	reg.Summary("kofl_serve_acquire_latency_summary_us",
+		"acquire latency p50/p95/p99, enqueue to grant", latencyQuantiles[:], m.latency)
 	return m
 }
 

@@ -352,7 +352,8 @@ type Stats struct {
 
 // Stats snapshots the server counters.
 func (s *Server) Stats() Stats {
-	lat := s.met.latency
+	var lat [len(latencyQuantiles)]int64
+	count := s.met.latency.Quantiles(latencyQuantiles[:], lat[:])
 	return Stats{
 		K: s.opts.K, L: s.opts.L, N: len(s.procs),
 
@@ -379,8 +380,7 @@ func (s *Server) Stats() Stats {
 		FramesRejected:  s.net.FramesRejected(),
 		FramesDropped:   s.net.FramesDropped(),
 
-		LatencyP50us: lat.Quantile(0.50), LatencyP95us: lat.Quantile(0.95),
-		LatencyP99us: lat.Quantile(0.99), LatencyCount: lat.Count(),
+		LatencyP50us: lat[0], LatencyP95us: lat[1], LatencyP99us: lat[2], LatencyCount: count,
 	}
 }
 

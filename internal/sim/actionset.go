@@ -30,7 +30,7 @@ import (
 // the process's slot otherwise — and a draw reaches the channel header and
 // the process line without a lookup. The set keeps no copy of what those
 // lines hold: a delivery's receiver id and label are read off the receiver's
-// process line (its node's id, its port's first table index), and a
+// process line (its id and first table index), and a
 // channel's ordinal is one per-slot offset plus its table index.
 //
 // The set has two forms, selected by its size. The protocol's legitimate
@@ -57,13 +57,13 @@ type ActionSet struct {
 
 	// The second numbering: slotOf[p] is process p's slot, its position in
 	// DFS preorder (ring order). procs are the simulator's process lines by
-	// slot: the line at slot s names its process (node.ID()) and the table
-	// index of the first channel into it (port.ob).
+	// slot: the line at slot s names its process (id) and the table index of
+	// the first channel into it (ob).
 	slotOf []int32
 	procs  []proc
 
 	// chans is the hub's channel table, CSR by receiver slot:
-	// chans[procs[s].port.ob+ch] is the channel INTO the process at slot s
+	// chans[procs[s].ob+ch] is the channel INTO the process at slot s
 	// with label ch. Its header names the receiver's slot (ToSlot), whose
 	// line a delivery touches anyway and which gives the receiver's id and
 	// label, and its Rev is the table index of the channel OUT of (receiver,
@@ -99,10 +99,10 @@ func (v entry) at() int32 { return int32(v) }
 
 // newActionSet sizes an empty set for topology t, numbers its processes in
 // ring order and lays out hub's channel table (t.RingLen() channels). It
-// gives each of the process lines procs (one per process, by slot) its
-// port's slot and first table index, and then hands process p's line to
-// bind, in slot order, so the caller fills the lines front to back.
-func newActionSet(t *tree.Tree, hub *channel.Hub, procs []proc, bind func(p int, pr *proc) error) (*ActionSet, error) {
+// gives each of the process lines procs (one per process, by slot) its id
+// and first table index, and then hands process p and its slot to bind, in
+// slot order, so the caller fills the lines front to back.
+func newActionSet(t *tree.Tree, hub *channel.Hub, procs []proc, bind func(p int, slot int32) error) (*ActionSet, error) {
 	n := t.N()
 	as := &ActionSet{
 		n:      n,
@@ -154,19 +154,19 @@ func newActionSet(t *tree.Tree, hub *channel.Hub, procs []proc, bind func(p int,
 }
 
 // place gives process p slot s, whose channels start at table index ob, and
-// hands its line to bind.
-func (as *ActionSet) place(p int, s, ob int32, bind func(p int, pr *proc) error) error {
+// hands both to bind.
+func (as *ActionSet) place(p int, s, ob int32, bind func(p int, slot int32) error) error {
 	as.slotOf[p] = s
-	as.procs[s].port = port{slot: s, ob: ob}
+	as.procs[s].id, as.procs[s].ob = int32(p), ob
 	as.odelta[s] = int32(as.ordDeliver(p, 0)) - ob
-	return bind(p, &as.procs[s])
+	return bind(p, s)
 }
 
 // link lays out both directions of the tree edge between p, where it has
 // label pch, and q, where it has label qch; both processes have slots.
 func (as *ActionSet) link(p, pch, q, qch int) {
 	sp, sq := as.slotOf[p], as.slotOf[q]
-	intoP, intoQ := as.procs[sp].port.ob+int32(pch), as.procs[sq].port.ob+int32(qch)
+	intoP, intoQ := as.procs[sp].ob+int32(pch), as.procs[sq].ob+int32(qch)
 	as.chans[intoP].ToSlot, as.chans[intoP].Rev = sp, intoQ
 	as.chans[intoQ].ToSlot, as.chans[intoQ].Rev = sq, intoP
 }
@@ -185,7 +185,7 @@ func (as *ActionSet) ends(i int32) channel.Ends {
 // receiver's process line names the process and its first table index.
 func (as *ActionSet) deliver(at int32) Action {
 	pr := &as.procs[as.chans[at].ToSlot]
-	return Action{Kind: ActDeliver, Proc: pr.node.ID(), Ch: int(at - pr.port.ob)}
+	return Action{Kind: ActDeliver, Proc: int(pr.id), Ch: int(at - pr.ob)}
 }
 
 // ordDeliver returns the ordinal of delivering into (p, ch).
@@ -203,7 +203,7 @@ func (as *ActionSet) ordApp(p int) int { return as.e + 1 + p }
 func (as *ActionSet) where(a Action) int32 {
 	switch a.Kind {
 	case ActDeliver:
-		return as.procs[as.slotOf[a.Proc]].port.ob + int32(a.Ch)
+		return as.procs[as.slotOf[a.Proc]].ob + int32(a.Ch)
 	case ActTimeout:
 		return 0
 	default:

@@ -263,7 +263,7 @@ func checkKnownState(t *testing.T, s *Sim) {
 	checkAgainstScan(t, s)
 	for p := 0; p < s.Tree.N(); p++ {
 		pr := &s.procs[s.actions.slotOf[p]]
-		on := pr.app().Enabled(s.clock)
+		on := pr.simApp().Enabled(s.clock)
 		if got := s.actions.Contains(Action{Kind: ActApp, Proc: p}); got != on || (pr.wakeAt == appOn) != on {
 			t.Fatalf("process %d: application enabled = %v, in the set = %v, wakeAt = %d", p, on, got, pr.wakeAt)
 		}

@@ -112,9 +112,10 @@ func TestBigNSmoke(t *testing.T) {
 // repository's benchmark reports as bytes_per_process, measured by the same
 // recipe (buildSim in benchmark/simphase.go): the GC-fenced HeapAlloc delta
 // around sim.New, one Fixed cycle attached per process and the census
-// monitor. The layout lands near 209 B/process (two 16-byte channel headers,
-// a 64-byte process line holding the node view, the wake time and the port,
-// a 24-byte protocol slot, a 64-byte Cycle and a few words of tables: the
+// monitor. The layout lands near 161 B/process (two 16-byte channel headers,
+// a 32-byte process line holding the application, the wake time, the id and
+// the first channel index, a 24-byte protocol slot, a 48-byte Cycle and a
+// few words of tables: the
 // id→slot map, the per-slot ordinal offsets and the dense action set's
 // bitmap; the wake heap is a few dozen entries whatever n is); the ceiling
 // leaves room for the allocator's rounding at small n, not for another
@@ -124,7 +125,7 @@ func TestBigNSmoke(t *testing.T) {
 // set and the monitor's violation record grow only with what is in flight
 // or asleep, never with the steps run.
 func TestBytesPerProcessCeiling(t *testing.T) {
-	const n, ceiling = 4096, 215
+	const n, ceiling = 4096, 165
 	tr := tree.Prufer(n, rand.New(rand.NewSource(7)))
 	var before, built, warm runtime.MemStats
 	runtime.GC()

@@ -77,8 +77,9 @@ func (s *Sim) CensusScan() Census {
 			}
 		}
 	}
-	for i := range s.procs {
-		n := &s.procs[i].node
+	var n core.Node
+	for i := range int32(len(s.procs)) {
+		s.view(&n, i)
 		c.ReservedRes += n.Reserved()
 		if n.HoldsPrio() {
 			c.HeldPrio++
@@ -208,7 +209,11 @@ func (s *Sim) resyncCensus() {
 // resync is needed.
 func (s *Sim) RestoreNode(p int, snap core.Snapshot) {
 	slot := int(s.slot(p))
-	s.trackNode(slot, func() { s.procs[slot].node.Restore(snap) })
+	s.trackNode(slot, func() {
+		var n core.Node
+		s.view(&n, int32(slot))
+		n.Restore(snap)
+	})
 }
 
 // Health is the copy-free per-step read of the maintained census: whether
@@ -219,7 +224,7 @@ func (s *Sim) RestoreNode(p int, snap core.Snapshot) {
 // Census value; under Options.ScanCensus it reads the snapshot oracle
 // instead.
 func (s *Sim) Health() (legit bool, unitsInUse, overK int) {
-	rootReset := s.procs[0].node.ResetFlag() // the root's slot is 0
+	rootReset := s.vars.ResetFlag()
 	if s.scanCensus {
 		c := s.CensusScan()
 		return s.Cfg.LegitimatePopulation(c.Res(), c.Prio(), c.FreePush, c.ResetCtrl > 0 || rootReset),

@@ -214,7 +214,7 @@ func FuzzCensusDelta(f *testing.F) {
 			case 4: // full resync must be idempotent on a synced census
 				s.ResyncActions()
 			case 5: // drive a request if the interface allows one
-				if s.Node(p).State() == core.Out {
+				if n := s.Node(p); n.State() == core.Out {
 					_ = s.Handle(p).Request(1 + arg%cfg.K)
 				}
 			default: // protocol step

@@ -66,7 +66,8 @@ func runFigure2(t *testing.T, feat core.Features, literalGuard bool) (deadlocked
 		if grants.Enters[p] > 0 {
 			satisfied++
 		}
-		sets = append(sets, fmt.Sprint(s.Node(p).Reserved()))
+		n := s.Node(p)
+		sets = append(sets, fmt.Sprint(n.Reserved()))
 	}
 	return s.Quiescent() && !feat.Controller, satisfied, strings.Join(sets, "/")
 }
@@ -211,8 +212,8 @@ func TestLemma14Liveness(t *testing.T) {
 				}
 			}
 			for _, name := range sc.holders {
-				if st := s.Node(tree.PaperID(name)).State(); st != core.In {
-					t.Errorf("perpetual holder %s left its critical section (state %v)", name, st)
+				if n := s.Node(tree.PaperID(name)); n.State() != core.In {
+					t.Errorf("perpetual holder %s left its critical section (state %v)", name, n.State())
 				}
 			}
 		})

@@ -54,16 +54,20 @@
 //
 // # Memory model
 //
-// A delivery reads one 64-byte line for the process (node view, which holds
-// the process's one copy of its application; wake time; port) and its
-// 24-byte protocol slot in core.Vars, and one 16-byte, pointer-free header
-// per channel end — the one it pops and the one it pushes to, four to a
-// line. The messages in flight live in the channel.Hub's one store, a few
-// dozen nodes in steady state whatever n is, together with what else the
-// channels share. A channel's receiver id and label are read off the
-// receiver's process line (the node's id, the port's first table index),
-// and its ordinal is one per-slot offset plus its table index; no table
-// copies what the line holds. The wake heap starts at smallCap entries and
+// A delivery reads one 32-byte line for the process, which holds only what
+// differs between processes (its application, wake time, id and first table
+// index; two lines share a cache line), and its 24-byte protocol slot in
+// core.Vars, and one 16-byte, pointer-free header per channel end — the one
+// it pops and the one it pushes to, four to a line. What every process
+// shares lives once: the kernel builds the core.Node view per call from the
+// line, the one core.Vars and the next line's first index (the degree), and
+// hands the node and the application the one port the Sim keeps (Sim.env).
+// The messages in flight live in the channel.Hub's one store, a few dozen
+// nodes in steady state whatever n is, together with what else the channels
+// share. A channel's receiver id and label are read off the receiver's
+// process line (its id and first table index), and its ordinal is one
+// per-slot offset plus its table index; no table copies what the line
+// holds. The wake heap starts at smallCap entries and
 // grows to the most applications asleep at once, a handful in steady state
 // whatever n is. Tokens only move along the virtual ring, so what a step
 // costs at big n is the ORDER of those lines: the simulator keeps two
@@ -172,12 +176,15 @@ type Handle interface {
 // not change; and once enabled, the application must stay enabled until its
 // next event (Act, EnterCS, or a Handle call).
 //
-// The kernel relies on it: it re-reads Enabled after an event delivered to
-// the application and at the wake time, and never after a step that
-// delivered the application no event — a delivery or timeout at its process
-// that did not call EnterCS leaves it unpolled. An application that breaks
-// the contract is therefore not noticed until its next event (or its wake
-// time; a wake time at or before the clock is re-checked on the next step).
+// The kernel relies on it: it polls after an event delivered to the
+// application and at the wake time, and never after a step that delivered
+// the application no event — a delivery or timeout at its process that did
+// not call EnterCS leaves it unpolled. An application that breaks the
+// contract is therefore not noticed until its next event (or its wake time;
+// a wake time at or before the clock is re-checked on the next step). A poll
+// calls WakeAt before Enabled, in the step of the event, under either kernel:
+// an application that keeps no clock (workload.Cycle) may date an EnterCS by
+// the first WakeAt after it.
 type App interface {
 	core.App
 	Enabled(now int64) bool
@@ -232,19 +239,22 @@ type wake struct {
 }
 
 // proc is what a step reads about one process besides its protocol slot in
-// core.Vars — the node view, the registered wake time, the port — on one
-// 64-byte line instead of one cold line per table (TestProcIsOneLine pins the
-// size). Sim.procs holds them by slot. The application is stored once, as the
-// node's: app reads it back.
+// core.Vars: only what differs between processes — the application, the
+// registered wake time, the id and the table index of the first channel into
+// it — in 32 bytes, two to a cache line (TestProcIsOneLine pins the size).
+// Sim.procs holds them by slot. What every process shares (the store, the
+// simulator) lives once in Sim; a process's degree is the distance to the next
+// line's first channel (deg), and its rootness is slot 0. The kernel builds
+// the core.Node view per call from the line (view).
 type proc struct {
-	node   core.Node
-	wakeAt int64 // registered wake time (NoWake = none), or appOn
-	port   port
+	app    core.App // the application, always a sim.App (New binds nopApp, AttachApp an App)
+	wakeAt int64    // registered wake time (NoWake = none), or appOn
+	id     int32
+	ob     int32 // table index of the first channel into the process
 }
 
-// app returns the process's application: the node's, which is always a
-// sim.App (New binds nopApp, AttachApp an App).
-func (pr *proc) app() App { return pr.node.App().(App) }
+// simApp returns the process's application as the kernel drives it.
+func (pr *proc) simApp() App { return pr.app.(App) }
 
 // appOn is the proc.wakeAt value of a process whose application ordinal is in
 // the ActionSet: an enabled application has no wake time to register, and the
@@ -258,7 +268,7 @@ type Sim struct {
 	Cfg  core.Config
 
 	// Channel storage in CSR form by receiver slot: chans is the hub's
-	// header table, laid out by the ActionSet — chans[procs[s].port.ob+ch] is
+	// header table, laid out by the ActionSet — chans[procs[s].ob+ch] is
 	// the channel INTO the process at slot s with label ch, and its Rev the
 	// index of the channel OUT of it with label ch. One dense slice of
 	// 16-byte headers for all 2(n-1) channels; their messages live in the
@@ -269,6 +279,7 @@ type Sim struct {
 
 	procs []proc     // one line per process, by slot
 	vars  *core.Vars // the protocol slots the node views index, by slot
+	env   port       // the endpoint the kernel hands the process it steps
 
 	clock        int64
 	rng          *rand.Rand
@@ -346,18 +357,20 @@ func New(t *tree.Tree, cfg core.Config, opts Options) (*Sim, error) {
 		onEmptiness = s.chanEmptiness
 	}
 	s.hub = channel.NewHub(t.RingLen(), onEmptiness, s.chanEnds)
-	// Processes: node views over one shared slot store, each bound at its
-	// process's slot under its id, in slot order as the action set lays
-	// them out; it gives each line its port's slot and first table index.
+	// Processes: one shared slot store, each process bound at its slot under
+	// its id, in slot order as the action set lays them out; it gives each
+	// line its id and first table index. Bind checks what the views built
+	// per call rely on.
 	vars, err := core.NewVars(cfg, n)
 	if err != nil {
 		return nil, err
 	}
-	s.vars = vars
+	s.vars, s.env.s = vars, s
 	s.procs = make([]proc, n)
-	s.actions, err = newActionSet(t, s.hub, s.procs, func(p int, pr *proc) error {
-		node, err := vars.Bind(int(pr.port.slot), p, t.Degree(p), t.IsRoot(p), nopApp{})
-		pr.node, pr.wakeAt, pr.port.s = node, NoWake, s
+	s.actions, err = newActionSet(t, s.hub, s.procs, func(p int, slot int32) error {
+		pr := &s.procs[slot]
+		pr.app, pr.wakeAt = nopApp{}, NoWake
+		_, err := vars.Bind(int(slot), p, t.Degree(p), t.IsRoot(p), pr.app)
 		return err
 	})
 	if err != nil {
@@ -400,7 +413,7 @@ func (nopApp) WakeAt(int64) int64 { return NoWake }
 func (s *Sim) AttachApp(p int, app App) {
 	slot := int(s.slot(p))
 	pr := &s.procs[slot]
-	pr.node.SetApp(app)
+	pr.app = app
 	if pr.wakeAt != appOn {
 		pr.wakeAt = NoWake // the old application's wake time; appOn is pollApp's to clear
 	}
@@ -425,13 +438,20 @@ func (s *Sim) fanout(e core.Event) {
 
 // port is one process's side of the kernel: the core.Env its node sends
 // through and the Handle its application acts through, one value serving
-// both, on the process's line (the kernel passes a pointer to it, so nothing
-// is boxed). ob caches the process's first table index: the outgoing channel
-// with label ch is the reverse of the incoming one at ob+ch.
+// both. The kernel keeps one, Sim.env, and points it at the process it steps
+// before handing it over, so a step boxes nothing; Handle makes a new one.
+// ob caches the process's first table index: the outgoing channel with label
+// ch is the reverse of the incoming one at ob+ch.
 type port struct {
 	s    *Sim
 	slot int32
 	ob   int32 // table index of the first channel into the process
+}
+
+// envAt points the kernel's endpoint at the process at slot and returns it.
+func (s *Sim) envAt(slot int32) *port {
+	s.env.slot, s.env.ob = slot, s.procs[slot].ob
+	return &s.env
 }
 
 func (e *port) Send(ch int, m message.Message) {
@@ -445,12 +465,14 @@ func (e *port) RestartTimer() {
 	}
 }
 
-func (e *port) ID() int    { return e.s.procs[e.slot].node.ID() }
+func (e *port) ID() int    { return int(e.s.procs[e.slot].id) }
 func (e *port) Now() int64 { return e.s.clock }
 func (e *port) Request(need int) error {
 	s, slot := e.s, int(e.slot)
 	d := s.beginTrack(slot)
-	err := s.procs[slot].node.Request(e, need)
+	var node core.Node
+	s.view(&node, e.slot)
+	err := node.Request(e, need)
 	s.endTrack(d)
 	if e.slot != s.acting {
 		s.pollApp(slot)
@@ -460,7 +482,9 @@ func (e *port) Request(need int) error {
 func (e *port) Poll() {
 	s, slot := e.s, int(e.slot)
 	d := s.beginTrack(slot)
-	s.procs[slot].node.Poll(e)
+	var node core.Node
+	s.view(&node, e.slot)
+	node.Poll(e)
 	s.endTrack(d)
 	if e.slot != s.acting {
 		s.pollApp(slot)
@@ -470,12 +494,39 @@ func (e *port) Poll() {
 // Handle returns the application lever of process p. The paper's execution
 // model admits transitions in which "an external application modifies an
 // input variable", so driving requests through a Handle from outside the
-// scheduler is a legal execution.
-func (s *Sim) Handle(p int) Handle { return &s.procs[s.slot(p)].port }
+// scheduler is a legal execution. Each call returns a new Handle; the one
+// the kernel passes to App.Act is valid for that call only.
+func (s *Sim) Handle(p int) Handle {
+	slot := s.slot(p)
+	return &port{s: s, slot: slot, ob: s.procs[slot].ob}
+}
 
-// Node returns process p's node, a view over its line. It panics unless p is
-// a process.
-func (s *Sim) Node(p int) *core.Node { return &s.procs[s.slot(p)].node }
+// Node returns process p's node: a view built from its line and its slot in
+// the shared store, as the kernel builds one per call. The view reads and
+// writes the process's live state; it panics unless p is a process.
+func (s *Sim) Node(p int) core.Node {
+	var n core.Node
+	s.view(&n, s.slot(p))
+	return n
+}
+
+// view sets n to the view of the process at slot. The kernel builds one per
+// call on its stack.
+func (s *Sim) view(n *core.Node, slot int32) {
+	pr := &s.procs[slot]
+	s.vars.View(n, slot, pr.id, s.deg(slot), pr.app)
+}
+
+// deg returns the degree of the process at slot: its channels run in the
+// table from its line's first index to the next line's (to the table's end
+// for the last slot).
+func (s *Sim) deg(slot int32) int32 {
+	end := int32(len(s.chans))
+	if next := int(slot) + 1; next < len(s.procs) {
+		end = s.procs[next].ob
+	}
+	return end - s.procs[slot].ob
+}
 
 // slot returns process p's slot. It panics unless p is a process, naming p
 // and n.
@@ -500,7 +551,7 @@ func (s *Sim) In(p, ch int) channel.Ref {
 	if deg := s.Tree.Degree(p); ch < 0 || ch >= deg {
 		panic(fmt.Sprintf("sim: process %d has no channel %d (degree %d)", p, ch, deg))
 	}
-	return s.hub.Chan(s.procs[slot].port.ob + int32(ch))
+	return s.hub.Chan(s.procs[slot].ob + int32(ch))
 }
 
 // Out returns the outgoing channel of p with label ch, under In's checks.
@@ -538,7 +589,7 @@ func (s *Sim) scanEnabled(dst []Action) []Action {
 		dst = append(dst, Action{Kind: ActTimeout, Proc: s.Tree.Root()})
 	}
 	for p := 0; p < n; p++ {
-		if s.procs[s.actions.slotOf[p]].app().Enabled(s.clock) {
+		if s.procs[s.actions.slotOf[p]].simApp().Enabled(s.clock) {
 			dst = append(dst, Action{Kind: ActApp, Proc: p})
 		}
 	}
@@ -553,25 +604,28 @@ func (s *Sim) timerExpired() bool {
 // the ActionSet when it changed: the dirty-flag path, called after every
 // event that can change enablement (the app acted, its node entered the
 // critical section, a Handle call, attachment) and at registered wake times.
-// A disabled app registers its next wake.
+// A disabled app registers its next wake. WakeAt comes first, in the step of
+// the event, so an application may date the event by it (App); the scan
+// kernel, which reads Enabled itself every step, makes that call and no
+// other.
 func (s *Sim) pollApp(slot int) {
+	pr := &s.procs[slot]
+	app := pr.simApp()
+	t := app.WakeAt(s.clock)
 	if s.rescan {
 		return
 	}
-	pr := &s.procs[slot]
-	app := pr.app()
 	if app.Enabled(s.clock) {
 		if pr.wakeAt != appOn {
 			pr.wakeAt = appOn
-			s.actions.add(s.actions.ordApp(pr.node.ID()), int32(slot))
+			s.actions.add(s.actions.ordApp(int(pr.id)), int32(slot))
 		}
 		return
 	}
 	if pr.wakeAt == appOn {
 		pr.wakeAt = NoWake
-		s.actions.remove(s.actions.ordApp(pr.node.ID()), int32(slot))
+		s.actions.remove(s.actions.ordApp(int(pr.id)), int32(slot))
 	}
-	t := app.WakeAt(s.clock)
 	if t == NoWake {
 		pr.wakeAt = NoWake // stale heap entries are skipped on pop
 		return
@@ -627,8 +681,8 @@ func (s *Sim) rebuildFromScan() {
 		s.actions.add(s.actions.ordTimeout(), 0)
 	}
 	for slot := range s.procs {
-		if pr := &s.procs[slot]; pr.app().Enabled(s.clock) {
-			s.actions.add(s.actions.ordApp(pr.node.ID()), int32(slot))
+		if pr := &s.procs[slot]; pr.simApp().Enabled(s.clock) {
+			s.actions.add(s.actions.ordApp(int(pr.id)), int32(slot))
 		}
 	}
 }
@@ -721,22 +775,23 @@ func (s *Sim) Step() bool {
 			s.Delivered[m.Kind&7]++
 		}
 		s.LastMsg = m
-		pr := &s.procs[slot]
-		pr.node.HandleMessage(a.Ch, m, &pr.port)
+		var node core.Node
+		s.view(&node, slot)
+		node.HandleMessage(a.Ch, m, s.envAt(slot))
 		poll = s.endTrack(d)
 	case ActTimeout:
 		s.Timeouts++
 		d := s.beginTrack(0) // slot stays 0, the root's
-		pr := &s.procs[0]
-		pr.node.HandleTimeout(&pr.port)
+		var node core.Node
+		s.view(&node, 0)
+		node.HandleTimeout(s.envAt(0))
 		poll = s.endTrack(d)
 	case ActApp:
 		slot = at
 		s.AppActions++
 		// Step polls after Act, so the Handle calls Act makes need not.
 		s.acting = slot
-		pr := &s.procs[slot]
-		pr.app().Act(&pr.port)
+		s.procs[slot].simApp().Act(s.envAt(slot))
 		s.acting = -1
 		poll = true
 	}

@@ -125,8 +125,8 @@ func TestNodeOutOfRange(t *testing.T) {
 			tc.call()
 		})
 	}
-	if got := s.Node(2).ID(); got != 2 {
-		t.Errorf("Node(2).ID() = %d", got)
+	if n := s.Node(2); n.ID() != 2 {
+		t.Errorf("Node(2).ID() = %d", n.ID())
 	}
 }
 
@@ -352,7 +352,7 @@ func TestHandleRequestIsExternalTransition(t *testing.T) {
 	if err := h.Request(1); err != nil {
 		t.Fatalf("Request: %v", err)
 	}
-	if s.Node(2).State() != core.Req {
+	if n := s.Node(2); n.State() != core.Req {
 		t.Error("external request did not transition the node")
 	}
 	if err := h.Request(1); err == nil {

@@ -62,15 +62,17 @@ func TestSlotsAreRingOrder(t *testing.T) {
 				if tc.identity && p != slot {
 					t.Fatalf("process %d at slot %d: the mapping should be the identity", p, slot)
 				}
-				if got := s.procs[slot].node.ID(); got != p {
+				if got := int(s.procs[slot].id); got != p {
 					t.Fatalf("slot %d holds process %d, want %d", slot, got, p)
 				}
 			}
 
 			// Every accessor answers in ids.
 			for p := 0; p < tr.N(); p++ {
-				if got := s.Node(p).ID(); got != p {
-					t.Fatalf("Node(%d).ID() = %d", p, got)
+				n := s.Node(p)
+				if n.ID() != p || n.Degree() != tr.Degree(p) || n.IsRoot() != tr.IsRoot(p) {
+					t.Fatalf("Node(%d) is %d of degree %d (root %v), want degree %d (root %v)",
+						p, n.ID(), n.Degree(), n.IsRoot(), tr.Degree(p), tr.IsRoot(p))
 				}
 				if got := s.Handle(p).ID(); got != p {
 					t.Fatalf("Handle(%d).ID() = %d", p, got)
@@ -149,13 +151,29 @@ func checkAt(t *testing.T, as *ActionSet) {
 	}
 }
 
-// TestProcIsOneLine pins the process line: the node view (which holds the
-// application), the wake time and the port fill exactly one 64-byte cache
-// line, so a delivery touches one process-side line besides its protocol
-// slot. If it grows, the bytes/process ceiling (TestBytesPerProcessCeiling)
-// goes with it.
+// TestProcIsOneLine pins the process line: the application, the wake time,
+// the id and the first table index fill exactly 32 bytes, two lines to a
+// cache line, so a delivery touches at most one process-side line besides
+// its protocol slot (and the next line's first index, for the degree). Its
+// one pointer-bearing field is the application interface: what every
+// process shares (the simulator, the slot store) is not repeated per line. If
+// it grows, the bytes/process ceiling (TestBytesPerProcessCeiling) goes with
+// it.
 func TestProcIsOneLine(t *testing.T) {
-	if got := unsafe.Sizeof(proc{}); got != 64 {
-		t.Fatalf("proc is %d bytes, want 64", got)
+	if got := unsafe.Sizeof(proc{}); got != 32 {
+		t.Fatalf("proc is %d bytes, want 32", got)
+	}
+	typ := reflect.TypeOf(proc{})
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Int32, reflect.Int64:
+		case reflect.Interface:
+			if f.Name != "app" {
+				t.Errorf("proc.%s is a second interface besides the application", f.Name)
+			}
+		default:
+			t.Errorf("proc.%s is a %s; the line holds the application interface and integers only", f.Name, f.Type)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -11,12 +12,12 @@ import (
 	"kofl/internal/tree"
 )
 
-// TestCycleSizeClass pins Cycle to the allocator's 64-byte size class: one
+// TestCycleSizeClass pins Cycle to the allocator's 48-byte size class: one
 // Cycle per process is the largest per-process object the simulator's
 // benchmark counts besides the process line itself.
 func TestCycleSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Cycle{}); size > 64 {
-		t.Fatalf("Cycle is %d bytes, want ≤ 64", size)
+	if size := unsafe.Sizeof(Cycle{}); size > 48 {
+		t.Fatalf("Cycle is %d bytes, want ≤ 48", size)
 	}
 	const calls = 10_000
 	keep := make([]*Cycle, calls)
@@ -26,10 +27,42 @@ func TestCycleSizeClass(t *testing.T) {
 		keep[i] = Fixed(1+i%2, 2, 4, 0)
 	}
 	runtime.ReadMemStats(&after)
-	if per := float64(after.TotalAlloc-before.TotalAlloc) / calls; per > 64 {
-		t.Fatalf("Fixed allocates %.1f B per call, want ≤ 64", per)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / calls; per > 48 {
+		t.Fatalf("Fixed allocates %.1f B per call, want ≤ 48", per)
 	}
 	runtime.KeepAlive(keep)
+}
+
+// TestCycleHasNoPointers keeps Cycle pointer-free: the collector then never
+// scans the one Cycle per process a big simulation holds, and nothing in it
+// is the same in every process (a clock it can take from the kernel's polls).
+func TestCycleHasNoPointers(t *testing.T) {
+	typ := reflect.TypeOf(Cycle{})
+	for i := range typ.NumField() {
+		if f := typ.Field(i); holdsPointer(f.Type) {
+			t.Errorf("Cycle.%s (%s) holds a pointer", f.Name, f.Type)
+		}
+	}
+}
+
+// holdsPointer reports whether a value of type typ contains a pointer the
+// collector must scan.
+func holdsPointer(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Array:
+		return typ.Len() > 0 && holdsPointer(typ.Elem())
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			if holdsPointer(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Interface, reflect.Slice,
+		reflect.Map, reflect.Chan, reflect.Func, reflect.String:
+		return true
+	}
+	return false
 }
 
 // refCycle is Cycle as it was laid out in 96 bytes — one deadline per phase
@@ -163,9 +196,13 @@ var (
 // process that is idle or waiting), Act (refused, accepted, or granted
 // inside the request), Reset and clock advances, and asserts after every
 // operation that Enabled, WakeAt, ReleaseCS, CurrentPhase, Grants, Issued
-// and Enters agree, and that both made the same Handle calls. The clock is a
-// running simulation's (nil when the input leaves the cycles unattached);
-// EnterCS stamps it, which the reference records in LastEnter.
+// and Enters agree, that both made the same Handle calls, and, after every
+// EnterCS, that the Cycle's deadline is the grant's clock plus hold. The
+// clock is a running simulation's. A Cycle attached to it is polled after
+// every operation as the kernel polls, WakeAt first, which dates a grant;
+// the reference stamps the clock in EnterCS, into LastEnter. A Cycle the
+// input leaves unattached is driven outside a simulation: no poll dates its
+// grants, which read as grants at clock 0, and the reference stamps nothing.
 func FuzzCycle(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 1, 1, 0, 4, 3, 1, 1, 4, 9, 1, 1, 4, 2})
 	f.Add([]byte{1, 2, 5, 2, 2, 0, 0, 4, 1, 1, 2, 4, 5, 0})
@@ -181,19 +218,21 @@ func FuzzCycle(f *testing.F) {
 		cfg := core.Config{K: 1, L: 2, CMAX: 2, Features: core.Full()}
 		clock := sim.MustNew(tree.Chain(2), cfg, sim.Options{Seed: 1})
 		c, ref := &Cycle{}, &refCycle{}
+		var attached bool
 		reset := func() {
 			need, hold := oracleNeeds[next()%len(oracleNeeds)], oracleTimes[next()%len(oracleTimes)]
 			think, maxReq := oracleTimes[next()%len(oracleTimes)], oracleMaxes[next()%len(oracleMaxes)]
 			c.Reset(need, hold, think, maxReq)
 			ref.Reset(need, hold, think, maxReq)
-			if next()%4 != 0 { // mostly attached to the clock
-				c.sim, ref.sim = clock, clock
+			if attached = next()%4 != 0; attached { // mostly attached to the clock
+				ref.sim = clock
 			}
 		}
 		reset()
 		hc := &oracleHandle{clock: clock, enter: c.EnterCS}
 		hr := &oracleHandle{clock: clock, enter: ref.EnterCS}
 		for step := 0; len(ops) > 0; step++ {
+			enters := ref.Enters
 			op := next() % 6
 			switch op {
 			case 0: // a grant, in whatever phase the cycle is
@@ -218,13 +257,29 @@ func FuzzCycle(f *testing.F) {
 				reset()
 			}
 			now := clock.Now()
+			if attached {
+				c.WakeAt(now) // the kernel's poll, in the step of the operation
+			}
+			if op != 5 && ref.Enters != enters { // a grant, not a Reset
+				var grant int64 // outside a simulation the clock reads as 0
+				if attached {
+					grant = now
+				}
+				if c.due != grant+ref.hold || ref.holdUntil != c.due {
+					t.Fatalf("step %d (op %d): due %d after a grant at %d holding %d, reference %d",
+						step, op, c.due, grant, ref.hold, ref.holdUntil)
+				}
+			}
 			for _, at := range []int64{now, now + 1, now + retryBackoff, now + 1<<40} {
 				if got, want := c.Enabled(at), ref.Enabled(at); got != want {
 					t.Fatalf("step %d (op %d): Enabled(%d) = %v, reference %v", step, op, at, got, want)
 				}
 			}
-			if got, want := c.WakeAt(now), ref.WakeAt(now); got != want {
-				t.Fatalf("step %d (op %d): WakeAt = %d, reference %d", step, op, got, want)
+			// A grant no poll has dated stays so: asking WakeAt would date it.
+			if attached || c.phase != granted {
+				if got, want := c.WakeAt(now), ref.WakeAt(now); got != want {
+					t.Fatalf("step %d (op %d): WakeAt = %d, reference %d", step, op, got, want)
+				}
 			}
 			if got, want := c.ReleaseCS(), ref.ReleaseCS(); got != want {
 				t.Fatalf("step %d (op %d): ReleaseCS = %v, reference %v", step, op, got, want)

@@ -21,6 +21,11 @@ const (
 	Waiting
 	// Critical: inside the critical section.
 	Critical
+
+	// granted is Critical before the kernel's first poll has dated the
+	// grant: due still reads it as a grant at clock 0 (CurrentPhase reports
+	// Critical).
+	granted
 )
 
 // retryBackoff delays re-issuing a request after the protocol refused one
@@ -29,11 +34,12 @@ const retryBackoff = 64
 
 // Cycle is a request loop: think, request need units, hold the critical
 // section for hold steps, release, repeat (up to maxRequests grants).
-// Durations are measured on the simulation clock. The whole application is
-// one allocation in the 64-byte size class (TestCycleSizeClass), and Reset
+// Durations are measured on the simulation clock, which a Cycle does not
+// keep: Act reads it from its Handle, and the grant's from the kernel's poll
+// (WakeAt). The whole application is one pointer-free allocation in the
+// 48-byte size class (TestCycleSizeClass, TestCycleHasNoPointers), and Reset
 // recycles it for a different configuration.
 type Cycle struct {
-	sim         *sim.Sim // the clock (nil until Attach)
 	hold, think int64
 	// due is the phase's one deadline: when an idle cycle may request again,
 	// or when a critical one releases. A waiting cycle has none.
@@ -69,31 +75,29 @@ func (c *Cycle) Reset(need int, hold, think int64, maxRequests int) {
 }
 
 // CurrentPhase returns where the application currently stands.
-func (c *Cycle) CurrentPhase() Phase { return c.phase }
+func (c *Cycle) CurrentPhase() Phase { return min(c.phase, Critical) }
 
 // EnterCS implements core.App: the protocol granted the request. The
-// release time is fixed here, once per grant, so the kernel can register it
-// as a wake-up instead of polling. A Cycle not attached to a simulation
-// reads the clock as 0.
+// release time is fixed once per grant, so the kernel can register it as a
+// wake-up instead of polling: at the grant's clock plus hold. The kernel
+// passes that clock to the poll it makes in the same step (WakeAt); until
+// then, and in a Cycle driven outside a simulation, the grant reads as one
+// at clock 0.
 func (c *Cycle) EnterCS() {
-	c.phase = Critical
+	c.phase = granted
 	c.Enters++
-	var now int64
-	if c.sim != nil {
-		now = c.sim.Now()
-	}
-	c.due = now + c.hold
+	c.due = c.hold
 }
 
 // ReleaseCS implements core.App.
-func (c *Cycle) ReleaseCS() bool { return c.phase != Critical }
+func (c *Cycle) ReleaseCS() bool { return c.phase < Critical }
 
 // Enabled implements sim.App.
 func (c *Cycle) Enabled(now int64) bool {
 	switch c.phase {
 	case Idle:
 		return !c.done() && now >= c.due
-	case Critical:
+	case Critical, granted:
 		return now >= c.due
 	default:
 		return false
@@ -102,8 +106,13 @@ func (c *Cycle) Enabled(now int64) bool {
 
 // WakeAt implements sim.App: enablement is a pure deadline per phase (due),
 // so idle generators cost the kernel nothing until their deadline arrives.
+// The first call after a grant dates it: the kernel makes it in the grant's
+// step, with the grant's clock.
 func (c *Cycle) WakeAt(now int64) int64 {
-	if c.phase == Waiting || (c.phase == Idle && c.done()) {
+	switch {
+	case c.phase == granted:
+		c.phase, c.due = Critical, now+c.hold
+	case c.phase == Waiting || (c.phase == Idle && c.done()):
 		return sim.NoWake // waiting: only the protocol's grant enables us
 	}
 	return c.due
@@ -128,7 +137,7 @@ func (c *Cycle) Act(h Handle) {
 			c.Issued--
 			c.due = h.Now() + retryBackoff
 		}
-	case Critical:
+	case Critical, granted:
 		c.Grants++
 		c.phase = Idle
 		c.due = h.Now() + c.think
@@ -139,10 +148,8 @@ func (c *Cycle) Act(h Handle) {
 // Handle aliases sim.Handle for callers of this package.
 type Handle = sim.Handle
 
-// Attach binds c to process p of s (giving it the simulation clock) and
-// installs it as p's application.
+// Attach installs c as process p's application in s and returns it.
 func Attach(s *sim.Sim, p int, c *Cycle) *Cycle {
-	c.sim = s
 	s.AttachApp(p, c)
 	return c
 }

@@ -26,8 +26,8 @@ func TestFixedCycleLifecycle(t *testing.T) {
 	if c.CurrentPhase() != workload.Idle {
 		t.Errorf("phase = %v, want Idle after completion", c.CurrentPhase())
 	}
-	if s.Node(1).State() != core.Out {
-		t.Errorf("node state = %v, want Out", s.Node(1).State())
+	if n := s.Node(1); n.State() != core.Out {
+		t.Errorf("node state = %v, want Out", n.State())
 	}
 }
 

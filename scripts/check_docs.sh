@@ -46,9 +46,19 @@ grep -q 'func TestLayoutGuard' internal/channel/channel_test.go || err "channel 
 grep -q 'func TestLayoutGuard' internal/core/node_test.go || err "core TestLayoutGuard gone but documented"
 grep -q 'func TestProcIsOneLine' internal/sim/slots_test.go || err "TestProcIsOneLine gone but documented"
 grep -q 'func TestCycleSizeClass' internal/workload/cycle_test.go || err "TestCycleSizeClass gone but documented"
+grep -q 'func TestCycleHasNoPointers(' internal/workload/cycle_test.go || err "TestCycleHasNoPointers gone but documented"
 grep -q 'type Hub struct' internal/channel/channel.go || err "channel.Hub gone but documented"
 grep -q 'channel.Hub' docs/ARCHITECTURE.md || err "ARCHITECTURE.md lost the channel hub"
-grep -q 'bigNBytesCeiling = 215' bench_test.go || err "BenchmarkBigNScale lost the bytes/process ceiling README.md cites"
+grep -q 'bigNBytesCeiling = 165' bench_test.go || err "BenchmarkBigNScale lost the bytes/process ceiling README.md cites"
+# A process keeps only what differs between processes: a 32-byte process
+# line and a pointer-free 48-byte Cycle. No doc may still describe the
+# 64-byte line or the 64-byte Cycle.
+if grep -qE 'reads one 64-byte|64-byte (`proc`|process line)|`proc` = 64|`proc` line[^|]*\| 64 \|' README.md docs/ARCHITECTURE.md; then
+    err "a doc still describes a 64-byte proc line"
+fi
+if grep -qE '64-byte `(workload\.)?Cycle`|`Cycle` ≤ 64|`\*?Cycle`, 64 B|`workload\.Cycle`[^|]*\| 64 \|' README.md docs/ARCHITECTURE.md; then
+    err "a doc still describes a 64-byte Cycle"
+fi
 # Per-process memory holds only what a process needs: the wake heap grows
 # to what it holds, and no table copies the process line. The tests that
 # pin the heap are named by the doc, and no doc may describe the slot

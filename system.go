@@ -138,13 +138,19 @@ func (y *System) Saturate(p, need int, hold, think int64, maxRequests int) {
 }
 
 // InCS reports whether process p is executing its critical section.
-func (y *System) InCS(p int) bool { return y.s.Node(p).State() == core.In }
+func (y *System) InCS(p int) bool { return y.StateOf(p) == core.In }
 
 // StateOf returns process p's interface state.
-func (y *System) StateOf(p int) State { return y.s.Node(p).State() }
+func (y *System) StateOf(p int) State {
+	n := y.s.Node(p)
+	return n.State()
+}
 
 // UnitsHeld returns how many resource tokens p currently reserves.
-func (y *System) UnitsHeld(p int) int { return y.s.Node(p).Reserved() }
+func (y *System) UnitsHeld(p int) int {
+	n := y.s.Node(p)
+	return n.Reserved()
+}
 
 // Census returns the global token population snapshot.
 func (y *System) Census() Census { return y.s.Census() }
