@@ -86,7 +86,7 @@ func flags() (*flag.FlagSet, *options) {
 	fs.IntVar(&o.n, "n", 8, "number of processes (ignored for -topo paper)")
 	fs.IntVar(&o.k, "k", 2, "per-lease maximum k")
 	fs.IntVar(&o.l, "l", 3, "resource units ℓ")
-	fs.IntVar(&o.cmax, "cmax", 4, "CMAX: bound on initial garbage per channel")
+	fs.IntVar(&o.cmax, "cmax", core.DefaultCMAX, "CMAX: bound on initial garbage per channel")
 	fs.Int64Var(&o.seed, "seed", 1, "seed for -topo random")
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:0", "TCP listen address (port 0 = pick one)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "HTTP debug-surface listen address: unified /metrics, /healthz, /readyz, /debug/events, /debug/pprof/* (empty = disabled)")

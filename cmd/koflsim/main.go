@@ -103,7 +103,7 @@ func flags() (*flag.FlagSet, *options) {
 	fs.IntVar(&o.n, "n", 8, "number of processes (ignored for -topo paper)")
 	fs.IntVar(&o.k, "k", 2, "per-request maximum k")
 	fs.IntVar(&o.l, "l", 3, "resource units ℓ")
-	fs.IntVar(&o.cmax, "cmax", 4, "CMAX: bound on initial garbage per channel")
+	fs.IntVar(&o.cmax, "cmax", core.DefaultCMAX, "CMAX: bound on initial garbage per channel")
 	fs.StringVar(&o.variant, "variant", "full", "protocol variant: full|naive|pusher|nonstab")
 	fs.Int64Var(&o.steps, "steps", 200_000, "scheduler steps to run")
 	fs.Int64Var(&o.seed, "seed", 1, "seed for scheduler, workloads and adversary")

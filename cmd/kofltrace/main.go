@@ -55,7 +55,7 @@ func main() {
 	}
 
 	// Raw event log of the full protocol bootstrapping and serving requests.
-	cfg := core.Config{K: 3, L: 5, N: tr.N(), CMAX: 4, Features: core.Full()}
+	cfg := core.Config{K: 3, L: 5, N: tr.N(), CMAX: core.DefaultCMAX, Features: core.Full()}
 	s, err := sim.New(tr, cfg, sim.Options{Seed: *seed, TimeoutTicks: 50})
 	if err != nil {
 		log.Fatal(err)

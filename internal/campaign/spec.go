@@ -37,6 +37,7 @@ import (
 	"math/rand"
 
 	"kofl/internal/adversary"
+	"kofl/internal/core"
 	"kofl/internal/tree"
 )
 
@@ -325,7 +326,7 @@ func (c Cell) Label() string {
 // normalized returns a copy of the spec with defaults filled in.
 func (sp Spec) normalized() Spec {
 	if len(sp.CMAX) == 0 {
-		sp.CMAX = []int{4}
+		sp.CMAX = []int{core.DefaultCMAX}
 	}
 	if len(sp.Variants) == 0 {
 		sp.Variants = []string{"full"}

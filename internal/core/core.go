@@ -111,6 +111,10 @@ type Config struct {
 	Errata   Errata
 }
 
+// DefaultCMAX is the channel garbage bound every entry point uses when the
+// caller leaves CMAX unset.
+const DefaultCMAX = 4
+
 // MaxL is the largest usable ℓ: the controller's saturating surplus count
 // PT ∈ [0..ℓ+1] travels in a 16-bit field (message.Message.PT and the wire
 // codec), and convergence from an over-full configuration relies on it not

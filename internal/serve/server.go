@@ -137,7 +137,7 @@ func New(tr *tree.Tree, opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	cmax := opts.CMAX
 	if cmax == 0 {
-		cmax = 4
+		cmax = core.DefaultCMAX
 	}
 	cfg := core.Config{K: opts.K, L: opts.L, N: tr.N(), CMAX: cmax, Features: core.Full()}
 	journal := obs.NewJournal(opts.JournalCapacity, func() int64 { return time.Now().UnixNano() })

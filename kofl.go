@@ -143,7 +143,7 @@ type Options struct {
 func (o Options) config(t *Tree) core.Config {
 	cmax := o.CMAX
 	if cmax == 0 {
-		cmax = 4
+		cmax = core.DefaultCMAX
 	}
 	return core.Config{
 		K: o.K, L: o.L, N: t.N(), CMAX: cmax,
