@@ -64,8 +64,6 @@ type options struct {
 	addr          string
 	debugAddr     string
 	timeout       time.Duration
-	pace          time.Duration
-	idlePace      time.Duration
 	queue         int
 	leaseTTL      time.Duration
 	dedupeTTL     time.Duration
@@ -91,8 +89,6 @@ func flags() (*flag.FlagSet, *options) {
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:0", "TCP listen address (port 0 = pick one)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "HTTP debug-surface listen address: unified /metrics, /healthz, /readyz, /debug/events, /debug/pprof/* (empty = disabled)")
 	fs.DurationVar(&o.timeout, "timeout", serve.DefaultTimeout, "root retransmission timeout (tightening below a few ms causes retransmission storms)")
-	fs.DurationVar(&o.pace, "pace", serve.DefaultPace, "average protocol delivery delay per frame while acquires wait, slept off in 1ms rests (negative = full speed)")
-	fs.DurationVar(&o.idlePace, "idle-pace", serve.DefaultIdlePace, "beat a frame is held for while no acquire waits; a request cuts it short (negative = full speed)")
 	fs.IntVar(&o.queue, "queue", serve.DefaultQueueDepth, "acquires waiting per process, queued or awaiting the grant (a full process rejects with overload)")
 	fs.DurationVar(&o.leaseTTL, "lease-ttl", serve.DefaultLeaseTTL, "maximum (and default) lease duration")
 	fs.DurationVar(&o.dedupeTTL, "dedupe-ttl", serve.DefaultDedupeTTL, "how long acquire responses replay to request-id retries")
@@ -139,8 +135,7 @@ func run(args []string, out, errOut io.Writer) error {
 
 	srv, err := kofl.Serve(tr, kofl.ServeOptions{
 		K: o.k, L: o.l, CMAX: o.cmax,
-		Addr: o.addr, DebugAddr: o.debugAddr,
-		Timeout: o.timeout, Pace: o.pace, IdlePace: o.idlePace,
+		Addr: o.addr, DebugAddr: o.debugAddr, Timeout: o.timeout,
 		QueueDepth: o.queue, LeaseTTL: o.leaseTTL, DedupeTTL: o.dedupeTTL, DrainTimeout: o.drain,
 	})
 	if err != nil {

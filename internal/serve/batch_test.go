@@ -31,11 +31,7 @@ func pipeSession(t *testing.T, s *Server) *session {
 }
 
 func queuedAcquire(ss *session, id string, units int) *pendingAcquire {
-	pa := getPending()
-	pa.req = Request{Op: OpAcquire, ID: id, Units: units}
-	pa.sess = ss
-	pa.enqueued = time.Now()
-	return pa
+	return &pendingAcquire{req: Request{Op: OpAcquire, ID: id, Units: units}, sess: ss, enqueued: time.Now()}
 }
 
 // TestRejectCountsEveryCode is the regression test for the dropped-counter
@@ -78,8 +74,8 @@ func TestRejectCountsEveryCode(t *testing.T) {
 	}
 }
 
-// TestLoadIndexPick: the router always picks a least-loaded process when the
-// tree fits one shard, and next() wraps.
+// TestLoadIndexPick: the router always picks a least-loaded process, at
+// every n, and next() wraps.
 func TestLoadIndexPick(t *testing.T) {
 	li := newLoadIndex(4)
 	li.add(0, 5)
@@ -96,11 +92,22 @@ func TestLoadIndexPick(t *testing.T) {
 	if n := li.next(3); n != 0 {
 		t.Fatalf("next(3) = %d, want wrap to 0", n)
 	}
+
+	// A scan of part of a large tree misses the one idle process.
+	li = newLoadIndex(200)
+	for p := 0; p < 200; p++ {
+		if p != 10 {
+			li.add(p, 1)
+		}
+	}
+	if p := li.pick(); p != 10 {
+		t.Fatalf("n=200: pick chose p%d (load %d), want the only idle p10", p, li.load(p))
+	}
 }
 
 // TestBatchedServeEndToEnd drives a concurrent burst and checks the batch
 // counters stay coherent with the grant counters: every grant rode some
-// batch, batch units cover granted units, and batching actually engaged.
+// batch, batch units cover granted units, and at least one batch ran.
 func TestBatchedServeEndToEnd(t *testing.T) {
 	s := startServer(t, tree.Paper(), Options{K: 3, L: 5})
 	done := make(chan struct{})

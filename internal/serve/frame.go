@@ -28,8 +28,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
-	"sync"
 	"time"
 )
 
@@ -220,90 +218,6 @@ func WriteFrame(w io.Writer, v any) error {
 	copy(buf[4:], body)
 	_, err = w.Write(buf)
 	return err
-}
-
-// frameBufPool recycles encode scratch for the server's reply hot path: one
-// buffer may carry several corked frames before a single Write.
-var frameBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 512); return &b },
-}
-
-func getFrameBuf() *[]byte  { return frameBufPool.Get().(*[]byte) }
-func putFrameBuf(b *[]byte) { *b = (*b)[:0]; frameBufPool.Put(b) }
-
-// jsonSafe reports whether s can be embedded in a JSON string without any
-// escaping: printable ASCII minus the quote and backslash.
-func jsonSafe(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
-			return false
-		}
-	}
-	return true
-}
-
-// appendJSONString appends s as a JSON string literal. The fast path covers
-// every id the server itself mints and all well-behaved client ids; anything
-// else routes through encoding/json for correct escaping.
-func appendJSONString(dst []byte, s string) []byte {
-	if jsonSafe(s) {
-		dst = append(dst, '"')
-		dst = append(dst, s...)
-		return append(dst, '"')
-	}
-	q, err := json.Marshal(s)
-	if err != nil { // unreachable: strings always marshal
-		return append(dst, `""`...)
-	}
-	return append(dst, q...)
-}
-
-// appendResponseFrame appends one length-prefixed frame for r to dst without
-// allocating (for responses that fit the fast path; a Stats payload falls
-// back to encoding/json). The produced body is byte-compatible with what
-// json.Marshal(Response) yields for the same field set.
-func appendResponseFrame(dst []byte, r *Response) []byte {
-	hdrAt := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // length back-patched below
-	if r.Stats != nil {
-		body, err := json.Marshal(r)
-		if err != nil {
-			body = []byte(`{"id":"","ok":false,"error":"malformed","detail":"stats encode failed"}`)
-		}
-		dst = append(dst, body...)
-	} else {
-		dst = append(dst, `{"id":`...)
-		dst = appendJSONString(dst, r.ID)
-		if r.OK {
-			dst = append(dst, `,"ok":true`...)
-		} else {
-			dst = append(dst, `,"ok":false`...)
-		}
-		if r.Err != "" {
-			dst = append(dst, `,"error":`...)
-			dst = appendJSONString(dst, r.Err)
-		}
-		if r.Detail != "" {
-			dst = append(dst, `,"detail":`...)
-			dst = appendJSONString(dst, r.Detail)
-		}
-		if r.Lease != "" {
-			dst = append(dst, `,"lease":`...)
-			dst = appendJSONString(dst, r.Lease)
-		}
-		if r.Units != 0 {
-			dst = append(dst, `,"units":`...)
-			dst = strconv.AppendInt(dst, int64(r.Units), 10)
-		}
-		if r.Process != 0 {
-			dst = append(dst, `,"process":`...)
-			dst = strconv.AppendInt(dst, int64(r.Process), 10)
-		}
-		dst = append(dst, '}')
-	}
-	binary.BigEndian.PutUint32(dst[hdrAt:hdrAt+4], uint32(len(dst)-hdrAt-4))
-	return dst
 }
 
 // ReadFrame reads one length-prefixed frame body. A zero or over-MaxFrame

@@ -3,7 +3,6 @@ package serve
 import (
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"kofl/internal/obs"
@@ -11,8 +10,8 @@ import (
 
 // ledgerEnv is everything a ledger does to the world, as core.Env is for a
 // core.Node: the process worker implements it, the tests fake it. reject and
-// grant answer pa (undoing its admission, or with lease id) and recycle it;
-// end accounts a lease teardown under an obs.Release… cause.
+// grant answer pa (undoing its admission, or with lease id); end accounts a
+// lease teardown under an obs.Release… cause.
 type ledgerEnv interface {
 	request(units int) error // the protocol's Out→Req at the ledger's process
 	release()                // the protocol's In→Out
@@ -226,20 +225,10 @@ func leaseProcess(id string, n int) (int, bool) {
 
 func digits(s string) bool { return s != "" && strings.Trim(s, "0123456789") == "" }
 
-// pendingAcquire is one queued acquire, pooled: the steady-state admission
-// path allocates no per-request state.
+// pendingAcquire is one admitted acquire, from its session to its answer.
 type pendingAcquire struct {
 	req      Request
 	sess     *session
 	enqueued time.Time
 	deadline time.Time // zero = no deadline
-}
-
-var paPool = sync.Pool{New: func() any { return new(pendingAcquire) }}
-
-func getPending() *pendingAcquire { return paPool.Get().(*pendingAcquire) }
-
-func putPending(pa *pendingAcquire) {
-	*pa = pendingAcquire{}
-	paPool.Put(pa)
 }

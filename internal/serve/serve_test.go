@@ -439,3 +439,17 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 	}
 	t.Fatal("condition not reached in time")
 }
+
+// TestIdleServerIsPaced: with no acquire waiting, the server's processes hold
+// protocol frames for DefaultIdlePace beats instead of circulating the
+// tokens at the busy cadence, which would spin the CPUs the sessions need.
+func TestIdleServerIsPaced(t *testing.T) {
+	s := startServer(t, tree.Paper(), Options{K: 3, L: 5})
+	waitFor(t, 5*time.Second, s.Ready)
+	time.Sleep(200 * time.Millisecond)
+	f0 := s.Net().FramesDelivered()
+	time.Sleep(500 * time.Millisecond)
+	if idle := s.Net().FramesDelivered() - f0; idle > 20_000 {
+		t.Errorf("an idle server delivered %d frames in 500ms: no idle beat", idle)
+	}
+}

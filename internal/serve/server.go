@@ -23,11 +23,22 @@ const (
 	DefaultLeaseTTL     = 10 * time.Second
 	DefaultDrainTimeout = 5 * time.Second
 	DefaultTimeout      = runtime.DefaultTimeout
-	DefaultPace         = 10 * time.Microsecond
-	DefaultIdlePace     = time.Millisecond
 )
 
-// Options configures a lease server.
+// The server's delivery pacing, passed to runtime.Options. DefaultIdlePace
+// is the beat each process holds protocol frames for while no acquire is
+// waiting on the protocol and the tree is stabilized; an arriving acquire
+// cuts every hold short. DefaultPace is the average delay per frame and
+// process otherwise, delivered at once and slept off in 1ms rests. Without
+// pacing the token circulation spins a full core even when every client is
+// idle or holding, starving the serving goroutines of CPU.
+const (
+	DefaultPace     = 10 * time.Microsecond
+	DefaultIdlePace = time.Millisecond
+)
+
+// Options configures a lease server. Delivery pacing is not among them: the
+// server always runs DefaultPace and DefaultIdlePace.
 type Options struct {
 	// K is the per-lease unit cap, L the number of resource units
 	// (1 ≤ K ≤ L); CMAX bounds initial channel garbage (default 4).
@@ -40,16 +51,6 @@ type Options struct {
 	// counterproductive: retransmission storms churn the tree and grant
 	// latency rises.
 	Timeout time.Duration
-	// IdlePace is the beat each process holds protocol frames for while no
-	// acquire is waiting on the protocol and the tree is stabilized; an
-	// arriving acquire cuts every hold short. Pace is the average delay per
-	// frame and process otherwise, delivered at once and slept off in 1ms
-	// rests (defaults 10µs and 1ms; negative disables). Without pacing the
-	// token circulation spins a full core even when every client is idle
-	// or holding, starving the serving goroutines of CPU — the dominant
-	// cost of the serve path. See runtime.Options.
-	Pace     time.Duration
-	IdlePace time.Duration
 	// QueueDepth bounds the acquires waiting at each process, queued or in
 	// a cycle awaiting its grant (default 64); an acquire finding its routed
 	// process AND the fallback process full is rejected with ErrOverload.
@@ -77,16 +78,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Addr == "" {
 		o.Addr = "127.0.0.1:0"
-	}
-	if o.Pace == 0 {
-		o.Pace = DefaultPace
-	} else if o.Pace < 0 {
-		o.Pace = 0
-	}
-	if o.IdlePace == 0 {
-		o.IdlePace = DefaultIdlePace
-	} else if o.IdlePace < 0 {
-		o.IdlePace = 0
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = DefaultQueueDepth
@@ -143,8 +134,8 @@ func New(tr *tree.Tree, opts Options) (*Server, error) {
 	journal := obs.NewJournal(opts.JournalCapacity, func() int64 { return time.Now().UnixNano() })
 	n, err := runtime.New(tr, cfg, runtime.Options{
 		Timeout:  opts.Timeout,
-		Pace:     opts.Pace,
-		IdlePace: opts.IdlePace,
+		Pace:     DefaultPace,
+		IdlePace: DefaultIdlePace,
 		Journal:  journal,
 	})
 	if err != nil {
@@ -173,7 +164,6 @@ func New(tr *tree.Tree, opts Options) (*Server, error) {
 			enter:   make(chan struct{}, 4),
 			ctl:     make(chan ctlMsg),
 			done:    make(chan struct{}),
-			corks:   make([]corkedReply, 0, opts.K),
 		}
 		ps.led = ledger{p: p, k: opts.K, ttl: opts.LeaseTTL, env: ps}
 		// The grant signal runs on the process goroutine: never block it.
@@ -311,7 +301,6 @@ func (s *Server) reject(pa *pendingAcquire, code, detail string) {
 	}
 	s.dedupe.forget(pa.req.ID)
 	pa.sess.reply(Response{ID: pa.req.ID, Err: code, Detail: detail})
-	putPending(pa)
 }
 
 // Stats is the live counter snapshot served to stats frames (and the base

@@ -15,23 +15,13 @@ type session struct {
 	wmu  sync.Mutex
 }
 
-// reply encodes and writes one response frame through the pooled encoder; a
-// write error just means the client went away (its leases still expire by
-// TTL).
+// reply writes one response frame under the session write lock; a write
+// error just means the client went away (its leases still expire by TTL).
 func (ss *session) reply(resp Response) {
-	buf := getFrameBuf()
-	*buf = appendResponseFrame(*buf, &resp)
-	ss.writeRaw(*buf)
-	putFrameBuf(buf)
-}
-
-// writeRaw writes pre-encoded frame bytes (possibly several corked frames)
-// in one Write call under the session write lock.
-func (ss *session) writeRaw(b []byte) {
 	ss.wmu.Lock()
 	defer ss.wmu.Unlock()
 	ss.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-	_, _ = ss.conn.Write(b)
+	_ = WriteFrame(ss.conn, &resp)
 }
 
 func (ss *session) run() {
@@ -95,11 +85,7 @@ func (ss *session) acquire(req *Request) {
 		return
 	}
 	s.met.acquires.Add(1)
-	pa := getPending()
-	pa.req = *req
-	pa.sess = ss
-	pa.enqueued = now
-	pa.deadline = req.deadlineAt(now)
+	pa := &pendingAcquire{req: *req, sess: ss, enqueued: now, deadline: req.deadlineAt(now)}
 	switch {
 	case s.draining.Load():
 		s.reject(pa, CodeDraining, "server shutting down")

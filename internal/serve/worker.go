@@ -19,7 +19,6 @@ type procServer struct {
 	ctl     chan ctlMsg   // releases and drain times; unbuffered
 	done    chan struct{} // closed when the worker exits
 	led     ledger
-	corks   []corkedReply // per-session reply coalescing scratch
 }
 
 // ctlMsg is a client release of lease, answered to sess under request id,
@@ -29,12 +28,6 @@ type ctlMsg struct {
 	id    string
 	sess  *session
 	drain time.Time
-}
-
-// corkedReply accumulates the grant frames a fan-out sends to one session.
-type corkedReply struct {
-	ss  *session
-	buf *[]byte
 }
 
 // run is the per-process worker, its ledger's only caller: one select over
@@ -71,7 +64,6 @@ func (ps *procServer) run() {
 			ps.s.met.batches.Add(1)
 			ps.s.met.batchUnits.Add(int64(led.units))
 			led.grant(time.Now())
-			ps.flush()
 		case m := <-ps.ctl:
 			if m.drain.IsZero() {
 				led.release(m.lease)
@@ -107,8 +99,7 @@ func (ps *procServer) request(units int) error {
 // before the worker's next request.
 func (ps *procServer) release() { ps.s.net.Release(ps.p) }
 
-// grant answers pa with its lease; the reply is corked per connection until
-// flush, so a batch fan-out writes each connection once.
+// grant answers pa with its lease.
 func (ps *procServer) grant(pa *pendingAcquire, id string, now time.Time) {
 	s := ps.s
 	ps.waiting.Add(-1)
@@ -117,18 +108,7 @@ func (ps *procServer) grant(pa *pendingAcquire, id string, now time.Time) {
 	latencyUS := now.Sub(pa.enqueued).Microseconds()
 	s.met.grant(pa.req.Units, latencyUS)
 	s.journal.Record(obs.KindLeaseGrant, int32(ps.p), int64(pa.req.Units), latencyUS)
-	ps.corks = corkReply(ps.corks, pa.sess, &resp)
-	putPending(pa)
-}
-
-// flush writes the corked grant replies, one write per connection.
-func (ps *procServer) flush() {
-	for i := range ps.corks {
-		ps.corks[i].ss.writeRaw(*ps.corks[i].buf)
-		putFrameBuf(ps.corks[i].buf)
-		ps.corks[i] = corkedReply{}
-	}
-	ps.corks = ps.corks[:0]
+	pa.sess.reply(resp)
 }
 
 // end accounts one lease teardown and unloads the routing index.
@@ -137,18 +117,4 @@ func (ps *procServer) end(l lease, cause int64) {
 	s.met.release(l.units, cause)
 	s.journal.Record(obs.KindLeaseRelease, int32(ps.p), int64(l.units), cause)
 	s.loadIdx.add(ps.p, -l.units)
-}
-
-// corkReply appends resp's frame to the buffer bound for ss, opening a new
-// one on ss's first reply of this batch.
-func corkReply(corks []corkedReply, ss *session, resp *Response) []corkedReply {
-	for i := range corks {
-		if corks[i].ss == ss {
-			*corks[i].buf = appendResponseFrame(*corks[i].buf, resp)
-			return corks
-		}
-	}
-	buf := getFrameBuf()
-	*buf = appendResponseFrame(*buf, resp)
-	return append(corks, corkedReply{ss: ss, buf: buf})
 }

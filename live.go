@@ -19,8 +19,6 @@ type LiveOptions struct {
 	// 25ms). The root fires once at Start, as the simulator's fast-forward
 	// does.
 	Timeout time.Duration
-	// LinkBuffer is the per-link frame buffer (default 256).
-	LinkBuffer int
 }
 
 // NewLive builds a live network over t. Call Start to launch it; the root's
@@ -28,8 +26,5 @@ type LiveOptions struct {
 // full (self-stabilizing) variant is supported live — the other rungs exist
 // for the simulator's ablations.
 func NewLive(t *Tree, opts LiveOptions) (*Live, error) {
-	return runtime.New(t, opts.Options.config(t), runtime.Options{
-		Timeout:    opts.Timeout,
-		LinkBuffer: opts.LinkBuffer,
-	})
+	return runtime.New(t, opts.Options.config(t), runtime.Options{Timeout: opts.Timeout})
 }
