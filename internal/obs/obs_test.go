@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-func TestCounterShardedSum(t *testing.T) {
+func TestCounterConcurrentAddsSumExactly(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_total", "t")
 	var wg sync.WaitGroup

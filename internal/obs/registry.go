@@ -1,5 +1,5 @@
 // Package obs is the repo's dependency-free instrumentation core: a metric
-// registry of sharded atomic counters, gauges and lock-free fixed-bucket
+// registry of atomic counters, gauges and lock-free fixed-bucket
 // histograms with a single Prometheus-text exposition writer, plus a bounded
 // ring-buffer event journal for the live layers' stabilization and lease
 // events (see journal.go).
@@ -10,13 +10,12 @@
 //     and Journal.Record never allocate; the sim kernel's zero-allocation
 //     stepping contract (TestZeroAllocSteadyState) holds with its registry
 //     attached.
-//  2. Hot-path writes are wait-free. Counters are padded shards picked off
-//     the calling goroutine's stack address, so concurrent serve/runtime
-//     writers do not bounce one cache line; histograms are plain atomic
-//     bucket increments.
-//  3. Reads may be slow and slightly torn. Exposition sums shards and walks
-//     buckets without stopping writers; Prometheus scrapes tolerate that by
-//     construction (counters are monotone per shard).
+//  2. Hot-path writes are wait-free. A counter or gauge is one atomic word
+//     and a histogram sample is plain atomic bucket increments. A few
+//     counter bumps per lease grant cost far less than the grant's own
+//     lock and write, so counters are not sharded across cache lines.
+//  3. Reads may be slow and slightly torn. Exposition walks buckets without
+//     stopping writers; Prometheus scrapes tolerate that by construction.
 //  4. Registration is setup-time only. Registering a duplicate family name
 //     panics — it is a programming error, and silently merged duplicates are
 //     exactly the exposition corruption promcheck.go exists to reject.
@@ -34,47 +33,19 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
-// counterShards is the write-sharding fan-out of Counter. Eight 64-byte
-// padded shards absorb the serve path's concurrency (sessions × workers)
-// without a contended line; Load sums them.
-const counterShards = 8
-
-// counterShard is one cache-line-padded counter cell.
-type counterShard struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a monotone counter with padded write shards. The zero value is
-// usable, but normally one is obtained from Registry.Counter.
+// Counter is a monotone counter: one atomic word. The zero value is usable,
+// but normally one is obtained from Registry.Counter.
 type Counter struct {
-	shards [counterShards]counterShard
-}
-
-// stackShard picks a shard from the address of a stack local: goroutines
-// live on distinct stacks, so concurrent writers spread across shards, and
-// the uintptr conversion keeps the local from escaping (no allocation).
-func stackShard() int {
-	var b byte
-	return int(uintptr(unsafe.Pointer(&b))>>10) & (counterShards - 1)
+	v atomic.Int64
 }
 
 // Add adds n to the counter.
-func (c *Counter) Add(n int64) {
-	c.shards[stackShard()].v.Add(n)
-}
+func (c *Counter) Add(n int64) { c.v.Add(n) }
 
-// Load returns the current total (sum over shards).
-func (c *Counter) Load() int64 {
-	var t int64
-	for i := range c.shards {
-		t += c.shards[i].v.Load()
-	}
-	return t
-}
+// Load returns the current total.
+func (c *Counter) Load() int64 { return c.v.Load() }
 
 // Gauge is a current-value metric.
 type Gauge struct {

@@ -105,6 +105,27 @@ func TestLoadIndexPick(t *testing.T) {
 	}
 }
 
+// TestAcquireAvoidsLeasedProcess: a process's load counts the units leased
+// out at it, so a client holding a lease has its next acquire routed to
+// another process. Routed by acquires waiting alone, every process reads 0
+// and the acquire queues at the leased one, whose next cycle waits for
+// that lease's release (up to LeaseTTL).
+func TestAcquireAvoidsLeasedProcess(t *testing.T) {
+	s := startServer(t, tree.Star(3), Options{K: 2, L: 3})
+	c := dial(t, s)
+	held, err := c.Acquire(1, 5*time.Second)
+	if err != nil {
+		t.Fatalf("first acquire: %v", err)
+	}
+	next, err := c.Acquire(1, time.Second)
+	if err != nil {
+		t.Fatalf("second acquire while holding p%d's lease: %v", held.Process, err)
+	}
+	if next.Process == held.Process {
+		t.Fatalf("second acquire granted at p%d, the process whose lease is held", next.Process)
+	}
+}
+
 // TestBatchedServeEndToEnd drives a concurrent burst and checks the batch
 // counters stay coherent with the grant counters: every grant rode some
 // batch, batch units cover granted units, and at least one batch ran.
@@ -141,6 +162,45 @@ func TestBatchedServeEndToEnd(t *testing.T) {
 	}
 	if st.BatchUnits < st.Grants {
 		t.Errorf("batch units %d < grants %d: some grant rode no batch", st.BatchUnits, st.Grants)
+	}
+	t.Logf("grants=%d batches=%d batch_units=%d", st.Grants, st.Batches, st.BatchUnits)
+}
+
+// TestBatchedServeQueuedBurst makes batching deterministic end to end: on
+// chain(2) with k = ℓ = 3, one client holds every unit while 12 one-unit
+// acquires queue, and only then releases. Each process's waiting line then
+// opens cycles of up to three members, so the 13 grants ride fewer
+// batches; one acquire per cycle would take a batch per grant.
+func TestBatchedServeQueuedBurst(t *testing.T) {
+	s := startServer(t, tree.Chain(2), Options{K: 3, L: 3})
+	c := dial(t, s)
+	held, err := c.Acquire(3, 5*time.Second)
+	if err != nil {
+		t.Fatalf("acquire every unit: %v", err)
+	}
+	const queued = 12
+	errs := make(chan error, queued)
+	for i := 0; i < queued; i++ {
+		go func() {
+			l, err := c.Acquire(1, 10*time.Second)
+			if err == nil {
+				err = c.Release(l.ID)
+			}
+			errs <- err
+		}()
+	}
+	waitFor(t, 5*time.Second, func() bool { return s.Stats().QueueDepth == queued })
+	if err := c.Release(held.ID); err != nil {
+		t.Fatalf("release: %v", err)
+	}
+	for i := 0; i < queued; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("queued acquire: %v", err)
+		}
+	}
+	st := s.Stats()
+	if st.Grants != queued+1 || st.Batches >= st.Grants {
+		t.Fatalf("grants=%d batches=%d: want %d grants in fewer batches", st.Grants, st.Batches, queued+1)
 	}
 	t.Logf("grants=%d batches=%d batch_units=%d", st.Grants, st.Batches, st.BatchUnits)
 }

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -73,18 +75,9 @@ func TestDedupeSweep(t *testing.T) {
 		t.Fatalf("size=%d want 2", got)
 	}
 
-	// Sweeps are per shard (lazy, on access): the probing begin must land in
-	// the same shard as the expired entry to trigger its sweep.
-	probe := ""
-	for i := 0; probe == ""; i++ {
-		cand := fmt.Sprintf("probe-%d", i)
-		if d.shard(cand) == d.shard("done") {
-			probe = cand
-		}
-	}
 	// Far past the TTL: the next begin sweeps the completed entry but must
 	// keep the in-flight claim (its owner still holds it).
-	if _, fresh := d.begin(probe, t0.Add(time.Hour)); !fresh {
+	if _, fresh := d.begin("probe", t0.Add(time.Hour)); !fresh {
 		t.Fatal("claim failed")
 	}
 	if cached, fresh := d.begin("inflight", t0.Add(time.Hour)); fresh || cached != nil {
@@ -117,13 +110,51 @@ func TestDedupeSweepThrottle(t *testing.T) {
 	}
 }
 
+// TestDedupeConcurrentClaims: goroutines racing begin on the same ids get
+// exactly one fresh claim per id, and once that owner completes, every later
+// begin replays its response. Run it with -race.
+func TestDedupeConcurrentClaims(t *testing.T) {
+	const goroutines, ids = 8, 64
+	now := time.Unix(4000, 0)
+	d := newDedupeStore(time.Minute)
+	var fresh [ids]atomic.Int32
+	var stored [ids]atomic.Pointer[Response]
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range ids {
+				n := (i + 7*g) % ids // each goroutine starts at its own id
+				id := fmt.Sprintf("r%d", n)
+				cached, ok := d.begin(id, now)
+				switch {
+				case ok:
+					fresh[n].Add(1)
+					resp := &Response{ID: id, OK: true, Lease: "L-" + id}
+					stored[n].Store(resp)
+					d.complete(id, resp, now)
+				case cached != nil && cached != stored[n].Load():
+					t.Errorf("%s: replayed %+v, not the completed response", id, cached)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for n := range ids {
+		id := fmt.Sprintf("r%d", n)
+		if got := fresh[n].Load(); got != 1 {
+			t.Errorf("%s: %d fresh claims, want exactly 1", id, got)
+		}
+		if cached, ok := d.begin(id, now.Add(time.Second)); ok || cached != stored[n].Load() {
+			t.Errorf("%s: after completion begin = (%+v, fresh %v), want the stored response", id, cached, ok)
+		}
+	}
+}
+
 // size reports the live entry count.
 func (d *dedupeStore) size() int {
-	n := 0
-	for i := range d.shards {
-		d.shards[i].mu.Lock()
-		n += len(d.shards[i].m)
-		d.shards[i].mu.Unlock()
-	}
-	return n
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.m)
 }

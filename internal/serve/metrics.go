@@ -19,7 +19,7 @@ const LatencyBuckets = 16384
 // metrics is the server's counter set, registered on the server's unified
 // obs.Registry under the historical kofl_serve_* series names (every
 // pre-migration name renders byte-identically; max_units_held and the
-// acquire-latency summary are additions). Counters are sharded atomics
+// acquire-latency summary are additions). Counters are single atomic words
 // written on the hot paths; the latency histogram is lock-free fixed-bucket.
 type metrics struct {
 	sessions       *obs.Counter // accepted connections, lifetime

@@ -91,11 +91,12 @@ acquire carried into|answered when that cycle ends;a carried acquire or a queued
 refcount|sync\.Once|lease map|lease and dedupe maps|lease registry;a refcounted batch, a sync.Once lease or a lock-striped lease map
 overk_open;the removed OverK journal kinds
 power-of-two|sharded load index|corked|frame-encode buffers;the removed two-shard router, reply corking or pooled encode buffers
+lock-striped|padded (shards|sharded)|stack address;the removed dedupe lock striping or padded counter shards
 BANS
 
 # Names of removed code, matched with case, also where a doc writes them as
 # bare prose that the resolver does not read.
-if grep -qE -- 'NextProc|MinDeliver|EachDeliver|perProc|ResyncCensus|Options\.Hooks|SlotHook|New(Waiting|Grants|Circulations)|MetricsAddr|Options\.Journal|kofl_sim_(stabilizations|overk_violations)_total|LegitimateFor|RecordAt|routeShardSize|scanShard|corkReply|paPool|frameBufPool|appendResponseFrame|-idle-pace|(^|[^a-z-])-pace([^a-z-]|$)' $docs; then err "a doc still names removed code"; fi
+if grep -qE -- 'NextProc|MinDeliver|EachDeliver|perProc|ResyncCensus|Options\.Hooks|SlotHook|New(Waiting|Grants|Circulations)|MetricsAddr|Options\.Journal|kofl_sim_(stabilizations|overk_violations)_total|LegitimateFor|RecordAt|routeShardSize|scanShard|corkReply|paPool|frameBufPool|appendResponseFrame|-idle-pace|(^|[^a-z-])-pace([^a-z-]|$)|dedupeShards?|stackShard|counterShards?' $docs; then err "a doc still names removed code"; fi
 
 [ "$fail" -eq 0 ] && echo "check_docs: OK"
 exit "$fail"
