@@ -35,26 +35,6 @@ func allProcs(s *sim.Sim) []int {
 	return procs
 }
 
-// RandomSnapshot draws a uniformly random local state for a process of the
-// given degree, within every variable's declared domain.
-func RandomSnapshot(cfg core.Config, deg int, rng *rand.Rand) core.Snapshot {
-	snap := core.Snapshot{
-		State:  core.State(rng.Intn(3)),
-		Need:   rng.Intn(cfg.K + 1),
-		MyC:    rng.Intn(cfg.CounterMod()),
-		Succ:   rng.Intn(deg),
-		Prio:   rng.Intn(deg+1) - 1, // -1 = ⊥
-		Reset:  rng.Intn(2) == 0,
-		SToken: rng.Intn(cfg.L + 2),
-		SPrio:  rng.Intn(3),
-		SPush:  rng.Intn(3),
-	}
-	for i := rng.Intn(cfg.K + 1); i > 0; i-- {
-		snap.RSet = append(snap.RSet, rng.Intn(deg))
-	}
-	return snap
-}
-
 // CorruptStates overwrites the local state of every process in procs with a
 // random domain-respecting snapshot (nil = every process). Corruption goes
 // through sim.Sim.RestoreNode, which folds the state delta into the census;
@@ -65,7 +45,7 @@ func CorruptStates(s *sim.Sim, rng *rand.Rand, procs []int) {
 		procs = allProcs(s)
 	}
 	for _, p := range procs {
-		s.RestoreNode(p, RandomSnapshot(s.Cfg, s.Tree.Degree(p), rng))
+		s.RestoreNode(p, core.RandomSnapshot(s.Cfg, s.Tree.Degree(p), rng))
 	}
 }
 

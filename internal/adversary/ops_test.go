@@ -62,7 +62,7 @@ func TestRandomSnapshotDomains(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 2000; i++ {
 		deg := 1 + rng.Intn(5)
-		s := adversary.RandomSnapshot(cfg, deg, rng)
+		s := core.RandomSnapshot(cfg, deg, rng)
 		if s.Need < 0 || s.Need > cfg.K {
 			t.Fatalf("Need %d", s.Need)
 		}

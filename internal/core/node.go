@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 
 	"kofl/internal/message"
 )
@@ -296,6 +297,26 @@ func (n *Node) Restore(s Snapshot) {
 		v.sprio = int32(clamp(s.SPrio, 0, 2))
 		v.spush = int32(clamp(s.SPush, 0, 2))
 	}
+}
+
+// RandomSnapshot draws a uniformly random local state for a process of the
+// given degree, within every variable's declared domain.
+func RandomSnapshot(cfg Config, deg int, rng *rand.Rand) Snapshot {
+	snap := Snapshot{
+		State:  State(rng.Intn(3)),
+		Need:   rng.Intn(cfg.K + 1),
+		MyC:    rng.Intn(cfg.CounterMod()),
+		Succ:   rng.Intn(deg),
+		Prio:   rng.Intn(deg+1) - 1, // -1 = ⊥
+		Reset:  rng.Intn(2) == 0,
+		SToken: rng.Intn(cfg.L + 2),
+		SPrio:  rng.Intn(3),
+		SPush:  rng.Intn(3),
+	}
+	for i := rng.Intn(cfg.K + 1); i > 0; i-- {
+		snap.RSet = append(snap.RSet, rng.Intn(deg))
+	}
+	return snap
 }
 
 func clamp(v, lo, hi int) int {

@@ -4,11 +4,18 @@
 // root. It demonstrates that the core state machine — developed against the
 // deterministic simulator — runs unchanged on a real concurrent substrate
 // (the repo's race-enabled integration tests drive it).
+//
+// A process goroutine also owns its application side. An entry is a grant
+// (OnEnter fires, Demand falls by one) only when the application asked and
+// the process entered with the need it asked for; any other entry, such as
+// one a Corrupt fault causes, is released at once, and an asked request that
+// a fault left in Out is issued again.
 package runtime
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -90,13 +97,6 @@ type port struct {
 	ch    int
 }
 
-// appCmd drives the application interface of a process from outside.
-type appCmd struct {
-	request int // ≥ 0: issue request for this many units
-	poll    bool
-	reply   chan error
-}
-
 // Net is a live protocol instance over a tree.
 type Net struct {
 	tr   *tree.Tree
@@ -139,12 +139,14 @@ type proc struct {
 	net   *Net
 	node  *core.Node
 	inbox chan delivery // written by the neighbours, one goroutine per edge: FIFO per channel
-	cmds  chan appCmd
+	cmds  chan func(*liveEnv)
 	out   []port // out[ch]: the neighbour on channel ch
 
-	inCS      atomic.Bool
-	releaseRq atomic.Bool
-	onEnter   func(p int)
+	// The application side, owned by the process goroutine: asked is a
+	// request for need units not yet granted, held a grant not yet released.
+	asked, held bool
+	need        int
+	onEnter     func(p int)
 }
 
 // New builds a live network for cfg over t. The system starts from the empty
@@ -171,7 +173,7 @@ func New(t *tree.Tree, cfg core.Config, opts Options) (*Net, error) {
 			// One LinkBuffer per incoming edge, pooled: a full inbox is the
 			// full link of the drop-on-full contract.
 			inbox: make(chan delivery, t.Degree(p)*opts.LinkBuffer),
-			cmds:  make(chan appCmd, 8),
+			cmds:  make(chan func(*liveEnv), 8),
 			out:   make([]port, t.Degree(p)),
 		}
 	}
@@ -180,7 +182,7 @@ func New(t *tree.Tree, cfg core.Config, opts Options) (*Net, error) {
 			q := t.Neighbor(p, ch)
 			pr.out[ch] = port{n.procs[q].inbox, t.ChannelTo(q, p)}
 		}
-		node, err := core.NewNode(cfg, p, t.Degree(p), t.IsRoot(p), liveApp{pr})
+		node, err := core.NewNode(cfg, p, t.Degree(p), t.IsRoot(p), pr)
 		if err != nil {
 			return nil, err
 		}
@@ -191,23 +193,17 @@ func New(t *tree.Tree, cfg core.Config, opts Options) (*Net, error) {
 }
 
 func (n *Net) observe(e core.Event) {
-	if e.Kind == core.EvEnterCS {
-		n.grants.Add(1)
-		n.demandDone()
-	}
 	if e.Kind == core.EvCirculation {
 		// One controller traversal completed at the root; its census
 		// (N1 = resource, N2 = priority, N3 = pusher token counts, Flag =
 		// reset pending) is read by the one population rule.
 		legit := n.cfg.LegitimatePopulation(e.N1, e.N2, e.N3, e.Flag)
-		if n.stabilized.Swap(legit) != legit {
-			if n.opts.Journal != nil {
-				k := obs.KindStabilized
-				if !legit {
-					k = obs.KindDestabilized
-				}
-				n.opts.Journal.Record(k, int32(e.P), int64(e.N1), int64(e.N2))
+		if n.stabilized.Swap(legit) != legit && n.opts.Journal != nil {
+			k := obs.KindStabilized
+			if !legit {
+				k = obs.KindDestabilized
 			}
+			n.opts.Journal.Record(k, int32(e.P), int64(e.N1), int64(e.N2))
 		}
 	}
 }
@@ -219,22 +215,6 @@ func (n *Net) observe(e core.Event) {
 // configuration), and flips back on mid-run destabilization (e.g. injected
 // garbage) until the controller repairs the population.
 func (n *Net) Stabilized() bool { return n.stabilized.Load() }
-
-// demandDone retires one outstanding request from the demand gauge, floored
-// at zero: stabilization noise can fire EnterCS for a request the demand
-// counter never saw (a corrupted Req state entering), and an over-decrement
-// must not wedge the gauge negative, which would pin pacing on forever.
-func (n *Net) demandDone() {
-	for {
-		d := n.demand.Load()
-		if d <= 0 {
-			return
-		}
-		if n.demand.CompareAndSwap(d, d-1) {
-			return
-		}
-	}
-}
 
 // Demand returns the number of application requests issued and not yet
 // granted — the signal that ends quiescence.
@@ -248,20 +228,22 @@ func (n *Net) quiescent() bool {
 	return n.demand.Load() == 0 && (n.stabilized.Load() || !n.cfg.Features.Controller)
 }
 
-// liveApp adapts a proc to core.App.
-type liveApp struct{ pr *proc }
-
-func (a liveApp) EnterCS() {
-	a.pr.inCS.Store(true)
-	a.pr.releaseRq.Store(false)
-	if a.pr.onEnter != nil {
-		a.pr.onEnter(a.pr.id)
+// EnterCS makes an entry a grant only when the application asked and the
+// process entered with the need it asked for; ReleaseCS lets any other go.
+func (pr *proc) EnterCS() {
+	if !pr.asked || pr.node.Need() != pr.need {
+		return
+	}
+	pr.asked, pr.held = false, true
+	pr.net.grants.Add(1)
+	pr.net.demand.Add(-1)
+	if pr.onEnter != nil {
+		pr.onEnter(pr.id)
 	}
 }
 
-func (a liveApp) ReleaseCS() bool {
-	return !a.pr.inCS.Load() || a.pr.releaseRq.Load()
-}
+// ReleaseCS keeps the process In only while the application holds a grant.
+func (pr *proc) ReleaseCS() bool { return !pr.held }
 
 // liveEnv implements core.Env inside a proc goroutine.
 type liveEnv struct {
@@ -356,7 +338,7 @@ func (pr *proc) run(ctx context.Context, wg *sync.WaitGroup) {
 		case <-timerC:
 			env.timeout()
 		case cmd := <-pr.cmds:
-			env.command(cmd)
+			cmd(env)
 		}
 	}
 }
@@ -380,20 +362,39 @@ func (e *liveEnv) deliver(d delivery) {
 	}
 	e.pr.net.framesDelivered.Add(1)
 	e.pr.node.HandleMessage(d.ch, m, e)
+	e.reissue()
 }
 
-// command runs one application command against the state machine.
-func (e *liveEnv) command(cmd appCmd) {
-	var err error
-	if cmd.request >= 0 {
-		err = e.pr.node.Request(e, cmd.request)
+// reissue asks again for a request that a fault left in Out: its process
+// was corrupted, or entered with another need and was released. Only a
+// delivery or a Corrupt can leave it there.
+func (e *liveEnv) reissue() {
+	if pr := e.pr; pr.asked && pr.node.State() == core.Out {
+		pr.node.Request(e, pr.need)
 	}
-	if cmd.poll {
-		e.pr.node.Poll(e)
+}
+
+// request is the application's Out→Req. The ask is recorded, and demand
+// raised, before Node.Request, which enters a need the reserved tokens
+// already cover; a refusal takes both back.
+func (e *liveEnv) request(need int) error {
+	pr, n := e.pr, e.pr.net
+	if pr.asked || pr.held {
+		return fmt.Errorf("runtime: process %d: request outstanding", pr.id)
 	}
-	if cmd.reply != nil {
-		cmd.reply <- err
+	pr.asked, pr.need = true, need
+	// On the 0→1 edge of demand, release every process parked in an idle
+	// hold, so no hop sleeps through the request it should be serving.
+	if n.demand.Add(1) == 1 {
+		wake := make(chan struct{})
+		close(*n.wake.Swap(&wake))
 	}
+	err := pr.node.Request(e, need)
+	if err != nil {
+		pr.asked = false
+		n.demand.Add(-1)
+	}
+	return err
 }
 
 // rest parks the process for d, still answering application commands. wake
@@ -413,7 +414,7 @@ func (e *liveEnv) rest(ctx context.Context, d time.Duration, wake <-chan struct{
 			e.pr.net.demandWakes.Add(1)
 			return true
 		case cmd := <-e.pr.cmds:
-			e.command(cmd)
+			cmd(e)
 		}
 	}
 }
@@ -430,9 +431,8 @@ func (n *Net) Stop() {
 // process could answer.
 var ErrStopped = errors.New("runtime: network stopped")
 
-// stopped exposes the network's shutdown signal (nil before Start, which a
-// select treats as never-ready — Request/Release before Start keep the old
-// blocking behavior).
+// stopped is the network's shutdown signal: nil before Start, so a command
+// sent before Start waits for the goroutine.
 func (n *Net) stopped() <-chan struct{} {
 	if n.ctx == nil {
 		return nil
@@ -441,51 +441,74 @@ func (n *Net) stopped() <-chan struct{} {
 }
 
 // Request asks process p for need units; it returns the protocol's answer
-// (an error unless the process was in state Out), or ErrStopped if the
-// network shut down before the process could answer.
+// (an error unless the process was in state Out with no request or grant
+// held), or ErrStopped if the network shut down before p could answer.
 func (n *Net) Request(p, need int) error {
-	// Raise demand before the command is visible to the process loop, and
-	// on the 0→1 edge release every process parked in an idle hold, so no
-	// hop sleeps through the request it should be serving.
-	if n.demand.Add(1) == 1 {
-		wake := make(chan struct{})
-		close(*n.wake.Swap(&wake))
-	}
-	reply := make(chan error, 1)
-	select {
-	case n.procs[p].cmds <- appCmd{request: need, reply: reply}:
-	case <-n.stopped():
-		n.demandDone()
+	var err error
+	if !n.call(p, func(e *liveEnv) { err = e.request(need) }) {
 		return ErrStopped
 	}
+	return err
+}
+
+// Release ends the grant p's application holds, on p's goroutine after every
+// earlier command: p leaves its critical section. Without a grant held, or
+// racing shutdown, it changes nothing.
+func (n *Net) Release(p int) { n.command(p, release) }
+
+func release(e *liveEnv) {
+	e.pr.held = false
+	e.pr.node.Poll(e)
+}
+
+// Corrupt overwrites process p's protocol state with s (clamped into its
+// domains) and runs its local actions: a transient process fault, journalled
+// as fault_injected (A the state, B the need). It runs on p's goroutine
+// after every earlier command and returns once applied (or the network
+// stopped). An entry it causes is not a grant, and a request the
+// application asked for survives it.
+func (n *Net) Corrupt(p int, s core.Snapshot) {
+	if j := n.opts.Journal; j != nil {
+		j.Record(obs.KindFaultInjected, int32(p), int64(s.State), int64(s.Need))
+	}
+	n.call(p, func(e *liveEnv) {
+		e.pr.node.Restore(s)
+		e.pr.node.Poll(e)
+		e.reissue()
+	})
+}
+
+// command queues cmd on p's goroutine; false if the network stopped first.
+func (n *Net) command(p int, cmd func(*liveEnv)) bool {
 	select {
-	case err := <-reply:
-		if err != nil {
-			n.demandDone() // refused: nothing left to grant
-		}
-		return err
+	case n.procs[p].cmds <- cmd:
+		return true
 	case <-n.stopped():
-		return ErrStopped
+		return false
 	}
 }
 
-// Release signals that process p's application finished its critical
-// section. A Release racing network shutdown is a no-op.
-func (n *Net) Release(p int) {
-	pr := n.procs[p]
-	pr.releaseRq.Store(true)
-	pr.inCS.Store(false)
+// call runs f on p's goroutine and waits for it; false if the network
+// stopped first.
+func (n *Net) call(p int, f func(*liveEnv)) bool {
+	done := make(chan struct{})
+	if !n.command(p, func(e *liveEnv) { f(e); close(done) }) {
+		return false
+	}
 	select {
-	case pr.cmds <- appCmd{request: -1, poll: true}:
+	case <-done:
+		return true
 	case <-n.stopped():
+		return false
 	}
 }
 
-// OnEnter registers a grant callback for process p (call before Start). It
-// runs on the process goroutine.
+// OnEnter registers the grant callback for process p (call before Start).
+// It runs on the process goroutine, once per request granted: never for an
+// entry the application did not ask for.
 func (n *Net) OnEnter(p int, f func(p int)) { n.procs[p].onEnter = f }
 
-// Grants returns the total number of critical-section entries so far.
+// Grants returns the number of requests granted so far.
 func (n *Net) Grants() int64 { return n.grants.Load() }
 
 // FramesDelivered returns the number of frames decoded and handled.
@@ -533,7 +556,7 @@ func (n *Net) Register(reg *obs.Registry) {
 	reg.CounterFunc(metricPrefix+"timeout_retransmissions_total",
 		"root retransmission timeout firings (the start-up firing counts as one)", n.Timeouts)
 	reg.CounterFunc(metricPrefix+"grants_total",
-		"critical-section entries granted by the protocol", n.Grants)
+		"application requests granted by the protocol", n.Grants)
 	reg.GaugeFunc(metricPrefix+"demand",
 		"application requests issued and not yet granted", n.Demand)
 	reg.GaugeFunc(metricPrefix+"stabilized",

@@ -8,13 +8,21 @@ import (
 	"testing"
 	"time"
 
+	"kofl/internal/core"
 	"kofl/internal/tree"
 )
 
+// rootStray is the process fault that once stopped the server: the root
+// corrupted into Req for one unit with a token reserved, a critical section
+// its application never asked for.
+var rootStray = core.Snapshot{State: core.Req, Need: 1, RSet: []int{0}}
+
 // TestServeChurnMatrix is the race-mode integration matrix: N concurrent
 // clients churning acquire/release against a live tree — with batched
-// multi-unit admission engaged — while garbage and noise are injected
-// mid-run. It asserts the serving layer's safety story:
+// multi-unit admission engaged — while a fault is injected mid-run: garbage
+// and noise on the links, the root corrupted into rootStray
+// ("-corrupt-root"), or every process corrupted into a random state
+// ("-corrupt-all"). It asserts the serving layer's safety story:
 //
 //   - every sub-lease grants EXACTLY the units its acquire requested (a
 //     batch fan-out must never leak one member's units into another's
@@ -33,15 +41,27 @@ func TestServeChurnMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn matrix in -short mode")
 	}
-	cases := []struct {
+	type churnCase struct {
 		name    string
 		tr      *tree.Tree
 		k, l    int
 		clients int
-	}{
-		{"paper-k3-l5-c12", tree.Paper(), 3, 5, 12},
-		{"star8-k2-l3-c16", tree.Star(8), 2, 3, 16},
-		{"chain6-k1-l1-c8", tree.Chain(6), 1, 1, 8},
+		fault   string // "" = link garbage and noise
+	}
+	var cases []churnCase
+	for _, tc := range []churnCase{
+		{"paper-k3-l5-c12", tree.Paper(), 3, 5, 12, ""},
+		{"star8-k2-l3-c16", tree.Star(8), 2, 3, 16, ""},
+		{"chain6-k1-l1-c8", tree.Chain(6), 1, 1, 8, ""},
+	} {
+		for _, fault := range []string{"", "corrupt-root", "corrupt-all"} {
+			c := tc
+			c.fault = fault
+			if fault != "" {
+				c.name += "-" + fault
+			}
+			cases = append(cases, c)
+		}
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -74,12 +94,24 @@ func TestServeChurnMatrix(t *testing.T) {
 				}(c, rng)
 			}
 
-			// Fault burst mid-churn: well-formed garbage tokens plus raw
-			// byte noise, three waves.
+			// Fault mid-churn: one corruption, or three waves of
+			// well-formed garbage tokens plus raw byte noise, then 150ms.
 			time.Sleep(200 * time.Millisecond)
+			switch tc.fault {
+			case "corrupt-root":
+				s.Corrupt(0, rootStray)
+			case "corrupt-all":
+				cfg := core.Config{K: tc.k, L: tc.l, N: tc.tr.N(), CMAX: core.DefaultCMAX}
+				rng := rand.New(rand.NewSource(40))
+				for p := 0; p < tc.tr.N(); p++ {
+					s.Corrupt(p, core.RandomSnapshot(cfg, tc.tr.Degree(p), rng))
+				}
+			}
 			for wave := int64(0); wave < 3; wave++ {
-				s.InjectGarbage(40 + wave)
-				s.InjectNoise(41+wave, 64)
+				if tc.fault == "" {
+					s.InjectGarbage(40 + wave)
+					s.InjectNoise(41+wave, 64)
+				}
 				time.Sleep(50 * time.Millisecond)
 			}
 
@@ -147,4 +179,38 @@ func TestServeFaultFreeWatermark(t *testing.T) {
 	if s.Stats().Grants == 0 {
 		t.Fatal("no grants at all")
 	}
+}
+
+// TestCorruptedProcessKeepsServing: a server whose root is corrupted into a
+// critical section nobody asked for (rootStray) serves on. 50 sequential
+// one-unit acquires, each released at once, are all granted before the
+// fault and all after it.
+func TestCorruptedProcessKeepsServing(t *testing.T) {
+	s := startServer(t, tree.Paper(), Options{K: 3, L: 5})
+	for deadline := time.Now().Add(10 * time.Second); !s.Ready(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("not ready 10s after Start")
+		}
+	}
+	c := dial(t, s)
+	serve50 := func(when string) {
+		t.Helper()
+		granted := 0
+		var last error
+		for i := 0; i < 50; i++ {
+			l, err := c.Acquire(1, 500*time.Millisecond)
+			if err != nil {
+				last = err
+				continue
+			}
+			granted++
+			c.Release(l.ID)
+		}
+		if granted != 50 {
+			t.Fatalf("%s the fault: %d/50 acquires granted (last error: %v)", when, granted, last)
+		}
+	}
+	serve50("before")
+	s.Corrupt(0, rootStray)
+	serve50("after")
 }

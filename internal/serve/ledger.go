@@ -44,7 +44,6 @@ type ledger struct {
 
 	seq     uint64            // lease ids minted
 	units   int               // Σunits of the open cycle; 0 = no cycle
-	granted bool              // the open cycle's grant has come
 	members int               // line[:members] await the open cycle's grant
 	line    []*pendingAcquire // every acquire waiting here, FIFO
 	leases  []lease           // granted, not yet resolved
@@ -83,7 +82,6 @@ func (l *ledger) begin(now time.Time) {
 // grant fans the protocol's grant out to the members still waiting. (A
 // draining ledger has none: drain answered them.)
 func (l *ledger) grant(now time.Time) {
-	l.granted = true
 	for _, pa := range l.line[:l.members] {
 		if passed(pa.deadline, now) {
 			l.env.reject(pa, CodeDeadline, "deadline passed before grant")
@@ -189,7 +187,7 @@ func (l *ledger) end(i int, cause int64) {
 // It runs only after the grant: a lease exists only once granted.
 func (l *ledger) settle() {
 	if len(l.leases) == 0 {
-		l.units, l.granted = 0, false
+		l.units = 0
 		l.env.release()
 	}
 }

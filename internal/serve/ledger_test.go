@@ -105,9 +105,9 @@ func TestLedgerDeadlineBeforeGrant(t *testing.T) {
 		t.Fatalf("answered before the deadline: %v", env.answers)
 	}
 	led.tick(t0.Add(ms(30)))
-	if env.answers["a"] != CodeDeadline || (led.units == 0 || led.granted) || env.releases != 0 {
+	if env.answers["a"] != CodeDeadline || (led.units == 0 || len(led.leases) != 0) || env.releases != 0 {
 		t.Fatalf("at the deadline: answers %v waiting %v releases %d, want a=deadline, cycle still requested",
-			env.answers, (led.units > 0 && !led.granted), env.releases)
+			env.answers, (led.units > 0 && len(led.leases) == 0), env.releases)
 	}
 	if !led.wake().IsZero() {
 		t.Fatalf("wake %v with no deadline or lease left", led.wake())

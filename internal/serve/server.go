@@ -161,18 +161,13 @@ func New(tr *tree.Tree, opts Options) (*Server, error) {
 			p:       p,
 			s:       s,
 			handoff: make(chan *pendingAcquire, opts.QueueDepth),
-			enter:   make(chan struct{}, 4),
+			enter:   make(chan struct{}, 1),
 			ctl:     make(chan ctlMsg),
 			done:    make(chan struct{}),
 		}
 		ps.led = ledger{p: p, k: opts.K, ttl: opts.LeaseTTL, env: ps}
-		// The grant signal runs on the process goroutine: never block it.
-		n.OnEnter(p, func(int) {
-			select {
-			case ps.enter <- struct{}{}:
-			default:
-			}
-		})
+		// Only an asked cycle's grant, read before the next ask: never full.
+		n.OnEnter(p, func(int) { ps.enter <- struct{}{} })
 		s.procs[p] = ps
 	}
 	return s, nil
@@ -228,6 +223,10 @@ func (s *Server) InjectGarbage(seed int64) { s.net.InjectGarbage(seed) }
 
 // InjectNoise floods random links with raw byte noise mid-run.
 func (s *Server) InjectNoise(seed int64, frames int) { s.net.InjectNoise(seed, frames) }
+
+// Corrupt overwrites process p's protocol state with snap mid-run — the
+// process fault of the paper's model (runtime.Net.Corrupt).
+func (s *Server) Corrupt(p int, snap core.Snapshot) { s.net.Corrupt(p, snap) }
 
 // UnitsHeld returns the resource units currently leased out.
 func (s *Server) UnitsHeld() int64 { return s.met.unitsHeld.Load() }

@@ -15,9 +15,9 @@ type procServer struct {
 	s       *Server
 	handoff chan *pendingAcquire // from admission to the worker; never full
 	waiting atomic.Int64         // admitted here and not yet answered
-	enter   chan struct{}
-	ctl     chan ctlMsg   // releases and drain times; unbuffered
-	done    chan struct{} // closed when the worker exits
+	enter   chan struct{}        // the open cycle's grant; one slot
+	ctl     chan ctlMsg          // releases and drain times; unbuffered
+	done    chan struct{}        // closed when the worker exits
 	led     ledger
 }
 
@@ -53,14 +53,10 @@ func (ps *procServer) run() {
 		} else {
 			timer.Reset(time.Until(w))
 		}
-		var enter <-chan struct{} // read only while a cycle is requested
-		if led.units > 0 && !led.granted {
-			enter = ps.enter
-		}
 		select {
 		case pa := <-ps.handoff:
 			led.enqueue(pa)
-		case <-enter:
+		case <-ps.enter:
 			ps.s.met.batches.Add(1)
 			ps.s.met.batchUnits.Add(int64(led.units))
 			led.grant(time.Now())
@@ -85,15 +81,8 @@ func (ps *procServer) reject(pa *pendingAcquire, code, detail string) {
 	ps.s.reject(pa, code, detail)
 }
 
-// request is the ledger's Out→Req. A stale enter signal (absorbed by the
-// buffered channel during stabilization churn) must not masquerade as this
-// cycle's grant, so drop any first; only the worker receives from enter.
-func (ps *procServer) request(units int) error {
-	for len(ps.enter) > 0 {
-		<-ps.enter
-	}
-	return ps.s.net.Request(ps.p, units)
-}
+// request is the ledger's Out→Req.
+func (ps *procServer) request(units int) error { return ps.s.net.Request(ps.p, units) }
 
 // release is the ledger's In→Out; the process's command FIFO delivers it
 // before the worker's next request.

@@ -210,7 +210,7 @@ func FuzzCensusDelta(f *testing.F) {
 				}
 				s.In(p, ch).Replace(msgs)
 			case 3: // corrupt one process state through the tracked surface
-				s.RestoreNode(p, adversary.RandomSnapshot(cfg, tr.Degree(p), rng))
+				s.RestoreNode(p, core.RandomSnapshot(cfg, tr.Degree(p), rng))
 			case 4: // full resync must be idempotent on a synced census
 				s.ResyncActions()
 			case 5: // drive a request if the interface allows one

@@ -3,7 +3,6 @@ package workload
 import (
 	"errors"
 	"reflect"
-	"runtime"
 	"testing"
 	"unsafe"
 
@@ -14,24 +13,20 @@ import (
 
 // TestCycleSizeClass pins Cycle to the allocator's 48-byte size class: one
 // Cycle per process is the largest per-process object the simulator's
-// benchmark counts besides the process line itself.
+// benchmark counts besides the process line itself. Fixed makes one
+// allocation, the Cycle, so a Cycle of ≤ 48 bytes costs ≤ 48 B per call;
+// AllocsPerRun counts the calls' allocations alone, whatever else runs.
 func TestCycleSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Cycle{}); size > 48 {
 		t.Fatalf("Cycle is %d bytes, want ≤ 48", size)
 	}
-	const calls = 10_000
-	keep := make([]*Cycle, calls)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := range keep {
-		keep[i] = Fixed(1+i%2, 2, 4, 0)
+	if allocs := testing.AllocsPerRun(1000, func() { fixedSink = Fixed(2, 2, 4, 0) }); allocs != 1 {
+		t.Fatalf("Fixed makes %v allocations per call, want 1 (the Cycle)", allocs)
 	}
-	runtime.ReadMemStats(&after)
-	if per := float64(after.TotalAlloc-before.TotalAlloc) / calls; per > 48 {
-		t.Fatalf("Fixed allocates %.1f B per call, want ≤ 48", per)
-	}
-	runtime.KeepAlive(keep)
 }
+
+// fixedSink keeps TestCycleSizeClass's Cycles on the heap.
+var fixedSink *Cycle
 
 // TestCycleHasNoPointers keeps Cycle pointer-free: the collector then never
 // scans the one Cycle per process a big simulation holds, and nothing in it

@@ -9,7 +9,10 @@ import (
 // Live is a goroutine-per-process protocol instance over buffered Go
 // channels: real concurrency, wire-encoded frames, wall-clock root timeout.
 // See runtime.Net for the full method set (Start, Stop, Request, Release,
-// OnEnter, Grants, InjectGarbage, InjectNoise).
+// OnEnter, Grants, InjectGarbage, InjectNoise, Corrupt). An entry is a
+// grant, signalled by OnEnter, only when the application asked and the
+// process entered with the need it asked for; any other entry, such as one
+// a Corrupt fault causes, is released at once.
 type Live = runtime.Net
 
 // LiveOptions configures a Live network.

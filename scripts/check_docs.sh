@@ -96,7 +96,7 @@ BANS
 
 # Names of removed code, matched with case, also where a doc writes them as
 # bare prose that the resolver does not read.
-if grep -qE -- 'NextProc|MinDeliver|EachDeliver|perProc|ResyncCensus|Options\.Hooks|SlotHook|New(Waiting|Grants|Circulations)|MetricsAddr|Options\.Journal|kofl_sim_(stabilizations|overk_violations)_total|LegitimateFor|RecordAt|routeShardSize|scanShard|corkReply|paPool|frameBufPool|appendResponseFrame|-idle-pace|(^|[^a-z-])-pace([^a-z-]|$)|dedupeShards?|stackShard|counterShards?' $docs; then err "a doc still names removed code"; fi
+if grep -qE -- 'NextProc|MinDeliver|EachDeliver|perProc|ResyncCensus|Options\.Hooks|SlotHook|New(Waiting|Grants|Circulations)|MetricsAddr|Options\.Journal|kofl_sim_(stabilizations|overk_violations)_total|LegitimateFor|RecordAt|routeShardSize|scanShard|corkReply|paPool|frameBufPool|appendResponseFrame|-idle-pace|(^|[^a-z-])-pace([^a-z-]|$)|dedupeShards?|stackShard|counterShards?|demandDone|releaseRq' $docs; then err "a doc still names removed code"; fi
 
 [ "$fail" -eq 0 ] && echo "check_docs: OK"
 exit "$fail"
